@@ -28,28 +28,39 @@ DEFAULT_CLOSURE_CAP = 4096
 # --- set separation universes -----------------------------------------------
 
 
+_LO = (1 << 32) - 1  # B in the low half of a packed key A << 32 | B
+_HI = ~_LO
+_CHUNK = 1 << 19  # candidate keys per table and chunk
+
+
 def _close_under_join_meet(
     pool: Iterable[tuple[int, int]], cap: int
 ) -> list[tuple[int, int]]:
-    """Close a flip-closed pool of (A, B) masks under joins and meets."""
-    seen = set(pool)
-    for a, b in list(seen):
-        seen.add((b, a))
-    work = sorted(seen)
-    i = 0
-    while i < len(work):
-        a, b = work[i]
-        i += 1
-        for c, d in work[:i]:
-            for cand in ((a | c, b & d), (a & c, b | d)):
-                if cand not in seen:
-                    seen.add(cand)
-                    seen.add((cand[1], cand[0]))
-                    work.append(cand)
-                    work.append((cand[1], cand[0]))
-                    if len(seen) > cap:
-                        raise ClosureTooLarge(cap)
-    return sorted(seen)
+    """Close a flip-closed pool of (A, B) masks under joins and meets.
+
+    Works in rounds on packed keys ``A << 32 | B``: each round joins and
+    meets the elements new in the last round with everything seen so far.
+    Raises :class:`ClosureTooLarge` once the closure has grown past the pool
+    and holds more than ``cap`` elements; a closed pool of any size passes.
+    """
+    keys = np.array([a << 32 | b for a, b in pool], dtype=np.int64)
+    seen = np.union1d(keys, (keys & _LO) << 32 | keys >> 32)
+    frontier = seen
+    while len(frontier):
+        rows = max(1, _CHUNK // len(seen))
+        new = np.empty(0, dtype=np.int64)
+        for start in range(0, len(frontier), rows):
+            f = frontier[start : start + rows, None]
+            union, common = f | seen, f & seen
+            joins = (union & _HI) | (common & _LO)
+            meets = (common & _HI) | (union & _LO)
+            found = np.setdiff1d(np.concatenate((joins.ravel(), meets.ravel())), seen)
+            new = np.union1d(new, found)
+            if len(new) and len(seen) + len(new) > cap:
+                raise ClosureTooLarge(cap)
+        seen = np.union1d(seen, new)
+        frontier = new
+    return [(k >> 32, k & _LO) for k in seen.tolist()]
 
 
 def build_set_universe(

@@ -7,13 +7,18 @@ system* is any involution-closed subset of a universe's elements.
 
 Elements are integer ids ``0 .. n-1``.  The order lives in a full boolean
 matrix, the involution and join/meet in id tables; every law is verified
-exhaustively at construction time:
+exhaustively at construction time, on every universe:
 
  * partial order (reflexive, antisymmetric, transitive),
  * order reversal:  ``r <= s``  iff  ``s.inverse <= r.inverse``,
  * ``join(r, s)`` is the least upper bound, ``meet(r, s)`` the greatest
    lower bound,
  * De Morgan:  ``join(r, s).inverse == meet(r.inverse, s.inverse)``.
+
+Transitivity and the bound laws compare rows of the order matrix packed
+into 64-bit words, so each costs O(n²·⌈n/64⌉) word operations rather than
+O(n³) boolean ones.  Where a packed check finds a violation, the dense
+check reruns on that row alone to name the same witness.
 
 All objects are immutable; operations construct new values.  Ties are broken
 by least element id everywhere, so identical inputs give identical outputs.
@@ -22,6 +27,7 @@ by least element id everywhere, so identical inputs give identical outputs.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -40,6 +46,14 @@ from .errors import (
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _pack_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix as zero-padded ``uint64`` bit words."""
+    rows, cols = m.shape
+    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(m, axis=1)
+    return packed.view(np.uint64)
 
 
 class Universe:
@@ -65,7 +79,8 @@ class Universe:
 
         self._leq = _readonly(leq)
         self._inv = _readonly(inv)
-        self._check_order()
+        up = _pack_rows(leq)  # up[a]: the ids above a
+        self._check_order(up)
         self._check_involution()
 
         if join is None:
@@ -76,7 +91,7 @@ class Universe:
         self._meet = _readonly(np.asarray(meet, dtype=np.int64))
         if self._join.shape != (n, n) or self._meet.shape != (n, n):
             raise MalformedInput("join/meet tables must be n-by-n")
-        self._check_bounds()
+        self._check_bounds(up)
         self._check_de_morgan()
 
         self.set_labels = tuple(set_labels) if set_labels is not None else None
@@ -84,7 +99,7 @@ class Universe:
 
     # -- law checks, all vectorized ------------------------------------
 
-    def _check_order(self) -> None:
+    def _check_order(self, up: np.ndarray) -> None:
         rel = self._leq
         n = len(rel)
         if n == 0:
@@ -98,15 +113,16 @@ class Universe:
         if sym.any():
             a, b = (int(x) for x in np.argwhere(sym)[0])
             raise NotAPartialOrder(f"not antisymmetric at ({a}, {b})", witness=(a, b))
-        closure = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
-        gap = closure & ~rel
-        if gap.any():
-            a, c = (int(x) for x in np.argwhere(gap)[0])
-            b = int(np.flatnonzero(rel[a] & rel[:, c])[0])
-            raise NotAPartialOrder(
-                f"not transitive: {a} <= {b} <= {c} but not {a} <= {c}",
-                witness=(a, b, c),
-            )
+        # transitive iff the up-set of every b above a lies inside a's up-set
+        for a in range(n):
+            if (up[rel[a]] & ~up[a]).any():
+                gap = rel[rel[a]].any(axis=0) & ~rel[a]
+                c = int(np.flatnonzero(gap)[0])
+                b = int(np.flatnonzero(rel[a] & rel[:, c])[0])
+                raise NotAPartialOrder(
+                    f"not transitive: {a} <= {b} <= {c} but not {a} <= {c}",
+                    witness=(a, b, c),
+                )
 
     def _check_involution(self) -> None:
         inv = self._inv
@@ -152,22 +168,21 @@ class Universe:
                 table[r, s] = hit
         return table
 
-    def _check_bounds(self) -> None:
+    def _check_bounds(self, up: np.ndarray) -> None:
+        # join(r, s) is the supremum iff its upper cone equals the
+        # intersection of the cones of r and s; likewise for meet below.
+        # Packed rows find the failing r; the dense rows name the witness.
         rel, join, meet = self._leq, self._join, self._meet
-        n = len(rel)
-        for r in range(n):
-            # join(r, s) is the supremum iff its upper cone equals the
-            # intersection of the cones of r and s; likewise for meet below.
-            expect = rel[r][None, :] & rel
-            got = rel[join[r]]
-            bad = expect != got
-            if bad.any():
+        down = _pack_rows(rel.T)
+        for r in range(len(rel)):
+            if not np.array_equal(up[r] & up, up[join[r]]):
+                expect = rel[r][None, :] & rel
+                bad = expect != rel[join[r]]
                 s, t = (int(x) for x in np.argwhere(bad)[0])
                 raise JoinNotSupremum(r, s, t)
-            expect = rel[:, r][:, None] & rel
-            got = rel[:, meet[r]]
-            bad = expect != got
-            if bad.any():
+            if not np.array_equal(down[r] & down, down[meet[r]]):
+                expect = rel[:, r][:, None] & rel
+                bad = expect != rel[:, meet[r]]
                 t, s = (int(x) for x in np.argwhere(bad)[0])
                 raise MeetNotInfimum(r, s, t)
 
@@ -189,12 +204,12 @@ class Universe:
     def __len__(self) -> int:
         return len(self._leq)
 
-    @cached_property
-    def seps(self) -> tuple["OrientedSep", ...]:
-        return tuple(OrientedSep(self, i) for i in range(len(self)))
-
     def sep(self, i: int) -> "OrientedSep":
-        return self.seps[i]
+        # built on demand: a cached tuple of handles would make a reference
+        # cycle that keeps every dropped universe alive until a full gc pass
+        if not 0 <= i < len(self._inv):
+            raise IndexError(f"element id {i} outside a universe of {len(self)}")
+        return OrientedSep(self, i)
 
     def leq_ids(self, a: int, b: int) -> bool:
         return bool(self._leq[a, b])
@@ -246,7 +261,7 @@ class Universe:
 
     def to_json_dict(self, members: Optional[Iterable[int]] = None) -> dict:
         n = len(self)
-        pairs = [[int(a), int(b)] for a, b in np.argwhere(self._leq)]
+        pairs = np.argwhere(self._leq).tolist()
         d = {
             "elements": list(range(n)),
             "inverse": {str(i): int(self._inv[i]) for i in range(n)},
@@ -550,12 +565,56 @@ def tables_from_masks(
     return leq, inverse, join, meet
 
 
+def _is_id(x) -> bool:
+    """True for a JSON integer; ``true``/``false`` load as ``bool``, an ``int`` subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _id_entry(item, size: int, what: str, shape: str) -> tuple[int, ...]:
+    """One ``[a, b]`` or ``[a, b, value]`` entry, rejecting non-integer ids."""
+    if not isinstance(item, (list, tuple)) or len(item) != size:
+        raise MalformedInput(f"{what} entries must be {shape}")
+    for x in item:
+        if not _is_id(x):
+            raise MalformedInput(f"{what} entry {item!r} holds a non-integer id {x!r}")
+    return tuple(item)
+
+
+def _leq_from_pairs(n: int, items) -> np.ndarray:
+    if not isinstance(items, (list, tuple)):
+        raise MalformedInput("'leq' must be a list of [a, b] pairs")
+    leq = np.zeros((n, n), dtype=bool)
+    try:
+        pairs = np.asarray(items)
+    except (ValueError, TypeError, OverflowError):  # ragged or odd entries
+        pairs = None
+    # the whole list at once when it is a clean in-range integer (k, 2) array;
+    # numpy reads a bool mixed with ints as an int, hence the type scan
+    if (
+        pairs is not None
+        and pairs.dtype.kind == "i"
+        and pairs.shape[1:] == (2,)
+        and (not len(pairs) or (pairs.min() >= 0 and pairs.max() < n))
+        and bool not in set(map(type, chain.from_iterable(items)))
+    ):
+        leq[pairs[:, 0], pairs[:, 1]] = True
+        return leq
+    for item in items:
+        a, b = _id_entry(item, 2, "'leq'", "[a, b] pairs")
+        if not (0 <= a < n and 0 <= b < n):
+            raise MalformedInput(f"'leq' pair ({a}, {b}) outside element range")
+        leq[a, b] = True
+    return leq
+
+
 def _table_from_triples(n: int, triples, what: str) -> np.ndarray:
+    if not isinstance(triples, (list, tuple)):
+        raise MalformedInput(f"{what} must be a list of [a, b, value] triples")
     table = np.full((n, n), -1, dtype=np.int64)
     for item in triples:
-        if len(item) != 3:
-            raise MalformedInput(f"{what} entries must be [a, b, value] triples")
-        a, b, v = (int(x) for x in item)
+        a, b, v = _id_entry(item, 3, what, "[a, b, value] triples")
+        if not (0 <= a < n and 0 <= b < n and 0 <= v < n):
+            raise MalformedInput(f"{what} triple ({a}, {b}, {v}) outside element range")
         table[a, b] = v
     if (table < 0).any():
         a, b = (int(x) for x in np.argwhere(table < 0)[0])
@@ -570,33 +629,28 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     ``leq`` (list of ``[a, b]`` pairs), optional ``join``/``meet`` tables as
     ``[a, b, value]`` triples (derived from the order when omitted), optional
     ``members`` (defaults to all elements), optional ``ground``/``labels``
-    annotations for set universes.
+    annotations for set universes.  Every id must be a JSON integer.
     """
     try:
-        elements = [int(e) for e in d["elements"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        elements = list(d["elements"])
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad or missing 'elements': {exc}") from exc
     n = len(elements)
-    if sorted(elements) != list(range(n)):
+    if not all(_is_id(e) for e in elements) or sorted(elements) != list(range(n)):
         raise MalformedInput("'elements' must be the ids 0..n-1")
 
     inv_map = d.get("inverse")
     if not isinstance(inv_map, dict):
         raise MalformedInput("'inverse' must be an object mapping id -> id")
     try:
-        inverse = [int(inv_map[str(i)]) for i in range(n)]
-    except (KeyError, ValueError) as exc:
+        inverse = [inv_map[str(i)] for i in range(n)]
+    except KeyError as exc:
         raise MalformedInput(f"bad 'inverse' table: {exc}") from exc
+    for i, x in enumerate(inverse):
+        if not _is_id(x):
+            raise MalformedInput(f"bad 'inverse' table: {i} maps to {x!r}, not an id")
 
-    leq = np.zeros((n, n), dtype=bool)
-    for item in d.get("leq", ()):
-        if len(item) != 2:
-            raise MalformedInput("'leq' entries must be [a, b] pairs")
-        a, b = (int(x) for x in item)
-        if not (0 <= a < n and 0 <= b < n):
-            raise MalformedInput(f"'leq' pair ({a}, {b}) outside element range")
-        leq[a, b] = True
-
+    leq = _leq_from_pairs(n, d.get("leq", ()))
     join = _table_from_triples(n, d["join"], "join") if "join" in d else None
     meet = _table_from_triples(n, d["meet"], "meet") if "meet" in d else None
 
@@ -606,10 +660,13 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
         ground = [str(g) for g in d["ground"]]
         index = {g: i for i, g in enumerate(ground)}
         set_labels = []
-        for a_list, b_list in d["labels"]:
-            a = sum(1 << index[str(v)] for v in a_list)
-            b = sum(1 << index[str(v)] for v in b_list)
-            set_labels.append((a, b))
+        try:
+            for a_list, b_list in d["labels"]:
+                a = sum(1 << index[str(v)] for v in a_list)
+                b = sum(1 << index[str(v)] for v in b_list)
+                set_labels.append((a, b))
+        except KeyError as exc:
+            raise MalformedInput(f"'labels' name a vertex outside 'ground': {exc}") from exc
         if len(set_labels) != n:
             raise MalformedInput("'labels' must list one (A, B) pair per element")
         if join is None and meet is None:
@@ -623,13 +680,10 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     members = d.get("members")
     if members is None:
         members = range(n)
-    return SeparationSystem(universe, (int(m) for m in members))
+    elif not isinstance(members, list) or not all(_is_id(m) for m in members):
+        raise MalformedInput("'members' must be a list of element ids")
+    return SeparationSystem(universe, members)
 
 
 def system_to_json_dict(system: SeparationSystem) -> dict:
     return system.universe.to_json_dict(members=system.member_ids)
-
-
-def validate_universe(d: dict) -> SeparationSystem:
-    """Validate raw universe tables; alias of :func:`system_from_json_dict`."""
-    return system_from_json_dict(d)

@@ -11,7 +11,12 @@ import sys
 import pytest
 
 import gen
-from tangleduct import StarFamily, standardize, system_from_json_dict
+from tangleduct import (
+    StarFamily,
+    standardize,
+    system_from_json_dict,
+    system_to_json_dict,
+)
 from tangleduct.cli import RunConfig, demo_family, main, parse_args, run
 
 P3 = "a b\nb c\n"
@@ -101,6 +106,80 @@ class TestValidate:
         bad.write_text("{not json")
         assert run(RunConfig("validate", str(bad))) == 1
         assert capsys.readouterr().err
+
+
+def _abstract_system_doc() -> dict:
+    """cover2's tables as a universe without set labels, so with join/meet."""
+    from tangleduct import Universe
+
+    u = gen.full_cover_system(2).universe
+    inverse = [u.inv_id(i) for i in range(len(u))]
+    bare = Universe(u.leq_matrix(), inverse, u.join_table(), u.meet_table())
+    return bare.to_json_dict()
+
+
+def _set(key, value):
+    return lambda d: d.update({key: value})
+
+
+def _recode(key, pred, recode):
+    """Replace the first entry of ``d[key]`` matching ``pred`` by ``recode(entry)``.
+
+    Most recodings keep the value Python's ``int`` reads, so a reader that
+    coerced ids would accept the document silently.
+    """
+
+    def mutate(d):
+        table = d[key]
+        slots = table if isinstance(table, dict) else range(len(table))
+        slot = next(i for i in slots if pred(table[i]))
+        table[slot] = recode(table[slot])
+
+    return mutate
+
+
+N2 = 9  # elements of cover2
+
+MALFORMED = {
+    "inverse null": (False, _recode("inverse", lambda v: True, lambda v: None)),
+    "inverse float": (False, _recode("inverse", lambda v: True, float)),
+    "inverse bool": (False, _recode("inverse", lambda v: v == 1, lambda v: True)),
+    "leq string id": (False, _recode("leq", lambda e: True, lambda e: [e[0], "a"])),
+    "leq string entry": (False, _recode("leq", lambda e: True, lambda e: "ab")),
+    "leq float": (False, _recode("leq", lambda e: True, lambda e: [e[0], e[1] + 0.5])),
+    "leq bool among ints": (
+        False, _recode("leq", lambda e: e[0] == 1, lambda e: [True, e[1]])),
+    "leq not a list": (False, _set("leq", 7)),
+    "elements bool": (False, _recode("elements", lambda e: e == 1, lambda e: True)),
+    "elements float": (False, _recode("elements", lambda e: e == 1, float)),
+    "members string": (False, _set("members", [0, "a"])),
+    "label unknown vertex": (
+        False, _recode("labels", lambda e: True, lambda e: [["9"], e[1]])),
+    "join negative id": (
+        True, _recode("join", lambda e: True, lambda e: [e[0] - N2, e[1], e[2]])),
+    "join negative value": (
+        True, _recode("join", lambda e: True, lambda e: [e[0], e[1], e[2] - N2])),
+    "join id past the end": (
+        True, _recode("join", lambda e: True, lambda e: [e[0], N2, e[2]])),
+    "meet bool": (True, _recode("meet", lambda e: e[1] == 1, lambda e: [e[0], True, e[2]])),
+    "meet float": (True, _recode("meet", lambda e: True, lambda e: [e[0], e[1], e[2] + 0.5])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_system_is_one_error_line(case, tmp_path, capsys):
+    abstract, mutate = MALFORMED[case]
+    if abstract:
+        doc = _abstract_system_doc()
+    else:
+        doc = system_to_json_dict(gen.full_cover_system(2))
+    mutate(doc)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig("validate", str(path))) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestStrongAndCheckTree:

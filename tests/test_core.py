@@ -1,5 +1,8 @@
 """Universe axioms, triviality, consistency predicates, and JSON round trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,11 +10,13 @@ from hypothesis import strategies as st
 
 import gen
 from tangleduct import (
+    GraphInput,
     MalformedInput,
     OrientedSep,
     SeparationSystem,
     Universe,
     find_inconsistency,
+    graph_separations,
     is_antisymmetric,
     is_consistent,
     is_multistar,
@@ -140,6 +145,29 @@ class TestOrientedSep:
         u = cover3.universe
         for i in range(len(u)):
             assert u.sep(i).is_small == u.leq_ids(i, u.inv_id(i))
+
+    def test_out_of_range_ids_rejected(self, cover2):
+        u = cover2.universe
+        for i in (-1, len(u)):
+            with pytest.raises(IndexError):
+                u.sep(i)
+
+    def test_dropped_universe_freed_without_gc(self):
+        # handles are built on demand, so no universe -> handle -> universe
+        # cycle keeps a dropped universe alive until the cyclic collector runs
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = graph_separations(GraphInput.parse("a b\nb c\n"), 2)
+            u = system.universe
+            s = u.sep(3)
+            assert s <= s.join(~s) and system.seps and system.trivial_ids
+            ref = weakref.ref(u)
+            del system, u, s
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestTriviality:

@@ -1,0 +1,196 @@
+"""The packed-row universe law checks against the dense reference checks.
+
+``Universe`` checks transitivity and the join/meet bound laws on rows of the
+order matrix packed into 64-bit words.  The dense versions below are the
+reference: on every corrupted table both must pass, or raise the same error
+class with the same message and witness.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import gen
+from tangleduct import Universe
+from tangleduct.core import _pack_rows
+from tangleduct.errors import (
+    JoinNotSupremum,
+    MeetNotInfimum,
+    NotAPartialOrder,
+    TangleductError,
+)
+
+
+def dense_check_order(rel: np.ndarray) -> None:
+    n = len(rel)
+    if n == 0:
+        return
+    diag = rel[np.diag_indices(n)]
+    if not diag.all():
+        i = int(np.flatnonzero(~diag)[0])
+        raise NotAPartialOrder(f"not reflexive at {i}", witness=i)
+    sym = rel & rel.T
+    sym[np.diag_indices(n)] = False
+    if sym.any():
+        a, b = (int(x) for x in np.argwhere(sym)[0])
+        raise NotAPartialOrder(f"not antisymmetric at ({a}, {b})", witness=(a, b))
+    closure = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
+    gap = closure & ~rel
+    if gap.any():
+        a, c = (int(x) for x in np.argwhere(gap)[0])
+        b = int(np.flatnonzero(rel[a] & rel[:, c])[0])
+        raise NotAPartialOrder(
+            f"not transitive: {a} <= {b} <= {c} but not {a} <= {c}",
+            witness=(a, b, c),
+        )
+
+
+def dense_check_bounds(rel: np.ndarray, join: np.ndarray, meet: np.ndarray) -> None:
+    n = len(rel)
+    for r in range(n):
+        expect = rel[r][None, :] & rel
+        got = rel[join[r]]
+        bad = expect != got
+        if bad.any():
+            s, t = (int(x) for x in np.argwhere(bad)[0])
+            raise JoinNotSupremum(r, s, t)
+        expect = rel[:, r][:, None] & rel
+        got = rel[:, meet[r]]
+        bad = expect != got
+        if bad.any():
+            t, s = (int(x) for x in np.argwhere(bad)[0])
+            raise MeetNotInfimum(r, s, t)
+
+
+def _outcome(check) -> object:
+    try:
+        check()
+    except TangleductError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def packed_outcome(leq, join, meet):
+    u = Universe.__new__(Universe)
+    u._leq, u._join, u._meet = leq, join, meet
+    up = _pack_rows(leq)
+
+    def check():
+        u._check_order(up)
+        u._check_bounds(up)
+
+    return _outcome(check)
+
+
+def dense_outcome(leq, join, meet):
+    def check():
+        dense_check_order(leq)
+        dense_check_bounds(leq, join, meet)
+
+    return _outcome(check)
+
+
+UNIVERSES = {
+    "cover2": lambda: gen.full_cover_system(2).universe,
+    "cover3": lambda: gen.full_cover_system(3).universe,
+    "cover4": lambda: gen.full_cover_system(4).universe,  # 81 ids: two words a row
+    "p3_k2": lambda: gen.graph_system("p3", 2).universe,
+}
+
+
+def tables(name: str):
+    u = UNIVERSES[name]()
+    return u.leq_matrix().copy(), u.join_table().copy(), u.meet_table().copy()
+
+
+def assert_same(leq, join, meet):
+    expect = dense_outcome(leq, join, meet)
+    assert packed_outcome(leq, join, meet) == expect
+    return expect
+
+
+@pytest.mark.parametrize("name", sorted(UNIVERSES))
+def test_pack_rows_round_trips(name):
+    leq = tables(name)[0]
+    n = len(leq)
+    packed = _pack_rows(leq)
+    assert packed.dtype == np.uint64 and packed.shape == (n, -(-n // 64))
+    raw = packed.view(np.uint8)[:, : -(-n // 8)]
+    assert np.array_equal(np.unpackbits(raw, axis=1, count=n).astype(bool), leq)
+
+
+@pytest.mark.parametrize("name", sorted(UNIVERSES))
+def test_intact_tables_pass(name):
+    assert assert_same(*tables(name)) is None
+
+
+def test_every_single_corruption_of_cover2():
+    leq, join, meet = tables("cover2")
+    n = len(leq)
+    kinds = set()
+
+    def record(outcome):
+        if outcome is not None:
+            cls, _, witness = outcome
+            kinds.add((cls, len(witness) if isinstance(witness, tuple) else 1))
+
+    for a in range(n):
+        for b in range(n):
+            bad = leq.copy()
+            bad[a, b] = not bad[a, b]
+            record(assert_same(bad, join, meet))
+            for v in range(n):
+                if v != join[a, b]:
+                    wrong = join.copy()
+                    wrong[a, b] = v
+                    record(assert_same(leq, wrong, meet))
+                if v != meet[a, b]:
+                    wrong = meet.copy()
+                    wrong[a, b] = v
+                    record(assert_same(leq, join, wrong))
+    # reflexivity, antisymmetry, transitivity, join and meet all fail somewhere
+    assert kinds >= {
+        (NotAPartialOrder, 1),
+        (NotAPartialOrder, 2),
+        (NotAPartialOrder, 3),
+        (JoinNotSupremum, 3),
+        (MeetNotInfimum, 3),
+    }
+
+
+def test_transitivity_gap_in_second_word():
+    # dropping a <= c while some a < b < c remains leaves exactly one gap,
+    # at column c >= 64, which only the second packed word holds
+    leq, join, meet = tables("cover4")
+    n = len(leq)
+    gaps = [
+        (a, c)
+        for a in range(n)
+        for c in range(64, n)
+        if a != c and leq[a, c] and (leq[a] & leq[:, c]).sum() > 2
+    ]
+    assert gaps
+    for a, c in gaps[:10]:
+        bad = leq.copy()
+        bad[a, c] = False
+        cls, _, witness = assert_same(bad, join, meet)
+        assert cls is NotAPartialOrder and (witness[0], witness[2]) == (a, c)
+
+
+@given(
+    name=st.sampled_from(sorted(UNIVERSES)),
+    table=st.sampled_from(["leq", "join", "meet"]),
+    data=st.data(),
+)
+def test_one_corrupted_entry(name, table, data):
+    leq, join, meet = tables(name)
+    n = len(leq)
+    a = data.draw(st.integers(0, n - 1), label="a")
+    b = data.draw(st.integers(0, n - 1), label="b")
+    if table == "leq":
+        leq[a, b] = not leq[a, b]
+    else:
+        target = join if table == "join" else meet
+        target[a, b] = data.draw(st.integers(0, n - 1), label="value")
+    assert_same(leq, join, meet)
