@@ -20,6 +20,18 @@ into 64-bit words, so each costs O(n²·⌈n/64⌉) word operations rather than
 O(n³) boolean ones.  Where a packed check finds a violation, the dense
 check reruns on that row alone to name the same witness.
 
+The engines' hot path asks set questions ("which picks lie strictly above
+this one's inverse?", "do all elements of this star lie in that domain?").
+For these, a universe hands out *bit rows*: Python ints whose bit ``b`` is
+set when id ``b`` belongs to the row.  :meth:`Universe.above_mask` and
+:meth:`Universe.conflict_mask` build one row per id on first use, from the
+order matrix through ``np.packbits``, so the rows cost at most n²/8 bytes.
+A :class:`SeparationSystem` keeps its member set as a bit row too, and
+caches per base ``r`` the members above ``r`` and the members with an
+orientation above ``r``; its ``memo`` dict holds what the duality engines
+derive from the system alone.  All of it lives on the object it describes
+and is dropped with it.
+
 All objects are immutable; operations construct new values.  Ties are broken
 by least element id everywhere, so identical inputs give identical outputs.
 """
@@ -46,6 +58,11 @@ from .errors import (
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _bit_row(row: np.ndarray) -> int:
+    """A boolean vector as a Python int with bit ``i`` set where ``row[i]`` is."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _pack_rows(m: np.ndarray) -> np.ndarray:
@@ -96,6 +113,8 @@ class Universe:
 
         self.set_labels = tuple(set_labels) if set_labels is not None else None
         self.ground = tuple(ground) if ground is not None else None
+        self._above: list[Optional[int]] = [None] * n
+        self._conflict: list[Optional[int]] = [None] * n
 
     # -- law checks, all vectorized ------------------------------------
 
@@ -229,12 +248,31 @@ class Universe:
     def is_degenerate_id(self, a: int) -> bool:
         return int(self._inv[a]) == a
 
+    def above_mask(self, a: int) -> int:
+        """Bit row of the ids ``b`` with ``a <= b`` (``a`` itself included)."""
+        row = self._above[a]
+        if row is None:
+            row = self._above[a] = _bit_row(self._leq[a])
+        return row
+
+    def conflict_mask(self, a: int) -> int:
+        """Bit row of the ids strictly above ``a``'s inverse, minus ``a`` and
+        its inverse: a pick ``a`` is inconsistent with any pick in it."""
+        row = self._conflict[a]
+        if row is None:
+            ra = int(self._inv[a])
+            row = self._conflict[a] = self.above_mask(ra) & ~((1 << a) | (1 << ra))
+        return row
+
     @cached_property
     def degenerate_ids(self) -> frozenset[int]:
         return frozenset(int(i) for i in np.flatnonzero(self._inv == np.arange(len(self))))
 
     def leq_matrix(self) -> np.ndarray:
         return self._leq
+
+    def inverse_table(self) -> np.ndarray:
+        return self._inv
 
     def join_table(self) -> np.ndarray:
         return self._join
@@ -319,25 +357,29 @@ class OrientedSep:
         return self.universe.leq_ids(self.id, self.universe.inv_id(self.id))
 
     def join(self, other: "OrientedSep") -> "OrientedSep":
-        assert self.universe is other.universe
+        self._require_same_universe(other, "join")
         return self.universe.sep(self.universe.join_id(self.id, other.id))
 
     def meet(self, other: "OrientedSep") -> "OrientedSep":
-        assert self.universe is other.universe
+        self._require_same_universe(other, "meet")
         return self.universe.sep(self.universe.meet_id(self.id, other.id))
 
     def _cmp_ok(self, other) -> bool:
         return isinstance(other, OrientedSep) and other.universe is self.universe
 
+    def _require_same_universe(self, other, what: str) -> None:
+        if not self._cmp_ok(other):
+            raise MalformedInput(f"cannot {what} separations from different universes")
+
     def __le__(self, other: "OrientedSep") -> bool:
-        assert self._cmp_ok(other), "cannot compare separations from different universes"
+        self._require_same_universe(other, "compare")
         return self.universe.leq_ids(self.id, other.id)
 
     def __lt__(self, other: "OrientedSep") -> bool:
         return self.id != other.id and self.__le__(other)
 
     def __ge__(self, other: "OrientedSep") -> bool:
-        assert self._cmp_ok(other), "cannot compare separations from different universes"
+        self._require_same_universe(other, "compare")
         return self.universe.leq_ids(other.id, self.id)
 
     def __gt__(self, other: "OrientedSep") -> bool:
@@ -367,10 +409,43 @@ class SeparationSystem:
                 )
         self.universe = universe
         self.member_ids = ids
+        # answers the duality engines derive from this system alone
+        # (emulation, shift images); it holds ids and bit rows only
+        self.memo: dict = {}
+        self._above_members: dict[int, int] = {}
+        self._domains: dict[int, int] = {}
 
     @cached_property
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self.member_ids))
+
+    @cached_property
+    def member_flags(self) -> np.ndarray:
+        """Boolean vector over universe ids, true at the members."""
+        flags = np.zeros(len(self.universe), dtype=bool)
+        flags[list(self.member_ids)] = True
+        return _readonly(flags)
+
+    @cached_property
+    def member_mask(self) -> int:
+        """Bit row of the members."""
+        return _bit_row(self.member_flags)
+
+    def members_above(self, r: int) -> int:
+        """Bit row of the members ``m`` with ``r <= m`` (cached per ``r``)."""
+        row = self._above_members.get(r)
+        if row is None:
+            row = self._above_members[r] = self.universe.above_mask(r) & self.member_mask
+        return row
+
+    def domain_mask(self, r: int) -> int:
+        """Bit row of the members with an orientation above ``r`` (cached per ``r``)."""
+        row = self._domains.get(r)
+        if row is None:
+            u = self.universe
+            up = u.leq_matrix()[r]
+            row = self._domains[r] = _bit_row(up | up[u.inverse_table()]) & self.member_mask
+        return row
 
     @cached_property
     def seps(self) -> tuple[OrientedSep, ...]:
@@ -457,13 +532,16 @@ def find_inconsistency(
     """
     u = system.universe
     ids = _pick_ids(picks)
+    if ids and not (0 <= ids[0] and ids[-1] < len(u)):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise IndexError(f"element id {bad} outside a universe of {len(u)}")
+    picked = 0
     for a in ids:
-        ra = u.inv_id(a)  # the opposite orientation of the first pick
-        for b in ids:
-            if {b, u.inv_id(b)} == {a, ra}:
-                continue  # same underlying separation
-            if u.lt_ids(ra, b):
-                return u.sep(a), u.sep(b)
+        picked |= 1 << a
+    for a in ids:
+        hit = u.conflict_mask(a) & picked
+        if hit:
+            return u.sep(a), u.sep((hit & -hit).bit_length() - 1)
     return None
 
 
@@ -508,17 +586,6 @@ def is_star(sigma: Iterable[OrientedSep]) -> bool:
         return False
     for i, s in enumerate(elems):
         for j, t in enumerate(elems):
-            if i != j and not s <= t.inverse:
-                return False
-    return True
-
-
-def is_multistar(family: Sequence[OrientedSep]) -> bool:
-    """Star check for a multiset: repeats are compared as distinct positions."""
-    if any(s.is_degenerate for s in family):
-        return False
-    for i, s in enumerate(family):
-        for j, t in enumerate(family):
             if i != j and not s <= t.inverse:
                 return False
     return True

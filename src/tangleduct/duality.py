@@ -14,6 +14,16 @@ system and map qualifying stars back into the family.  Separability is not
 checked globally up front (that would be exponential); it is witnessed on
 demand, and a failure surfaces as :class:`NotFSeparable` with the offending
 pair.
+
+The separator search is the strong engine's hot path: each candidate is an
+emulation check against every qualifying star of the family.  It works on
+bit rows (see :mod:`tangleduct.core`).  A star qualifies for base ``r``
+when its bit row lies inside the system's domain row for ``r`` and meets
+the members-above-``r`` row, and the family caches that selection per row
+pair.  The family-independent parts are kept in the system's ``memo``: the
+plain emulation answer per ``(s0, r)``, and per ``(r, s0)`` the shift image
+of every id, built from one column of the join table.  Each image is then
+checked by its bit row against the family's set of star rows.
 """
 
 from __future__ import annotations
@@ -21,9 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .core import (
     OrientedSep,
     SeparationSystem,
+    _is_id,
     find_inconsistency,
     is_consistent,
     is_orientation,
@@ -84,37 +97,7 @@ def standardize(family: StarFamily, system: SeparationSystem) -> StarFamily:
     _check_same_universe(family, system)
     inv = system.universe.inv_id
     extra = {frozenset((inv(r),)) for r in system.trivial_ids}
-    out = StarFamily(family.universe, (), validate=False)
-    out.stars = family.stars | extra
-    return out
-
-
-@dataclass(frozen=True)
-class DualityState:
-    """Snapshot of the quantities steering the recursion.
-
-    ``forced`` holds the orientations whose inverse forms a singleton star in
-    the family; ``degenerate`` the self-inverse member orientations; and
-    ``undecided`` one representative id per member separation of which
-    neither orientation is forced or degenerate.
-    """
-
-    forced: frozenset[int]
-    degenerate: frozenset[int]
-    undecided: frozenset[int]
-
-
-def duality_state(system: SeparationSystem, family: StarFamily) -> DualityState:
-    _check_same_universe(family, system)
-    forced = family.forced_ids(system)
-    deg = system.degenerate_ids
-    inv = system.universe.inv_id
-    undecided = frozenset(
-        m
-        for m in system.nondegenerate_reps
-        if m not in forced and inv(m) not in forced
-    )
-    return DualityState(forced=forced, degenerate=deg, undecided=undecided)
+    return StarFamily(family.universe, family.stars | extra, validate=False)
 
 
 # --- certificates ------------------------------------------------------------
@@ -149,7 +132,7 @@ class Certificate:
         kind = d.get("kind")
         if kind not in ("tangle", "orientation", "stree"):
             raise MalformedInput(f"unknown certificate kind: {kind!r}")
-        picks = tuple(int(i) for i in d["picks"]) if "picks" in d else None
+        picks = _picks_from_json(d["picks"], len(system.universe)) if "picks" in d else None
         tree = STree.from_json_dict(system, d) if kind == "stree" else None
         return cls(
             kind=kind,
@@ -158,6 +141,17 @@ class Certificate:
             verified=bool(d.get("verified", False)),
             transcript=tuple(d.get("transcript", ())),
         )
+
+
+def _picks_from_json(items, n: int) -> tuple[int, ...]:
+    if not isinstance(items, list):
+        raise MalformedInput("certificate 'picks' must be a list of element ids")
+    for i in items:
+        if not _is_id(i):
+            raise MalformedInput(f"certificate pick {i!r} is not an integer id")
+        if not 0 <= i < n:
+            raise MalformedInput(f"certificate pick {i} outside a universe of {n}")
+    return tuple(items)
 
 
 def verify_certificate(
@@ -249,7 +243,8 @@ def emulates(s0, r, system: SeparationSystem) -> bool:
     """Does ``s0 ≥ r`` keep every join with a member above ``r`` inside?
 
     Checks ``s ∨ s0`` for membership, over all members ``s ≥ r`` other than
-    the inverse of ``r``.
+    the inverse of ``r``.  The answer depends on the system alone, so it is
+    kept in the system's ``memo``.
     """
     u = system.universe
     s0_id, r_id = _as_id(s0), _as_id(r)
@@ -257,15 +252,52 @@ def emulates(s0, r, system: SeparationSystem) -> bool:
         raise MalformedInput("s0 is not a member of the system")
     if u.is_degenerate_id(r_id):
         raise MalformedInput("emulation base is degenerate")
-    if not u.leq_ids(r_id, s0_id):
+    key = ("emulates", s0_id, r_id)
+    ok = system.memo.get(key)
+    if ok is None:
+        ok = system.memo[key] = _joins_stay_inside(system, s0_id, r_id)
+    return ok
+
+
+def _joins_stay_inside(system: SeparationSystem, s0: int, r: int) -> bool:
+    u = system.universe
+    if not u.leq_ids(r, s0):
         return False
-    inv_r = u.inv_id(r_id)
-    for m in system.members:
-        if m == inv_r or not u.leq_ids(r_id, m):
-            continue
-        if u.join_id(m, s0_id) not in system.member_ids:
-            return False
-    return True
+    flags = system.member_flags
+    above = flags & u.leq_matrix()[r]
+    above[u.inv_id(r)] = False
+    return bool(flags[u.join_table()[:, s0][above]].all())
+
+
+def _shift_image_bits(system: SeparationSystem, r: int, s0: int) -> list[int]:
+    """The bit of each member's shift across ``s0`` (as ``_shift_target_id``).
+
+    Built from one column of the join table for every id at once (``r``
+    itself joins to ``s0``, as ``r <= s0``) and cached per pair.  Only the
+    entries read by ``emulates_for_family`` are meaningful: members with an
+    orientation above ``r``, other than ``r``'s inverse, which no qualifying
+    star holds.  Non-members get 0, so a list costs O(members · n/8) bytes.
+    """
+    key = ("shift", r, s0)
+    bits = system.memo.get(key)
+    if bits is not None:
+        return bits
+    u = system.universe
+    inv = u.inverse_table()
+    col = u.join_table()[:, s0]
+    up = u.leq_matrix()[r]
+    both = up & up[inv] & system.member_flags
+    both[[r, inv[r]]] = False
+    if both.any():
+        raise InternalInvariant(
+            "both orientations of a shift target lie above the base"
+        )
+    image = np.where(up, col, inv[col[inv]]).tolist()
+    bits = [0] * len(image)
+    for t in system.members:
+        bits[t] = 1 << image[t]
+    system.memo[key] = bits
+    return bits
 
 
 def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> bool:
@@ -273,7 +305,8 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
 
     A star qualifies when all its elements belong to separations with an
     orientation above ``r``, none of them is the inverse of ``r``, and at
-    least one lies above ``r`` itself.
+    least one lies above ``r`` itself.  Qualifying stars are picked by bit
+    row from the family's index, and each image is checked as a bit row.
     """
     _check_same_universe(family, system)
     u = system.universe
@@ -281,19 +314,17 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
     _require_usable_base(r_id, system, "emulation base")
     if not emulates(s0_id, r_id, system):
         return False
-    inv_r = u.inv_id(r_id)
-    domain = frozenset(
-        m
-        for m in system.members
-        if u.leq_ids(r_id, m) or u.leq_ids(r_id, u.inv_id(m))
-    )
-    for sigma in family.sorted_stars:
-        if inv_r in sigma or not sigma <= domain:
-            continue
-        if not any(u.leq_ids(r_id, t) for t in sigma):
-            continue
-        image = frozenset(_shift_target_id(system, r_id, s0_id, t) for t in sigma)
-        if image not in family.stars:
+    allowed = system.domain_mask(r_id) & ~(1 << u.inv_id(r_id))
+    qualifying = family.stars_inside(allowed, system.members_above(r_id))
+    if not qualifying:
+        return True
+    bits = _shift_image_bits(system, r_id, s0_id)
+    present = family.mask_set
+    for sigma in qualifying:
+        image = 0
+        for t in sigma:
+            image |= bits[t]
+        if image not in present:
             return False
     return True
 

@@ -12,8 +12,6 @@ over the original family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import SeparationSystem
 from .errors import FNotStandard, InternalInvariant, MalformedInput, NoMatchingStar
 from .stree import (
@@ -37,26 +35,9 @@ def essential_core(family: StarFamily, system: SeparationSystem) -> StarFamily:
     if family.universe is not system.universe:
         raise MalformedInput("family and system live in different universes")
     trivial = system.trivial_ids
-    out = StarFamily(family.universe, (), validate=False)
-    out.stars = frozenset(sigma - trivial for sigma in family.stars)
-    return out
-
-
-@dataclass(frozen=True)
-class EssentialCore:
-    """A family together with its essential core and the stripped orientations."""
-
-    base: StarFamily
-    core: StarFamily
-    trivial_set: frozenset[int]
-
-    @classmethod
-    def compute(cls, family: StarFamily, system: SeparationSystem) -> "EssentialCore":
-        return cls(
-            base=family,
-            core=essential_core(family, system),
-            trivial_set=system.trivial_ids,
-        )
+    return StarFamily(
+        family.universe, (sigma - trivial for sigma in family.stars), validate=False
+    )
 
 
 def essentialize_stree(tree: STree) -> STree:

@@ -14,11 +14,12 @@ new trees and never mutate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .core import OrientedSep, SeparationSystem, Universe, is_star
+from .core import OrientedSep, SeparationSystem, Universe, _is_id, is_star
 from .errors import (
     AlphaImageOutsideS,
     AlphaNotInvolutive,
@@ -39,8 +40,23 @@ def star_sort_key(sigma: frozenset[int]) -> tuple:
     return (len(sigma), tuple(sorted(sigma)))
 
 
+def _star_mask(sigma: frozenset[int]) -> int:
+    mask = 0
+    for i in sigma:
+        mask |= 1 << i
+    return mask
+
+
 class StarFamily:
-    """A canonicalized set of stars, each a set of element ids of one universe."""
+    """A canonicalized set of stars, each a set of element ids of one universe.
+
+    Besides ``stars`` a family keeps an index for the engines: the stars in
+    canonical order (``sorted_stars``), each star's bit row over element ids
+    (``star_masks``, with ``mask_set`` for membership tests), and the ids
+    its singleton stars force.  Each part is built from ``stars`` on first
+    use; :meth:`with_star` extends the parent's by one bisect insertion
+    instead of sorting again.
+    """
 
     def __init__(self, universe: Universe, stars: Iterable, *, validate: bool = True):
         self.universe = universe
@@ -55,6 +71,24 @@ class StarFamily:
     @cached_property
     def sorted_stars(self) -> tuple[frozenset[int], ...]:
         return tuple(sorted(self.stars, key=star_sort_key))
+
+    @cached_property
+    def star_masks(self) -> tuple[int, ...]:
+        """Bit row of each star, in ``sorted_stars`` order."""
+        return tuple(_star_mask(sigma) for sigma in self.sorted_stars)
+
+    @cached_property
+    def mask_set(self) -> frozenset[int]:
+        return frozenset(self.star_masks)
+
+    @cached_property
+    def _inverse_singletons(self) -> frozenset[int]:
+        inv = self.universe.inv_id
+        return frozenset(inv(next(iter(s))) for s in self.stars if len(s) == 1)
+
+    @cached_property
+    def _inside(self) -> dict[tuple[int, int], tuple[frozenset[int], ...]]:
+        return {}
 
     def __iter__(self):
         return iter(self.sorted_stars)
@@ -79,17 +113,41 @@ class StarFamily:
         ids = _star_ids(sigma)
         if not is_star(self.universe.sep(i) for i in ids):
             raise FNotStars(ids)
+        if ids in self.stars:
+            return self
         out = StarFamily(self.universe, (), validate=False)
         out.stars = self.stars | {ids}
+        pos = bisect_left(self.sorted_stars, star_sort_key(ids), key=star_sort_key)
+        mask = _star_mask(ids)
+        out.sorted_stars = self.sorted_stars[:pos] + (ids,) + self.sorted_stars[pos:]
+        out.star_masks = self.star_masks[:pos] + (mask,) + self.star_masks[pos:]
+        out.mask_set = self.mask_set | {mask}
+        out._inverse_singletons = self._inverse_singletons
+        if len(ids) == 1:
+            out._inverse_singletons |= {self.universe.inv_id(next(iter(ids)))}
         return out
+
+    def stars_inside(self, allowed: int, touching: int) -> tuple[frozenset[int], ...]:
+        """Stars, in canonical order, with every element's bit in ``allowed``
+        and some element's bit in ``touching`` (cached per argument pair)."""
+        key = (allowed, touching)
+        hit = self._inside.get(key)
+        if hit is None:
+            outside = ~allowed
+            hit = self._inside[key] = tuple([
+                sigma
+                for sigma, mask in zip(self.sorted_stars, self.star_masks)
+                if mask & touching and not mask & outside
+            ])
+        return hit
 
     def restricted_to(self, system: SeparationSystem) -> "StarFamily":
         """The sub-family of stars lying entirely inside the system."""
-        out = StarFamily(self.universe, (), validate=False)
-        out.stars = frozenset(
-            sigma for sigma in self.stars if sigma <= system.member_ids
+        return StarFamily(
+            self.universe,
+            (sigma for sigma in self.stars if sigma <= system.member_ids),
+            validate=False,
         )
-        return out
 
     def forces(self, sep: OrientedSep) -> bool:
         """True iff the family contains the singleton star of ``sep``'s inverse."""
@@ -97,12 +155,7 @@ class StarFamily:
 
     def forced_ids(self, system: SeparationSystem) -> frozenset[int]:
         """All member orientations whose inverse forms a singleton star here."""
-        u = self.universe
-        return frozenset(
-            u.inv_id(next(iter(sigma)))
-            for sigma in self.stars
-            if len(sigma) == 1 and u.inv_id(next(iter(sigma))) in system.member_ids
-        )
+        return self._inverse_singletons & system.member_ids
 
     def missing_standard(self, system: SeparationSystem) -> tuple[int, ...]:
         """Trivial orientations of the system that the family fails to force."""
@@ -125,11 +178,14 @@ class StarFamily:
             raise MalformedInput("family JSON needs a 'stars' list")
         stars = []
         for sigma in d["stars"]:
-            ids = [int(i) for i in sigma]
-            for i in ids:
+            if not isinstance(sigma, list):
+                raise MalformedInput(f"a star must be a list of element ids, got {sigma!r}")
+            for i in sigma:
+                if not _is_id(i):
+                    raise MalformedInput(f"star {sigma!r} holds a non-integer element {i!r}")
                 if not 0 <= i < len(universe):
                     raise MalformedInput(f"star element {i} outside the universe")
-            stars.append(ids)
+            stars.append(sigma)
         return cls(universe, stars)
 
     def __repr__(self) -> str:
@@ -399,12 +455,20 @@ def _inverse_pair_triple(tree: STree) -> Optional[tuple[int, int, int]]:
 
 
 def is_order_respecting(tree: STree) -> bool:
+    """True iff ``e < f`` in the edge order implies ``alpha(e) <= alpha(f)``.
+
+    Only adjacent pairs ``(x, y) < (y, z)`` with ``z != x`` are checked,
+    O(Σ deg²) in all: every comparable pair is joined by a chain of
+    adjacent ones, and the universe order is transitive.
+    """
     u = tree.system.universe
-    oriented = tree.oriented_edges()
-    for e in oriented:
-        for f in oriented:
-            if e != f and tree.edge_leq(e, f):
-                if not u.leq_ids(tree.alpha[e], tree.alpha[f]):
+    alpha = tree.alpha
+    for y, ws in tree.adj.items():
+        outgoing = [(z, alpha[(y, z)]) for z in ws]
+        for x in ws:
+            above = u.above_mask(alpha[(x, y)])
+            for z, label in outgoing:
+                if z != x and not above >> label & 1:
                     return False
     return True
 

@@ -182,6 +182,67 @@ def test_malformed_system_is_one_error_line(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _tangle_envelope() -> dict:
+    """cover2 with the empty standardized family and its tangle certificate."""
+    from tangleduct import strong_duality
+
+    system = gen.full_cover_system(2)
+    fam = standardize(StarFamily(system.universe, ()), system)
+    cert = strong_duality(system, fam)
+    assert cert.kind == "tangle"
+    return {
+        "system": system_to_json_dict(system),
+        "family": fam.to_json_dict(),
+        "certificate": cert.to_json_dict(),
+    }
+
+
+def _one_error_line(capsys) -> None:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+MALFORMED_PICKS = {
+    "past the end": [1000000000],
+    "negative": [-1],
+    "string": ["x"],
+    "float": [1.5],
+    "bool": [True],
+    "not a list": 3,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PICKS))
+def test_malformed_picks_are_one_error_line(case, tmp_path, capsys):
+    doc = _tangle_envelope()
+    doc["certificate"]["picks"] = MALFORMED_PICKS[case]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig("check-tree", str(path))) == 1
+    _one_error_line(capsys)
+
+
+MALFORMED_STARS = {
+    "string element": [["a"]],
+    "float element": [[1.5]],
+    "bool element": [[True]],
+    "star not a list": [3],
+    "element past the end": [[9]],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "strong"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_STARS))
+def test_malformed_family_is_one_error_line(case, command, tmp_path, capsys):
+    doc = _tangle_envelope()
+    doc["family"] = {"stars": MALFORMED_STARS[case]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig(command, str(path))) == 1
+    _one_error_line(capsys)
+
+
 class TestStrongAndCheckTree:
     def test_pipeline_round_trip(self, p3_setup):
         tmp_path, env = p3_setup

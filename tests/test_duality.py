@@ -19,7 +19,6 @@ from tangleduct import (
     STree,
     StarFamily,
     avoids,
-    duality_state,
     emulates,
     emulates_for_family,
     enumerate_orientations,
@@ -64,13 +63,6 @@ class TestFamilyBasics:
         assert violating_star(picks, fam) == frozenset({1})
         assert not avoids(picks, fam)
         assert avoids((0, 3, 2, 4, 8), fam)
-
-    def test_duality_state_partitions(self, std2):
-        system, fam = std2
-        st = duality_state(system, fam)
-        assert st.forced == frozenset({0, 2, 4})
-        assert st.degenerate == frozenset({8})
-        assert st.undecided == frozenset({1})
 
 
 class TestShiftMap:

@@ -4,7 +4,6 @@ import pytest
 
 import gen
 from tangleduct import (
-    EssentialCore,
     MalformedInput,
     STree,
     StarFamily,
@@ -41,13 +40,6 @@ class TestEssentialCore:
         core = essential_core(fam, cover2)
         # {0} collapses to the empty star; {0,2} and {2,4} both vanish
         assert core.stars == frozenset({frozenset()})
-
-    def test_record_keeps_the_pieces(self, cover2):
-        fam = StarFamily(cover2.universe, [[0, 1]])
-        rec = EssentialCore.compute(fam, cover2)
-        assert rec.base == fam
-        assert rec.trivial_set == frozenset({0, 2, 4})
-        assert frozenset({1}) in rec.core.stars
 
     def test_same_universe_required(self, cover2, cover3):
         fam = StarFamily(cover3.universe, ())
