@@ -162,6 +162,8 @@ class _Documents:
             return None
         if self.system is None:
             raise MalformedInput("a certificate needs a system to live in")
+        if not isinstance(self.certificate_dict, dict):
+            raise MalformedInput("a certificate must be a JSON object")
         d = dict(self.certificate_dict)
         if "kind" not in d:
             d["kind"] = "stree"  # bare tree JSON

@@ -689,6 +689,35 @@ def _table_from_triples(n: int, triples, what: str) -> np.ndarray:
     return table
 
 
+def _set_labels(ground, labels, n: int) -> tuple[list[str], list[tuple[int, int]]]:
+    """Ground names and one ``(A, B)`` bitmask pair per element."""
+    # tables_from_masks keys a pair as A << 32 | B
+    if not isinstance(ground, list) or len(ground) > 32:
+        raise MalformedInput("'ground' must be a list of at most 32 vertex names")
+    if not isinstance(labels, list) or len(labels) != n:
+        raise MalformedInput("'labels' must list one (A, B) pair per element")
+    names = [str(g) for g in ground]
+    index = {g: i for i, g in enumerate(names)}
+    masks = []
+    for item in labels:
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and all(isinstance(side, list) for side in item)
+        ):
+            raise MalformedInput(f"'labels' entry {item!r} is not a pair of vertex lists")
+        pair = []
+        for side in item:
+            mask = 0
+            for v in side:
+                if str(v) not in index:
+                    raise MalformedInput(f"'labels' name a vertex outside 'ground': {v!r}")
+                mask |= 1 << index[str(v)]
+            pair.append(mask)
+        masks.append((pair[0], pair[1]))
+    return names, masks
+
+
 def system_from_json_dict(d: dict) -> SeparationSystem:
     """Build a validated universe plus system from the JSON schema.
 
@@ -714,8 +743,8 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     except KeyError as exc:
         raise MalformedInput(f"bad 'inverse' table: {exc}") from exc
     for i, x in enumerate(inverse):
-        if not _is_id(x):
-            raise MalformedInput(f"bad 'inverse' table: {i} maps to {x!r}, not an id")
+        if not (_is_id(x) and 0 <= x < n):
+            raise MalformedInput(f"bad 'inverse' table: {i} maps to {x!r}, not an element id")
 
     leq = _leq_from_pairs(n, d.get("leq", ()))
     join = _table_from_triples(n, d["join"], "join") if "join" in d else None
@@ -724,18 +753,7 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     set_labels = None
     ground = None
     if "labels" in d and "ground" in d:
-        ground = [str(g) for g in d["ground"]]
-        index = {g: i for i, g in enumerate(ground)}
-        set_labels = []
-        try:
-            for a_list, b_list in d["labels"]:
-                a = sum(1 << index[str(v)] for v in a_list)
-                b = sum(1 << index[str(v)] for v in b_list)
-                set_labels.append((a, b))
-        except KeyError as exc:
-            raise MalformedInput(f"'labels' name a vertex outside 'ground': {exc}") from exc
-        if len(set_labels) != n:
-            raise MalformedInput("'labels' must list one (A, B) pair per element")
+        ground, set_labels = _set_labels(d["ground"], d["labels"], n)
         if join is None and meet is None:
             label_leq, label_inv, join, meet = tables_from_masks(set_labels)
             if not np.array_equal(label_leq, leq):

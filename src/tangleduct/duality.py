@@ -134,12 +134,15 @@ class Certificate:
             raise MalformedInput(f"unknown certificate kind: {kind!r}")
         picks = _picks_from_json(d["picks"], len(system.universe)) if "picks" in d else None
         tree = STree.from_json_dict(system, d) if kind == "stree" else None
+        transcript = d.get("transcript", [])
+        if not isinstance(transcript, list) or not all(isinstance(t, str) for t in transcript):
+            raise MalformedInput("certificate 'transcript' must be a list of strings")
         return cls(
             kind=kind,
             picks=picks,
             tree=tree,
             verified=bool(d.get("verified", False)),
-            transcript=tuple(d.get("transcript", ())),
+            transcript=tuple(transcript),
         )
 
 

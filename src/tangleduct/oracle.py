@@ -1,29 +1,39 @@
-"""Brute-force orientation census, independent of the duality engines.
+"""Exhaustive orientation census, independent of the duality engines.
 
-Enumerates every full orientation of a system (one bit per nondegenerate
-underlying separation, degenerate orientations always included), classifies
-each as consistent and/or family-avoiding by the core predicates alone, and
-cross-checks the strong engine's answer against the census: a tree is
-returned exactly when no tangle exists, and on tree instances every
-consistent orientation is walked to a sink node whose star it contains.
+Every full orientation of a system is numbered by a code of ``n`` bits, one
+per nondegenerate underlying separation (degenerate members are always
+picked); :func:`orientation_picks` states the numbering.  The census
+classifies all ``2**n`` codes at once on truth tables: bit ``c`` of a
+``2**n``-bit Python int stands for code ``c``, each orientation of each
+separation has the column of codes that pick it, each clashing pair of
+picks (``inv(a) < b`` for distinct separations) clears the AND of its two
+columns from the consistent codes, and each star clears the AND of its
+columns from the avoiding codes.  The flagged codes are then listed as
+picks tuples in bounded numpy chunks.
 
-Deliberately free of pruning or reuse of engine logic — its value is
-independence.
+The census stays independent: it classifies every code, prunes nothing,
+reads only the order and inverse tables and uses no engine logic.  The
+cross-check plays the strong engine against it: a tree is returned exactly
+when no tangle exists, and on tree instances every consistent orientation
+is walked to a sink node whose star it contains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .core import SeparationSystem
+from .core import SeparationSystem, _bit_row
 from .duality import Certificate, strong_duality
 from .errors import InternalInvariant, MalformedInput, NotFSeparable, TooLarge
 from .stree import StarFamily, find_guided_sink
 
 DEFAULT_CENSUS_CAP = 20
+# codes listed per numpy pass: bounds the temporary picks matrix
+_CHUNK = 4096
 
 
 def orientation_picks(system: SeparationSystem, code: int) -> tuple[int, ...]:
@@ -63,6 +73,27 @@ class OrientationCensus:
     mode: str
 
 
+@cache
+def _columns(n: int) -> tuple[tuple[int, int], ...]:
+    """Truth-table columns of the ``2**n`` census codes.
+
+    ``cols[i][b]`` has bit ``c`` set iff bit ``i`` of code ``c`` is ``b``; an
+    AND of columns is the set of codes making all those choices at once.
+    """
+    codes = np.arange(1 << n, dtype=np.int64)
+    cols = []
+    for i in range(n):
+        one = ((codes >> i) & 1).astype(bool)
+        cols.append((_bit_row(~one), _bit_row(one)))
+    return tuple(cols)
+
+
+def _codes(flags: int, total: int) -> np.ndarray:
+    """The codes whose bit is set in a ``total``-bit flag int, ascending."""
+    raw = np.frombuffer(flags.to_bytes(-(-total // 8), "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, count=total, bitorder="little"))
+
+
 def enumerate_orientations(
     system: SeparationSystem,
     family: StarFamily,
@@ -70,12 +101,13 @@ def enumerate_orientations(
     *,
     cap: int = DEFAULT_CENSUS_CAP,
 ) -> OrientationCensus:
-    """Census every orientation: a binary counter over underlying separations.
+    """Census every orientation, numbered as by :func:`orientation_picks`.
 
-    Bit ``i`` of the counter orients the ``i``-th nondegenerate underlying
-    separation (sorted by id): 0 picks its least orientation, 1 the
-    inverse.  Raises :class:`TooLarge` when the system has more than
-    ``cap`` such separations.
+    Each code's consistency and avoidance is one bit of a ``2**n``-bit
+    truth table: every clashing pair of picks clears the AND of its two
+    code columns, every star the AND of its columns.  Raises
+    :class:`TooLarge` when the system has more than ``cap`` nondegenerate
+    underlying separations.
     """
     if mode not in ("avoiding", "tangle"):
         raise MalformedInput(f"unknown census mode {mode!r}")
@@ -86,65 +118,63 @@ def enumerate_orientations(
     n = len(reps)
     if n > cap:
         raise TooLarge(n, cap)
-    deg = tuple(sorted(system.degenerate_ids))
     total = 1 << n
-    codes = np.arange(total, dtype=np.int64)
-    bits = [((codes >> i) & 1).astype(np.int8) for i in range(n)]
-    choice = [(r, u.inv_id(r)) for r in reps]
+    full = (1 << total) - 1
+    inv = u.inverse_table()
+    deg = np.array(sorted(system.degenerate_ids), dtype=np.int64)
+    choice = np.empty((n, 2), dtype=np.int64)
+    choice[:, 0] = reps
+    choice[:, 1] = inv[choice[:, 0]]
 
-    consistent = np.ones(total, dtype=bool)
-    for d1 in deg:
-        for d2 in deg:
-            if d1 != d2 and u.lt_ids(u.inv_id(d1), d2):
-                consistent &= False
-    for i in range(n):
-        for b in (0, 1):
-            a = choice[i][b]
-            if any(
-                u.lt_ids(d, a) or u.lt_ids(u.inv_id(a), d) for d in deg
-            ):
-                consistent &= ~(bits[i] == b)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for bi in (0, 1):
-                a = choice[i][bi]
-                ia = u.inv_id(a)
-                for bj in (0, 1):
-                    if u.lt_ids(ia, choice[j][bj]):
-                        consistent &= ~((bits[i] == bi) & (bits[j] == bj))
+    # every possible pick: both orientations of each nondegenerate separation,
+    # then the degenerate members, which every code picks; ``col[k]`` holds
+    # the codes that pick ``ids[k]``
+    ids = np.concatenate([choice.ravel(), deg])
+    col = [c for pair in _columns(n) for c in pair] + [full] * len(deg)
+    # picks a, b clash when inv(a) < b and b is neither a nor inv(a);
+    # the codes making both picks are inconsistent
+    inv_ids = inv[ids]
+    clash = u.leq_matrix()[inv_ids][:, ids]
+    clash &= (inv_ids[:, None] != ids) & (ids[:, None] != ids)
+    hits = [0] * len(col)
+    for k, l in np.argwhere(np.triu(clash | clash.T)).tolist():
+        hits[k] |= col[l]
+    consistent = full
+    for c, hit in zip(col, hits):
+        if hit:
+            consistent &= ~(c & hit)
 
-    where = {}
-    for i, (fwd, bwd) in enumerate(choice):
-        where[fwd] = (i, 0)
-        where[bwd] = (i, 1)
-    avoiding = np.ones(total, dtype=bool)
+    where = dict(zip(choice.ravel().tolist(), col))
+    avoiding = full
     for sigma in family.sorted_stars:
-        mask = np.ones(total, dtype=bool)
-        feasible = True
+        inside = full
         for e in sigma:
-            if e in where:
-                i, b = where[e]
-                mask &= bits[i] == b
-            else:
-                feasible = False  # never picked: outside S or degenerate-free
-                break
-        if feasible:
-            avoiding &= ~mask
+            c = where.get(e)
+            if c is None:
+                break  # never picked: outside S or degenerate
+            inside &= c
+        else:
+            avoiding &= ~inside
 
-    tangles = consistent & avoiding
+    shifts = np.arange(n)
 
-    def collect(flags: np.ndarray) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            orientation_picks(system, int(code)) for code in np.flatnonzero(flags)
-        )
+    def collect(flags: int) -> tuple[tuple[int, ...], ...]:
+        out: list[tuple[int, ...]] = []
+        codes = _codes(flags, total)
+        for at in range(0, len(codes), _CHUNK):
+            part = codes[at : at + _CHUNK]
+            picks = np.empty((len(part), n + len(deg)), dtype=np.int64)
+            picks[:, :n] = choice[shifts, (part[:, None] >> shifts) & 1]
+            picks[:, n:] = deg
+            picks.sort(axis=1)
+            out.extend(map(tuple, picks.tolist()))
+        return tuple(out)
 
     return OrientationCensus(
         total=total,
         consistent=collect(consistent),
         f_avoiding=collect(avoiding),
-        f_tangles=collect(tangles),
+        f_tangles=collect(consistent & avoiding),
         mode=mode,
     )
 

@@ -14,12 +14,13 @@ new trees and never mutate.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .core import OrientedSep, SeparationSystem, Universe, _is_id, is_star
+from .core import OrientedSep, SeparationSystem, Universe, _id_entry, _is_id, is_star
 from .errors import (
     AlphaImageOutsideS,
     AlphaNotInvolutive,
@@ -28,6 +29,9 @@ from .errors import (
     MalformedInput,
     RootLabelTrivial,
 )
+
+# a node id as it appears in the halves of an alpha key "u->v"
+_NODE_ID = re.compile(r"-?[0-9]+")
 
 
 def _star_ids(sigma) -> frozenset[int]:
@@ -174,7 +178,7 @@ class StarFamily:
 
     @classmethod
     def from_json_dict(cls, universe: Universe, d: dict) -> "StarFamily":
-        if "stars" not in d or not isinstance(d["stars"], list):
+        if not isinstance(d, dict) or not isinstance(d.get("stars"), list):
             raise MalformedInput("family JSON needs a 'stars' list")
         stars = []
         for sigma in d["stars"]:
@@ -263,6 +267,11 @@ class STree:
         for key, val in alpha.items():
             u, v = (int(x) for x in key)
             out[(u, v)] = val.id if isinstance(val, OrientedSep) else int(val)
+        # members only: the system is closed under the involution, so the
+        # inverses filled in below are members too
+        for (u, v), label in sorted(out.items()):
+            if label not in self.system.member_ids:
+                raise AlphaImageOutsideS((u, v), label)
         for u, v in self.edges:
             fwd, bwd = out.get((u, v)), out.get((v, u))
             if fwd is None and bwd is None:
@@ -274,11 +283,9 @@ class STree:
             elif u_inv(fwd) != bwd:
                 raise AlphaNotInvolutive((u, v), fwd, bwd)
         edge_set = set(self.edges)
-        for (u, v), label in sorted(out.items()):
+        for u, v in sorted(out):
             if (min(u, v), max(u, v)) not in edge_set:
                 raise MalformedInput(f"label on ({u}, {v}), which is not an edge")
-            if label not in self.system.member_ids:
-                raise AlphaImageOutsideS((u, v), label)
         return out
 
     # -- basic queries ---------------------------------------------------
@@ -387,18 +394,27 @@ class STree:
 
     @classmethod
     def from_json_dict(cls, system: SeparationSystem, d: dict) -> "STree":
-        try:
-            nodes = [int(n) for n in d["nodes"]]
-            edges = [(int(u), int(v)) for u, v in d.get("edges", [])]
-            alpha = {}
-            for key, val in d.get("alpha", {}).items():
-                u, _, v = key.partition("->")
-                alpha[(int(u), int(v))] = int(val)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad tree JSON: {exc}") from exc
-        return cls(
-            system, edges, alpha, nodes=nodes, root_leaf=d.get("root_leaf")
-        )
+        """Read a tree document; every node id and label must be a JSON integer."""
+        nodes, edges, alpha = d.get("nodes"), d.get("edges", []), d.get("alpha", {})
+        if not isinstance(nodes, list) or not all(_is_id(n) for n in nodes):
+            raise MalformedInput("tree 'nodes' must be a list of integer node ids")
+        if not isinstance(edges, list):
+            raise MalformedInput("tree 'edges' must be a list of [u, v] pairs")
+        edges = [_id_entry(e, 2, "tree edge", "[u, v] pairs") for e in edges]
+        if not isinstance(alpha, dict):
+            raise MalformedInput("tree 'alpha' must map 'u->v' keys to element ids")
+        labels = {}
+        for key, val in alpha.items():
+            u, arrow, v = key.partition("->")
+            if not (arrow and _NODE_ID.fullmatch(u) and _NODE_ID.fullmatch(v)):
+                raise MalformedInput(f"tree 'alpha' key {key!r} is not of the form 'u->v'")
+            if not _is_id(val):
+                raise MalformedInput(f"tree label {val!r} on {key!r} is not an integer id")
+            labels[(int(u), int(v))] = val
+        root_leaf = d.get("root_leaf")
+        if root_leaf is not None and not _is_id(root_leaf):
+            raise MalformedInput(f"tree 'root_leaf' {root_leaf!r} is not an integer node id")
+        return cls(system, edges, labels, nodes=nodes, root_leaf=root_leaf)
 
     def to_dot(self) -> str:
         lines = ["graph stree {"]

@@ -1,0 +1,216 @@
+"""The truth-table census against a per-code reference classifier.
+
+The reference numbers orientations with ``orientation_picks`` and decides
+each one with ``is_consistent`` and plain star containment, one code at a
+time.  ``enumerate_orientations`` must return the same census field by
+field: the total and all three listings, in code order.
+"""
+
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gen
+from tangleduct import (
+    DEFAULT_CENSUS_CAP,
+    OrientationCensus,
+    SeparationSystem,
+    StarFamily,
+    TooLarge,
+    Universe,
+    enumerate_orientations,
+    is_consistent,
+    orientation_picks,
+    standardize,
+)
+
+
+def reference_census(system, family, mode="tangle") -> OrientationCensus:
+    n = len(system.nondegenerate_reps)
+    consistent, avoiding, tangles = [], [], []
+    for code in range(1 << n):
+        picks = orientation_picks(system, code)
+        c = is_consistent(picks, system)
+        a = not any(star <= set(picks) for star in family.stars)
+        if c:
+            consistent.append(picks)
+        if a:
+            avoiding.append(picks)
+        if c and a:
+            tangles.append(picks)
+    return OrientationCensus(
+        total=1 << n,
+        consistent=tuple(consistent),
+        f_avoiding=tuple(avoiding),
+        f_tangles=tuple(tangles),
+        mode=mode,
+    )
+
+
+def code_of(system, picks) -> int:
+    """The census code whose orientation is ``picks``."""
+    inv = system.universe.inv_id
+    return sum(
+        1 << i for i, r in enumerate(system.nondegenerate_reps) if inv(r) in picks
+    )
+
+
+def assert_matches_reference(system, family, mode="tangle"):
+    got = enumerate_orientations(system, family, mode)
+    want = reference_census(system, family, mode)
+    assert got.total == want.total
+    assert got.consistent == want.consistent
+    assert got.f_avoiding == want.f_avoiding
+    assert got.f_tangles == want.f_tangles
+    assert got == want
+    for listing in (got.consistent, got.f_avoiding, got.f_tangles):
+        for picks in listing:
+            assert picks == orientation_picks(system, code_of(system, picks))
+    return got
+
+
+@cache
+def cover(n: int) -> SeparationSystem:
+    return gen.full_cover_system(n)
+
+
+@st.composite
+def cover_instances(draw):
+    """A random subsystem of cover3 or cover4 with a random family whose
+    stars may hold elements outside the subsystem."""
+    base = cover(draw(st.sampled_from((3, 4))))
+    u = base.universe
+    chosen = draw(
+        st.lists(st.sampled_from(base.nondegenerate_reps), min_size=1, max_size=8, unique=True)
+    )
+    if draw(st.booleans()):
+        chosen += sorted(base.degenerate_ids)
+    system = gen.subsystem(base, chosen)
+    nondegenerate = [i for i in range(len(u)) if not u.is_degenerate_id(i)]
+    inside = [m for m in system.members if not u.is_degenerate_id(m)] or nondegenerate
+    stars = []
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(1, 3))
+        sigma = {
+            draw(st.sampled_from(inside if draw(st.integers(0, 4)) else nondegenerate))
+            for _ in range(size)
+        }
+        if gen.is_valid_star(sigma, system):
+            stars.append(sigma)
+    if draw(st.integers(0, 9)) == 0:
+        stars.append(())
+    family = StarFamily(u, stars)
+    if draw(st.booleans()):
+        family = standardize(family, system)
+    return system, family
+
+
+@settings(max_examples=150)
+@given(cover_instances(), st.sampled_from(("tangle", "avoiding")))
+def test_cover_subsystems_match_reference(instance, mode):
+    system, family = instance
+    assert_matches_reference(system, family, mode)
+
+
+@settings(max_examples=80)
+@given(st.randoms(use_true_random=False))
+def test_random_systems_and_families_match_reference(rng):
+    system = gen.random_system(rng, max_pairs=7)
+    family = gen.random_family(
+        rng, system, max_stars=6, standard=rng.random() < 0.5, allow_empty_star=True
+    )
+    assert_matches_reference(system, family)
+
+
+def test_star_outside_the_system_is_never_contained(cover3):
+    system = gen.subsystem(cover3, cover3.nondegenerate_reps[:3])
+    outside = next(m for m in cover3.nondegenerate_reps if m not in system)
+    family = StarFamily(cover3.universe, [[outside]])
+    census = assert_matches_reference(system, family)
+    assert census.f_avoiding == tuple(
+        orientation_picks(system, code) for code in range(census.total)
+    )
+
+
+class TestEdgeCases:
+    def test_empty_system(self, cover2):
+        system = SeparationSystem(cover2.universe, ())
+        census = assert_matches_reference(system, StarFamily(cover2.universe, ()))
+        assert census.total == 1
+        assert census.consistent == census.f_avoiding == census.f_tangles == ((),)
+        # the empty star is inside every orientation, the empty one too
+        census = assert_matches_reference(system, StarFamily(cover2.universe, [()]))
+        assert census.f_avoiding == census.f_tangles == ()
+
+    def test_degenerate_only_system(self, cover2):
+        (d,) = cover2.degenerate_ids
+        system = SeparationSystem(cover2.universe, [d])
+        census = assert_matches_reference(system, StarFamily(cover2.universe, ()))
+        assert census.total == 1 and census.f_tangles == ((d,),)
+
+    def test_degenerate_member_excludes_what_lies_above_it(self, cover2):
+        # (12|12) lies below (12|∅), so picking both is inconsistent
+        (d,) = cover2.degenerate_ids
+        system = gen.subsystem(cover2, [0, d])
+        census = assert_matches_reference(system, StarFamily(cover2.universe, ()))
+        assert census.consistent == ((0, d),)
+
+    def test_comparable_degenerate_pair_makes_everything_inconsistent(self):
+        # No law-checked universe holds two comparable degenerate elements
+        # (the involution reverses the order), so the table is made by hand:
+        # 0 < 1 both degenerate, 2/3 an unrelated nondegenerate pair.
+        leq = np.eye(4, dtype=bool)
+        leq[0, 1] = True
+        u = object.__new__(Universe)
+        u._leq, u._inv = leq, np.array([0, 1, 3, 2])
+        u._above, u._conflict = [None] * 4, [None] * 4
+        system = SeparationSystem(u, range(4))
+        census = assert_matches_reference(system, StarFamily(u, (), validate=False))
+        assert census.total == 2
+        assert census.consistent == census.f_tangles == ()
+        assert len(census.f_avoiding) == 2
+
+    def test_n_equal_to_a_small_cap(self):
+        # 2**13 avoiding codes: the listing spans two numpy chunks
+        base = cover(4)
+        system = gen.subsystem(base, base.nondegenerate_reps[:13])
+        family = StarFamily(base.universe, ())
+        census = enumerate_orientations(system, family, cap=13)
+        assert census == reference_census(system, family)
+        with pytest.raises(TooLarge):
+            enumerate_orientations(system, family, cap=12)
+
+    def test_n_equal_to_the_default_cap(self):
+        base = cover(4)
+        n = DEFAULT_CENSUS_CAP
+        system = gen.subsystem(base, base.nondegenerate_reps[-n:])
+        r = system.nondegenerate_reps[0]
+        # {r} and {r*} leave no orientation avoiding the family
+        family = StarFamily(base.universe, [[r], [base.universe.inv_id(r)]])
+        census = enumerate_orientations(system, family)
+        assert census.total == 1 << n
+        assert census.f_avoiding == census.f_tangles == ()
+        assert census.consistent == consistent_by_extension(system)
+        bigger = gen.subsystem(base, base.nondegenerate_reps[-n - 1 :])
+        with pytest.raises(TooLarge):
+            enumerate_orientations(bigger, family)
+
+
+def consistent_by_extension(system) -> tuple[tuple[int, ...], ...]:
+    """Every consistent orientation in code order, grown one separation at
+    a time: consistency is pairwise, so an inconsistent partial orientation
+    has no consistent extension."""
+    u = system.universe
+    partial = [(0, tuple(sorted(system.degenerate_ids)))]
+    for i, r in enumerate(system.nondegenerate_reps):
+        grown = []
+        for code, picks in partial:
+            for bit, pick in ((0, r), (1, u.inv_id(r))):
+                extended = tuple(sorted(picks + (pick,)))
+                if is_consistent(extended, system):
+                    grown.append((code | bit << i, extended))
+        partial = grown
+    return tuple(picks for _, picks in sorted(partial))

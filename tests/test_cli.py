@@ -155,6 +155,10 @@ MALFORMED = {
     "members string": (False, _set("members", [0, "a"])),
     "label unknown vertex": (
         False, _recode("labels", lambda e: True, lambda e: [["9"], e[1]])),
+    "label not a pair": (False, _recode("labels", lambda e: True, lambda e: e[:1])),
+    "label side null": (False, _recode("labels", lambda e: True, lambda e: [None, e[1]])),
+    "ground not a list": (False, _set("ground", None)),
+    "inverse past the end": (True, _recode("inverse", lambda v: True, lambda v: 10**20)),
     "join negative id": (
         True, _recode("join", lambda e: True, lambda e: [e[0] - N2, e[1], e[2]])),
     "join negative value": (
@@ -218,6 +222,106 @@ def test_malformed_picks_are_one_error_line(case, tmp_path, capsys):
     doc = _tangle_envelope()
     doc["certificate"]["picks"] = MALFORMED_PICKS[case]
     path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig("check-tree", str(path))) == 1
+    _one_error_line(capsys)
+
+
+def _tree_envelope() -> dict:
+    """cover2 with a standardized two-star family and its tree certificate."""
+    from tangleduct import strong_duality
+
+    system = gen.full_cover_system(2)
+    fam = standardize(StarFamily(system.universe, [[0, 1], [0, 3]]), system)
+    cert = strong_duality(system, fam)
+    assert cert.kind == "stree"
+    return {
+        "system": system_to_json_dict(system),
+        "family": fam.to_json_dict(),
+        "certificate": cert.to_json_dict(),
+    }
+
+
+def _relabel(recode):
+    """Recode the first alpha label; most recodings keep what ``int`` reads."""
+
+    def mutate(cert):
+        key = sorted(cert["alpha"])[0]
+        cert["alpha"][key] = recode(cert["alpha"][key])
+
+    return mutate
+
+
+def _rekey(recode):
+    """Recode the first alpha key's string."""
+
+    def mutate(cert):
+        key = sorted(cert["alpha"])[0]
+        cert["alpha"][recode(key)] = cert["alpha"].pop(key)
+
+    return mutate
+
+
+MALFORMED_TREES = {
+    "label float": _relabel(lambda v: v + 0.5),
+    "label integral float": _relabel(float),
+    "label string": _relabel(str),
+    "label bool": _relabel(lambda v: True),
+    "label null": _relabel(lambda v: None),
+    "label past the end": _relabel(lambda v: N2),
+    "label negative": _relabel(lambda v: -1),
+    "node float": _recode("nodes", lambda n: True, lambda n: n + 0.5),
+    "node bool": _recode("nodes", lambda n: n == 1, lambda n: True),
+    "node string": _recode("nodes", lambda n: True, str),
+    "node null": _recode("nodes", lambda n: True, lambda n: None),
+    "nodes not a list": _set("nodes", 4),
+    "edge float": _recode("edges", lambda e: True, lambda e: [e[0], e[1] + 0.5]),
+    "edge bool": _recode("edges", lambda e: e[1] == 1, lambda e: [e[0], True]),
+    "edge string": _recode("edges", lambda e: True, lambda e: [e[0], str(e[1])]),
+    "edge null": _recode("edges", lambda e: True, lambda e: [None, e[1]]),
+    "edge not a pair": _recode("edges", lambda e: True, lambda e: e[:1]),
+    "edges not a list": _set("edges", "01"),
+    "alpha key float half": _rekey(lambda k: k.replace("->", ".0->", 1)),
+    "alpha key padded half": _rekey(lambda k: " " + k),
+    "alpha key without arrow": _rekey(lambda k: k.replace("->", "-", 1)),
+    "alpha not an object": _set("alpha", [[0, 1, 5]]),
+    "root_leaf float": _set("root_leaf", 1.0),
+    "root_leaf bool": _set("root_leaf", True),
+    "root_leaf string": _set("root_leaf", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TREES))
+def test_malformed_tree_is_one_error_line(case, tmp_path, capsys):
+    doc = _tree_envelope()
+    MALFORMED_TREES[case](doc["certificate"])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig("check-tree", str(path))) == 1
+    _one_error_line(capsys)
+
+
+def test_well_formed_tree_envelope_checks(tmp_path, capsys):
+    # the unmutated envelope the cases above start from verifies
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_tree_envelope()))
+    assert run(RunConfig("check-tree", str(path))) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+MALFORMED_ENVELOPES = {
+    "certificate not an object": _set("certificate", True),
+    "certificate a list of pairs": _set("certificate", [["kind", "tangle"]]),
+    "family not an object": _set("family", [[0]]),
+    "transcript not a list": lambda d: d["certificate"].update(transcript=None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENVELOPES))
+def test_malformed_envelope_is_one_error_line(case, tmp_path, capsys):
+    doc = _tangle_envelope()
+    MALFORMED_ENVELOPES[case](doc)
+    path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert run(RunConfig("check-tree", str(path))) == 1
     _one_error_line(capsys)
