@@ -53,7 +53,7 @@ from .errors import (
     TangleductError,
 )
 from .essential import essential_core, essentialize_stree
-from .oracle import enumerate_orientations, orientation_picks
+from .oracle import DEFAULT_CENSUS_CAP, _bits, _listings, _truth_tables
 from .stree import STree, StarFamily
 
 ENV_MAX_CLOSURE = "TANGLEDUCT_MAX_CLOSURE"
@@ -312,19 +312,20 @@ def _cmd_strong(config: RunConfig, docs: _Documents) -> int:
 def _cmd_tangles(config: RunConfig, docs: _Documents) -> int:
     system = _require_system(docs)
     family = _require_family(docs)
-    census = enumerate_orientations(system, family, "tangle")
-    consistent = set(census.consistent)
-    avoiding = set(census.f_avoiding)
+    consistent, avoiding = _truth_tables(system, family, DEFAULT_CENSUS_CAP)
+    total = 1 << len(system.nondegenerate_reps)
+    # every code once, in code order, with its two bits
+    (every,) = _listings(system, (1 << total) - 1)
+    bits = zip(_bits(consistent, total).tolist(), _bits(avoiding, total).tolist())
     lines = []
-    for code in range(census.total):
-        picks = orientation_picks(system, code)
+    for picks, (c, a) in zip(every, bits):
         lines.append(
             _dumps(
                 {
                     "picks": list(picks),
-                    "consistent": picks in consistent,
-                    "avoiding": picks in avoiding,
-                    "tangle": picks in consistent and picks in avoiding,
+                    "consistent": bool(c),
+                    "avoiding": bool(a),
+                    "tangle": bool(c and a),
                 }
             )
         )
@@ -412,7 +413,17 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> None:
-    sys.exit(run(parse_args(argv)))
+    try:
+        code = run(parse_args(argv))
+        # flush here, so a closed pipe raises inside this try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``tangleduct tangles ... | head``): point
+        # stdout at devnull, so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

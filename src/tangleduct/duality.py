@@ -24,12 +24,19 @@ pair.  The family-independent parts are kept in the system's ``memo``: the
 plain emulation answer per ``(s0, r)``, and per ``(r, s0)`` the shift image
 of every id, built from one column of the join table.  Each image is then
 checked by its bit row against the family's set of star rows.
+
+The strong engine memoizes its recursion by the family's forced ids, not
+by its star set.  Each step recurses on the family plus one singleton star
+``{inv(r)}`` for a member ``r`` the family did not force yet, so every
+family below the root is the root family plus the singletons
+``{inv(f)}`` of its forced ids ``f``: the forced ids determine it, and
+they cost a set of at most one id per member instead of the whole family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -66,10 +73,6 @@ def _as_id(x) -> int:
     return x.id if isinstance(x, OrientedSep) else int(x)
 
 
-def _pick_ids(picks) -> frozenset[int]:
-    return frozenset(_as_id(p) for p in picks)
-
-
 def _check_same_universe(family: StarFamily, system: SeparationSystem) -> None:
     if family.universe is not system.universe:
         raise MalformedInput("family and system live in different universes")
@@ -80,7 +83,7 @@ def _check_same_universe(family: StarFamily, system: SeparationSystem) -> None:
 
 def violating_star(picks, family: StarFamily) -> Optional[frozenset[int]]:
     """The canonically least family star inside the picks, if any."""
-    ids = _pick_ids(picks)
+    ids = frozenset(map(_as_id, picks))
     for sigma in family.sorted_stars:
         if sigma <= ids:
             return sigma
@@ -442,10 +445,6 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
 # --- tree assembly helpers -----------------------------------------------------
 
 
-def _k2_tree(system: SeparationSystem, fwd_id: int) -> STree:
-    return STree(system, [(0, 1)], {(0, 1): fwd_id})
-
-
 def _star_tree(system: SeparationSystem, sigma: frozenset[int]) -> STree:
     if not sigma:
         return STree(system, [], {}, nodes=[0])
@@ -526,29 +525,29 @@ def weak_duality(system: SeparationSystem, family: StarFamily) -> Certificate:
         f"restricted family to the system: {len(fam)} of {len(family)} stars kept"
     ]
     kind, payload = _weak(system, fam, transcript, depth=0)
+    return _certify("weak", kind, payload, system, family, transcript)
+
+
+def _certify(
+    engine: str,
+    kind: str,
+    payload,
+    system: SeparationSystem,
+    family: StarFamily,
+    transcript: list[str],
+) -> Certificate:
+    """Prune a tree answer (or sort picks), re-verify it, mark it verified."""
     if kind == "tree":
-        payload = prune_to_irredundant(payload)
-        cert = Certificate(
-            kind="stree", tree=payload, verified=False, transcript=tuple(transcript)
-        )
+        cert = Certificate(kind="stree", tree=prune_to_irredundant(payload))
     else:
-        cert = Certificate(
-            kind="orientation",
-            picks=tuple(sorted(payload)),
-            verified=False,
-            transcript=tuple(transcript),
-        )
+        cert = Certificate(kind=kind, picks=tuple(sorted(payload)))
     ok, problems = verify_certificate(cert, system, family)
     if not ok:
-        raise InternalInvariant(f"weak certificate failed re-verification: {problems}")
+        raise InternalInvariant(
+            f"{engine} certificate failed re-verification: {problems}"
+        )
     transcript.append(f"re-verified {cert.kind} certificate")
-    return Certificate(
-        kind=cert.kind,
-        picks=cert.picks,
-        tree=cert.tree,
-        verified=True,
-        transcript=tuple(transcript),
-    )
+    return replace(cert, verified=True, transcript=tuple(transcript))
 
 
 def _forced_pair_tree(
@@ -557,8 +556,32 @@ def _forced_pair_tree(
     inv = system.universe.inv_id
     for s in sorted(forced):
         if inv(s) in forced:
-            return _k2_tree(system, s)
+            return STree(system, [(0, 1)], {(0, 1): s})
     return None
+
+
+def _settled(
+    system: SeparationSystem,
+    fam: StarFamily,
+    forced: frozenset[int],
+    transcript: list[str],
+    depth: int,
+    kind: str,
+) -> tuple[str, object]:
+    """Every separation is forced: the forced and degenerate picks as ``kind``
+    if they avoid the family, else the tree of the least star inside them."""
+    picks = forced | system.degenerate_ids
+    sigma = violating_star(picks, fam)
+    if sigma is None:
+        found = "avoid the family" if kind == "orientation" else "form a tangle"
+        transcript.append(f"[{depth}] forced picks {found}")
+        return kind, picks
+    if len(sigma) == 1:
+        raise InternalInvariant("violating star is a singleton of a forced pick")
+    transcript.append(
+        f"[{depth}] forced picks contain star {sorted(sigma)}: star tree"
+    )
+    return "tree", _star_tree(system, sigma)
 
 
 def _weak(
@@ -581,34 +604,23 @@ def _weak(
             s0 = m
             break
     if s0 is None:
-        picks = forced | system.degenerate_ids
-        sigma = violating_star(picks, fam)
-        if sigma is None:
-            transcript.append(f"[{depth}] forced picks avoid the family")
-            return "orientation", picks
-        if len(sigma) == 1:
-            raise InternalInvariant("violating star is a singleton of a forced pick")
-        transcript.append(
-            f"[{depth}] forced picks contain star {sorted(sigma)}: star tree"
-        )
-        return "tree", _star_tree(system, sigma)
+        return _settled(system, fam, forced, transcript, depth, "orientation")
 
     inv_s0 = u.inv_id(s0)
     transcript.append(f"[{depth}] splitting on undecided separation {s0}")
-    kind1, res1 = _weak(system, fam.with_star([s0]), transcript, depth + 1)
-    if kind1 == "orientation":
-        return kind1, res1
-    t1 = prune_to_irredundant(res1)
-    if is_over(t1, fam):
-        transcript.append(f"[{depth}] first branch tree is already over the family")
-        return "tree", t1
-    kind2, res2 = _weak(system, fam.with_star([inv_s0]), transcript, depth + 1)
-    if kind2 == "orientation":
-        return kind2, res2
-    t2 = prune_to_irredundant(res2)
-    if is_over(t2, fam):
-        transcript.append(f"[{depth}] second branch tree is already over the family")
-        return "tree", t2
+    trees = []
+    for side, pick in (("first", s0), ("second", inv_s0)):
+        kind, res = _weak(system, fam.with_star([pick]), transcript, depth + 1)
+        if kind == "orientation":
+            return kind, res
+        t = prune_to_irredundant(res)
+        if is_over(t, fam):
+            transcript.append(
+                f"[{depth}] {side} branch tree is already over the family"
+            )
+            return "tree", t
+        trees.append(t)
+    t1, t2 = trees
 
     if inv_s0 in system.trivial_ids:
         host, donor = t1, t2
@@ -664,40 +676,14 @@ def strong_duality(
         transcript.append(
             f"standardized: forced {len(missing)} trivial orientation(s)"
         )
-    memo: dict[frozenset[frozenset[int]], tuple[str, object]] = {}
-    kind, payload = _strong(system, fam, transcript, trace, memo, depth=0)
-    if kind == "tree":
-        cert = Certificate(
-            kind="stree",
-            tree=prune_to_irredundant(payload),
-            transcript=tuple(transcript),
-        )
-    else:
-        cert = Certificate(
-            kind="tangle", picks=tuple(sorted(payload)), transcript=tuple(transcript)
-        )
-    ok, problems = verify_certificate(cert, system, fam)
-    if not ok:
-        raise InternalInvariant(
-            f"strong certificate failed re-verification: {problems}"
-        )
-    transcript.append(f"re-verified {cert.kind} certificate")
-    return Certificate(
-        kind=cert.kind,
-        picks=cert.picks,
-        tree=cert.tree,
-        verified=True,
-        transcript=tuple(transcript),
-    )
+    kind, payload = _strong(system, fam, transcript, trace, {}, depth=0)
+    return _certify("strong", kind, payload, system, fam, transcript)
 
 
 def _assert_consistent_forced(
-    system: SeparationSystem,
-    fam: StarFamily,
-    forced: frozenset[int],
-    deg: frozenset[int],
+    system: SeparationSystem, fam: StarFamily, forced: frozenset[int]
 ) -> None:
-    hit = find_inconsistency(forced | deg, system)
+    hit = find_inconsistency(forced | system.degenerate_ids, system)
     if hit is None:
         return
     a, b = hit
@@ -737,20 +723,43 @@ def _strong(
     memo: dict,
     depth: int,
 ) -> tuple[str, object]:
+    """One recursion level, memoized by the forced ids, which determine the
+    family (see the module docstring).  With :func:`_strong_step`, which
+    calls back here for each branch, a level takes two Python frames."""
     if depth > len(system.members) + 2:
         raise InternalInvariant("strong recursion exceeded its depth bound")
-    key = fam.stars
-    if key in memo:
-        return memo[key]
-    u = system.universe
     forced = fam.forced_ids(system)
+    result = memo.get(forced)
+    if result is None:
+        result = memo[forced] = _strong_step(
+            system, fam, forced, transcript, trace, memo, depth
+        )
+    return result
+
+
+def _strong_step(
+    system: SeparationSystem,
+    fam: StarFamily,
+    forced: frozenset[int],
+    transcript: list[str],
+    trace: Optional[list],
+    memo: dict,
+    depth: int,
+) -> tuple[str, object]:
+    """Settle the family, or split an undecided separation at a separator.
+
+    Each side ``(r_min, s)``, first ``(r1, s0)`` then ``(r2_back, inv(s0))``,
+    unless ``inv(s)`` is forced, recurses with ``r_min`` forced, then prunes,
+    tightens at the added leaf and shifts across ``s``.  A tangle, a tree
+    already over the family, or a shifted tree whose root singleton
+    ``{inv(s)}`` is a family star answers the step; else both are spliced.
+    """
+    u = system.universe
     k2 = _forced_pair_tree(system, forced)
     if k2 is not None:
         transcript.append(f"[{depth}] family forces both orientations: 2-node tree")
-        memo[key] = ("tree", k2)
-        return memo[key]
-    deg = system.degenerate_ids
-    _assert_consistent_forced(system, fam, forced, deg)
+        return "tree", k2
+    _assert_consistent_forced(system, fam, forced)
 
     undecided = [
         m
@@ -758,21 +767,10 @@ def _strong(
         if m not in forced and u.inv_id(m) not in forced
     ]
     if not undecided:
-        picks = forced | deg
-        sigma = violating_star(picks, fam)
-        if sigma is None:
-            transcript.append(f"[{depth}] forced picks form a tangle")
-            memo[key] = ("tangle", picks)
-            return memo[key]
-        if len(sigma) == 1:
-            raise InternalInvariant("violating star is a singleton of a forced pick")
-        transcript.append(
-            f"[{depth}] forced picks contain star {sorted(sigma)}: star tree"
-        )
-        memo[key] = ("tree", _star_tree(system, sigma))
-        return memo[key]
+        return _settled(system, fam, forced, transcript, depth, "tangle")
 
     r0 = min(undecided)
+    deg = system.degenerate_ids
     pool = [m for m in system.members if m not in forced and m not in deg]
     r1 = _least_minimal_below(system, pool, r0)
     r2_back = _least_minimal_below(system, pool, u.inv_id(r0))
@@ -788,96 +786,46 @@ def _strong(
         f"[{depth}] undecided {r0}: separating {r1} from {r2_fwd} at {s0_id}"
     )
 
-    result: Optional[tuple[str, object]] = None
-    if inv_s0 not in forced:
-        branch = _branch_tree(
-            system, fam, transcript, trace, memo, depth, r1, s0_id, forward=True
-        )
-        if branch[0] != "tree-shifted":
-            result = branch
-        elif frozenset((inv_s0,)) in fam.stars:
-            transcript.append(f"[{depth}] shifted first branch is over the family")
-            result = ("tree", branch[1])
-        else:
-            second = _branch_tree(
-                system, fam, transcript, trace, memo, depth, r2_back, inv_s0,
-                forward=False,
-            )
-            if second[0] != "tree-shifted":
-                result = second
-            else:
-                t1, t2 = branch[1], second[1]
-                spliced = _splice(
-                    t1, [t1.root_leaf], t2, t2.root_leaf
+    shifted: list[STree] = []
+    for side, r_min, s in (("first", r1, s0_id), ("second", r2_back, inv_s0)):
+        if u.inv_id(s) in forced:
+            continue
+        inv_r = u.inv_id(r_min)
+        sub = fam.with_star([inv_r])
+        kind, payload = _strong(system, sub, transcript, trace, memo, depth + 1)
+        if kind == "tangle":
+            return kind, payload
+        t = prune_to_irredundant(payload)
+        if is_over(t, fam):
+            transcript.append(f"[{depth}] {side} branch tree is over the family")
+            return "tree", t
+        leaves = _leaves_with_star(t, frozenset((inv_r,)))
+        if not leaves:
+            raise InternalInvariant("branch tree lost the leaf of its added star")
+        tight = tighten_rooted(t, leaves[0])
+        out = shift_stree(tight, leaves[0], s, fam)
+        if trace is not None:
+            trace.append(
+                ShiftRecord(
+                    before=tight,
+                    after=out,
+                    root=leaves[0],
+                    r_id=r_min,
+                    s0_id=s,
+                    family=fam,
                 )
-                transcript.append(f"[{depth}] spliced both branches at {s0_id}")
-                result = ("tree", spliced)
-    else:
-        second = _branch_tree(
-            system, fam, transcript, trace, memo, depth, r2_back, inv_s0,
-            forward=False,
-        )
-        if second[0] != "tree-shifted":
-            result = second
-        else:
-            if frozenset((s0_id,)) not in fam.stars:
-                raise InternalInvariant(
-                    "forced inverse of the separator lacks its singleton star"
-                )
-            transcript.append(
-                f"[{depth}] shifted second branch is over the family"
             )
-            result = ("tree", second[1])
-    memo[key] = result
-    return result
-
-
-def _branch_tree(
-    system: SeparationSystem,
-    fam: StarFamily,
-    transcript: list[str],
-    trace: Optional[list],
-    memo: dict,
-    depth: int,
-    r_min: int,
-    s0_oriented: int,
-    *,
-    forward: bool,
-) -> tuple[str, object]:
-    """Recurse with the minimal separation forced, tighten, and shift.
-
-    ``r_min`` is the minimal undecided orientation being split off and
-    ``s0_oriented`` the separator orientation lying above it.  Returns
-    ("tangle", picks) or ("tree", t) when the recursion already settles the
-    original family, else ("tree-shifted", t) with the shifted tree rooted
-    at its special leaf.
-    """
-    u = system.universe
-    inv_r = u.inv_id(r_min)
-    sub = fam.with_star([inv_r])
-    kind, payload = _strong(system, sub, transcript, trace, memo, depth + 1)
-    if kind == "tangle":
-        return "tangle", payload
-    t = prune_to_irredundant(payload)
-    if is_over(t, fam):
-        transcript.append(
-            f"[{depth}] {'first' if forward else 'second'} branch tree is over the family"
+        if frozenset((u.inv_id(s),)) in fam.stars:
+            transcript.append(f"[{depth}] shifted {side} branch is over the family")
+            return "tree", out
+        shifted.append(out)
+    # a skipped side's separator inverse is forced, so the other side's root
+    # singleton is a family star and that side has returned above
+    if len(shifted) != 2:
+        raise InternalInvariant(
+            "forced inverse of the separator lacks its singleton star"
         )
-        return "tree", t
-    leaves = _leaves_with_star(t, frozenset((inv_r,)))
-    if not leaves:
-        raise InternalInvariant("branch tree lost the leaf of its added star")
-    tight = tighten_rooted(t, leaves[0])
-    shifted = shift_stree(tight, leaves[0], s0_oriented, fam)
-    if trace is not None:
-        trace.append(
-            ShiftRecord(
-                before=tight,
-                after=shifted,
-                root=leaves[0],
-                r_id=r_min,
-                s0_id=s0_oriented,
-                family=fam,
-            )
-        )
-    return "tree-shifted", shifted
+    t1, t2 = shifted
+    spliced = _splice(t1, [t1.root_leaf], t2, t2.root_leaf)
+    transcript.append(f"[{depth}] spliced both branches at {s0_id}")
+    return "tree", spliced

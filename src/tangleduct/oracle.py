@@ -63,7 +63,8 @@ class OrientationCensus:
     ``total`` counts all full orientations; the three listings hold the
     picked id tuples (sorted ascending) of the consistent, family-avoiding,
     and tangle (consistent and avoiding) orientations, in enumeration
-    order.  ``mode`` records which question the census was asked for.
+    order.  ``mode`` records which question the census was asked for; it
+    changes nothing else, as both modes classify every code alike.
     """
 
     total: int
@@ -88,43 +89,46 @@ def _columns(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(cols)
 
 
+def _bits(flags: int, total: int) -> np.ndarray:
+    """The bits of a ``total``-bit flag int as a 0/1 array, code by code."""
+    raw = np.frombuffer(flags.to_bytes(-(-total // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=total, bitorder="little")
+
+
 def _codes(flags: int, total: int) -> np.ndarray:
     """The codes whose bit is set in a ``total``-bit flag int, ascending."""
-    raw = np.frombuffer(flags.to_bytes(-(-total // 8), "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, count=total, bitorder="little"))
+    return np.flatnonzero(_bits(flags, total))
 
 
-def enumerate_orientations(
-    system: SeparationSystem,
-    family: StarFamily,
-    mode: str = "tangle",
-    *,
-    cap: int = DEFAULT_CENSUS_CAP,
-) -> OrientationCensus:
-    """Census every orientation, numbered as by :func:`orientation_picks`.
+def _choices(system: SeparationSystem) -> np.ndarray:
+    """Row ``i``: the two orientations of the ``i``-th nondegenerate
+    separation, in the order bit ``i`` of a code selects them."""
+    choice = np.empty((len(system.nondegenerate_reps), 2), dtype=np.int64)
+    choice[:, 0] = system.nondegenerate_reps
+    choice[:, 1] = system.universe.inverse_table()[choice[:, 0]]
+    return choice
 
-    Each code's consistency and avoidance is one bit of a ``2**n``-bit
-    truth table: every clashing pair of picks clears the AND of its two
-    code columns, every star the AND of its columns.  Raises
-    :class:`TooLarge` when the system has more than ``cap`` nondegenerate
-    underlying separations.
+
+def _truth_tables(
+    system: SeparationSystem, family: StarFamily, cap: int
+) -> tuple[int, int]:
+    """Classify every code: the ``2**n``-bit ints of the consistent codes
+    and of the codes avoiding the family.
+
+    Every clashing pair of picks clears the AND of its two code columns,
+    every star the AND of its columns.  Raises :class:`TooLarge` when the
+    system has more than ``cap`` nondegenerate underlying separations.
     """
-    if mode not in ("avoiding", "tangle"):
-        raise MalformedInput(f"unknown census mode {mode!r}")
     if family.universe is not system.universe:
         raise MalformedInput("family and system live in different universes")
     u = system.universe
-    reps = system.nondegenerate_reps
-    n = len(reps)
+    n = len(system.nondegenerate_reps)
     if n > cap:
         raise TooLarge(n, cap)
-    total = 1 << n
-    full = (1 << total) - 1
+    full = (1 << (1 << n)) - 1
     inv = u.inverse_table()
     deg = np.array(sorted(system.degenerate_ids), dtype=np.int64)
-    choice = np.empty((n, 2), dtype=np.int64)
-    choice[:, 0] = reps
-    choice[:, 1] = inv[choice[:, 0]]
+    choice = _choices(system)
 
     # every possible pick: both orientations of each nondegenerate separation,
     # then the degenerate members, which every code picks; ``col[k]`` holds
@@ -155,12 +159,22 @@ def enumerate_orientations(
             inside &= c
         else:
             avoiding &= ~inside
+    return consistent, avoiding
 
+
+def _listings(
+    system: SeparationSystem, *flag_ints: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each flag int, the sorted picks tuples of its flagged codes in
+    ascending order, built in numpy chunks of at most ``_CHUNK`` codes."""
+    choice = _choices(system)
+    n = len(choice)
+    deg = np.array(sorted(system.degenerate_ids), dtype=np.int64)
     shifts = np.arange(n)
-
-    def collect(flags: int) -> tuple[tuple[int, ...], ...]:
+    listings = []
+    for flags in flag_ints:
         out: list[tuple[int, ...]] = []
-        codes = _codes(flags, total)
+        codes = _codes(flags, 1 << n)
         for at in range(0, len(codes), _CHUNK):
             part = codes[at : at + _CHUNK]
             picks = np.empty((len(part), n + len(deg)), dtype=np.int64)
@@ -168,15 +182,30 @@ def enumerate_orientations(
             picks[:, n:] = deg
             picks.sort(axis=1)
             out.extend(map(tuple, picks.tolist()))
-        return tuple(out)
+        listings.append(tuple(out))
+    return tuple(listings)
 
-    return OrientationCensus(
-        total=total,
-        consistent=collect(consistent),
-        f_avoiding=collect(avoiding),
-        f_tangles=collect(consistent & avoiding),
-        mode=mode,
-    )
+
+def enumerate_orientations(
+    system: SeparationSystem,
+    family: StarFamily,
+    mode: str = "tangle",
+    *,
+    cap: int = DEFAULT_CENSUS_CAP,
+) -> OrientationCensus:
+    """Census every orientation, numbered as by :func:`orientation_picks`.
+
+    Each code's consistency and avoidance is one bit of a ``2**n``-bit
+    truth table (see :func:`_truth_tables`).  Raises :class:`TooLarge`
+    when the system has more than ``cap`` nondegenerate underlying
+    separations.  ``mode`` (``"tangle"`` or ``"avoiding"``) is only
+    recorded in the census: both modes classify and list alike.
+    """
+    if mode not in ("avoiding", "tangle"):
+        raise MalformedInput(f"unknown census mode {mode!r}")
+    consistent, avoiding = _truth_tables(system, family, cap)
+    listed = _listings(system, consistent, avoiding, consistent & avoiding)
+    return OrientationCensus(1 << len(system.nondegenerate_reps), *listed, mode=mode)
 
 
 @dataclass(frozen=True)

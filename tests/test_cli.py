@@ -5,6 +5,7 @@ determinism and stdin handling go through real subprocesses.
 """
 
 import json
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ import pytest
 import gen
 from tangleduct import (
     StarFamily,
+    is_consistent,
+    orientation_picks,
     standardize,
     system_from_json_dict,
     system_to_json_dict,
@@ -443,6 +446,32 @@ class TestTangles:
         for r in rows:
             assert r["tangle"] == (r["consistent"] and r["avoiding"])
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lines_match_per_code_reference(self, tmp_path, capsys, seed):
+        rng = random.Random(seed)
+        base = gen.full_cover_system(3)
+        system = gen.random_subsystem(rng, base, max_pairs=7)
+        # stars drawn on the whole of cover3 may hold elements outside S
+        stars = gen.random_family(rng, base, 6, standard=False).stars
+        stars |= gen.random_family(rng, system, 6).stars
+        fam = StarFamily(system.universe, stars)
+        doc = {"system": system_to_json_dict(system), "family": fam.to_json_dict()}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run(RunConfig("tangles", str(path))) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 ** len(system.nondegenerate_reps)
+        for code, line in enumerate(lines):
+            picks = orientation_picks(system, code)
+            consistent = is_consistent(picks, system)
+            avoiding = not any(sigma <= set(picks) for sigma in fam.stars)
+            assert json.loads(line) == {
+                "picks": list(picks),
+                "consistent": consistent,
+                "avoiding": avoiding,
+                "tangle": consistent and avoiding,
+            }
+
 
 class TestEssentialCommands:
     def test_essential_core_matches_library(self, p3_setup, capsys):
@@ -515,6 +544,26 @@ class TestSubprocess:
         second = subprocess.run(cmd, input=data, capture_output=True)
         assert first.returncode == 0
         assert first.stdout == second.stdout and first.stdout
+
+    def test_closed_pipe_exits_without_traceback(self, tmp_path):
+        system = gen.full_cover_system(3)
+        fam = standardize(StarFamily(system.universe, ()), system)
+        doc = {"system": system_to_json_dict(system), "family": fam.to_json_dict()}
+        path = tmp_path / "cover3.json"
+        path.write_text(json.dumps(doc))
+        # 8192 lines, far more than a pipe buffer holds: the writer is
+        # still writing when the reader closes its end after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tangleduct", "tangles", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert json.loads(proc.stdout.readline())["picks"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert b"Traceback" not in err and b"Exception" not in err
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

@@ -321,6 +321,42 @@ class TestStrongDuality:
         cert = strong_duality(system, fam)
         assert any("tangle" in line for line in cert.transcript)
 
+    @pytest.mark.parametrize(
+        "members, stars, line, edges, node_stars",
+        [
+            pytest.param(
+                [2, 5, 6, 9, 12, 20, 26],
+                [(2, 9), (2, 12), (6,), (20,)],
+                "[0] shifted second branch is over the family",
+                ((0, 1), (0, 2)),
+                {0: [2, 12], 1: [20], 2: [6]},
+                id="second",
+            ),
+            pytest.param(
+                [2, 3, 4, 6, 10, 11, 12, 13, 14, 17, 20, 21, 23, 24, 26],
+                [(3, 14), (6, 14), (10, 14), (12,), (20,)],
+                "[0] shifted first branch is over the family",
+                ((0, 1), (0, 2)),
+                {0: [6, 14], 1: [12], 2: [24]},
+                id="first",
+            ),
+        ],
+    )
+    def test_shifted_branch_over_the_family(
+        self, members, stars, line, edges, node_stars
+    ):
+        # the separator's inverse forces a singleton family star, so the
+        # shifted branch tree is the answer without a splice
+        system = gen.subsystem(gen.full_cover_system(3), members)
+        fam = standardize(StarFamily(system.universe, stars), system)
+        cert = strong_duality(system, fam)
+        assert cert.kind == "stree"
+        assert line in cert.transcript
+        assert_certificate_checks(cert, system, fam)
+        assert cert.tree.edges == edges
+        stars_at = {t: sorted(cert.tree.node_star(t)) for t in cert.tree.nodes}
+        assert stars_at == node_stars
+
 
 class TestCertificates:
     def test_json_roundtrip_tree(self, cover2):

@@ -4,6 +4,8 @@ cover2 orientation ids, for reading the frozen picks below:
 0=(∅|12) 1=(1|2) 2=(1|12) 3=(2|1) 4=(2|12) 5=(12|∅) 6=(12|1) 7=(12|2) 8=(12|12)
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,11 +67,15 @@ class TestCensus:
         assert (c.total, len(c.consistent)) == (32, 4)
         assert c.f_avoiding == () and c.f_tangles == ()
 
-    def test_avoiding_mode_skips_consistency(self, cover2):
-        fam = standardize(empty_family(cover2), cover2)
-        c = enumerate_orientations(cover2, fam, "avoiding")
-        assert c.mode == "avoiding"
-        assert set(c.f_tangles) <= set(c.f_avoiding)
+    def test_mode_is_only_recorded(self, cover2):
+        for stars in ([], [[0, 1], [0, 3]]):
+            fam = standardize(StarFamily(cover2.universe, stars), cover2)
+            c = enumerate_orientations(cover2, fam, "avoiding")
+            assert c.mode == "avoiding"
+            assert set(c.f_tangles) <= set(c.f_avoiding)
+            # both modes classify alike: the censuses differ in ``mode`` only
+            t = enumerate_orientations(cover2, fam, "tangle")
+            assert dataclasses.replace(c, mode="tangle") == t
 
     def test_bad_mode(self, cover2):
         with pytest.raises(MalformedInput):
