@@ -29,8 +29,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from .backends import (
     DEFAULT_CLOSURE_CAP,
@@ -53,7 +54,7 @@ from .errors import (
     TangleductError,
 )
 from .essential import essential_core, essentialize_stree
-from .oracle import DEFAULT_CENSUS_CAP, _bits, _listings, _truth_tables
+from .oracle import DEFAULT_CENSUS_CAP, _bits, _listing_chunks, _truth_tables
 from .stree import STree, StarFamily
 
 ENV_MAX_CLOSURE = "TANGLEDUCT_MAX_CLOSURE"
@@ -222,14 +223,19 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(config: RunConfig, text: str) -> None:
+@contextmanager
+def _output(config: RunConfig) -> Iterator[TextIO]:
+    """The ``-o`` file, opened for writing, or stdout (left open)."""
     if config.output_path is None or config.output_path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            yield fh
+
+
+def _emit(config: RunConfig, text: str) -> None:
+    with _output(config) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _emit_certificate(config: RunConfig, cert: Certificate) -> None:
@@ -314,22 +320,27 @@ def _cmd_tangles(config: RunConfig, docs: _Documents) -> int:
     family = _require_family(docs)
     consistent, avoiding = _truth_tables(system, family, DEFAULT_CENSUS_CAP)
     total = 1 << len(system.nondegenerate_reps)
-    # every code once, in code order, with its two bits
-    (every,) = _listings(system, (1 << total) - 1)
-    bits = zip(_bits(consistent, total).tolist(), _bits(avoiding, total).tolist())
-    lines = []
-    for picks, (c, a) in zip(every, bits):
-        lines.append(
-            _dumps(
-                {
-                    "picks": list(picks),
-                    "consistent": bool(c),
-                    "avoiding": bool(a),
-                    "tangle": bool(c and a),
-                }
-            )
-        )
-    _emit(config, "\n".join(lines))
+    c_bits, a_bits = _bits(consistent, total), _bits(avoiding, total)
+    # every code once, in code order, with its two bits: one chunk of lines
+    # is written at a time, so the 2**n lines are never all held at once
+    at = 0
+    with _output(config) as fh:
+        for chunk in _listing_chunks(system, (1 << total) - 1):
+            end = at + len(chunk)
+            bits = zip(c_bits[at:end].tolist(), a_bits[at:end].tolist())
+            fh.write("".join(
+                _dumps(
+                    {
+                        "picks": list(picks),
+                        "consistent": bool(c),
+                        "avoiding": bool(a),
+                        "tangle": bool(c and a),
+                    }
+                )
+                + "\n"
+                for picks, (c, a) in zip(chunk, bits)
+            ))
+            at = end
     return 0
 
 

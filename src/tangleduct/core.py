@@ -23,9 +23,10 @@ check reruns on that row alone to name the same witness.
 The engines' hot path asks set questions ("which picks lie strictly above
 this one's inverse?", "do all elements of this star lie in that domain?").
 For these, a universe hands out *bit rows*: Python ints whose bit ``b`` is
-set when id ``b`` belongs to the row.  :meth:`Universe.above_mask` and
-:meth:`Universe.conflict_mask` build one row per id on first use, from the
-order matrix through ``np.packbits``, so the rows cost at most n²/8 bytes.
+set when id ``b`` belongs to the row.  :meth:`Universe.above_mask`,
+:meth:`Universe.below_mask` and :meth:`Universe.conflict_mask` build one
+row per id on first use, from the order matrix through ``np.packbits``, so
+each kind of row costs at most n²/8 bytes.
 A :class:`SeparationSystem` keeps its member set as a bit row too, and
 caches per base ``r`` the members above ``r`` and the members with an
 orientation above ``r``; its ``memo`` dict holds what the duality engines
@@ -114,6 +115,7 @@ class Universe:
         self.set_labels = tuple(set_labels) if set_labels is not None else None
         self.ground = tuple(ground) if ground is not None else None
         self._above: list[Optional[int]] = [None] * n
+        self._below: list[Optional[int]] = [None] * n
         self._conflict: list[Optional[int]] = [None] * n
 
     # -- law checks, all vectorized ------------------------------------
@@ -253,6 +255,13 @@ class Universe:
         row = self._above[a]
         if row is None:
             row = self._above[a] = _bit_row(self._leq[a])
+        return row
+
+    def below_mask(self, a: int) -> int:
+        """Bit row of the ids ``b`` with ``b <= a`` (``a`` itself included)."""
+        row = self._below[a]
+        if row is None:
+            row = self._below[a] = _bit_row(self._leq[:, a])
         return row
 
     def conflict_mask(self, a: int) -> int:
@@ -491,15 +500,17 @@ class SeparationSystem:
 
     @cached_property
     def trivial_ids(self) -> frozenset[int]:
-        """Ids of all orientations that are trivial in this system."""
+        """Ids of all orientations that are trivial in this system: the
+        members ``r`` with some member ``s`` such that ``r < s`` and
+        ``r < inv(s)``."""
         u = self.universe
+        leq, inv, flags = u.leq_matrix(), u.inverse_table(), self.member_flags
         out = set()
         for r in self.members:
-            for i in self.underlying_reps:
-                j = u.inv_id(i)
-                if u.lt_ids(r, i) and u.lt_ids(r, j):
-                    out.add(r)
-                    break
+            up = leq[r] & flags  # the members strictly above r
+            up[r] = False
+            if (up & up[inv]).any():
+                out.add(r)
         return frozenset(out)
 
     def is_trivial(self, r: OrientedSep) -> bool:

@@ -25,6 +25,19 @@ plain emulation answer per ``(s0, r)``, and per ``(r, s0)`` the shift image
 of every id, built from one column of the join table.  Each image is then
 checked by its bit row against the family's set of star rows.
 
+The check is incremental along the family chain.  Every family the strong
+engine recurses on is its parent plus one star
+(:meth:`StarFamily.with_star`), so a child's qualifying stars are the
+parent's plus, perhaps, the added star, and its stars the parent's plus
+the added one.  Each family keeps, per ``(s0, r)``, one failure witness:
+the image row of a qualifying star whose shift image it lacks, or 0 when
+it lacks none.  A child inherits it: a parent's witness fails in the child
+too unless its image is the added star, the one case that rescans the
+child; a parent that passes leaves only the added star to check.  Only a
+chain's root scans its whole family, and the walk up the chain is a loop.
+The search still checks every candidate in the same order, so its answers
+and its count of emulation checks are those of a scan from scratch.
+
 The strong engine memoizes its recursion by the family's forced ids, not
 by its star set.  Each step recurses on the family plus one singleton star
 ``{inv(r)}`` for a member ``r`` the family did not force yet, so every
@@ -252,16 +265,19 @@ def emulates(s0, r, system: SeparationSystem) -> bool:
     the inverse of ``r``.  The answer depends on the system alone, so it is
     kept in the system's ``memo``.
     """
-    u = system.universe
-    s0_id, r_id = _as_id(s0), _as_id(r)
-    if s0_id not in system.member_ids:
-        raise MalformedInput("s0 is not a member of the system")
-    if u.is_degenerate_id(r_id):
-        raise MalformedInput("emulation base is degenerate")
-    key = ("emulates", s0_id, r_id)
+    return _emulates_ids(_as_id(s0), _as_id(r), system)
+
+
+def _emulates_ids(s0: int, r: int, system: SeparationSystem) -> bool:
+    key = ("emulates", s0, r)
     ok = system.memo.get(key)
     if ok is None:
-        ok = system.memo[key] = _joins_stay_inside(system, s0_id, r_id)
+        # a pair in the memo has passed these checks on this same system
+        if s0 not in system.member_ids:
+            raise MalformedInput("s0 is not a member of the system")
+        if system.universe.is_degenerate_id(r):
+            raise MalformedInput("emulation base is degenerate")
+        ok = system.memo[key] = _joins_stay_inside(system, s0, r)
     return ok
 
 
@@ -313,26 +329,80 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
     orientation above ``r``, none of them is the inverse of ``r``, and at
     least one lies above ``r`` itself.  Qualifying stars are picked by bit
     row from the family's index, and each image is checked as a bit row.
+    The family keeps a failure witness per ``(s0, r)``, which its
+    :meth:`~StarFamily.with_star` children inherit (see
+    :func:`_missing_image`).
     """
     _check_same_universe(family, system)
-    u = system.universe
     s0_id, r_id = _as_id(s0), _as_id(r)
     _require_usable_base(r_id, system, "emulation base")
-    if not emulates(s0_id, r_id, system):
+    if not _emulates_ids(s0_id, r_id, system):
         return False
-    allowed = system.domain_mask(r_id) & ~(1 << u.inv_id(r_id))
-    qualifying = family.stars_inside(allowed, system.members_above(r_id))
+    return not _missing_image(system, family, s0_id, r_id)
+
+
+def _missing_image(
+    system: SeparationSystem, family: StarFamily, s0: int, r: int
+) -> int:
+    """Bit row of a qualifying star's shift image that the family lacks,
+    or 0 when the family holds every such image; kept in ``family.witnesses``
+    under ``(s0, r, system)``, as the system decides which stars qualify.
+
+    A child of :meth:`StarFamily.with_star` qualifies the parent's stars
+    plus, perhaps, the added one, and holds the parent's stars plus the
+    added one.  So a parent's missing image stays missing in the child
+    unless it is the added star, and only then is the child scanned again;
+    a parent holding every image leaves only the added star to check.
+    """
+    key = (s0, r, system)
+    miss = family.witnesses.get(key)
+    if miss is not None:
+        return miss
+    allowed = system.domain_mask(r) & ~(1 << system.universe.inv_id(r))
+    touching = system.members_above(r)
+    chain = family.lineage(lambda fam: key in fam.witnesses)
+    top = chain[0]
+    miss = top.witnesses.get(key)
+    if miss is None:
+        miss = top.witnesses[key] = _scan_images(system, top, allowed, touching, s0, r)
+    outside = ~allowed
+    for fam in chain[1:]:
+        if not miss:
+            mask = fam.added_mask
+            if mask & touching and not mask & outside:
+                bits = _shift_image_bits(system, r, s0)
+                image = 0
+                for t in fam.added:
+                    image |= bits[t]
+                if not fam.has_mask(image):
+                    miss = image
+        elif miss == fam.added_mask:
+            miss = _scan_images(system, fam, allowed, touching, s0, r)
+        fam.witnesses[key] = miss
+    return miss
+
+
+def _scan_images(
+    system: SeparationSystem,
+    family: StarFamily,
+    allowed: int,
+    touching: int,
+    s0: int,
+    r: int,
+) -> int:
+    """:func:`_missing_image` by a scan of every qualifying star."""
+    qualifying = family.stars_inside(allowed, touching)
     if not qualifying:
-        return True
-    bits = _shift_image_bits(system, r_id, s0_id)
+        return 0
+    bits = _shift_image_bits(system, r, s0)
     present = family.mask_set
     for sigma in qualifying:
         image = 0
         for t in sigma:
             image |= bits[t]
         if image not in present:
-            return False
-    return True
+            return image
+    return 0
 
 
 def find_separator(
@@ -402,7 +472,7 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
     if _redundant_triple(tree) is not None or _inverse_pair_triple(tree) is not None:
         raise MalformedInput("tree must be irredundant and tight before shifting")
     for t in tree.nodes:
-        if t != root and tree.node_star(t) not in family.stars:
+        if t != root and tree.node_star(t) not in family:
             raise MalformedInput(f"star at node {t} is not in the family")
 
     parent = {root: None}
@@ -432,7 +502,7 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
             raise InternalInvariant(
                 f"shifted star of s0's inverse appears at leaf {t} besides the root"
             )
-        if out.node_star(t) not in family.stars:
+        if out.node_star(t) not in family:
             raise InternalInvariant(
                 f"shifted star at node {t} left the family"
             )
@@ -704,14 +774,17 @@ def _assert_consistent_forced(
     )
 
 
-def _least_minimal_below(
-    system: SeparationSystem, pool: list[int], bound: int
-) -> int:
+def _least_minimal_below(system: SeparationSystem, pool: int, bound: int) -> int:
+    """Least id among the minimal members of the bit row ``pool`` that lie
+    at or below ``bound``."""
     u = system.universe
-    below = [m for m in pool if u.leq_ids(m, bound)]
-    for m in below:
-        if not any(m2 != m and u.lt_ids(m2, m) for m2 in below):
+    below = rest = pool & u.below_mask(bound)
+    while rest:
+        low = rest & -rest
+        m = low.bit_length() - 1
+        if below & u.below_mask(m) == low:
             return m
+        rest ^= low
     raise InternalInvariant("no minimal element below an undecided separation")
 
 
@@ -770,8 +843,10 @@ def _strong_step(
         return _settled(system, fam, forced, transcript, depth, "tangle")
 
     r0 = min(undecided)
-    deg = system.degenerate_ids
-    pool = [m for m in system.members if m not in forced and m not in deg]
+    # the members neither forced nor degenerate
+    pool = system.member_mask
+    for m in forced | system.degenerate_ids:
+        pool &= ~(1 << m)
     r1 = _least_minimal_below(system, pool, r0)
     r2_back = _least_minimal_below(system, pool, u.inv_id(r0))
     r2_fwd = u.inv_id(r2_back)
@@ -815,7 +890,7 @@ def _strong_step(
                     family=fam,
                 )
             )
-        if frozenset((u.inv_id(s),)) in fam.stars:
+        if frozenset((u.inv_id(s),)) in fam:
             transcript.append(f"[{depth}] shifted {side} branch is over the family")
             return "tree", out
         shifted.append(out)

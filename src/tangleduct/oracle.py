@@ -8,8 +8,8 @@ classifies all ``2**n`` codes at once on truth tables: bit ``c`` of a
 separation has the column of codes that pick it, each clashing pair of
 picks (``inv(a) < b`` for distinct separations) clears the AND of its two
 columns from the consistent codes, and each star clears the AND of its
-columns from the avoiding codes.  The flagged codes are then listed as
-picks tuples in bounded numpy chunks.
+columns from the avoiding codes.  The flagged codes are listed as picks
+tuples in bounded numpy chunks, when a listing is first read.
 
 The census stays independent: it classifies every code, prunes nothing,
 reads only the order and inverse tables and uses no engine logic.  The
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -57,6 +58,35 @@ def orientation_picks(system: SeparationSystem, code: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class _Unlisted:
+    """A census listing not built yet: the codes flagged in ``flags``."""
+
+    system: SeparationSystem
+    flags: int
+
+
+class _Listing:
+    """A census field that builds its listing from an :class:`_Unlisted`
+    value on first read, and holds a given tuple as it is."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # no class-level default, so the dataclass field stays required
+            raise AttributeError(self.slot)
+        value = obj.__dict__[self.slot]
+        if isinstance(value, _Unlisted):
+            value = tuple(chain.from_iterable(_listing_chunks(value.system, value.flags)))
+            obj.__dict__[self.slot] = value
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
+
+
+@dataclass(frozen=True)
 class OrientationCensus:
     """Complete classification of the orientation space of a system.
 
@@ -65,12 +95,17 @@ class OrientationCensus:
     and tangle (consistent and avoiding) orientations, in enumeration
     order.  ``mode`` records which question the census was asked for; it
     changes nothing else, as both modes classify every code alike.
+
+    :func:`enumerate_orientations` leaves each listing to be built from
+    its truth table when it is first read, so a caller that reads one
+    listing builds only that one.  Equality, hashing and ``repr`` read all
+    three.
     """
 
     total: int
-    consistent: tuple[tuple[int, ...], ...]
-    f_avoiding: tuple[tuple[int, ...], ...]
-    f_tangles: tuple[tuple[int, ...], ...]
+    consistent: tuple[tuple[int, ...], ...] = _Listing()
+    f_avoiding: tuple[tuple[int, ...], ...] = _Listing()
+    f_tangles: tuple[tuple[int, ...], ...] = _Listing()
     mode: str
 
 
@@ -162,28 +197,23 @@ def _truth_tables(
     return consistent, avoiding
 
 
-def _listings(
-    system: SeparationSystem, *flag_ints: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each flag int, the sorted picks tuples of its flagged codes in
-    ascending order, built in numpy chunks of at most ``_CHUNK`` codes."""
+def _listing_chunks(
+    system: SeparationSystem, flags: int
+) -> Iterator[list[tuple[int, ...]]]:
+    """The sorted picks tuples of the codes flagged in ``flags``, in
+    ascending code order, as lists of at most ``_CHUNK`` codes each."""
     choice = _choices(system)
     n = len(choice)
     deg = np.array(sorted(system.degenerate_ids), dtype=np.int64)
     shifts = np.arange(n)
-    listings = []
-    for flags in flag_ints:
-        out: list[tuple[int, ...]] = []
-        codes = _codes(flags, 1 << n)
-        for at in range(0, len(codes), _CHUNK):
-            part = codes[at : at + _CHUNK]
-            picks = np.empty((len(part), n + len(deg)), dtype=np.int64)
-            picks[:, :n] = choice[shifts, (part[:, None] >> shifts) & 1]
-            picks[:, n:] = deg
-            picks.sort(axis=1)
-            out.extend(map(tuple, picks.tolist()))
-        listings.append(tuple(out))
-    return tuple(listings)
+    codes = _codes(flags, 1 << n)
+    for at in range(0, len(codes), _CHUNK):
+        part = codes[at : at + _CHUNK]
+        picks = np.empty((len(part), n + len(deg)), dtype=np.int64)
+        picks[:, :n] = choice[shifts, (part[:, None] >> shifts) & 1]
+        picks[:, n:] = deg
+        picks.sort(axis=1)
+        yield list(map(tuple, picks.tolist()))
 
 
 def enumerate_orientations(
@@ -196,7 +226,8 @@ def enumerate_orientations(
     """Census every orientation, numbered as by :func:`orientation_picks`.
 
     Each code's consistency and avoidance is one bit of a ``2**n``-bit
-    truth table (see :func:`_truth_tables`).  Raises :class:`TooLarge`
+    truth table (see :func:`_truth_tables`); the listings are built from
+    the tables when first read.  Raises :class:`TooLarge`
     when the system has more than ``cap`` nondegenerate underlying
     separations.  ``mode`` (``"tangle"`` or ``"avoiding"``) is only
     recorded in the census: both modes classify and list alike.
@@ -204,8 +235,11 @@ def enumerate_orientations(
     if mode not in ("avoiding", "tangle"):
         raise MalformedInput(f"unknown census mode {mode!r}")
     consistent, avoiding = _truth_tables(system, family, cap)
-    listed = _listings(system, consistent, avoiding, consistent & avoiding)
-    return OrientationCensus(1 << len(system.nondegenerate_reps), *listed, mode=mode)
+    return OrientationCensus(
+        1 << len(system.nondegenerate_reps),
+        *(_Unlisted(system, f) for f in (consistent, avoiding, consistent & avoiding)),
+        mode=mode,
+    )
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ new trees and never mutate.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import OrientedSep, SeparationSystem, Universe, _id_entry, _is_id, is_star
 from .errors import (
@@ -58,23 +58,50 @@ class StarFamily:
     canonical order (``sorted_stars``), each star's bit row over element ids
     (``star_masks``, with ``mask_set`` for membership tests), and the ids
     its singleton stars force.  Each part is built from ``stars`` on first
-    use; :meth:`with_star` extends the parent's by one bisect insertion
-    instead of sorting again.
+    use.
+
+    A family made by :meth:`with_star` is a *child*: it records its
+    ``parent`` and the ``added`` star (with its bit row ``added_mask``), and
+    holds nothing else of size O(family) until asked.  A family built any
+    other way is the root of its chain, with ``parent`` ``None``.  A child
+    builds ``stars``, ``sorted_stars`` (by bisect insertion, not a sort) and
+    ``mask_set`` on first use from its nearest ancestor that has them;
+    ``in`` and :meth:`has_mask` walk up the chain instead.  Two caches also
+    follow the chain instead of starting over in every child: the
+    :meth:`stars_inside` lists, and ``witnesses``, which
+    :func:`tangleduct.duality.emulates_for_family` fills per ``(s0, r,
+    system)`` with the image row of one qualifying star whose shift image is
+    not in the family (0 when every image is).  Every walk up the chain is
+    a loop, so a long chain costs no Python frames.
     """
 
     def __init__(self, universe: Universe, stars: Iterable, *, validate: bool = True):
         self.universe = universe
-        self.stars: frozenset[frozenset[int]] = frozenset(
-            _star_ids(sigma) for sigma in stars
-        )
+        self.stars = frozenset(_star_ids(sigma) for sigma in stars)
+        self.parent: Optional[StarFamily] = None
+        self.added: Optional[frozenset[int]] = None
+        self.added_mask = 0
+        self.witnesses: dict[tuple, int] = {}
         if validate:
             for sigma in self.sorted_stars:
                 if not is_star(universe.sep(i) for i in sigma):
                     raise FNotStars(sigma)
 
     @cached_property
+    def stars(self) -> frozenset[frozenset[int]]:
+        # only a child gets here: ``__init__`` sets a root's stars
+        chain = self.lineage(lambda fam: "stars" in fam.__dict__)
+        return chain[0].stars.union(fam.added for fam in chain[1:])
+
+    @cached_property
     def sorted_stars(self) -> tuple[frozenset[int], ...]:
-        return tuple(sorted(self.stars, key=star_sort_key))
+        chain = self.lineage(lambda fam: "sorted_stars" in fam.__dict__)
+        if len(chain) == 1:
+            return tuple(sorted(self.stars, key=star_sort_key))
+        out = list(chain[0].sorted_stars)
+        for fam in chain[1:]:
+            insort(out, fam.added, key=star_sort_key)
+        return tuple(out)
 
     @cached_property
     def star_masks(self) -> tuple[int, ...]:
@@ -83,7 +110,10 @@ class StarFamily:
 
     @cached_property
     def mask_set(self) -> frozenset[int]:
-        return frozenset(self.star_masks)
+        chain = self.lineage(lambda fam: "mask_set" in fam.__dict__)
+        if len(chain) == 1:
+            return frozenset(self.star_masks)
+        return chain[0].mask_set.union(fam.added_mask for fam in chain[1:])
 
     @cached_property
     def _inverse_singletons(self) -> frozenset[int]:
@@ -101,7 +131,22 @@ class StarFamily:
         return len(self.stars)
 
     def __contains__(self, sigma) -> bool:
-        return _star_ids(sigma) in self.stars
+        ids = _star_ids(sigma)
+        fam = self
+        while "stars" not in fam.__dict__:
+            if fam.added == ids:
+                return True
+            fam = fam.parent
+        return ids in fam.stars
+
+    def has_mask(self, mask: int) -> bool:
+        """True iff some star of the family has the bit row ``mask``."""
+        fam = self
+        while "mask_set" not in fam.__dict__ and fam.parent is not None:
+            if fam.added_mask == mask:
+                return True
+            fam = fam.parent
+        return mask in fam.mask_set
 
     def __eq__(self, other) -> bool:
         return (
@@ -117,32 +162,52 @@ class StarFamily:
         ids = _star_ids(sigma)
         if not is_star(self.universe.sep(i) for i in ids):
             raise FNotStars(ids)
-        if ids in self.stars:
+        if ids in self:
             return self
-        out = StarFamily(self.universe, (), validate=False)
-        out.stars = self.stars | {ids}
-        pos = bisect_left(self.sorted_stars, star_sort_key(ids), key=star_sort_key)
-        mask = _star_mask(ids)
-        out.sorted_stars = self.sorted_stars[:pos] + (ids,) + self.sorted_stars[pos:]
-        out.star_masks = self.star_masks[:pos] + (mask,) + self.star_masks[pos:]
-        out.mask_set = self.mask_set | {mask}
+        out = object.__new__(StarFamily)
+        out.universe, out.witnesses = self.universe, {}
+        out.parent, out.added, out.added_mask = self, ids, _star_mask(ids)
         out._inverse_singletons = self._inverse_singletons
         if len(ids) == 1:
             out._inverse_singletons |= {self.universe.inv_id(next(iter(ids)))}
         return out
 
+    def lineage(self, done: Callable[["StarFamily"], bool]) -> list["StarFamily"]:
+        """This family and its ancestors, root-most first, up to the nearest
+        one for which ``done`` holds (or the chain's root)."""
+        chain = [self]
+        while not done(chain[-1]) and chain[-1].parent is not None:
+            chain.append(chain[-1].parent)
+        chain.reverse()
+        return chain
+
     def stars_inside(self, allowed: int, touching: int) -> tuple[frozenset[int], ...]:
         """Stars, in canonical order, with every element's bit in ``allowed``
-        and some element's bit in ``touching`` (cached per argument pair)."""
+        and some element's bit in ``touching`` (cached per argument pair).
+
+        Only a chain's root scans its stars: a child's list is its parent's,
+        with the added star inserted in canonical order if it qualifies.
+        """
         key = (allowed, touching)
         hit = self._inside.get(key)
+        if hit is not None:
+            return hit
+        chain = self.lineage(lambda fam: key in fam._inside)
+        top = chain[0]
+        outside = ~allowed
+        hit = top._inside.get(key)
         if hit is None:
-            outside = ~allowed
-            hit = self._inside[key] = tuple([
+            hit = top._inside[key] = tuple([
                 sigma
-                for sigma, mask in zip(self.sorted_stars, self.star_masks)
+                for sigma, mask in zip(top.sorted_stars, top.star_masks)
                 if mask & touching and not mask & outside
             ])
+        for fam in chain[1:]:
+            mask = fam.added_mask
+            if mask & touching and not mask & outside:
+                pos = bisect_left(hit, star_sort_key(fam.added), key=star_sort_key)
+                hit = hit[:pos] + (fam.added,) + hit[pos:]
+            fam._inside[key] = hit
         return hit
 
     def restricted_to(self, system: SeparationSystem) -> "StarFamily":
@@ -155,7 +220,7 @@ class StarFamily:
 
     def forces(self, sep: OrientedSep) -> bool:
         """True iff the family contains the singleton star of ``sep``'s inverse."""
-        return frozenset((sep.universe.inv_id(sep.id),)) in self.stars
+        return frozenset((sep.universe.inv_id(sep.id),)) in self
 
     def forced_ids(self, system: SeparationSystem) -> frozenset[int]:
         """All member orientations whose inverse forms a singleton star here."""
@@ -167,7 +232,7 @@ class StarFamily:
         return tuple(
             r
             for r in sorted(system.trivial_ids)
-            if frozenset((u.inv_id(r),)) not in self.stars
+            if frozenset((u.inv_id(r),)) not in self
         )
 
     def is_standard_for(self, system: SeparationSystem) -> bool:

@@ -472,6 +472,24 @@ class TestTangles:
                 "tangle": consistent and avoiding,
             }
 
+    def test_chunked_output_is_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        base = gen.full_cover_system(3)
+        system = gen.subsystem(base, base.nondegenerate_reps[:6])
+        fam = gen.random_family(random.Random(4), system, 6)
+        path = tmp_path / "doc.json"
+        doc = {"system": system_to_json_dict(system), "family": fam.to_json_dict()}
+        path.write_text(json.dumps(doc))
+        assert run(RunConfig("tangles", str(path))) == 0
+        whole = capsys.readouterr().out
+        assert whole.count("\n") == 64
+        # 13 chunks of at most 5 lines, to stdout and to a file
+        monkeypatch.setattr("tangleduct.oracle._CHUNK", 5)
+        assert run(RunConfig("tangles", str(path))) == 0
+        assert capsys.readouterr().out == whole
+        out = tmp_path / "out.jsonl"
+        assert run(RunConfig("tangles", str(path), output_path=str(out))) == 0
+        assert out.read_text() == whole
+
 
 class TestEssentialCommands:
     def test_essential_core_matches_library(self, p3_setup, capsys):

@@ -1,16 +1,22 @@
 """The strong engine's bit-row paths against dense set-based references.
 
-``emulates_for_family``, ``find_inconsistency`` and ``is_order_respecting``
-answer set questions with Python-int bit rows, cached per universe, system
-and family; ``StarFamily.with_star`` extends its parent's index by one
-insertion.  The reference versions below are the plain loops over ids,
-stars and edge pairs they replace.  Each comparison runs on the T_k systems
-of three small graphs (the family the benchmark uses, from ``bench/tk.py``),
-on hypothesis-drawn random systems and families, and on the trees the
-acceptance corpus produces.
+``emulates_for_family``, ``find_inconsistency``, ``is_order_respecting``,
+the strong engine's ``_least_minimal_below`` and
+``SeparationSystem.trivial_ids`` answer set questions with Python-int bit
+rows or numpy rows, cached per universe, system and family;
+``StarFamily.with_star`` extends its parent's index by one insertion, and
+its children inherit the parent's ``stars_inside`` lists and emulation
+failure witnesses.  The reference versions below are the plain loops over
+ids, stars and edge pairs they replace, run from scratch on every family.
+Each comparison runs on the T_k systems of three small graphs (the family
+the benchmark uses, from ``bench/tk.py``), on hypothesis-drawn random
+systems and families, and on the trees the acceptance corpus produces.  A
+golden digest pins the certificates of the benchmark's graph ladder.
 """
 
+import hashlib
 import importlib.util
+import json
 import random
 from pathlib import Path
 
@@ -31,8 +37,11 @@ from tangleduct import (
     find_inconsistency,
     graph_separations,
     is_order_respecting,
+    star_sort_key,
     strong_duality,
+    weak_duality,
 )
+from tangleduct.duality import _least_minimal_below
 
 
 def _load_tk():
@@ -84,6 +93,22 @@ def ref_emulates(s0, r, system):
     return True
 
 
+def ref_qualifying(r, system, family):
+    """The family stars, in canonical order, that qualify for base ``r``."""
+    u = system.universe
+    inv_r = u.inv_id(r)
+    domain = frozenset(
+        m for m in system.members if u.leq_ids(r, m) or u.leq_ids(r, u.inv_id(m))
+    )
+    return [
+        sigma
+        for sigma in sorted(family.stars, key=lambda s: (len(s), sorted(s)))
+        if inv_r not in sigma
+        and sigma <= domain
+        and any(u.leq_ids(r, t) for t in sigma)
+    ]
+
+
 def ref_emulates_for_family(s0, r, system, family):
     u = system.universe
     if u.is_degenerate_id(r):
@@ -92,19 +117,40 @@ def ref_emulates_for_family(s0, r, system, family):
         raise MalformedInput("emulation base is trivial in the system")
     if not ref_emulates(s0, r, system):
         return False
-    inv_r = u.inv_id(r)
-    domain = frozenset(
-        m for m in system.members if u.leq_ids(r, m) or u.leq_ids(r, u.inv_id(m))
-    )
-    for sigma in sorted(family.stars, key=lambda s: (len(s), sorted(s))):
-        if inv_r in sigma or not sigma <= domain:
-            continue
-        if not any(u.leq_ids(r, t) for t in sigma):
-            continue
+    for sigma in ref_qualifying(r, system, family):
         image = frozenset(ref_shift_target_id(system, r, s0, t) for t in sigma)
         if image not in family.stars:
             return False
     return True
+
+
+def ref_stars_inside(family, allowed, touching):
+    return tuple(
+        sigma
+        for sigma in sorted(family.stars, key=star_sort_key)
+        if all(allowed >> t & 1 for t in sigma) and any(touching >> t & 1 for t in sigma)
+    )
+
+
+def ref_least_minimal_below(system, pool, bound):
+    u = system.universe
+    below = [m for m in pool if u.leq_ids(m, bound)]
+    for m in below:
+        if not any(m2 != m and u.lt_ids(m2, m) for m2 in below):
+            return m
+    return None
+
+
+def ref_trivial_ids(system):
+    u = system.universe
+    out = set()
+    for r in system.members:
+        for i in system.underlying_reps:
+            j = u.inv_id(i)
+            if u.lt_ids(r, i) and u.lt_ids(r, j):
+                out.add(r)
+                break
+    return frozenset(out)
 
 
 def ref_find_inconsistency(picks, system):
@@ -287,6 +333,37 @@ def test_with_star_chain_matches_a_rebuilt_family(seed):
         assert fam.forced_ids(system) == fresh.forced_ids(system)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+def test_children_build_their_sets_from_any_ancestor(seed):
+    """A ``with_star`` child answers ``in`` and ``has_mask`` by walking up
+    its chain and builds its sets from the nearest ancestor that has them,
+    so the families are visited in random order."""
+    rng = random.Random(seed)
+    system = gen.random_system(rng, max_pairs=5)
+    family = gen.random_family(rng, system, max_stars=4, standard=rng.random() < 0.5)
+    chain = random_chain(rng, system, family, rng.randint(1, 6))
+    probes = {gen.random_star_ids(rng, system) for _ in range(12)} - {None}
+    expected = []
+    for i in range(len(chain)):
+        expected.append(set(chain[0].stars) | {fam.added for fam in chain[1 : i + 1]})
+    for i in rng.sample(range(len(chain)), len(chain)):
+        fam, want = chain[i], expected[i]
+        for sigma in sorted(want | probes, key=star_sort_key):
+            mask = sum(1 << t for t in sigma)
+            assert (sigma in fam) == fam.has_mask(mask) == (sigma in want)
+        attrs = ["sorted_stars", "mask_set", "stars"]
+        rng.shuffle(attrs)
+        for attr in attrs:
+            got = getattr(fam, attr)
+            if attr == "sorted_stars":
+                assert got == tuple(sorted(want, key=star_sort_key))
+            elif attr == "mask_set":
+                assert got == {sum(1 << t for t in sigma) for sigma in want}
+            else:
+                assert got == want
+        assert len(fam) == len(want)
+
+
 def test_tk_family_grown_by_with_star(tk_instance):
     system, family = tk_instance
     u = system.universe
@@ -327,3 +404,165 @@ def test_acceptance_corpus_trees():
             want = ref_find_inconsistency(cert.picks, system)
             assert inconsistency_ids(cert.picks, system) == want is None
     assert trees > 100
+
+
+# --- the with_star chain -------------------------------------------------------------
+
+
+def usable_bases(system):
+    u = system.universe
+    return [
+        r for r in system.members
+        if not u.is_degenerate_id(r) and r not in system.trivial_ids
+    ]
+
+
+def assert_chain_agrees(system, chain, bases):
+    """Every (candidate, usable base) pair on every family of a
+    ``with_star`` chain, against the references run on the family's stars.
+
+    The leaf goes first, so its queries walk up through ancestors that hold
+    nothing yet; the families from the root down then answer from what
+    those walks left, or walk again for lists they never needed.
+    """
+    u = system.universe
+    # the family-independent parts of the reference, computed once
+    emulating = [
+        (cand, r) for r in bases for cand in system.members if ref_emulates(cand, r, system)
+    ]
+    images = {}
+    for fam in [chain[-1], *chain]:
+        qualifying = {}
+        for r in bases:
+            allowed = system.domain_mask(r) & ~(1 << u.inv_id(r))
+            touching = system.members_above(r)
+            qualifying[r] = ref_qualifying(r, system, fam)
+            assert ref_stars_inside(fam, allowed, touching) == tuple(qualifying[r])
+            assert fam.stars_inside(allowed, touching) == tuple(qualifying[r])
+        want = dict.fromkeys(((c, r) for r in bases for c in system.members), False)
+        for cand, r in emulating:
+            want[cand, r] = True
+            for sigma in qualifying[r]:
+                key = (cand, r, sigma)
+                if key not in images:
+                    images[key] = frozenset(
+                        ref_shift_target_id(system, r, cand, t) for t in sigma
+                    )
+                if images[key] not in fam.stars:
+                    want[cand, r] = False
+                    break
+        for (cand, r), ok in want.items():
+            assert emulates_for_family(cand, r, system, fam) == ok, (cand, r)
+
+
+def random_chain(rng, system, family, steps):
+    """``family`` grown by ``steps`` stars, alternately a forcing singleton
+    ``{inv(r)}`` as the strong engine adds them and a random two-member star."""
+    u = system.universe
+    pool = [m for m in system.members if not u.is_degenerate_id(m)]
+    chain = [family]
+    for _ in range(20 * steps if pool else 0):
+        if len(chain) > steps:
+            break
+        a = rng.choice(pool)
+        if len(chain) % 2:
+            sigma = frozenset((u.inv_id(a),))
+        else:
+            partners = [b for b in pool if b != a and u.leq_ids(a, u.inv_id(b))]
+            sigma = frozenset((a, rng.choice(partners))) if partners else None
+        if sigma is not None and sigma not in chain[-1]:
+            chain.append(chain[-1].with_star(sigma))
+    return chain
+
+
+def test_chain_on_tk_systems(tk_instance):
+    system, family = tk_instance
+    rng = random.Random(len(system))
+    chain = random_chain(rng, system, family, 3)
+    assert any(len(fam.added) > 1 for fam in chain[1:])
+    assert_chain_agrees(system, chain, usable_bases(system))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_chain_on_random_systems(seed):
+    rng = random.Random(seed)
+    system = gen.random_system(rng, max_pairs=5)
+    family = gen.random_family(rng, system, max_stars=6, standard=rng.random() < 0.5)
+    chain = random_chain(rng, system, family, rng.randint(1, 5))
+    assert_chain_agrees(system, chain, usable_bases(system))
+
+
+def test_chain_rescans_when_the_witness_image_is_added(rng):
+    """The child of a failing family gains exactly the shift image of the
+    parent's witness, so the child must be scanned again: it passes when
+    that was the only missing image, and fails on another one otherwise."""
+    answers = []
+    for _ in range(60):
+        system = gen.random_system(rng, max_pairs=5)
+        family = gen.random_family(rng, system, max_stars=6, standard=True)
+        for r in usable_bases(system):
+            for cand in system.members:
+                if emulates_for_family(cand, r, system, family):
+                    continue
+                image = family.witnesses.get((cand, r, system))
+                if not image:  # the system-level emulation check failed
+                    continue
+                child = family.with_star([t for t in system.members if image >> t & 1])
+                assert child.added_mask == image and not child.witnesses
+                got = emulates_for_family(cand, r, system, child)
+                assert got == ref_emulates_for_family(cand, r, system, child)
+                answers.append(got)
+    assert True in answers and False in answers
+
+
+# --- pool scans on bit rows ------------------------------------------------------------
+
+
+def assert_least_minimal_agrees(system, rng, pools=6):
+    u = system.universe
+    candidates = [m for m in system.members if not u.is_degenerate_id(m)]
+    for _ in range(pools):
+        pool = [m for m in candidates if rng.random() < 0.7]
+        mask = sum(1 << m for m in pool)
+        for bound in system.members:
+            want = ref_least_minimal_below(system, pool, bound)
+            if want is None:
+                with pytest.raises(InternalInvariant):
+                    _least_minimal_below(system, mask, bound)
+            else:
+                assert _least_minimal_below(system, mask, bound) == want
+
+
+def test_pool_scans_on_tk_systems(tk_instance):
+    system, _ = tk_instance
+    assert system.trivial_ids == ref_trivial_ids(system)
+    assert_least_minimal_agrees(system, random.Random(len(system)))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_pool_scans_on_random_systems(seed):
+    rng = random.Random(seed)
+    system = gen.random_system(rng, max_pairs=6)
+    assert system.trivial_ids == ref_trivial_ids(system)
+    assert_least_minimal_agrees(system, rng)
+
+
+# --- golden certificates -----------------------------------------------------------------
+
+# sha256 over the strong, then the weak certificate of every EXPECTED_KIND
+# (graph, k) pair in sorted order, each as one line of compact sorted-key
+# JSON with its transcript; computed before the engines kept witnesses
+LADDER_SHA256 = "b9ddb79ea6a367a040966e893e020be39c960fe87bb794e7dc0ffa6804f070a1"
+
+
+def test_ladder_certificates_are_unchanged():
+    digest = hashlib.sha256()
+    for name, k in sorted(tk.EXPECTED_KIND):
+        graph = GraphInput.parse(tk.GRAPHS[name])
+        system = graph_separations(graph, k)
+        family = tk.tk_family(system, graph)
+        for engine in (strong_duality, weak_duality):
+            doc = engine(system, family).to_json_dict()
+            line = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == LADDER_SHA256

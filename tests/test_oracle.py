@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+from tangleduct import oracle
 from tangleduct import (
     MalformedInput,
     StarFamily,
@@ -126,6 +127,25 @@ class TestCrossCheck:
         for picks, sink, star in rep.exhibits:
             assert sink in rep.certificate.tree.nodes
             assert set(star) <= set(picks)
+
+    def test_lists_only_what_it_reads(self, cover2, monkeypatch):
+        # the census lists on first read: cross_check reads the tangles, and
+        # the consistent orientations only for a tree answer's exhibits
+        listed = []
+        real = oracle._listing_chunks
+
+        def spy(system, flags):
+            listed.append(flags)
+            return real(system, flags)
+
+        monkeypatch.setattr(oracle, "_listing_chunks", spy)
+        for stars, kind in (([], "tangle"), ([[0, 1], [0, 3]], "stree")):
+            fam = standardize(StarFamily(cover2.universe, stars), cover2)
+            consistent, avoiding = oracle._truth_tables(cover2, fam, 20)
+            listed.clear()
+            assert cross_check(cover2, fam).kind == kind
+            want = [consistent & avoiding] + [consistent] * (kind == "stree")
+            assert listed == want
 
     def test_hypothesis_failure_is_reported_not_raised(self, cover3):
         fam = standardize(StarFamily(cover3.universe, [[1, 3, 9]]), cover3)
