@@ -30,7 +30,7 @@ DEFAULT_CLOSURE_CAP = 4096
 
 _LO = (1 << 32) - 1  # B in the low half of a packed key A << 32 | B
 _HI = ~_LO
-_CHUNK = 1 << 19  # candidate keys per table and chunk
+_CHUNK = 1 << 16  # candidate keys per table and chunk
 
 
 def _close_under_join_meet(

@@ -195,13 +195,24 @@ def _classify(doc: dict, docs: _Documents) -> None:
 
 
 def _load_documents(config: RunConfig) -> _Documents:
+    # a file named twice (``--system x.json --family x.json``) is parsed
+    # once; stdin is read afresh each time it is named
+    parsed: dict[str, dict] = {}
+
+    def read(path: str) -> dict:
+        if path == "-":
+            return _read_json(path)
+        if path not in parsed:
+            parsed[path] = _read_json(path)
+        return parsed[path]
+
     docs = _Documents()
-    _classify(_read_json(config.input_path), docs)
+    _classify(read(config.input_path), docs)
     if config.system_path is not None:
-        doc = _read_json(config.system_path)
+        doc = read(config.system_path)
         docs.system = system_from_json_dict(doc.get("system", doc))
     if config.family_path is not None:
-        doc = _read_json(config.family_path)
+        doc = read(config.family_path)
         docs.family_dict = doc.get("family", doc)
     return docs
 

@@ -20,6 +20,15 @@ into 64-bit words, so each costs O(n²·⌈n/64⌉) word operations rather than
 O(n³) boolean ones.  Where a packed check finds a violation, the dense
 check reruns on that row alone to name the same witness.
 
+Memory: a universe of n elements keeps n² bytes for the order and 4n²
+bytes for each of the ``int32`` join and meet tables.  Building the tables
+from side masks (:func:`tables_from_masks`) and the checks of antisymmetry,
+order reversal and De Morgan work in row chunks of about ``_CHUNK`` cells,
+so their temporaries stay bounded per chunk whatever n is; the packed
+checks hold the packed order (n²/8 bytes a direction) plus one row's worth
+of packed words at a time.  Chunked checks scan rows in ascending order and
+name the same least witness as a one-shot check.
+
 The engines' hot path asks set questions ("which picks lie strictly above
 this one's inverse?", "do all elements of this star lie in that domain?").
 For these, a universe hands out *bit rows*: Python ints whose bit ``b`` is
@@ -56,6 +65,14 @@ from .errors import (
 )
 
 
+_CHUNK = 1 << 16  # table cells per row chunk of the table builders and checks
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of an n-column table: ``_CHUNK`` cells, at least one row."""
+    return max(1, _CHUNK // max(n, 1))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -72,6 +89,22 @@ def _pack_rows(m: np.ndarray) -> np.ndarray:
     packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
     packed[:, : -(-cols // 8)] = np.packbits(m, axis=1)
     return packed.view(np.uint64)
+
+
+def _id_table(table, n: int, what: str) -> np.ndarray:
+    """A join or meet table as a read-only ``int32`` n-by-n array of ids.
+
+    The range is checked before the cast: a negative entry would index from
+    the end of a row, and a cast would wrap values of 2^31 and more.
+    """
+    t = np.asarray(table)
+    if t.shape != (n, n):
+        raise MalformedInput("join/meet tables must be n-by-n")
+    if n and (t.min() < 0 or t.max() >= n):
+        bad = (t < 0) | (t >= n)
+        r, s = (int(x) for x in np.argwhere(bad)[0])
+        raise MalformedInput(f"{what} table maps ({r}, {s}) to {t[r, s]}, not an id")
+    return _readonly(t.astype(np.int32, copy=False))
 
 
 class Universe:
@@ -105,10 +138,8 @@ class Universe:
             join = self._derive_bound_table(upper=True)
         if meet is None:
             meet = self._derive_bound_table(upper=False)
-        self._join = _readonly(np.asarray(join, dtype=np.int64))
-        self._meet = _readonly(np.asarray(meet, dtype=np.int64))
-        if self._join.shape != (n, n) or self._meet.shape != (n, n):
-            raise MalformedInput("join/meet tables must be n-by-n")
+        self._join = _id_table(join, n, "join")
+        self._meet = _id_table(meet, n, "meet")
         self._check_bounds(up)
         self._check_de_morgan()
 
@@ -129,11 +160,15 @@ class Universe:
         if not diag.all():
             i = int(np.flatnonzero(~diag)[0])
             raise NotAPartialOrder(f"not reflexive at {i}", witness=i)
-        sym = rel & rel.T
-        sym[np.diag_indices(n)] = False
-        if sym.any():
-            a, b = (int(x) for x in np.argwhere(sym)[0])
-            raise NotAPartialOrder(f"not antisymmetric at ({a}, {b})", witness=(a, b))
+        rows = _chunk_rows(n)
+        for lo in range(0, n, rows):
+            sym = rel[lo : lo + rows] & rel[:, lo : lo + rows].T
+            sym[np.arange(len(sym)), np.arange(lo, lo + len(sym))] = False
+            if sym.any():
+                a, b = (int(x) for x in np.argwhere(sym)[0])
+                raise NotAPartialOrder(
+                    f"not antisymmetric at ({lo + a}, {b})", witness=(lo + a, b)
+                )
         # transitive iff the up-set of every b above a lies inside a's up-set
         for a in range(n):
             if (up[rel[a]] & ~up[a]).any():
@@ -157,17 +192,19 @@ class Universe:
             raise NotInvolution(i, int(inv[i]), int(round_trip[i]))
         # r <= s  iff  inverse(s) <= inverse(r)
         rel = self._leq
-        reversed_rel = rel[np.ix_(inv, inv)].T
-        mismatch = rel != reversed_rel
-        if mismatch.any():
-            a, b = (int(x) for x in np.argwhere(mismatch)[0])
-            raise InvolutionNotOrderReversing(a, b)
+        rows = _chunk_rows(n)
+        for lo in range(0, n, rows):
+            reversed_rel = rel[np.ix_(inv, inv[lo : lo + rows])].T
+            mismatch = rel[lo : lo + rows] != reversed_rel
+            if mismatch.any():
+                a, b = (int(x) for x in np.argwhere(mismatch)[0])
+                raise InvolutionNotOrderReversing(lo + a, b)
 
     def _derive_bound_table(self, upper: bool) -> np.ndarray:
         """Compute join (upper=True) or meet tables from the order alone."""
         rel = self._leq
         n = len(rel)
-        table = np.zeros((n, n), dtype=np.int64)
+        table = np.zeros((n, n), dtype=np.int32)
         for r in range(n):
             for s in range(n):
                 common = (rel[r] & rel[s]) if upper else (rel[:, r] & rel[:, s])
@@ -210,15 +247,17 @@ class Universe:
     def _check_de_morgan(self) -> None:
         # implied by the other laws; kept as a cheap safety net
         inv, join, meet = self._inv, self._join, self._meet
-        lhs = inv[join]
-        rhs = meet[np.ix_(inv, inv)]
-        bad = lhs != rhs
-        if bad.any():
-            r, s = (int(x) for x in np.argwhere(bad)[0])
-            raise InternalInvariant(
-                f"De Morgan failed at ({r}, {s}): inverse of join is {int(lhs[r, s])},"
-                f" meet of inverses is {int(rhs[r, s])}"
-            )
+        rows = _chunk_rows(len(inv))
+        for lo in range(0, len(inv), rows):
+            lhs = inv[join[lo : lo + rows]]
+            rhs = meet[inv[lo : lo + rows]][:, inv]
+            bad = lhs != rhs
+            if bad.any():
+                r, s = (int(x) for x in np.argwhere(bad)[0])
+                raise InternalInvariant(
+                    f"De Morgan failed at ({lo + r}, {s}): inverse of join is"
+                    f" {int(lhs[r, s])}, meet of inverses is {int(rhs[r, s])}"
+                )
 
     # -- element access -------------------------------------------------
 
@@ -621,25 +660,37 @@ def tables_from_masks(
 
     The pool must be sorted by ``(A, B)`` and closed under flips, joins
     ``(A|C, B&D)`` and meets ``(A&C, B|D)``; ids are positions in the pool.
+    Join and meet are ``int32`` tables, built in row chunks of about
+    ``_CHUNK`` cells that each look their keys up in the pool.
     """
     a = np.array([m[0] for m in masks], dtype=np.int64)
     b = np.array([m[1] for m in masks], dtype=np.int64)
     packed = (a << 32) | b
-    if len(packed) > 1 and not (np.diff(packed) > 0).all():
+    n = len(packed)
+    if n > 1 and not (np.diff(packed) > 0).all():
         raise MalformedInput("mask pool must be sorted by (A, B) without repeats")
 
     def lookup(pa: np.ndarray, pb: np.ndarray, what: str) -> np.ndarray:
         keys = (pa << 32) | pb
         idx = np.searchsorted(packed, keys)
-        idx_clipped = np.clip(idx, 0, len(packed) - 1)
-        if not (packed[idx_clipped] == keys).all():
+        np.clip(idx, 0, n - 1, out=idx)
+        if not (packed[idx] == keys).all():
             raise MalformedInput(f"mask pool is not closed under {what}")
-        return idx_clipped
+        return idx
 
-    leq = ((a[:, None] & ~a[None, :]) == 0) & ((b[None, :] & ~b[:, None]) == 0)
     inverse = lookup(b, a, "flips")
-    join = lookup(a[:, None] | a[None, :], b[:, None] & b[None, :], "joins")
-    meet = lookup(a[:, None] & a[None, :], b[:, None] | b[None, :], "meets")
+    leq = np.empty((n, n), dtype=bool)
+    join = np.empty((n, n), dtype=np.int32)
+    meet = np.empty((n, n), dtype=np.int32)
+    rows = _chunk_rows(n)
+    # one pass per table, so a pool open under both joins and meets names joins
+    for lo in range(0, n, rows):
+        ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
+        leq[lo : lo + rows] = ((ra & ~a) == 0) & ((b & ~rb) == 0)
+        join[lo : lo + rows] = lookup(ra | a, rb & b, "joins")
+    for lo in range(0, n, rows):
+        ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
+        meet[lo : lo + rows] = lookup(ra & a, rb | b, "meets")
     return leq, inverse, join, meet
 
 
@@ -688,7 +739,7 @@ def _leq_from_pairs(n: int, items) -> np.ndarray:
 def _table_from_triples(n: int, triples, what: str) -> np.ndarray:
     if not isinstance(triples, (list, tuple)):
         raise MalformedInput(f"{what} must be a list of [a, b, value] triples")
-    table = np.full((n, n), -1, dtype=np.int64)
+    table = np.full((n, n), -1, dtype=np.int32)
     for item in triples:
         a, b, v = _id_entry(item, 3, what, "[a, b, value] triples")
         if not (0 <= a < n and 0 <= b < n and 0 <= v < n):

@@ -428,7 +428,13 @@ def find_separator(
         _require_usable_base(val, system, what)
         if family.forces(u.sep(val)):
             raise MalformedInput(f"{what} is forced by the family")
-    for cand in system.members:
+    # a candidate passing both checks lies between r and r_prime, so only
+    # those members are tried, least id first
+    between = system.members_above(r_id) & u.below_mask(rp_id)
+    while between:
+        low = between & -between
+        between ^= low
+        cand = low.bit_length() - 1
         if emulates_for_family(cand, r_id, system, family) and emulates_for_family(
             u.inv_id(cand), rp_inv, system, family
         ):

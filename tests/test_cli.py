@@ -406,6 +406,19 @@ class TestStrongAndCheckTree:
                              system_path=str(bare), family_path=str(bare),
                              auto_standardize=True)) == 0
 
+    def test_file_named_twice_is_parsed_once(self, p3_setup, tmp_path, monkeypatch):
+        from tangleduct import cli
+
+        _, env = p3_setup
+        cert = tmp_path / "cert.json"
+        assert run(RunConfig("strong", str(env), output_path=str(cert))) == 0
+        reads = []
+        real = cli._read_json
+        monkeypatch.setattr(cli, "_read_json", lambda path: reads.append(path) or real(path))
+        assert run(RunConfig("check-tree", str(cert), system_path=str(env),
+                             family_path=str(env), output_path=str(tmp_path / "c"))) == 0
+        assert sorted(reads) == sorted([str(cert), str(env)])
+
     def test_separate_system_and_family_files(self, p3_setup, capsys):
         tmp_path, env = p3_setup
         doc = read_json(env)

@@ -97,6 +97,24 @@ class TestUniverseAxioms:
         with pytest.raises(JoinNotSupremum):
             Universe(u.leq_matrix(), [5, 4, 3, 2, 1, 0], bad_join, u.meet_table())
 
+    def test_join_meet_ids_outside_the_universe_rejected(self):
+        leq = np.array([[True]])
+        # -1 would index the last row and pass every law check
+        with pytest.raises(MalformedInput, match="join table maps"):
+            Universe(leq, [0], np.array([[-1]]), np.array([[0]]))
+        with pytest.raises(MalformedInput, match="meet table maps"):
+            Universe(leq, [0], np.array([[0]]), np.array([[1]]))
+        # an int32 cast would wrap 2^32 to 0 without a word
+        with pytest.raises(MalformedInput, match="join table maps"):
+            Universe(leq, [0], np.array([[2**32]]), np.array([[0]]))
+
+    def test_tables_kept_as_int32(self, cover2):
+        u = cover2.universe
+        assert u.join_table().dtype == u.meet_table().dtype == np.int32
+        assert chain_universe().join_table().dtype == np.int32
+        back = system_from_json_dict(chain_universe().to_json_dict()).universe
+        assert back.join_table().dtype == back.meet_table().dtype == np.int32
+
     def test_de_morgan_on_cover(self, cover3):
         u = cover3.universe
         n = len(u)
