@@ -25,18 +25,15 @@ plain emulation answer per ``(s0, r)``, and per ``(r, s0)`` the shift image
 of every id, built from one column of the join table.  Each image is then
 checked by its bit row against the family's set of star rows.
 
-The check is incremental along the family chain.  Every family the strong
-engine recurses on is its parent plus one star
-(:meth:`StarFamily.with_star`), so a child's qualifying stars are the
-parent's plus, perhaps, the added star, and its stars the parent's plus
-the added one.  Each family keeps, per ``(s0, r)``, one failure witness:
-the image row of a qualifying star whose shift image it lacks, or 0 when
-it lacks none.  A child inherits it: a parent's witness fails in the child
-too unless its image is the added star, the one case that rescans the
-child; a parent that passes leaves only the added star to check.  Only a
-chain's root scans its whole family, and the walk up the chain is a loop.
-The search still checks every candidate in the same order, so its answers
-and its count of emulation checks are those of a scan from scratch.
+Only a root family's stars are scanned.  Every family the engines recurse
+on is a root plus extra singleton stars (:meth:`StarFamily.with_star`),
+so the root is scanned once per ``(s0, r)``, and its ``memo`` keeps the
+bit row of the ids ``y`` whose singleton image ``{y}`` it lacks, or -1
+when it lacks a larger image, which no child can add.  A child passes iff
+those bits lie in its ``extra`` row and each qualifying extra singleton
+``{x}`` shifts to a singleton that the root or ``extra`` holds.  The
+search still checks every candidate in the same order, so its answers and
+its count of emulation checks are those of a scan from scratch.
 
 The strong engine memoizes its recursion by the family's forced ids, not
 by its star set.  Each step recurses on the family plus one singleton star
@@ -73,6 +70,7 @@ from .errors import (
 from .stree import (
     STree,
     StarFamily,
+    _bit_ids,
     _inverse_pair_triple,
     _redundant_triple,
     is_over,
@@ -153,11 +151,14 @@ class Certificate:
         transcript = d.get("transcript", [])
         if not isinstance(transcript, list) or not all(isinstance(t, str) for t in transcript):
             raise MalformedInput("certificate 'transcript' must be a list of strings")
+        verified = d.get("verified", False)
+        if not isinstance(verified, bool):
+            raise MalformedInput(f"certificate 'verified' {verified!r} is not a boolean")
         return cls(
             kind=kind,
             picks=picks,
             tree=tree,
-            verified=bool(d.get("verified", False)),
+            verified=verified,
             transcript=tuple(transcript),
         )
 
@@ -327,82 +328,58 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
 
     A star qualifies when all its elements belong to separations with an
     orientation above ``r``, none of them is the inverse of ``r``, and at
-    least one lies above ``r`` itself.  Qualifying stars are picked by bit
-    row from the family's index, and each image is checked as a bit row.
-    The family keeps a failure witness per ``(s0, r)``, which its
-    :meth:`~StarFamily.with_star` children inherit (see
-    :func:`_missing_image`).
+    least one lies above ``r`` itself.  The root family's stars are scanned
+    once per ``(s0, r)`` (:func:`_root_lacks`); a
+    :meth:`~StarFamily.with_star` child then checks only its extra
+    singletons.
     """
     _check_same_universe(family, system)
     s0_id, r_id = _as_id(s0), _as_id(r)
     _require_usable_base(r_id, system, "emulation base")
     if not _emulates_ids(s0_id, r_id, system):
         return False
-    return not _missing_image(system, family, s0_id, r_id)
-
-
-def _missing_image(
-    system: SeparationSystem, family: StarFamily, s0: int, r: int
-) -> int:
-    """Bit row of a qualifying star's shift image that the family lacks,
-    or 0 when the family holds every such image; kept in ``family.witnesses``
-    under ``(s0, r, system)``, as the system decides which stars qualify.
-
-    A child of :meth:`StarFamily.with_star` qualifies the parent's stars
-    plus, perhaps, the added one, and holds the parent's stars plus the
-    added one.  So a parent's missing image stays missing in the child
-    unless it is the added star, and only then is the child scanned again;
-    a parent holding every image leaves only the added star to check.
-    """
-    key = (s0, r, system)
-    miss = family.witnesses.get(key)
-    if miss is not None:
-        return miss
-    allowed = system.domain_mask(r) & ~(1 << system.universe.inv_id(r))
-    touching = system.members_above(r)
-    chain = family.lineage(lambda fam: key in fam.witnesses)
-    top = chain[0]
-    miss = top.witnesses.get(key)
-    if miss is None:
-        miss = top.witnesses[key] = _scan_images(system, top, allowed, touching, s0, r)
-    outside = ~allowed
-    for fam in chain[1:]:
-        if not miss:
-            mask = fam.added_mask
-            if mask & touching and not mask & outside:
-                bits = _shift_image_bits(system, r, s0)
-                image = 0
-                for t in fam.added:
-                    image |= bits[t]
-                if not fam.has_mask(image):
-                    miss = image
-        elif miss == fam.added_mask:
-            miss = _scan_images(system, fam, allowed, touching, s0, r)
-        fam.witnesses[key] = miss
-    return miss
-
-
-def _scan_images(
-    system: SeparationSystem,
-    family: StarFamily,
-    allowed: int,
-    touching: int,
-    s0: int,
-    r: int,
-) -> int:
-    """:func:`_missing_image` by a scan of every qualifying star."""
-    qualifying = family.stars_inside(allowed, touching)
+    root = family.root if family.root is not None else family
+    lacking, extra = _root_lacks(system, root, s0_id, r_id), family.extra
+    if lacking < 0 or lacking & ~extra:
+        return False
+    allowed = system.domain_mask(r_id) & ~(1 << system.universe.inv_id(r_id))
+    qualifying = extra & allowed & system.members_above(r_id)
     if not qualifying:
-        return 0
-    bits = _shift_image_bits(system, r, s0)
-    present = family.mask_set
-    for sigma in qualifying:
-        image = 0
-        for t in sigma:
-            image |= bits[t]
-        if image not in present:
-            return image
-    return 0
+        return True
+    bits = _shift_image_bits(system, r_id, s0_id)
+    present = root.mask_set
+    return all(
+        bits[x] & extra or bits[x] in present for x in _bit_ids(qualifying)
+    )
+
+
+def _root_lacks(system: SeparationSystem, root: StarFamily, s0: int, r: int) -> int:
+    """The bit row of the ids ``y`` whose singleton ``{y}`` is the shift
+    image of a qualifying star that the root family lacks, or -1 when the
+    root lacks a larger image, which no child can add.  Kept in
+    ``root.memo`` under ``(s0, r, system)``, as the system decides which
+    stars qualify."""
+    key = (s0, r, system)
+    lacking = root.memo.get(key)
+    if lacking is not None:
+        return lacking
+    allowed = system.domain_mask(r) & ~(1 << system.universe.inv_id(r))
+    qualifying = root.stars_inside(allowed, system.members_above(r))
+    lacking = 0
+    if qualifying:
+        bits = _shift_image_bits(system, r, s0)
+        present = root.mask_set
+        for sigma in qualifying:
+            image = 0
+            for t in sigma:
+                image |= bits[t]
+            if image not in present:
+                if image & (image - 1):
+                    lacking = -1
+                    break
+                lacking |= image
+    root.memo[key] = lacking
+    return lacking
 
 
 def find_separator(

@@ -15,10 +15,10 @@ new trees and never mutate.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .core import OrientedSep, SeparationSystem, Universe, _id_entry, _is_id, is_star
 from .errors import (
@@ -51,6 +51,16 @@ def _star_mask(sigma: frozenset[int]) -> int:
     return mask
 
 
+def _bit_ids(mask: int) -> list[int]:
+    """The ids whose bits are set in ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class StarFamily:
     """A canonicalized set of stars, each a set of element ids of one universe.
 
@@ -60,48 +70,44 @@ class StarFamily:
     its singleton stars force.  Each part is built from ``stars`` on first
     use.
 
-    A family made by :meth:`with_star` is a *child*: it records its
-    ``parent`` and the ``added`` star (with its bit row ``added_mask``), and
-    holds nothing else of size O(family) until asked.  A family built any
-    other way is the root of its chain, with ``parent`` ``None``.  A child
-    builds ``stars``, ``sorted_stars`` (by bisect insertion, not a sort) and
-    ``mask_set`` on first use from its nearest ancestor that has them;
-    ``in`` and :meth:`has_mask` walk up the chain instead.  Two caches also
-    follow the chain instead of starting over in every child: the
-    :meth:`stars_inside` lists, and ``witnesses``, which
-    :func:`tangleduct.duality.emulates_for_family` fills per ``(s0, r,
-    system)`` with the image row of one qualifying star whose shift image is
-    not in the family (0 when every image is).  Every walk up the chain is
-    a loop, so a long chain costs no Python frames.
+    A family built by the constructor is a *root*: ``root`` is ``None`` and
+    it holds its ``stars``, plus a ``memo`` that the engines fill per
+    ``(s0, r, system)``.  :meth:`with_star` adds a singleton star without
+    copying: the child's ``root`` is the root family and ``extra`` is the
+    bit row of the ids whose singleton stars it adds, so ``sigma in child``
+    is ``sigma in root.stars`` or a single id whose bit is in ``extra``.
+    Both engines only ever add singletons; any other star makes a new root
+    by copy.  A child's other parts are built from its root's on first use.
     """
 
     def __init__(self, universe: Universe, stars: Iterable, *, validate: bool = True):
         self.universe = universe
         self.stars = frozenset(_star_ids(sigma) for sigma in stars)
-        self.parent: Optional[StarFamily] = None
-        self.added: Optional[frozenset[int]] = None
-        self.added_mask = 0
-        self.witnesses: dict[tuple, int] = {}
+        self.root: Optional[StarFamily] = None
+        self.extra = 0
+        self.memo: dict = {}
         if validate:
             for sigma in self.sorted_stars:
                 if not is_star(universe.sep(i) for i in sigma):
                     raise FNotStars(sigma)
 
+    def _extra_stars(self) -> list[frozenset[int]]:
+        return [frozenset((i,)) for i in _bit_ids(self.extra)]
+
     @cached_property
     def stars(self) -> frozenset[frozenset[int]]:
         # only a child gets here: ``__init__`` sets a root's stars
-        chain = self.lineage(lambda fam: "stars" in fam.__dict__)
-        return chain[0].stars.union(fam.added for fam in chain[1:])
+        return self.root.stars.union(self._extra_stars())
 
     @cached_property
     def sorted_stars(self) -> tuple[frozenset[int], ...]:
-        chain = self.lineage(lambda fam: "sorted_stars" in fam.__dict__)
-        if len(chain) == 1:
+        if self.root is None:
             return tuple(sorted(self.stars, key=star_sort_key))
-        out = list(chain[0].sorted_stars)
-        for fam in chain[1:]:
-            insort(out, fam.added, key=star_sort_key)
-        return tuple(out)
+        # singletons sort first, so the extra ones merge into the root's
+        base = self.root.sorted_stars
+        cut = bisect_left(base, 2, key=len)
+        ones = sorted(base[:cut] + tuple(self._extra_stars()), key=star_sort_key)
+        return tuple(ones) + base[cut:]
 
     @cached_property
     def star_masks(self) -> tuple[int, ...]:
@@ -110,10 +116,9 @@ class StarFamily:
 
     @cached_property
     def mask_set(self) -> frozenset[int]:
-        chain = self.lineage(lambda fam: "mask_set" in fam.__dict__)
-        if len(chain) == 1:
+        if self.root is None:
             return frozenset(self.star_masks)
-        return chain[0].mask_set.union(fam.added_mask for fam in chain[1:])
+        return self.root.mask_set.union(1 << i for i in _bit_ids(self.extra))
 
     @cached_property
     def _inverse_singletons(self) -> frozenset[int]:
@@ -132,21 +137,11 @@ class StarFamily:
 
     def __contains__(self, sigma) -> bool:
         ids = _star_ids(sigma)
-        fam = self
-        while "stars" not in fam.__dict__:
-            if fam.added == ids:
-                return True
-            fam = fam.parent
-        return ids in fam.stars
-
-    def has_mask(self, mask: int) -> bool:
-        """True iff some star of the family has the bit row ``mask``."""
-        fam = self
-        while "mask_set" not in fam.__dict__ and fam.parent is not None:
-            if fam.added_mask == mask:
-                return True
-            fam = fam.parent
-        return mask in fam.mask_set
+        if self.root is None:
+            return ids in self.stars
+        if len(ids) == 1 and self.extra >> next(iter(ids)) & 1:
+            return True
+        return ids in self.root.stars
 
     def __eq__(self, other) -> bool:
         return (
@@ -164,50 +159,28 @@ class StarFamily:
             raise FNotStars(ids)
         if ids in self:
             return self
+        if len(ids) != 1:
+            return StarFamily(self.universe, self.stars | {ids}, validate=False)
+        (i,) = ids
         out = object.__new__(StarFamily)
-        out.universe, out.witnesses = self.universe, {}
-        out.parent, out.added, out.added_mask = self, ids, _star_mask(ids)
-        out._inverse_singletons = self._inverse_singletons
-        if len(ids) == 1:
-            out._inverse_singletons |= {self.universe.inv_id(next(iter(ids)))}
+        out.universe = self.universe
+        out.root = self.root if self.root is not None else self
+        out.extra = self.extra | 1 << i
+        out._inverse_singletons = self._inverse_singletons | {self.universe.inv_id(i)}
         return out
-
-    def lineage(self, done: Callable[["StarFamily"], bool]) -> list["StarFamily"]:
-        """This family and its ancestors, root-most first, up to the nearest
-        one for which ``done`` holds (or the chain's root)."""
-        chain = [self]
-        while not done(chain[-1]) and chain[-1].parent is not None:
-            chain.append(chain[-1].parent)
-        chain.reverse()
-        return chain
 
     def stars_inside(self, allowed: int, touching: int) -> tuple[frozenset[int], ...]:
         """Stars, in canonical order, with every element's bit in ``allowed``
-        and some element's bit in ``touching`` (cached per argument pair).
-
-        Only a chain's root scans its stars: a child's list is its parent's,
-        with the added star inserted in canonical order if it qualifies.
-        """
+        and some element's bit in ``touching`` (cached per argument pair)."""
         key = (allowed, touching)
         hit = self._inside.get(key)
-        if hit is not None:
-            return hit
-        chain = self.lineage(lambda fam: key in fam._inside)
-        top = chain[0]
-        outside = ~allowed
-        hit = top._inside.get(key)
         if hit is None:
-            hit = top._inside[key] = tuple([
+            outside = ~allowed
+            hit = self._inside[key] = tuple([
                 sigma
-                for sigma, mask in zip(top.sorted_stars, top.star_masks)
+                for sigma, mask in zip(self.sorted_stars, self.star_masks)
                 if mask & touching and not mask & outside
             ])
-        for fam in chain[1:]:
-            mask = fam.added_mask
-            if mask & touching and not mask & outside:
-                pos = bisect_left(hit, star_sort_key(fam.added), key=star_sort_key)
-                hit = hit[:pos] + (fam.added,) + hit[pos:]
-            fam._inside[key] = hit
         return hit
 
     def restricted_to(self, system: SeparationSystem) -> "StarFamily":

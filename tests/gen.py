@@ -9,9 +9,11 @@ and order-bounded graph separation systems on small graphs.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional
 
 from tangleduct import (
@@ -88,6 +90,15 @@ _GRAPHS = {
     "c4": "1 2\n2 3\n3 4\n4 1\n",
     "paw": "1 2\n2 3\n1 3\n3 4\n",
 }
+
+
+def bench_tk():
+    """``bench/tk.py``: the T_k family and the graph ladder of the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tk.py"
+    spec = importlib.util.spec_from_file_location("bench_tk", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=None)

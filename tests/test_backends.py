@@ -127,7 +127,13 @@ class TestGraphSeparations:
 
 class TestOrderFunctions:
     def test_vertex_overlap_is_submodular(self, p3_s2, cover3):
-        for system in (p3_s2, cover3):
+        # the structural hypothesis behind separability, on the bench ladder too
+        tk = gen.bench_tk()
+        ladder = [
+            graph_separations(GraphInput.parse(tk.GRAPHS[name]), k)
+            for name, k in sorted(tk.EXPECTED_KIND)
+        ]
+        for system in (p3_s2, cover3, *ladder):
             order = OrderFunction.vertex_overlap(system.universe)
             assert is_submodular(order, system.universe)
 

@@ -317,6 +317,7 @@ MALFORMED_ENVELOPES = {
     "certificate a list of pairs": _set("certificate", [["kind", "tangle"]]),
     "family not an object": _set("family", [[0]]),
     "transcript not a list": lambda d: d["certificate"].update(transcript=None),
+    "verified not a bool": lambda d: d["certificate"].update(verified="no"),
 }
 
 

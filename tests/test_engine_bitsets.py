@@ -4,21 +4,22 @@
 the strong engine's ``_least_minimal_below`` and
 ``SeparationSystem.trivial_ids`` answer set questions with Python-int bit
 rows or numpy rows, cached per universe, system and family;
-``StarFamily.with_star`` extends its parent's index by one insertion, and
-its children inherit the parent's ``stars_inside`` lists and emulation
-failure witnesses.  The reference versions below are the plain loops over
-ids, stars and edge pairs they replace, run from scratch on every family.
+``StarFamily.with_star`` makes a child that is its root family plus extra
+singleton stars, and emulation checks scan only the root's stars, once per
+pair.  The reference versions below are the plain loops over ids, stars
+and edge pairs they replace, run from scratch on the dense star set of
+every family.
 Each comparison runs on the T_k systems of three small graphs (the family
 the benchmark uses, from ``bench/tk.py``), on hypothesis-drawn random
 systems and families, and on the trees the acceptance corpus produces.  A
 golden digest pins the certificates of the benchmark's graph ladder.
 """
 
+import gc
 import hashlib
-import importlib.util
 import json
 import random
-from pathlib import Path
+import weakref
 
 import pytest
 from hypothesis import given
@@ -44,15 +45,7 @@ from tangleduct import (
 from tangleduct.duality import _least_minimal_below
 
 
-def _load_tk():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tk.py"
-    spec = importlib.util.spec_from_file_location("bench_tk", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tk = _load_tk()
+tk = gen.bench_tk()
 
 
 # --- dense references ------------------------------------------------------------
@@ -129,6 +122,13 @@ def ref_stars_inside(family, allowed, touching):
         sigma
         for sigma in sorted(family.stars, key=star_sort_key)
         if all(allowed >> t & 1 for t in sigma) and any(touching >> t & 1 for t in sigma)
+    )
+
+
+def ref_forced_ids(system, stars):
+    u = system.universe
+    return frozenset(
+        m for m in system.members if frozenset((u.inv_id(m),)) in stars
     )
 
 
@@ -334,33 +334,30 @@ def test_with_star_chain_matches_a_rebuilt_family(seed):
 
 
 @given(st.integers(0, 2 ** 32 - 1))
-def test_children_build_their_sets_from_any_ancestor(seed):
-    """A ``with_star`` child answers ``in`` and ``has_mask`` by walking up
-    its chain and builds its sets from the nearest ancestor that has them,
-    so the families are visited in random order."""
+def test_children_build_their_sets_from_their_root(seed):
+    """Roots and children of a chain that mixes singleton and two-member
+    stars answer like their dense star sets, with the families and their
+    attributes visited in random order."""
     rng = random.Random(seed)
     system = gen.random_system(rng, max_pairs=5)
     family = gen.random_family(rng, system, max_stars=4, standard=rng.random() < 0.5)
     chain = random_chain(rng, system, family, rng.randint(1, 6))
     probes = {gen.random_star_ids(rng, system) for _ in range(12)} - {None}
-    expected = []
-    for i in range(len(chain)):
-        expected.append(set(chain[0].stars) | {fam.added for fam in chain[1 : i + 1]})
-    for i in rng.sample(range(len(chain)), len(chain)):
-        fam, want = chain[i], expected[i]
+    for fam, want in rng.sample(chain, len(chain)):
         for sigma in sorted(want | probes, key=star_sort_key):
             mask = sum(1 << t for t in sigma)
-            assert (sigma in fam) == fam.has_mask(mask) == (sigma in want)
-        attrs = ["sorted_stars", "mask_set", "stars"]
+            assert (sigma in fam) == (mask in fam.mask_set) == (sigma in want)
+        attrs = ["sorted_stars", "mask_set", "stars", "forced_ids"]
         rng.shuffle(attrs)
         for attr in attrs:
-            got = getattr(fam, attr)
             if attr == "sorted_stars":
-                assert got == tuple(sorted(want, key=star_sort_key))
+                assert fam.sorted_stars == tuple(sorted(want, key=star_sort_key))
             elif attr == "mask_set":
-                assert got == {sum(1 << t for t in sigma) for sigma in want}
+                assert fam.mask_set == {sum(1 << t for t in sigma) for sigma in want}
+            elif attr == "forced_ids":
+                assert fam.forced_ids(system) == ref_forced_ids(system, want)
             else:
-                assert got == want
+                assert fam.stars == want
         assert len(fam) == len(want)
 
 
@@ -419,11 +416,10 @@ def usable_bases(system):
 
 def assert_chain_agrees(system, chain, bases):
     """Every (candidate, usable base) pair on every family of a
-    ``with_star`` chain, against the references run on the family's stars.
+    ``with_star`` chain, against the references run on its dense star set.
 
-    The leaf goes first, so its queries walk up through ancestors that hold
-    nothing yet; the families from the root down then answer from what
-    those walks left, or walk again for lists they never needed.
+    The last family goes first, so its queries fill its root's memo before
+    the root itself is asked.
     """
     u = system.universe
     # the family-independent parts of the reference, computed once
@@ -431,13 +427,14 @@ def assert_chain_agrees(system, chain, bases):
         (cand, r) for r in bases for cand in system.members if ref_emulates(cand, r, system)
     ]
     images = {}
-    for fam in [chain[-1], *chain]:
+    for fam, want_stars in [chain[-1], *chain]:
+        dense = StarFamily(u, want_stars, validate=False)
         qualifying = {}
         for r in bases:
             allowed = system.domain_mask(r) & ~(1 << u.inv_id(r))
             touching = system.members_above(r)
-            qualifying[r] = ref_qualifying(r, system, fam)
-            assert ref_stars_inside(fam, allowed, touching) == tuple(qualifying[r])
+            qualifying[r] = ref_qualifying(r, system, dense)
+            assert ref_stars_inside(dense, allowed, touching) == tuple(qualifying[r])
             assert fam.stars_inside(allowed, touching) == tuple(qualifying[r])
         want = dict.fromkeys(((c, r) for r in bases for c in system.members), False)
         for cand, r in emulating:
@@ -448,7 +445,7 @@ def assert_chain_agrees(system, chain, bases):
                     images[key] = frozenset(
                         ref_shift_target_id(system, r, cand, t) for t in sigma
                     )
-                if images[key] not in fam.stars:
+                if images[key] not in want_stars:
                     want[cand, r] = False
                     break
         for (cand, r), ok in want.items():
@@ -457,10 +454,11 @@ def assert_chain_agrees(system, chain, bases):
 
 def random_chain(rng, system, family, steps):
     """``family`` grown by ``steps`` stars, alternately a forcing singleton
-    ``{inv(r)}`` as the strong engine adds them and a random two-member star."""
+    ``{inv(r)}`` as the strong engine adds them and a random two-member star,
+    as ``(family, dense star set)`` pairs."""
     u = system.universe
     pool = [m for m in system.members if not u.is_degenerate_id(m)]
-    chain = [family]
+    chain = [(family, set(family.stars))]
     for _ in range(20 * steps if pool else 0):
         if len(chain) > steps:
             break
@@ -470,8 +468,9 @@ def random_chain(rng, system, family, steps):
         else:
             partners = [b for b in pool if b != a and u.leq_ids(a, u.inv_id(b))]
             sigma = frozenset((a, rng.choice(partners))) if partners else None
-        if sigma is not None and sigma not in chain[-1]:
-            chain.append(chain[-1].with_star(sigma))
+        fam, want = chain[-1]
+        if sigma is not None and sigma not in want:
+            chain.append((fam.with_star(sigma), want | {sigma}))
     return chain
 
 
@@ -479,7 +478,8 @@ def test_chain_on_tk_systems(tk_instance):
     system, family = tk_instance
     rng = random.Random(len(system))
     chain = random_chain(rng, system, family, 3)
-    assert any(len(fam.added) > 1 for fam in chain[1:])
+    # children of a root, and new roots made by a two-member star
+    assert {fam.root is None for fam, _ in chain[1:]} == {True, False}
     assert_chain_agrees(system, chain, usable_bases(system))
 
 
@@ -492,10 +492,10 @@ def test_chain_on_random_systems(seed):
     assert_chain_agrees(system, chain, usable_bases(system))
 
 
-def test_chain_rescans_when_the_witness_image_is_added(rng):
-    """The child of a failing family gains exactly the shift image of the
-    parent's witness, so the child must be scanned again: it passes when
-    that was the only missing image, and fails on another one otherwise."""
+def test_child_adding_the_singleton_images_its_root_lacks(rng):
+    """The root's memo holds the singleton images it lacks, or -1 when it
+    lacks a larger one.  A child adding exactly those singletons passes
+    iff no larger image is missing: a singleton image shifts to itself."""
     answers = []
     for _ in range(60):
         system = gen.random_system(rng, max_pairs=5)
@@ -504,13 +504,27 @@ def test_chain_rescans_when_the_witness_image_is_added(rng):
             for cand in system.members:
                 if emulates_for_family(cand, r, system, family):
                     continue
-                image = family.witnesses.get((cand, r, system))
-                if not image:  # the system-level emulation check failed
+                if not ref_emulates(cand, r, system):
                     continue
-                child = family.with_star([t for t in system.members if image >> t & 1])
-                assert child.added_mask == image and not child.witnesses
+                missing = {
+                    frozenset(ref_shift_target_id(system, r, cand, t) for t in sigma)
+                    for sigma in ref_qualifying(r, system, family)
+                } - family.stars
+                singles = [y for image in missing if len(image) == 1 for y in image]
+                row = sum(1 << y for y in singles)
+                larger = len(singles) < len(missing)
+                assert family.memo[cand, r, system] == (-1 if larger else row)
+                if not singles:
+                    continue
+                child = family
+                for y in sorted(singles):
+                    child = child.with_star([y])
+                assert child.root is family and child.extra == row
+                dense = StarFamily(
+                    system.universe, family.stars | {frozenset((y,)) for y in singles}
+                )
                 got = emulates_for_family(cand, r, system, child)
-                assert got == ref_emulates_for_family(cand, r, system, child)
+                assert got == ref_emulates_for_family(cand, r, system, dense) == (not larger)
                 answers.append(got)
     assert True in answers and False in answers
 
@@ -551,13 +565,18 @@ def test_pool_scans_on_random_systems(seed):
 
 # sha256 over the strong, then the weak certificate of every EXPECTED_KIND
 # (graph, k) pair in sorted order, each as one line of compact sorted-key
-# JSON with its transcript; computed before the engines kept witnesses
+# JSON with its transcript; computed before the separator search was made
+# incremental
 LADDER_SHA256 = "b9ddb79ea6a367a040966e893e020be39c960fe87bb794e7dc0ffa6804f070a1"
 
 
-def test_ladder_certificates_are_unchanged():
+# the same for the 3x3 grid at k=4, the deepest recursion (depth 48)
+GRID_K4_SHA256 = "aba9354b775d997a2dc8a29d5e60478e0ffdbb5f66405c5701847b51f26a4996"
+
+
+def certificate_digest(pairs):
     digest = hashlib.sha256()
-    for name, k in sorted(tk.EXPECTED_KIND):
+    for name, k in pairs:
         graph = GraphInput.parse(tk.GRAPHS[name])
         system = graph_separations(graph, k)
         family = tk.tk_family(system, graph)
@@ -565,4 +584,30 @@ def test_ladder_certificates_are_unchanged():
             doc = engine(system, family).to_json_dict()
             line = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
             digest.update(line.encode())
-    assert digest.hexdigest() == LADDER_SHA256
+    return digest.hexdigest()
+
+
+def test_ladder_certificates_are_unchanged():
+    assert certificate_digest(sorted(tk.EXPECTED_KIND)) == LADDER_SHA256
+
+
+def test_grid_k4_certificates_are_unchanged():
+    assert certificate_digest([("grid3x3", 4)]) == GRID_K4_SHA256
+
+
+def test_engine_runs_leave_no_reference_cycles():
+    """Reference counting alone frees the universe, the system and the
+    family of both engine runs: no family refers to itself, directly or
+    through a child's root or a root's memo."""
+    graph = GraphInput.parse(tk.GRAPHS["P5"])
+    gc.disable()
+    try:
+        system = graph_separations(graph, 3)
+        family = tk.tk_family(system, graph)
+        strong_duality(system, family)
+        weak_duality(system, family)
+        refs = [weakref.ref(x) for x in (system.universe, system, family)]
+        del system, family
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
