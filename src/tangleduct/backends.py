@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import OrientedSep, SeparationSystem, Universe, tables_from_masks
+from .core import OrientedSep, SeparationSystem, Universe, _as_id, tables_from_masks
 from .errors import ClosureTooLarge, GroundSetTooLarge, MalformedInput
 
 GROUND_CAP = 24
@@ -111,10 +111,8 @@ def _universe_from_masks(
     ground: Sequence[str], member_masks: set[tuple[int, int]], max_closure: int
 ) -> SeparationSystem:
     closed = _close_under_join_meet(member_masks, max_closure)
-    leq, inverse, join, meet = tables_from_masks(closed)
-    universe = Universe(
-        leq, inverse, join, meet, set_labels=closed, ground=ground
-    )
+    leq, inverse, join = tables_from_masks(closed)
+    universe = Universe(leq, inverse, join, set_labels=closed, ground=ground)
     ids = {m: i for i, m in enumerate(closed)}
     return SeparationSystem(universe, (ids[m] for m in member_masks))
 
@@ -271,8 +269,7 @@ class OrderFunction:
         return cls(universe, [bin(a & b).count("1") for a, b in universe.set_labels])
 
     def of(self, sep) -> int:
-        i = sep.id if isinstance(sep, OrientedSep) else int(sep)
-        return int(self.values[i])
+        return int(self.values[_as_id(sep)])
 
 
 def submodularity_violation(

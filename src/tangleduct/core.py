@@ -1,33 +1,42 @@
 """Finite separation systems.
 
 A *universe* is a finite poset of oriented separations carrying an
-order-reversing involution (written ``*`` in math, ``.inverse`` here) and
-total join/meet operations that are genuine suprema/infima.  A *separation
-system* is any involution-closed subset of a universe's elements.
+order-reversing involution (written ``*`` in math, ``.inverse`` here) and a
+total join that is a genuine supremum.  A *separation system* is any
+involution-closed subset of a universe's elements.
 
 Elements are integer ids ``0 .. n-1``.  The order lives in a full boolean
-matrix, the involution and join/meet in id tables; every law is verified
+matrix, the involution and the join in id tables; every law is verified
 exhaustively at construction time, on every universe:
 
  * partial order (reflexive, antisymmetric, transitive),
  * order reversal:  ``r <= s``  iff  ``s.inverse <= r.inverse``,
- * ``join(r, s)`` is the least upper bound, ``meet(r, s)`` the greatest
-   lower bound,
- * De Morgan:  ``join(r, s).inverse == meet(r.inverse, s.inverse)``.
+ * ``join(r, s)`` is the least upper bound.
+
+The meet is not stored but derived by De Morgan,
+``meet(r, s) = join(r*, s*)*``, and these laws make it the greatest lower
+bound.  As ``*`` reverses the order and is its own inverse, ``t <= r`` iff
+``r* <= t*``.  So ``t`` lies below ``r`` and ``s`` iff ``t*`` lies above
+``r*`` and ``s*``, iff ``join(r*, s*) <= t*`` (the join is the least upper
+bound), iff ``t <= join(r*, s*)*``.  The lower bounds of ``r`` and ``s`` are
+thus the elements below ``join(r*, s*)*``, which is one of them.  A meet
+table supplied from outside is still checked to be the infimum, then
+dropped: an infimum is unique, so it equals the derived one.
 
 Transitivity and the bound laws compare rows of the order matrix packed
 into 64-bit words, so each costs O(n²·⌈n/64⌉) word operations rather than
 O(n³) boolean ones.  Where a packed check finds a violation, the dense
 check reruns on that row alone to name the same witness.
 
-Memory: a universe of n elements keeps n² bytes for the order and 4n²
-bytes for each of the ``int32`` join and meet tables.  Building the tables
-from side masks (:func:`tables_from_masks`) and the checks of antisymmetry,
-order reversal and De Morgan work in row chunks of about ``_CHUNK`` cells,
-so their temporaries stay bounded per chunk whatever n is; the packed
-checks hold the packed order (n²/8 bytes a direction) plus one row's worth
-of packed words at a time.  Chunked checks scan rows in ascending order and
-name the same least witness as a one-shot check.
+Memory: a universe of n elements keeps n² + 4n² bytes, n² for the order and
+4n² for the ``int32`` join table; :meth:`Universe.meet_table` builds another
+4n² on each call.  Building the tables from side masks
+(:func:`tables_from_masks`) and the checks of antisymmetry and order
+reversal work in row chunks of about ``_CHUNK`` cells, so their temporaries
+stay bounded per chunk whatever n is; the packed checks hold the packed
+order (n²/8 bytes a direction) plus one row's worth of packed words at a
+time.  Chunked checks scan rows in ascending order and name the same least
+witness as a one-shot check.
 
 The engines' hot path asks set questions ("which picks lie strictly above
 this one's inverse?", "do all elements of this star lie in that domain?").
@@ -55,7 +64,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    InternalInvariant,
     InvolutionNotOrderReversing,
     JoinNotSupremum,
     MalformedInput,
@@ -108,7 +116,11 @@ def _id_table(table, n: int, what: str) -> np.ndarray:
 
 
 class Universe:
-    """A finite lattice of oriented separations with an order-reversing involution."""
+    """A finite lattice of oriented separations with an order-reversing involution.
+
+    ``join`` is derived from the order when omitted.  A supplied ``meet`` is
+    range-checked and checked to be the infimum, then dropped.
+    """
 
     def __init__(
         self,
@@ -135,13 +147,11 @@ class Universe:
         self._check_involution()
 
         if join is None:
-            join = self._derive_bound_table(upper=True)
-        if meet is None:
-            meet = self._derive_bound_table(upper=False)
+            join = self._derive_join(up)
         self._join = _id_table(join, n, "join")
-        self._meet = _id_table(meet, n, "meet")
-        self._check_bounds(up)
-        self._check_de_morgan()
+        if meet is not None:
+            meet = _id_table(meet, n, "meet")
+        self._check_bounds(up, meet)
 
         self.set_labels = tuple(set_labels) if set_labels is not None else None
         self.ground = tuple(ground) if ground is not None else None
@@ -200,64 +210,42 @@ class Universe:
                 a, b = (int(x) for x in np.argwhere(mismatch)[0])
                 raise InvolutionNotOrderReversing(lo + a, b)
 
-    def _derive_bound_table(self, upper: bool) -> np.ndarray:
-        """Compute join (upper=True) or meet tables from the order alone."""
-        rel = self._leq
-        n = len(rel)
-        table = np.zeros((n, n), dtype=np.int32)
+    def _derive_join(self, up: np.ndarray) -> np.ndarray:
+        """The join table from the order alone: ``join(r, s)`` is the id whose
+        packed up-row is ``up[r] & up[s]``, their common upper bounds.
+
+        Antisymmetry makes up-rows distinct, so one dict maps each to its id.
+        """
+        n = len(up)
+        width = up.shape[1] * 8  # bytes a packed row
+        ids = {row.tobytes(): i for i, row in enumerate(up)}
+        table = np.empty((n, n), dtype=np.int32)
         for r in range(n):
-            for s in range(n):
-                common = (rel[r] & rel[s]) if upper else (rel[:, r] & rel[:, s])
-                candidates = np.flatnonzero(common)
-                hit = -1
-                for t in candidates:
-                    ok = (
-                        np.array_equal(rel[t], common)
-                        if upper
-                        else np.array_equal(rel[:, t], common)
-                    )
-                    if ok:
-                        hit = int(t)
-                        break
-                if hit < 0:
-                    if upper:
-                        raise JoinNotSupremum(r, s, -1)
-                    raise MeetNotInfimum(r, s, -1)
-                table[r, s] = hit
+            common = (up[r] & up).tobytes()
+            row = [ids.get(common[i : i + width], -1) for i in range(0, n * width, width)]
+            if -1 in row:
+                raise JoinNotSupremum(r, row.index(-1), -1)
+            table[r] = row
         return table
 
-    def _check_bounds(self, up: np.ndarray) -> None:
+    def _check_bounds(self, up: np.ndarray, meet: Optional[np.ndarray]) -> None:
         # join(r, s) is the supremum iff its upper cone equals the
-        # intersection of the cones of r and s; likewise for meet below.
-        # Packed rows find the failing r; the dense rows name the witness.
-        rel, join, meet = self._leq, self._join, self._meet
-        down = _pack_rows(rel.T)
+        # intersection of the cones of r and s; likewise for a supplied
+        # meet table below.  Packed rows find the failing r; the dense rows
+        # name the witness.
+        rel, join = self._leq, self._join
+        down = None if meet is None else _pack_rows(rel.T)
         for r in range(len(rel)):
             if not np.array_equal(up[r] & up, up[join[r]]):
                 expect = rel[r][None, :] & rel
                 bad = expect != rel[join[r]]
                 s, t = (int(x) for x in np.argwhere(bad)[0])
                 raise JoinNotSupremum(r, s, t)
-            if not np.array_equal(down[r] & down, down[meet[r]]):
+            if down is not None and not np.array_equal(down[r] & down, down[meet[r]]):
                 expect = rel[:, r][:, None] & rel
                 bad = expect != rel[:, meet[r]]
                 t, s = (int(x) for x in np.argwhere(bad)[0])
                 raise MeetNotInfimum(r, s, t)
-
-    def _check_de_morgan(self) -> None:
-        # implied by the other laws; kept as a cheap safety net
-        inv, join, meet = self._inv, self._join, self._meet
-        rows = _chunk_rows(len(inv))
-        for lo in range(0, len(inv), rows):
-            lhs = inv[join[lo : lo + rows]]
-            rhs = meet[inv[lo : lo + rows]][:, inv]
-            bad = lhs != rhs
-            if bad.any():
-                r, s = (int(x) for x in np.argwhere(bad)[0])
-                raise InternalInvariant(
-                    f"De Morgan failed at ({lo + r}, {s}): inverse of join is"
-                    f" {int(lhs[r, s])}, meet of inverses is {int(rhs[r, s])}"
-                )
 
     # -- element access -------------------------------------------------
 
@@ -284,7 +272,8 @@ class Universe:
         return int(self._join[a, b])
 
     def meet_id(self, a: int, b: int) -> int:
-        return int(self._meet[a, b])
+        inv = self._inv
+        return int(inv[self._join[inv[a], inv[b]]])
 
     def is_degenerate_id(self, a: int) -> bool:
         return int(self._inv[a]) == a
@@ -326,7 +315,9 @@ class Universe:
         return self._join
 
     def meet_table(self) -> np.ndarray:
-        return self._meet
+        """The ``int32`` meet table, derived by De Morgan on each call."""
+        inv = self._inv
+        return _readonly(inv.astype(np.int32)[self._join[np.ix_(inv, inv)]])
 
     def element_repr(self, i: int) -> str:
         if self.set_labels is None:
@@ -368,9 +359,8 @@ class Universe:
             d["join"] = [
                 [r, s, int(self._join[r, s])] for r in range(n) for s in range(n)
             ]
-            d["meet"] = [
-                [r, s, int(self._meet[r, s])] for r in range(n) for s in range(n)
-            ]
+            meet = self.meet_table()
+            d["meet"] = [[r, s, int(meet[r, s])] for r in range(n) for s in range(n)]
         if members is not None:
             d["members"] = sorted(int(m) for m in members)
         return d
@@ -443,6 +433,11 @@ class OrientedSep:
         return f"sep[{self.universe.element_repr(self.id)}]"
 
 
+def _as_id(x) -> int:
+    """The id of a separation handle, or of an id given as such."""
+    return x.id if isinstance(x, OrientedSep) else int(x)
+
+
 class SeparationSystem:
     """An involution-closed subset of a universe's elements."""
 
@@ -503,8 +498,7 @@ class SeparationSystem:
         return len(self.member_ids)
 
     def __contains__(self, sep) -> bool:
-        i = sep.id if isinstance(sep, OrientedSep) else int(sep)
-        return i in self.member_ids
+        return _as_id(sep) in self.member_ids
 
     def sep(self, i: int) -> OrientedSep:
         return self.universe.sep(i)
@@ -567,10 +561,6 @@ def is_small(s: OrientedSep) -> bool:
     return s.is_small
 
 
-def _pick_ids(picks) -> list[int]:
-    return sorted(p.id if isinstance(p, OrientedSep) else int(p) for p in picks)
-
-
 def find_inconsistency(
     picks, system: SeparationSystem
 ) -> Optional[tuple[OrientedSep, OrientedSep]]:
@@ -581,7 +571,7 @@ def find_inconsistency(
     ``(r.inverse, s)``, or ``None`` if consistent.
     """
     u = system.universe
-    ids = _pick_ids(picks)
+    ids = sorted(map(_as_id, picks))
     if ids and not (0 <= ids[0] and ids[-1] < len(u)):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise IndexError(f"element id {bad} outside a universe of {len(u)}")
@@ -603,7 +593,7 @@ def is_consistent(picks, system: SeparationSystem) -> bool:
 def is_antisymmetric(picks, system: SeparationSystem) -> bool:
     """True iff the set holds no nondegenerate element together with its inverse."""
     u = system.universe
-    ids = set(_pick_ids(picks))
+    ids = set(map(_as_id, picks))
     return not any(
         u.inv_id(i) in ids and not u.is_degenerate_id(i) for i in ids
     )
@@ -611,7 +601,7 @@ def is_antisymmetric(picks, system: SeparationSystem) -> bool:
 
 def is_orientation(picks, system: SeparationSystem) -> bool:
     """True iff exactly one orientation of every member separation is picked."""
-    ids = set(_pick_ids(picks))
+    ids = set(map(_as_id, picks))
     if not ids <= system.member_ids:
         return False
     u = system.universe
@@ -655,13 +645,14 @@ def is_nested(r: OrientedSep, s: OrientedSep) -> bool:
 
 def tables_from_masks(
     masks: Sequence[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Order, involution, join and meet tables for a pool of side-pair bitmasks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order, involution and join tables for a pool of side-pair bitmasks.
 
-    The pool must be sorted by ``(A, B)`` and closed under flips, joins
-    ``(A|C, B&D)`` and meets ``(A&C, B|D)``; ids are positions in the pool.
-    Join and meet are ``int32`` tables, built in row chunks of about
-    ``_CHUNK`` cells that each look their keys up in the pool.
+    The pool must be sorted by ``(A, B)`` and closed under flips and joins
+    ``(A|C, B&D)``; ids are positions in the pool.  It is then closed under
+    meets ``(A&C, B|D)`` too, each the flip of the join of the flips.  The
+    join is an ``int32`` table, built in row chunks of about ``_CHUNK``
+    cells that each look their keys up in the pool.
     """
     a = np.array([m[0] for m in masks], dtype=np.int64)
     b = np.array([m[1] for m in masks], dtype=np.int64)
@@ -681,17 +672,12 @@ def tables_from_masks(
     inverse = lookup(b, a, "flips")
     leq = np.empty((n, n), dtype=bool)
     join = np.empty((n, n), dtype=np.int32)
-    meet = np.empty((n, n), dtype=np.int32)
     rows = _chunk_rows(n)
-    # one pass per table, so a pool open under both joins and meets names joins
     for lo in range(0, n, rows):
         ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
         leq[lo : lo + rows] = ((ra & ~a) == 0) & ((b & ~rb) == 0)
         join[lo : lo + rows] = lookup(ra | a, rb & b, "joins")
-    for lo in range(0, n, rows):
-        ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
-        meet[lo : lo + rows] = lookup(ra & a, rb | b, "meets")
-    return leq, inverse, join, meet
+    return leq, inverse, join
 
 
 def _is_id(x) -> bool:
@@ -817,7 +803,7 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     if "labels" in d and "ground" in d:
         ground, set_labels = _set_labels(d["ground"], d["labels"], n)
         if join is None and meet is None:
-            label_leq, label_inv, join, meet = tables_from_masks(set_labels)
+            label_leq, label_inv, join = tables_from_masks(set_labels)
             if not np.array_equal(label_leq, leq):
                 raise MalformedInput("'leq' disagrees with the set labels")
             if not np.array_equal(label_inv, np.asarray(inverse)):

@@ -53,6 +53,7 @@ import numpy as np
 from .core import (
     OrientedSep,
     SeparationSystem,
+    _as_id,
     _is_id,
     find_inconsistency,
     is_consistent,
@@ -71,6 +72,7 @@ from .stree import (
     STree,
     StarFamily,
     _bit_ids,
+    _check_same_universe,
     _inverse_pair_triple,
     _redundant_triple,
     is_over,
@@ -78,15 +80,6 @@ from .stree import (
     tighten_rooted,
     validate_stree,
 )
-
-
-def _as_id(x) -> int:
-    return x.id if isinstance(x, OrientedSep) else int(x)
-
-
-def _check_same_universe(family: StarFamily, system: SeparationSystem) -> None:
-    if family.universe is not system.universe:
-        raise MalformedInput("family and system live in different universes")
 
 
 # --- orientations vs. families --------------------------------------------------

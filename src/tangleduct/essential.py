@@ -17,6 +17,7 @@ from .errors import FNotStandard, InternalInvariant, MalformedInput, NoMatchingS
 from .stree import (
     STree,
     StarFamily,
+    _check_same_universe,
     contract_to_tight,
     is_order_respecting,
     prune_to_irredundant,
@@ -32,8 +33,7 @@ def essential_core(family: StarFamily, system: SeparationSystem) -> StarFamily:
     may collapse onto one); an all-trivial star leaves the empty star behind,
     which no orientation can avoid.
     """
-    if family.universe is not system.universe:
-        raise MalformedInput("family and system live in different universes")
+    _check_same_universe(family, system)
     trivial = system.trivial_ids
     return StarFamily(
         family.universe, (sigma - trivial for sigma in family.stars), validate=False
@@ -83,8 +83,7 @@ def expand_to_family(tree: STree, family: StarFamily) -> STree:
     singleton star is present.
     """
     system = tree.system
-    if family.universe is not system.universe:
-        raise MalformedInput("family and system live in different universes")
+    _check_same_universe(family, system)
     if not family.is_standard_for(system):
         raise FNotStandard(family.missing_standard(system))
     trivial = system.trivial_ids

@@ -30,7 +30,7 @@ import numpy as np
 from .core import SeparationSystem, _bit_row
 from .duality import Certificate, strong_duality
 from .errors import InternalInvariant, MalformedInput, NotFSeparable, TooLarge
-from .stree import StarFamily, find_guided_sink
+from .stree import StarFamily, _check_same_universe, find_guided_sink
 
 DEFAULT_CENSUS_CAP = 20
 # codes listed per numpy pass: bounds the temporary picks matrix
@@ -154,8 +154,7 @@ def _truth_tables(
     every star the AND of its columns.  Raises :class:`TooLarge` when the
     system has more than ``cap`` nondegenerate underlying separations.
     """
-    if family.universe is not system.universe:
-        raise MalformedInput("family and system live in different universes")
+    _check_same_universe(family, system)
     u = system.universe
     n = len(system.nondegenerate_reps)
     if n > cap:

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .core import OrientedSep, SeparationSystem, Universe, _id_entry, _is_id, is_star
+from .core import (
+    OrientedSep,
+    SeparationSystem,
+    Universe,
+    _as_id,
+    _id_entry,
+    _is_id,
+    is_star,
+)
 from .errors import (
     AlphaImageOutsideS,
     AlphaNotInvolutive,
@@ -32,12 +40,6 @@ from .errors import (
 
 # a node id as it appears in the halves of an alpha key "u->v"
 _NODE_ID = re.compile(r"-?[0-9]+")
-
-
-def _star_ids(sigma) -> frozenset[int]:
-    return frozenset(
-        s.id if isinstance(s, OrientedSep) else int(s) for s in sigma
-    )
 
 
 def star_sort_key(sigma: frozenset[int]) -> tuple:
@@ -82,7 +84,7 @@ class StarFamily:
 
     def __init__(self, universe: Universe, stars: Iterable, *, validate: bool = True):
         self.universe = universe
-        self.stars = frozenset(_star_ids(sigma) for sigma in stars)
+        self.stars = frozenset(frozenset(map(_as_id, sigma)) for sigma in stars)
         self.root: Optional[StarFamily] = None
         self.extra = 0
         self.memo: dict = {}
@@ -136,7 +138,7 @@ class StarFamily:
         return len(self.stars)
 
     def __contains__(self, sigma) -> bool:
-        ids = _star_ids(sigma)
+        ids = frozenset(map(_as_id, sigma))
         if self.root is None:
             return ids in self.stars
         if len(ids) == 1 and self.extra >> next(iter(ids)) & 1:
@@ -154,7 +156,7 @@ class StarFamily:
         return hash((id(self.universe), self.stars))
 
     def with_star(self, sigma) -> "StarFamily":
-        ids = _star_ids(sigma)
+        ids = frozenset(map(_as_id, sigma))
         if not is_star(self.universe.sep(i) for i in ids):
             raise FNotStars(ids)
         if ids in self:
@@ -234,6 +236,11 @@ class StarFamily:
         return f"<family of {len(self)} stars>"
 
 
+def _check_same_universe(family: StarFamily, system: SeparationSystem) -> None:
+    if family.universe is not system.universe:
+        raise MalformedInput("family and system live in different universes")
+
+
 class STree:
     """An immutable tree with separation-labeled oriented edges."""
 
@@ -304,7 +311,7 @@ class STree:
         out: dict[tuple[int, int], int] = {}
         for key, val in alpha.items():
             u, v = (int(x) for x in key)
-            out[(u, v)] = val.id if isinstance(val, OrientedSep) else int(val)
+            out[(u, v)] = _as_id(val)
         # members only: the system is closed under the involution, so the
         # inverses filled in below are members too
         for (u, v), label in sorted(out.items()):
@@ -683,7 +690,7 @@ def find_guided_sink(tree: STree, picks) -> int:
     picked; for a full orientation a directed walk in a tree must end in a
     sink, whose star is then a subset of the picks.
     """
-    ids = {p.id if isinstance(p, OrientedSep) else int(p) for p in picks}
+    ids = set(map(_as_id, picks))
     t = tree.nodes[0]
     for _ in range(len(tree.nodes) + 1):
         step = None

@@ -90,6 +90,22 @@ class TestUniverseAxioms:
         with pytest.raises(NotAPartialOrder):
             Universe(leq, [1, 0], None, None)
 
+    def test_non_lattice_order_without_join_rejected(self):
+        # a, b < c, d: a and b have two least upper bounds, so no join;
+        # inverses swap a <-> c and b <-> d
+        leq = np.eye(4, dtype=bool)
+        leq[np.ix_([0, 1], [2, 3])] = True
+        with pytest.raises(JoinNotSupremum) as info:
+            Universe(leq, [2, 3, 0, 1], None, None)
+        assert info.value.witness == (0, 1, -1)
+        assert str(info.value) == "join(0, 1) is not the least upper bound (checked against -1)"
+
+    def test_derived_join_matches_mask_join(self, cover3):
+        u = cover3.universe
+        derived = Universe(u.leq_matrix(), u.inverse_table())
+        assert np.array_equal(derived.join_table(), u.join_table())
+        assert np.array_equal(derived.meet_table(), u.meet_table())
+
     def test_join_table_checked_against_order(self):
         u = chain_universe()
         bad_join = u.join_table().copy()
@@ -357,8 +373,12 @@ class TestJson:
 
 def test_tables_from_masks_matches_universe(cover2):
     u = cover2.universe
-    leq, inv, join, meet = tables_from_masks(list(u.set_labels))
+    masks = list(u.set_labels)
+    leq, inv, join = tables_from_masks(masks)
     assert np.array_equal(leq, u.leq_matrix())
     assert np.array_equal(inv, [u.inv_id(i) for i in range(len(u))])
     assert np.array_equal(join, u.join_table())
-    assert np.array_equal(meet, u.meet_table())
+    # the meet De Morgan derives is the side-mask meet (A ∩ C, B ∪ D)
+    ids = {m: i for i, m in enumerate(masks)}
+    meet = [[ids[(a & c, b | d)] for c, d in masks] for a, b in masks]
+    assert np.array_equal(u.meet_table(), meet)

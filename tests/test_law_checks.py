@@ -1,9 +1,10 @@
 """The packed-row universe law checks against the dense reference checks.
 
-``Universe`` checks transitivity and the join/meet bound laws on rows of the
-order matrix packed into 64-bit words.  The dense versions below are the
-reference: on every corrupted table both must pass, or raise the same error
-class with the same message and witness.
+``Universe`` checks transitivity, the join bound law and, for a meet table
+supplied from outside, the meet bound law on rows of the order matrix packed
+into 64-bit words.  The dense versions below are the reference: on every
+corrupted table both must pass, or raise the same error class with the same
+message and witness.
 """
 
 import numpy as np
@@ -73,12 +74,12 @@ def _outcome(check) -> object:
 
 def packed_outcome(leq, join, meet):
     u = Universe.__new__(Universe)
-    u._leq, u._join, u._meet = leq, join, meet
+    u._leq, u._join = leq, join
     up = _pack_rows(leq)
 
     def check():
         u._check_order(up)
-        u._check_bounds(up)
+        u._check_bounds(up, meet)
 
     return _outcome(check)
 

@@ -1,13 +1,16 @@
 """Row-chunked table building and law checks against one-shot references.
 
-``tables_from_masks`` and the universe's antisymmetry, order-reversal and
-De Morgan checks work in row chunks of ``core._CHUNK`` cells.  The dense
-versions below build or check the whole n-by-n table at once; with the
-chunk size cut to one row, or to a row count that does not divide n, both
-must give the same tables, or raise the same error with the same message.
+``tables_from_masks`` and the universe's antisymmetry and order-reversal
+checks work in row chunks of ``core._CHUNK`` cells.  The dense versions
+below build or check the whole n-by-n table at once; with the chunk size
+cut to one row, or to a row count that does not divide n, both must give
+the same tables, or raise the same error with the same message.  The meet
+is not built from masks: the universe derives it by De Morgan, and it must
+equal the dense mask meet.
 """
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,7 +22,8 @@ import gen
 from tangleduct import GraphInput, MalformedInput, RunConfig, Universe, run
 from tangleduct.backends import _close_under_join_meet, _graph_separation_masks
 from tangleduct.core import tables_from_masks
-from tangleduct.errors import InternalInvariant, TangleductError
+from tangleduct.errors import InternalInvariant, MeetNotInfimum, TangleductError
+from test_law_checks import dense_check_bounds
 
 GRID3X3 = (
     "11 12\n12 13\n21 22\n22 23\n31 32\n32 33\n"
@@ -78,9 +82,12 @@ def assert_tables_match(masks, monkeypatch):
     for size in chunk_sizes(len(masks)):
         monkeypatch.setattr("tangleduct.core._CHUNK", size)
         got = tables_from_masks(masks)
+        assert len(got) == 3
         for want, have in zip(expect, got):
             assert np.array_equal(want, have)
-        assert got[2].dtype == got[3].dtype == np.int32
+        assert got[2].dtype == np.int32
+    meet = Universe(*got).meet_table()
+    assert meet.dtype == np.int32 and np.array_equal(meet, expect[3])
 
 
 MASK_POOLS = {
@@ -132,33 +139,45 @@ def test_open_pool_messages_match_dense(masks, what, monkeypatch):
         assert _outcome(lambda: tables_from_masks(masks)) == expect
 
 
-def _bare_universe(inv, join, meet):
-    u = Universe.__new__(Universe)
-    u._inv, u._join, u._meet = inv, join, meet
-    return u
-
-
-@pytest.mark.parametrize("name", ["cover3", "cover4"])
-def test_de_morgan_failure_in_a_later_chunk(name, monkeypatch):
-    u = gen.full_cover_system(int(name[-1])).universe
-    inv = u.inverse_table()
-    n = len(u)
-    for r, s in [(n - 1, 0), (n // 2, n - 2), (n - 1, n - 1)]:
-        join, meet = u.join_table().copy(), u.meet_table().copy()
-        meet[inv[r], inv[s]] = (meet[inv[r], inv[s]] + 1) % n
-        expect = _outcome(lambda: dense_de_morgan(inv, join, meet))
-        assert expect[0] is InternalInvariant and f"at ({r}, {s})" in expect[1]
-        for size in chunk_sizes(n):
-            monkeypatch.setattr("tangleduct.core._CHUNK", size)
-            bare = _bare_universe(inv, join, meet)
-            assert _outcome(bare._check_de_morgan) == expect
-
-
 def _build(*tables):
     def build():
         Universe(*tables)
 
     return _outcome(build)
+
+
+def _wrong_meets(name):
+    """The universe, and its meet table with one in-range entry moved off
+    (late, middle and last rows) plus the dense reference's verdict on it."""
+    u = gen.full_cover_system(int(name[-1])).universe
+    inv, join = u.inverse_table(), u.join_table()
+    n = len(u)
+    for r, s in [(n - 1, 0), (n // 2, n - 2), (n - 1, n - 1)]:
+        meet = u.meet_table().copy()
+        meet[inv[r], inv[s]] = (meet[inv[r], inv[s]] + 1) % n
+        expect = _outcome(lambda: dense_de_morgan(inv, join, meet))
+        assert expect[0] is InternalInvariant and f"at ({r}, {s})" in expect[1]
+        expect = _outcome(lambda: dense_check_bounds(u.leq_matrix(), join, meet))
+        assert expect[0] is MeetNotInfimum
+        yield u, meet, expect
+
+
+@pytest.mark.parametrize("name", ["cover3", "cover4"])
+def test_wrong_supplied_meet_rejected(name):
+    for u, meet, expect in _wrong_meets(name):
+        tables = (u.leq_matrix(), u.inverse_table(), u.join_table(), meet)
+        assert _build(*tables) == expect
+
+
+def test_validate_rejects_a_wrong_meet(tmp_path, capsys):
+    for u, meet, expect in _wrong_meets("cover3"):
+        # without set labels, the document carries join and meet triples
+        doc = Universe(u.leq_matrix(), u.inverse_table(), u.join_table()).to_json_dict()
+        doc["meet"] = [[r, s, int(meet[r, s])] for r, s, _ in doc["meet"]]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        assert run(RunConfig("validate", str(path))) == 1
+        assert capsys.readouterr().err == f"error: {expect[1]}\n"
 
 
 @given(
@@ -185,8 +204,9 @@ def test_chunked_order_checks_match_one_chunk(name, flips):
 
 
 def test_grid_universe_builds_in_bounded_memory():
-    # the 1023-element universe keeps about 9.4 MB of tables; a one-shot
-    # build of the int64 tables peaks near 60 MB
+    # the 1023-element universe keeps about 5.2 MB of tables (n² bytes of
+    # order, 4n² of int32 join) and peaks at 7.6 MiB while it is built; a
+    # stored meet table adds 4 MiB, a one-shot int64 build about 50 MB
     graph = GraphInput.parse(GRID3X3)
     masks = _close_under_join_meet(set(_graph_separation_masks(graph, 2)), 4096)
     assert len(masks) == 1023
@@ -198,7 +218,7 @@ def test_grid_universe_builds_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert len(universe) == 1023
-    assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # sha256 of the graph-sk documents as written before the tables were chunked
