@@ -8,7 +8,9 @@ order is ``|A ∩ B|``.
 
 Sides are bitmasks over an indexed ground set (capped at 24 vertices).
 Universes are materialized by closing a pool of pairs under join and meet,
-subject to a configurable closure cap.
+subject to a configurable closure cap.  The closure is a distributive
+lattice, so it is generated by joins alone from a few meets of the pool,
+one per coordinate: the proof is at :func:`_close_under_join_meet`.
 """
 
 from __future__ import annotations
@@ -28,39 +30,87 @@ DEFAULT_CLOSURE_CAP = 4096
 # --- set separation universes -----------------------------------------------
 
 
-_LO = (1 << 32) - 1  # B in the low half of a packed key A << 32 | B
+_LO = np.uint64((1 << 32) - 1)  # B in the low half of a packed key A << 32 | B
 _HI = ~_LO
-_CHUNK = 1 << 16  # candidate keys per table and chunk
+_CHUNK = 1 << 16  # candidate keys, or coordinate cells, per chunk
+
+
+def _join_irreducibles(keys: np.ndarray) -> np.ndarray:
+    """The sorted keys of ``J``: every ``j_c`` of a pool, and its bottom.
+
+    ``j_c`` is the meet of the pool elements with coordinate ``c`` set, for
+    each coordinate that some element sets; the bottom is the meet of the
+    whole pool.  One reduction over a (pool, 2·width) coordinate mask, in
+    row chunks of about ``_CHUNK`` cells, gives every ``j_c`` at once.
+    """
+    a, b = keys >> np.uint64(32), keys & _LO
+    width = int(np.bitwise_or.reduce(a | b)).bit_length()
+    bits = np.uint64(1) << np.arange(width, dtype=np.uint64)
+    meet_a = np.full(2 * width, _LO)
+    meet_b = np.zeros(2 * width, dtype=np.uint64)
+    hit = np.zeros(2 * width, dtype=bool)
+    rows = max(1, _CHUNK // max(2 * width, 1))
+    for lo in range(0, len(keys), rows):
+        ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
+        # coordinate c < width is bit c of A, coordinate width + c bit c of V∖B
+        coords = np.concatenate(((ra & bits) != 0, (rb & bits) == 0), axis=1)
+        meet_a &= np.bitwise_and.reduce(np.where(coords, ra, _LO), axis=0)
+        meet_b |= np.bitwise_or.reduce(np.where(coords, rb, np.uint64(0)), axis=0)
+        hit |= coords.any(axis=0)
+    bottom = np.bitwise_and.reduce(a) << np.uint64(32) | np.bitwise_or.reduce(b)
+    return np.union1d(meet_a[hit] << np.uint64(32) | meet_b[hit], [bottom])
 
 
 def _close_under_join_meet(
     pool: Iterable[tuple[int, int]], cap: int
 ) -> list[tuple[int, int]]:
-    """Close a flip-closed pool of (A, B) masks under joins and meets.
+    """Close a pool of (A, B) masks and their flips under joins and meets.
 
-    Works in rounds on packed keys ``A << 32 | B``: each round joins and
-    meets the elements new in the last round with everything seen so far.
-    Raises :class:`ClosureTooLarge` once the closure has grown past the pool
-    and holds more than ``cap`` elements; a closed pool of any size passes.
+    Read (A, B) as the bit vector of its coordinates over V = the bits the
+    masks use: the bits of A, then the bits of V∖B.  The join is then the
+    coordinate-wise OR and the meet the coordinate-wise AND, so the closure
+    L is a distributive lattice, and each of its elements is a join of
+    meets of pool elements.  Let ``j_c`` be the meet of the pool elements
+    with coordinate ``c`` set.  If ``c`` is set in ``y = m_1 ∨ … ∨ m_k``,
+    it is set in some ``m_i``, hence in every pool element of that meet, so
+    ``j_c <= m_i <= y``; and ``c`` is set in ``j_c``.  So ``y`` is the join
+    of the ``j_c`` with ``c`` set in ``y``, or, with no coordinate set, the
+    meet of the whole pool.  L is thus the pool plus every join of
+    ``J = {j_c} ∪ {bottom}`` (:func:`_join_irreducibles`).  Frontier
+    rounds of ``frontier ∨ J`` on packed keys ``A << 32 | B`` find it, as
+    every element found joins every member of J once: |L|·|J| candidates,
+    where |J| <= 2·width + 1.
+
+    Raises :class:`ClosureTooLarge` as soon as the part of L found so far
+    holds more than ``max(cap, p)`` elements, p the size of the pool with
+    its flips.  That part lies in L and ends as L, so this happens exactly
+    when the closure has grown past the pool and holds more than ``cap``
+    elements; a closed pool of any size passes.
     """
-    keys = np.array([a << 32 | b for a, b in pool], dtype=np.int64)
-    seen = np.union1d(keys, (keys & _LO) << 32 | keys >> 32)
-    frontier = seen
+    keys = np.array([a << 32 | b for a, b in pool], dtype=np.uint64)
+    seen = np.union1d(keys, (keys & _LO) << np.uint64(32) | keys >> np.uint64(32))
+    if not len(seen):
+        return []
+    bound = max(cap, len(seen))
+    irreducibles = _join_irreducibles(seen)
+    frontier = seen = np.union1d(seen, irreducibles)
+    if len(seen) > bound:
+        raise ClosureTooLarge(cap)
+    rows = max(1, _CHUNK // len(irreducibles))
     while len(frontier):
-        rows = max(1, _CHUNK // len(seen))
-        new = np.empty(0, dtype=np.int64)
-        for start in range(0, len(frontier), rows):
-            f = frontier[start : start + rows, None]
-            union, common = f | seen, f & seen
-            joins = (union & _HI) | (common & _LO)
-            meets = (common & _HI) | (union & _LO)
-            found = np.setdiff1d(np.concatenate((joins.ravel(), meets.ravel())), seen)
-            new = np.union1d(new, found)
-            if len(new) and len(seen) + len(new) > cap:
+        new = np.empty(0, dtype=np.uint64)
+        for lo in range(0, len(frontier), rows):
+            f = frontier[lo : lo + rows, None]
+            found = np.unique(((f | irreducibles) & _HI) | (f & irreducibles & _LO))
+            at = np.searchsorted(seen, found)
+            np.clip(at, 0, len(seen) - 1, out=at)
+            new = np.union1d(new, found[seen[at] != found])
+            if len(seen) + len(new) > bound:
                 raise ClosureTooLarge(cap)
         seen = np.union1d(seen, new)
         frontier = new
-    return [(k >> 32, k & _LO) for k in seen.tolist()]
+    low = (1 << 32) - 1
+    return [(k >> 32, k & low) for k in seen.tolist()]
 
 
 def build_set_universe(

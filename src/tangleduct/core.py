@@ -26,7 +26,13 @@ dropped: an infimum is unique, so it equals the derived one.
 Transitivity and the bound laws compare rows of the order matrix packed
 into 64-bit words, so each costs O(n²·⌈n/64⌉) word operations rather than
 O(n³) boolean ones.  Where a packed check finds a violation, the dense
-check reruns on that row alone to name the same witness.
+check reruns on that row alone to name the same witness.  A supremum is
+symmetric in its arguments, and so is the bound law: the join fails at
+``(r, s)`` iff it fails at ``(s, r)``.  So when the join table equals its
+transpose and no meet table is supplied, row ``r`` of the bound check scans
+only ``s >= r``.  If row ``r`` is the least failing row of a full scan and
+fails at ``s``, then row ``s`` fails at ``r``, so ``s >= r`` and the half
+scan stops at row ``r`` too, where the dense rerun names the same witness.
 
 Memory: a universe of n elements keeps n² + 4n² bytes, n² for the order and
 4n² for the ``int32`` join table; :meth:`Universe.meet_table` builds another
@@ -34,8 +40,9 @@ Memory: a universe of n elements keeps n² + 4n² bytes, n² for the order and
 (:func:`tables_from_masks`) and the checks of antisymmetry and order
 reversal work in row chunks of about ``_CHUNK`` cells, so their temporaries
 stay bounded per chunk whatever n is; the packed checks hold the packed
-order (n²/8 bytes a direction) plus one row's worth of packed words at a
-time.  Chunked checks scan rows in ascending order and name the same least
+order (n²/8 bytes a direction) plus the packed words one row of a check
+compares, which the bound check keeps in two reused buffers of n²/8 bytes
+each.  Chunked checks scan rows in ascending order and name the same least
 witness as a one-shot check.
 
 The engines' hot path asks set questions ("which picks lie strictly above
@@ -79,6 +86,16 @@ _CHUNK = 1 << 16  # table cells per row chunk of the table builders and checks
 def _chunk_rows(n: int) -> int:
     """Rows per chunk of an n-column table: ``_CHUNK`` cells, at least one row."""
     return max(1, _CHUNK // max(n, 1))
+
+
+def _is_symmetric(table: np.ndarray) -> bool:
+    """True iff ``table == table.T``, compared in row chunks of ``_CHUNK`` cells."""
+    n = len(table)
+    rows = _chunk_rows(n)
+    return all(
+        np.array_equal(table[lo : lo + rows], table[:, lo : lo + rows].T)
+        for lo in range(0, n, rows)
+    )
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -233,15 +250,31 @@ class Universe:
         # intersection of the cones of r and s; likewise for a supplied
         # meet table below.  Packed rows find the failing r; the dense rows
         # name the witness.
+        # Without a meet, a symmetric join is checked on half rows, s >= r:
+        # the module docstring shows that this names the same witness.
         rel, join = self._leq, self._join
+        n = len(rel)
         down = None if meet is None else _pack_rows(rel.T)
-        for r in range(len(rel)):
-            if not np.array_equal(up[r] & up, up[join[r]]):
+        half = meet is None and _is_symmetric(join)
+        # two reused buffers: fresh n-row temporaries per row cost as much
+        # again, as malloc hands them back to the system each time
+        common, cone = np.empty_like(up), np.empty_like(up)
+
+        def cones_match(rows: np.ndarray, r: int, lo: int, ids: np.ndarray) -> bool:
+            m = n - lo
+            np.bitwise_and(rows[r], rows[lo:], out=common[:m])
+            # ids are in range; "clip" keeps take from buffering its output
+            np.take(rows, ids, axis=0, out=cone[:m], mode="clip")
+            return np.array_equal(common[:m], cone[:m])
+
+        for r in range(n):
+            lo = r if half else 0
+            if not cones_match(up, r, lo, join[r, lo:]):
                 expect = rel[r][None, :] & rel
                 bad = expect != rel[join[r]]
                 s, t = (int(x) for x in np.argwhere(bad)[0])
                 raise JoinNotSupremum(r, s, t)
-            if down is not None and not np.array_equal(down[r] & down, down[meet[r]]):
+            if down is not None and not cones_match(down, r, 0, meet[r]):
                 expect = rel[:, r][:, None] & rel
                 bad = expect != rel[:, meet[r]]
                 t, s = (int(x) for x in np.argwhere(bad)[0])
@@ -652,7 +685,11 @@ def tables_from_masks(
     ``(A|C, B&D)``; ids are positions in the pool.  It is then closed under
     meets ``(A&C, B|D)`` too, each the flip of the join of the flips.  The
     join is an ``int32`` table, built in row chunks of about ``_CHUNK``
-    cells that each look their keys up in the pool.
+    cells that each look their keys up in the pool.  The key of ``(r, s)``
+    is the key of ``(s, r)``, so a chunk of rows from ``lo`` looks up only
+    the columns from ``lo`` on and writes that block and its transpose; a
+    join missing from the pool is missing in both orders, so the same pools
+    are rejected.
     """
     a = np.array([m[0] for m in masks], dtype=np.int64)
     b = np.array([m[1] for m in masks], dtype=np.int64)
@@ -674,9 +711,11 @@ def tables_from_masks(
     join = np.empty((n, n), dtype=np.int32)
     rows = _chunk_rows(n)
     for lo in range(0, n, rows):
-        ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
-        leq[lo : lo + rows] = ((ra & ~a) == 0) & ((b & ~rb) == 0)
-        join[lo : lo + rows] = lookup(ra | a, rb & b, "joins")
+        hi = lo + rows
+        ra, rb = a[lo:hi, None], b[lo:hi, None]
+        leq[lo:hi] = ((ra & ~a) == 0) & ((b & ~rb) == 0)
+        join[lo:hi, lo:] = lookup(ra | a[lo:], rb & b[lo:], "joins")
+        join[hi:, lo:hi] = join[lo:hi, hi:].T
     return leq, inverse, join
 
 

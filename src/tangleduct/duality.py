@@ -86,12 +86,29 @@ from .stree import (
 
 
 def violating_star(picks, family: StarFamily) -> Optional[frozenset[int]]:
-    """The canonically least family star inside the picks, if any."""
-    ids = frozenset(map(_as_id, picks))
-    for sigma in family.sorted_stars:
-        if sigma <= ids:
+    """The canonically least family star inside the picks, if any.
+
+    A star lies inside the picks when its bit row has no bit outside the
+    picks' row; the root's cached ``star_masks`` are scanned in canonical
+    order.  A child's extra stars are singletons, and singletons sort before
+    larger stars and by id, so the least extra id among the picks is beaten
+    only by a root star that is empty or a singleton of smaller id.
+    """
+    n = len(family.universe)
+    picked = 0
+    for i in map(_as_id, picks):
+        if 0 <= i < n:  # no star holds an id outside the universe
+            picked |= 1 << i
+    outside = ~picked
+    root = family if family.root is None else family.root
+    extra = family.extra & picked
+    least = extra & -extra
+    for sigma, mask in zip(root.sorted_stars, root.star_masks):
+        if least and (len(sigma) > 1 or mask > least):
+            break
+        if not mask & outside:
             return sigma
-    return None
+    return frozenset((least.bit_length() - 1,)) if least else None
 
 
 def avoids(picks, family: StarFamily) -> bool:

@@ -1,12 +1,17 @@
-"""The vectorized join/meet closure against the pairwise reference loop."""
+"""The join/meet closure from join-irreducibles against the pairwise reference loop."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import gen
 from tangleduct import GraphInput
-from tangleduct.backends import _close_under_join_meet, _graph_separation_masks
+from tangleduct.backends import (
+    _close_under_join_meet,
+    _graph_separation_masks,
+    _join_irreducibles,
+)
 from tangleduct.errors import ClosureTooLarge
 
 
@@ -55,18 +60,43 @@ def pools(draw):
     return [(a, b | (full & ~a)) if cover else (a, b) for a, b in raw]
 
 
-@given(pool=pools())
-def test_matches_reference(pool):
+def _shifted(pool, offset):
+    return [(a << offset, b << offset) for a, b in pool]
+
+
+# shifted by up to 27 bits, masks reach bit 31: A fills the top half of a
+# packed 64-bit key
+@given(pool=pools(), offset=st.integers(0, 27))
+def test_matches_reference(pool, offset):
+    pool = _shifted(pool, offset)
     got = _close_under_join_meet(pool, 10**6)
     assert got == reference_closure(pool, 10**6)
     assert all(type(x) is int for pair in got for x in pair)
 
 
-@given(pool=pools(), cap=st.integers(0, 250))
-def test_cap_matches_reference(pool, cap):
+@given(pool=pools(), offset=st.integers(0, 27), cap=st.integers(0, 250))
+def test_cap_matches_reference(pool, offset, cap):
+    pool = _shifted(pool, offset)
     assert _outcome(_close_under_join_meet, pool, cap) == _outcome(
         reference_closure, pool, cap
     )
+
+
+@given(pool=pools(), offset=st.integers(0, 27))
+def test_join_irreducibles_are_few_and_generate_the_closure(pool, offset):
+    pool = _shifted(pool, offset)
+    flipped = pool + [(b, a) for a, b in pool]
+    keys = np.array(sorted({a << 32 | b for a, b in flipped}), dtype=np.uint64)
+    width = max(a | b for a, b in pool).bit_length()
+    irreducibles = [(k >> 32, k & (1 << 32) - 1) for k in _join_irreducibles(keys).tolist()]
+    assert len(irreducibles) <= 2 * width + 1
+    # every closure element is one of them or a join of some of them
+    closed = reference_closure(pool, 10**6)
+    assert set(irreducibles) <= set(closed)
+    joins = set(irreducibles)
+    for c, d in irreducibles:
+        joins |= {(a | c, b & d) for a, b in joins}
+    assert joins == set(closed)
 
 
 def _closed_masks():

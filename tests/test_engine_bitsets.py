@@ -34,12 +34,14 @@ from tangleduct import (
     STree,
     StarFamily,
     TargetNotAboveR,
+    avoids,
     emulates_for_family,
     find_inconsistency,
     graph_separations,
     is_order_respecting,
     star_sort_key,
     strong_duality,
+    violating_star,
     weak_duality,
 )
 from tangleduct.duality import _least_minimal_below
@@ -130,6 +132,14 @@ def ref_forced_ids(system, stars):
     return frozenset(
         m for m in system.members if frozenset((u.inv_id(m),)) in stars
     )
+
+
+def ref_violating_star(picks, stars):
+    ids = frozenset(picks)
+    for sigma in sorted(stars, key=star_sort_key):
+        if sigma <= ids:
+            return sigma
+    return None
 
 
 def ref_least_minimal_below(system, pool, bound):
@@ -370,6 +380,68 @@ def test_tk_family_grown_by_with_star(tk_instance):
     fresh = StarFamily(u, fam.stars)
     assert fam.sorted_stars == fresh.sorted_stars
     assert fam.forced_ids(system) == fresh.forced_ids(system)
+
+
+def random_picks(rng, system, stars):
+    """Random id sets: plain samples of the universe, and unions of a few
+    stars plus samples, so that some hold a star and some do not."""
+    ids = list(range(len(system.universe)))
+    stars = sorted(stars, key=star_sort_key)
+    for _ in range(8):
+        picks = set(rng.sample(ids, rng.randint(0, len(ids))))
+        if stars and rng.random() < 0.6:
+            for sigma in rng.sample(stars, rng.randint(1, min(3, len(stars)))):
+                picks |= sigma
+        yield picks
+
+
+def assert_violating_star_agrees(rng, system, family, want):
+    for picks in random_picks(rng, system, want):
+        expect = ref_violating_star(picks, want)
+        assert violating_star(picks, family) == expect
+        assert avoids(picks, family) == (expect is None)
+        seps = [system.universe.sep(i) for i in picks]
+        assert violating_star(seps, family) == expect
+        # ids outside the universe lie in no star
+        outside = picks | {-1, len(system.universe), 10**9}
+        assert violating_star(outside, family) == expect
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_violating_star_on_roots_and_children(seed):
+    """The bit-row scan names the same canonically least star as a subset
+    test per star, on roots (with the empty star at times), on children
+    with several extra singletons, and on new roots made by copy."""
+    rng = random.Random(seed)
+    system = gen.random_system(rng, max_pairs=5)
+    family = gen.random_family(
+        rng, system, max_stars=6, standard=rng.random() < 0.5, allow_empty_star=True
+    )
+    chain = random_chain(rng, system, family, rng.randint(1, 4))
+    fam, want = chain[-1]
+    u = system.universe
+    for m in rng.sample(system.members, min(4, len(system.members))):
+        if not u.is_degenerate_id(m):
+            fam = fam.with_star([u.inv_id(m)])
+            want = want | {frozenset((u.inv_id(m),))}
+            chain.append((fam, want))
+    assert len(fam.stars) == len(want)
+    for fam, want in chain:
+        assert_violating_star_agrees(rng, system, fam, want)
+
+
+def test_violating_star_on_tk_children(tk_instance):
+    system, family = tk_instance
+    u = system.universe
+    rng = random.Random(len(system))
+    fam, want = family, set(family.stars)
+    assert_violating_star_agrees(rng, system, fam, want)
+    unforced = [m for m in system.nondegenerate_reps if not family.forces(u.sep(m))]
+    for m in unforced[:6]:
+        fam = fam.with_star([u.inv_id(m)])
+        want = want | {frozenset((u.inv_id(m),))}
+        assert_violating_star_agrees(rng, system, fam, want)
+    assert fam.root is family and bin(fam.extra).count("1") > 1
 
 
 # --- the acceptance corpus ---------------------------------------------------------------

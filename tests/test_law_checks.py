@@ -2,9 +2,10 @@
 
 ``Universe`` checks transitivity, the join bound law and, for a meet table
 supplied from outside, the meet bound law on rows of the order matrix packed
-into 64-bit words.  The dense versions below are the reference: on every
-corrupted table both must pass, or raise the same error class with the same
-message and witness.
+into 64-bit words.  A symmetric join with no meet supplied is checked on
+the upper half of its rows only.  The dense versions below are the
+reference: they scan every full row.  On every corrupted table both must
+pass, or raise the same error class with the same message and witness.
 """
 
 import numpy as np
@@ -56,6 +57,8 @@ def dense_check_bounds(rel: np.ndarray, join: np.ndarray, meet: np.ndarray) -> N
         if bad.any():
             s, t = (int(x) for x in np.argwhere(bad)[0])
             raise JoinNotSupremum(r, s, t)
+        if meet is None:
+            continue
         expect = rel[:, r][:, None] & rel
         got = rel[:, meet[r]]
         bad = expect != got
@@ -195,3 +198,42 @@ def test_one_corrupted_entry(name, table, data):
         target = join if table == "join" else meet
         target[a, b] = data.draw(st.integers(0, n - 1), label="value")
     assert_same(leq, join, meet)
+    # without a meet, an asymmetric join keeps the full scan
+    assert_same(leq, join, None)
+
+
+def symmetric_corruptions(join, a, b):
+    """The join with ``join[a, b]`` and ``join[b, a]`` both moved to each
+    other value: still symmetric, so the half-table check runs on it."""
+    for v in range(len(join)):
+        if v != join[a, b]:
+            wrong = join.copy()
+            wrong[a, b] = wrong[b, a] = v
+            yield wrong
+
+
+def test_every_symmetric_join_corruption_of_cover2():
+    leq, join, meet = tables("cover2")
+    n = len(leq)
+    failures = 0
+    for a in range(n):
+        for b in range(a, n):
+            for wrong in symmetric_corruptions(join, a, b):
+                assert np.array_equal(wrong, wrong.T)
+                outcome = assert_same(leq, wrong, None)
+                assert outcome is not None and outcome[0] is JoinNotSupremum
+                assert assert_same(leq, wrong, meet) == outcome
+                failures += 1
+    assert failures == n * (n + 1) // 2 * (n - 1)
+
+
+@given(name=st.sampled_from(sorted(UNIVERSES)), data=st.data())
+def test_one_symmetric_join_corruption(name, data):
+    leq, join, meet = tables(name)
+    n = len(leq)
+    a = data.draw(st.integers(0, n - 1), label="a")
+    b = data.draw(st.integers(0, n - 1), label="b")
+    v = data.draw(st.integers(0, n - 1), label="value")
+    join[a, b] = join[b, a] = v
+    outcome = assert_same(leq, join, None)
+    assert assert_same(leq, join, meet) == outcome
