@@ -16,11 +16,11 @@ one per coordinate: the proof is at :func:`_close_under_join_meet`.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import OrientedSep, SeparationSystem, Universe, _as_id, tables_from_masks
+from .core import OrientedSep, SeparationSystem, Universe, tables_from_masks
 from .errors import ClosureTooLarge, GroundSetTooLarge, MalformedInput
 
 GROUND_CAP = 24
@@ -285,57 +285,3 @@ def graph_separations(
     if not masks:
         raise MalformedInput(f"the graph has no separations of order < {k}")
     return _universe_from_masks(graph.vertices, masks, max_closure)
-
-
-# --- order functions ---------------------------------------------------------
-
-
-class OrderFunction:
-    """A flip-invariant, non-negative integer cost on a universe's separations."""
-
-    def __init__(self, universe: Universe, values: Sequence[int]):
-        vals = np.asarray(values, dtype=np.int64)
-        if vals.shape != (len(universe),):
-            raise MalformedInput("order function needs one value per element")
-        if (vals < 0).any():
-            i = int(np.flatnonzero(vals < 0)[0])
-            raise MalformedInput(f"negative order at element {i}")
-        for i in range(len(universe)):
-            j = universe.inv_id(i)
-            if vals[i] != vals[j]:
-                raise MalformedInput(
-                    f"order not invariant under flips: element {i} has {vals[i]},"
-                    f" its inverse {j} has {vals[j]}"
-                )
-        self.universe = universe
-        self.values = vals
-        self.values.setflags(write=False)
-
-    @classmethod
-    def vertex_overlap(cls, universe: Universe) -> "OrderFunction":
-        """The standard graph order |A ∩ B|, from a set universe's labels."""
-        if universe.set_labels is None:
-            raise MalformedInput("not a set universe")
-        return cls(universe, [bin(a & b).count("1") for a, b in universe.set_labels])
-
-    def of(self, sep) -> int:
-        return int(self.values[_as_id(sep)])
-
-
-def submodularity_violation(
-    order: OrderFunction, universe: Universe
-) -> Optional[tuple[OrientedSep, OrientedSep]]:
-    """Least pair (r, s) with order(r ∨ s) + order(r ∧ s) > order(r) + order(s)."""
-    vals = order.values
-    lhs = vals[universe.join_table()] + vals[universe.meet_table()]
-    rhs = vals[:, None] + vals[None, :]
-    bad = lhs > rhs
-    if bad.any():
-        r, s = (int(x) for x in np.argwhere(bad)[0])
-        return universe.sep(r), universe.sep(s)
-    return None
-
-
-def is_submodular(order: OrderFunction, universe: Universe) -> bool:
-    """True iff order(r ∨ s) + order(r ∧ s) <= order(r) + order(s) for all pairs."""
-    return submodularity_violation(order, universe) is None

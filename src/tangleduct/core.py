@@ -579,9 +579,6 @@ class SeparationSystem:
                 out.add(r)
         return frozenset(out)
 
-    def is_trivial(self, r: OrientedSep) -> bool:
-        return r.id in self.trivial_ids
-
     def __repr__(self) -> str:
         return f"<system of {len(self)} orientations in {self.universe!r}>"
 
@@ -841,12 +838,15 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     ground = None
     if "labels" in d and "ground" in d:
         ground, set_labels = _set_labels(d["ground"], d["labels"], n)
-        if join is None and meet is None:
-            label_leq, label_inv, join = tables_from_masks(set_labels)
-            if not np.array_equal(label_leq, leq):
-                raise MalformedInput("'leq' disagrees with the set labels")
-            if not np.array_equal(label_inv, np.asarray(inverse)):
-                raise MalformedInput("'inverse' disagrees with the set labels")
+        label_leq, label_inv, label_join = tables_from_masks(set_labels)
+        if not np.array_equal(label_leq, leq):
+            raise MalformedInput("'leq' disagrees with the set labels")
+        if not np.array_equal(label_inv, np.asarray(inverse)):
+            raise MalformedInput("'inverse' disagrees with the set labels")
+        # a supplied join is law-checked by Universe, and a supremum is
+        # unique, so it cannot disagree with the labels' join either
+        if join is None:
+            join = label_join
 
     universe = Universe(leq, inverse, join, meet, set_labels=set_labels, ground=ground)
     members = d.get("members")

@@ -75,6 +75,7 @@ from .stree import (
     _check_same_universe,
     _inverse_pair_triple,
     _redundant_triple,
+    is_order_respecting,
     is_over,
     prune_to_irredundant,
     tighten_rooted,
@@ -429,18 +430,6 @@ def find_separator(
     return None
 
 
-@dataclass(frozen=True)
-class ShiftRecord:
-    """One tree shift performed by the strong engine, for replay checks."""
-
-    before: STree
-    after: STree
-    root: int
-    r_id: int
-    s0_id: int
-    family: StarFamily
-
-
 def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
     """Shift a tight, irredundant rooted tree across ``s0``.
 
@@ -499,8 +488,7 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
             raise InternalInvariant(
                 f"shifted star at node {t} left the family"
             )
-    report = validate_stree(out)
-    if not report.is_order_respecting:
+    if not is_order_respecting(out):
         raise InternalInvariant("shifted tree does not respect the edge order")
     return out
 
@@ -714,14 +702,15 @@ def strong_duality(
     family: StarFamily,
     *,
     auto_standardize: bool = False,
-    trace: Optional[list] = None,
 ) -> Certificate:
     """Produce a tangle of the system or a tree over the family.
 
     The family must be standard for the system (force every trivial member);
     pass ``auto_standardize=True`` to add the missing singleton stars
-    instead of failing.  A ``trace`` list, if given, receives a
-    :class:`ShiftRecord` for every tree shift performed.
+    instead of failing.  The certificate is the only output: the tree
+    shifts the recursion makes are steps towards it, made through the
+    module-level :func:`shift_stree`, so a caller that wants to replay them
+    can wrap that function.
 
     Raises :class:`NotFSeparable` when the separability hypothesis fails at
     some pair, in which case neither alternative is certified.
@@ -739,7 +728,7 @@ def strong_duality(
         transcript.append(
             f"standardized: forced {len(missing)} trivial orientation(s)"
         )
-    kind, payload = _strong(system, fam, transcript, trace, {}, depth=0)
+    kind, payload = _strong(system, fam, transcript, {}, depth=0)
     return _certify("strong", kind, payload, system, fam, transcript)
 
 
@@ -785,7 +774,6 @@ def _strong(
     system: SeparationSystem,
     fam: StarFamily,
     transcript: list[str],
-    trace: Optional[list],
     memo: dict,
     depth: int,
 ) -> tuple[str, object]:
@@ -798,7 +786,7 @@ def _strong(
     result = memo.get(forced)
     if result is None:
         result = memo[forced] = _strong_step(
-            system, fam, forced, transcript, trace, memo, depth
+            system, fam, forced, transcript, memo, depth
         )
     return result
 
@@ -808,7 +796,6 @@ def _strong_step(
     fam: StarFamily,
     forced: frozenset[int],
     transcript: list[str],
-    trace: Optional[list],
     memo: dict,
     depth: int,
 ) -> tuple[str, object]:
@@ -860,7 +847,7 @@ def _strong_step(
             continue
         inv_r = u.inv_id(r_min)
         sub = fam.with_star([inv_r])
-        kind, payload = _strong(system, sub, transcript, trace, memo, depth + 1)
+        kind, payload = _strong(system, sub, transcript, memo, depth + 1)
         if kind == "tangle":
             return kind, payload
         t = prune_to_irredundant(payload)
@@ -872,17 +859,6 @@ def _strong_step(
             raise InternalInvariant("branch tree lost the leaf of its added star")
         tight = tighten_rooted(t, leaves[0])
         out = shift_stree(tight, leaves[0], s, fam)
-        if trace is not None:
-            trace.append(
-                ShiftRecord(
-                    before=tight,
-                    after=out,
-                    root=leaves[0],
-                    r_id=r_min,
-                    s0_id=s,
-                    family=fam,
-                )
-            )
         if frozenset((u.inv_id(s),)) in fam:
             transcript.append(f"[{depth}] shifted {side} branch is over the family")
             return "tree", out

@@ -335,10 +335,6 @@ class STree:
 
     # -- basic queries ---------------------------------------------------
 
-    def label(self, u: int, v: int) -> OrientedSep:
-        """The separation labeling the oriented edge (u, v)."""
-        return self.system.universe.sep(self.alpha[(u, v)])
-
     def node_star(self, t: int) -> frozenset[int]:
         """Label set of the edges pointing at ``t``."""
         return frozenset(self.alpha[(w, t)] for w in self.adj[t])

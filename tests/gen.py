@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -25,6 +27,8 @@ from tangleduct import (
     graph_separations,
     standardize,
 )
+from tangleduct import duality
+from tangleduct.core import _as_id
 
 
 # --- systems -------------------------------------------------------------------
@@ -281,6 +285,47 @@ def node_star_family(tree: STree) -> StarFamily:
     """The family of the tree's node stars (repeats collapsed)."""
     stars = {tree.node_star(t) for t in tree.nodes}
     return StarFamily(tree.system.universe, stars)
+
+
+# --- recorded engine shifts -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShiftRecord:
+    """One tree shift made through ``duality.shift_stree``."""
+
+    before: STree
+    after: STree
+    root: int
+    r_id: int
+    s0_id: int
+    family: StarFamily
+
+
+@contextmanager
+def recorded_shifts():
+    """Yield a list that receives a :class:`ShiftRecord` for every tree
+    shift made while the block runs.
+
+    The engines call ``shift_stree`` through the ``duality`` module global,
+    so swapping that global for a recorder sees every shift they make; the
+    original is restored on exit.  ``r_id`` is the label of the root's edge,
+    the separation the shift moves across ``s0``.
+    """
+    records: list[ShiftRecord] = []
+    shift = duality.shift_stree
+
+    def recorder(tree, root, s0, family):
+        after = shift(tree, root, s0, family)
+        r_id = tree.alpha[(root, tree.adj[root][0])]
+        records.append(ShiftRecord(tree, after, root, r_id, _as_id(s0), family))
+        return after
+
+    duality.shift_stree = recorder
+    try:
+        yield records
+    finally:
+        duality.shift_stree = shift
 
 
 def brute_force_separations(graph: GraphInput, k: int) -> set[tuple[int, int]]:

@@ -86,9 +86,9 @@ def corpus():
             continue
         family = gen.random_family(rng, system, standard=True)
         census = enumerate_orientations(system, family, "tangle")
-        records = []
         try:
-            cert = strong_duality(system, family, trace=records)
+            with gen.recorded_shifts() as records:
+                cert = strong_duality(system, family)
         except NotFSeparable:
             continue
         instances.append(Instance(system, family, census, cert, records))

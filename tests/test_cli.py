@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gen
@@ -141,6 +142,12 @@ def _recode(key, pred, recode):
     return mutate
 
 
+def _swap_labels_beside_join(d):
+    join = gen.full_cover_system(2).universe.join_table()
+    d["join"] = [[r, s, int(v)] for (r, s), v in np.ndenumerate(join)]
+    d["labels"][0], d["labels"][1] = d["labels"][1], d["labels"][0]
+
+
 N2 = 9  # elements of cover2
 
 MALFORMED = {
@@ -161,6 +168,7 @@ MALFORMED = {
     "label not a pair": (False, _recode("labels", lambda e: True, lambda e: e[:1])),
     "label side null": (False, _recode("labels", lambda e: True, lambda e: [None, e[1]])),
     "ground not a list": (False, _set("ground", None)),
+    "labels swapped beside a join": (False, _swap_labels_beside_join),
     "inverse past the end": (True, _recode("inverse", lambda v: True, lambda v: 10**20)),
     "join negative id": (
         True, _recode("join", lambda e: True, lambda e: [e[0] - N2, e[1], e[2]])),

@@ -370,6 +370,16 @@ class TestJson:
         with pytest.raises(MalformedInput):
             system_from_json_dict(d)
 
+    def test_labels_checked_beside_a_join(self, cover2):
+        # a supplied join must not switch off the label check
+        d = system_to_json_dict(cover2)
+        join = cover2.universe.join_table()
+        d["join"] = [[r, s, int(v)] for (r, s), v in np.ndenumerate(join)]
+        system_from_json_dict(d)
+        d["labels"][0], d["labels"][1] = d["labels"][1], d["labels"][0]
+        with pytest.raises(MalformedInput, match="sorted"):
+            system_from_json_dict(d)
+
 
 def test_tables_from_masks_matches_universe(cover2):
     u = cover2.universe

@@ -266,8 +266,8 @@ class TestStrongDuality:
         fam = standardize(
             StarFamily(cover2.universe, [[0, 1], [0, 3]]), cover2
         )
-        trace = []
-        cert = strong_duality(cover2, fam, trace=trace)
+        with gen.recorded_shifts() as trace:
+            cert = strong_duality(cover2, fam)
         assert cert.kind == "stree"
         stars = {t: sorted(cert.tree.node_star(t)) for t in cert.tree.nodes}
         assert stars == {0: [0, 1], 1: [5], 2: [0, 3], 3: [5]}

@@ -457,9 +457,9 @@ def test_acceptance_corpus_trees():
         if len(system.nondegenerate_reps) > 5:
             continue
         family = gen.random_family(rng, system, standard=True)
-        records = []
         try:
-            cert = strong_duality(system, family, trace=records)
+            with gen.recorded_shifts() as records:
+                cert = strong_duality(system, family)
         except NotFSeparable:
             continue
         instances += 1
