@@ -432,6 +432,11 @@ def run(config: RunConfig) -> int:
     except TangleductError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a small document can ask for tables far larger than the memory
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
+        return 1
 
 
 def main(argv: Optional[list[str]] = None) -> None:

@@ -103,6 +103,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _id_row(ids: Iterable[int]) -> int:
+    """The bit row of some ids."""
+    row = 0
+    for i in ids:
+        row |= 1 << i
+    return row
+
+
 def _bit_row(row: np.ndarray) -> int:
     """A boolean vector as a Python int with bit ``i`` set where ``row[i]`` is."""
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
@@ -541,6 +549,16 @@ class SeparationSystem:
         return frozenset(i for i in self.member_ids if self.universe.is_degenerate_id(i))
 
     @cached_property
+    def degenerate_mask(self) -> int:
+        """Bit row of the degenerate members."""
+        return _id_row(self.degenerate_ids)
+
+    @cached_property
+    def rep_mask(self) -> int:
+        """Bit row of the nondegenerate representatives."""
+        return _id_row(self.nondegenerate_reps)
+
+    @cached_property
     def underlying_reps(self) -> tuple[int, ...]:
         """One canonical (least) orientation id per underlying separation."""
         return tuple(
@@ -570,13 +588,17 @@ class SeparationSystem:
         members ``r`` with some member ``s`` such that ``r < s`` and
         ``r < inv(s)``."""
         u = self.universe
-        leq, inv, flags = u.leq_matrix(), u.inverse_table(), self.member_flags
-        out = set()
-        for r in self.members:
-            up = leq[r] & flags  # the members strictly above r
-            up[r] = False
-            if (up & up[inv]).any():
-                out.add(r)
+        members = np.array(self.members, dtype=np.intp)
+        m = len(members)
+        # column j of a row holds the member members[j]; column twin[j] its inverse
+        twin = np.searchsorted(members, u.inverse_table()[members])
+        out: list[int] = []
+        rows = _chunk_rows(m)
+        for lo in range(0, m, rows):
+            # the members strictly above each member r of the chunk
+            up = u.leq_matrix()[np.ix_(members[lo : lo + rows], members)]
+            up[np.arange(len(up)), np.arange(lo, lo + len(up))] = False
+            out.extend(members[lo : lo + rows][(up & up[:, twin]).any(axis=1)].tolist())
         return frozenset(out)
 
     def __repr__(self) -> str:

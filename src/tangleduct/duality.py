@@ -40,13 +40,23 @@ by its star set.  Each step recurses on the family plus one singleton star
 ``{inv(r)}`` for a member ``r`` the family did not force yet, so every
 family below the root is the root family plus the singletons
 ``{inv(f)}`` of its forced ids ``f``: the forced ids determine it, and
-they cost a set of at most one id per member instead of the whole family.
+their bit row costs one bit per id instead of the whole family.
+
+The engines pass their forced state from parent to child as two bit
+rows, the forced ids and their inverses.  Only the root checks the whole
+forced set for a pair of inverses and for consistency.  A child forces
+its parent's ids, which passed both checks, plus one id, so one bit of
+the parent's row finds a pair and one AND of the new id's conflict row
+finds a conflict, naming the least witness a check of the whole set
+names.  The root is the caller's family itself when the system drops none
+of its stars (:meth:`StarFamily.restricted_to`), so the family's caches
+and its root scans, kept per system, carry over from call to call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -54,6 +64,7 @@ from .core import (
     OrientedSep,
     SeparationSystem,
     _as_id,
+    _id_row,
     _is_id,
     find_inconsistency,
     is_consistent,
@@ -96,10 +107,12 @@ def violating_star(picks, family: StarFamily) -> Optional[frozenset[int]]:
     only by a root star that is empty or a singleton of smaller id.
     """
     n = len(family.universe)
-    picked = 0
-    for i in map(_as_id, picks):
-        if 0 <= i < n:  # no star holds an id outside the universe
-            picked |= 1 << i
+    # no star holds an id outside the universe
+    return _violating_row(_id_row(i for i in map(_as_id, picks) if 0 <= i < n), family)
+
+
+def _violating_row(picked: int, family: StarFamily) -> Optional[frozenset[int]]:
+    """:func:`violating_star` of the picks with bit row ``picked``."""
     outside = ~picked
     root = family if family.root is None else family.root
     extra = family.extra & picked
@@ -205,10 +218,9 @@ def verify_certificate(
             return False, ("certificate has no tree",)
         if cert.tree.system is not system:
             problems.append("tree belongs to a different system")
-        else:
-            report = validate_stree(cert.tree, family)
-            if not report.over_family:
-                problems.extend(report.problems)
+        elif not is_over(cert.tree, family):
+            # the full report only to name the problems
+            problems.extend(validate_stree(cert.tree, family).problems)
     else:
         problems.append(f"unknown certificate kind {cert.kind!r}")
     return (not problems), tuple(problems)
@@ -368,10 +380,13 @@ def _root_lacks(system: SeparationSystem, root: StarFamily, s0: int, r: int) -> 
     """The bit row of the ids ``y`` whose singleton ``{y}`` is the shift
     image of a qualifying star that the root family lacks, or -1 when the
     root lacks a larger image, which no child can add.  Kept in
-    ``root.memo`` under ``(s0, r, system)``, as the system decides which
-    stars qualify."""
-    key = (s0, r, system)
-    lacking = root.memo.get(key)
+    ``root.memo`` under the system, as it decides which stars qualify, and
+    ``(s0, r)``."""
+    memo = root.memo.get(system)
+    if memo is None:
+        memo = root.memo[system] = {}
+    key = (s0, r)
+    lacking = memo.get(key)
     if lacking is not None:
         return lacking
     allowed = system.domain_mask(r) & ~(1 << system.universe.inv_id(r))
@@ -389,7 +404,7 @@ def _root_lacks(system: SeparationSystem, root: StarFamily, s0: int, r: int) -> 
                     lacking = -1
                     break
                 lacking |= image
-    root.memo[key] = lacking
+    memo[key] = lacking
     return lacking
 
 
@@ -414,7 +429,7 @@ def find_separator(
     rp_inv = u.inv_id(rp_id)
     for val, what in ((r_id, "r"), (rp_inv, "inverse of r_prime")):
         _require_usable_base(val, system, what)
-        if family.forces(u.sep(val)):
+        if val in family._inverse_singletons:
             raise MalformedInput(f"{what} is forced by the family")
     # a candidate passing both checks lies between r and r_prime, so only
     # those members are tried, least id first
@@ -575,7 +590,13 @@ def weak_duality(system: SeparationSystem, family: StarFamily) -> Certificate:
     transcript = [
         f"restricted family to the system: {len(fam)} of {len(family)} stars kept"
     ]
-    kind, payload = _weak(system, fam, transcript, depth=0)
+    forced = fam.forced_ids(system)
+    k2 = _forced_pair_tree(system, forced)
+    if k2 is not None:
+        kind, payload = _both_forced(k2, transcript, depth=0)
+    else:
+        rows = _forced_rows(system, forced)
+        kind, payload = _weak(system, fam, *rows, transcript, depth=0)
     return _certify("weak", kind, payload, system, family, transcript)
 
 
@@ -601,6 +622,12 @@ def _certify(
     return replace(cert, verified=True, transcript=tuple(transcript))
 
 
+def _forced_rows(system: SeparationSystem, forced: frozenset[int]) -> tuple[int, int]:
+    """The bit rows of the forced ids and of their inverses."""
+    inv = system.universe.inv_id
+    return _id_row(forced), _id_row(map(inv, forced))
+
+
 def _forced_pair_tree(
     system: SeparationSystem, forced: frozenset[int]
 ) -> Optional[STree]:
@@ -611,22 +638,35 @@ def _forced_pair_tree(
     return None
 
 
+def _added_pair(system: SeparationSystem, forced: int, added: int) -> Optional[int]:
+    """The label of :func:`_forced_pair_tree` on the ids of the row
+    ``forced``, which holds no pair of inverses, plus ``added``: the only
+    possible pair is ``added`` and its inverse."""
+    inv_added = system.universe.inv_id(added)
+    return min(added, inv_added) if forced >> inv_added & 1 else None
+
+
+def _both_forced(tree: STree, transcript: list[str], depth: int) -> tuple[str, object]:
+    transcript.append(f"[{depth}] family forces both orientations: 2-node tree")
+    return "tree", tree
+
+
 def _settled(
     system: SeparationSystem,
     fam: StarFamily,
-    forced: frozenset[int],
+    forced: int,
     transcript: list[str],
     depth: int,
     kind: str,
 ) -> tuple[str, object]:
     """Every separation is forced: the forced and degenerate picks as ``kind``
     if they avoid the family, else the tree of the least star inside them."""
-    picks = forced | system.degenerate_ids
-    sigma = violating_star(picks, fam)
+    picks = forced | system.degenerate_mask
+    sigma = _violating_row(picks, fam)
     if sigma is None:
         found = "avoid the family" if kind == "orientation" else "form a tangle"
         transcript.append(f"[{depth}] forced picks {found}")
-        return kind, picks
+        return kind, _bit_ids(picks)
     if len(sigma) == 1:
         raise InternalInvariant("violating star is a singleton of a forced pick")
     transcript.append(
@@ -636,32 +676,40 @@ def _settled(
 
 
 def _weak(
-    system: SeparationSystem, fam: StarFamily, transcript: list[str], depth: int
+    system: SeparationSystem,
+    fam: StarFamily,
+    forced: int,
+    inv_forced: int,
+    transcript: list[str],
+    depth: int,
 ) -> tuple[str, object]:
+    """One level on the bit rows of the forced ids and of their inverses.
+
+    Each branch forces one orientation of a separation with neither
+    forced, so no level below the root forces a pair of inverses.
+    """
     if depth > len(system.members) + 2:
         raise InternalInvariant("weak recursion exceeded its depth bound")
     u = system.universe
-    forced = fam.forced_ids(system)
-    k2 = _forced_pair_tree(system, forced)
-    if k2 is not None:
-        transcript.append(f"[{depth}] family forces both orientations: 2-node tree")
-        return "tree", k2
-
-    s0 = None
-    for m in system.members:
-        if u.is_degenerate_id(m):
-            continue
-        if m not in forced and u.inv_id(m) not in forced:
-            s0 = m
-            break
-    if s0 is None:
+    # the least nondegenerate member with neither orientation forced
+    free = system.member_mask & ~(system.degenerate_mask | forced | inv_forced)
+    if not free:
         return _settled(system, fam, forced, transcript, depth, "orientation")
+    s0 = (free & -free).bit_length() - 1
 
     inv_s0 = u.inv_id(s0)
     transcript.append(f"[{depth}] splitting on undecided separation {s0}")
     trees = []
-    for side, pick in (("first", s0), ("second", inv_s0)):
-        kind, res = _weak(system, fam.with_star([pick]), transcript, depth + 1)
+    # the star {pick} forces its inverse
+    for side, pick, other in (("first", s0, inv_s0), ("second", inv_s0, s0)):
+        kind, res = _weak(
+            system,
+            fam.with_star([pick]),
+            forced | 1 << other,
+            inv_forced | 1 << pick,
+            transcript,
+            depth + 1,
+        )
         if kind == "orientation":
             return kind, res
         t = prune_to_irredundant(res)
@@ -728,7 +776,14 @@ def strong_duality(
         transcript.append(
             f"standardized: forced {len(missing)} trivial orientation(s)"
         )
-    kind, payload = _strong(system, fam, transcript, {}, depth=0)
+    forced = fam.forced_ids(system)
+    k2 = _forced_pair_tree(system, forced)
+    if k2 is not None:
+        kind, payload = _both_forced(k2, transcript, depth=0)
+    else:
+        _assert_consistent_forced(system, fam, forced)
+        rows = _forced_rows(system, forced)
+        kind, payload = _strong_step(system, fam, *rows, transcript, {}, depth=0)
     return _certify("strong", kind, payload, system, fam, transcript)
 
 
@@ -736,22 +791,44 @@ def _assert_consistent_forced(
     system: SeparationSystem, fam: StarFamily, forced: frozenset[int]
 ) -> None:
     hit = find_inconsistency(forced | system.degenerate_ids, system)
-    if hit is None:
-        return
-    a, b = hit
-    if a.is_degenerate or b.is_degenerate:
+    if hit is not None:
+        _raise_inconsistent(system, fam, hit[0].id, hit[1].id)
+
+
+def _added_conflict(
+    system: SeparationSystem, forced: int, added: int
+) -> Optional[tuple[int, int]]:
+    """:func:`find_inconsistency`'s witness ids on the forced and degenerate
+    ids, when those of the row ``forced`` are consistent and ``added`` is
+    forced too.  Conflict is symmetric, so each new conflict holds
+    ``added``; with ``c`` the least id it conflicts with, the least picked
+    id in a conflict is ``min(c, added)`` and the other is ``max(c, added)``.
+    """
+    hit = system.universe.conflict_mask(added) & (forced | system.degenerate_mask)
+    if not hit:
+        return None
+    c = (hit & -hit).bit_length() - 1
+    return min(c, added), max(c, added)
+
+
+def _raise_inconsistent(
+    system: SeparationSystem, fam: StarFamily, a: int, b: int
+) -> NoReturn:
+    """Raise for the inconsistent forced pair ``(a, b)``: ``inv(a) < b``."""
+    u = system.universe
+    if u.is_degenerate_id(a) or u.is_degenerate_id(b):
         raise InternalInvariant(
             "forced orientations conflict with a degenerate separation"
         )
-    r_fwd = a.inverse
+    r_fwd = u.inv_id(a)
     probe = find_separator(r_fwd, b, system, fam)
     if probe is not None:
         raise InternalInvariant(
             "forced orientations are inconsistent yet a separator exists"
         )
     raise NotFSeparable(
-        r_fwd.id,
-        b.id,
+        r_fwd,
+        b,
         detail="the family forces two separations pointing away from each other",
     )
 
@@ -773,60 +850,66 @@ def _least_minimal_below(system: SeparationSystem, pool: int, bound: int) -> int
 def _strong(
     system: SeparationSystem,
     fam: StarFamily,
+    forced: int,
+    inv_forced: int,
+    added: int,
     transcript: list[str],
     memo: dict,
     depth: int,
 ) -> tuple[str, object]:
-    """One recursion level, memoized by the forced ids, which determine the
-    family (see the module docstring).  With :func:`_strong_step`, which
-    calls back here for each branch, a level takes two Python frames."""
+    """One recursion level below the root, forcing the parent's row
+    ``forced`` plus ``added``; ``inv_forced`` is the row of the parent's
+    forced inverses.  Memoized by the forced ids, as their bit row, which
+    determine the family (see the module docstring).  The parent's forced
+    ids hold no pair and are consistent, so only ``added`` can make a pair
+    or a conflict.  With :func:`_strong_step`, which calls back here for
+    each branch, a level takes two Python frames."""
     if depth > len(system.members) + 2:
         raise InternalInvariant("strong recursion exceeded its depth bound")
-    forced = fam.forced_ids(system)
-    result = memo.get(forced)
+    row = forced | 1 << added
+    result = memo.get(row)
     if result is None:
-        result = memo[forced] = _strong_step(
-            system, fam, forced, transcript, memo, depth
-        )
+        pair = _added_pair(system, forced, added)
+        if pair is not None:
+            tree = STree(system, [(0, 1)], {(0, 1): pair})
+            result = _both_forced(tree, transcript, depth)
+        else:
+            hit = _added_conflict(system, forced, added)
+            if hit is not None:
+                _raise_inconsistent(system, fam, *hit)
+            inv_row = inv_forced | 1 << system.universe.inv_id(added)
+            result = _strong_step(system, fam, row, inv_row, transcript, memo, depth)
+        memo[row] = result
     return result
 
 
 def _strong_step(
     system: SeparationSystem,
     fam: StarFamily,
-    forced: frozenset[int],
+    forced: int,
+    inv_forced: int,
     transcript: list[str],
     memo: dict,
     depth: int,
 ) -> tuple[str, object]:
     """Settle the family, or split an undecided separation at a separator.
 
-    Each side ``(r_min, s)``, first ``(r1, s0)`` then ``(r2_back, inv(s0))``,
-    unless ``inv(s)`` is forced, recurses with ``r_min`` forced, then prunes,
-    tightens at the added leaf and shifts across ``s``.  A tangle, a tree
-    already over the family, or a shifted tree whose root singleton
+    ``forced`` and ``inv_forced`` are the bit rows of the forced ids and of
+    their inverses, which passed the pair and consistency checks.  Each
+    side ``(r_min, s)``, first ``(r1, s0)`` then ``(r2_back, inv(s0))``,
+    unless ``inv(s)`` is forced, recurses with ``r_min`` forced, then
+    prunes, tightens at the added leaf and shifts across ``s``.  A tangle,
+    a tree already over the family, or a shifted tree whose root singleton
     ``{inv(s)}`` is a family star answers the step; else both are spliced.
     """
     u = system.universe
-    k2 = _forced_pair_tree(system, forced)
-    if k2 is not None:
-        transcript.append(f"[{depth}] family forces both orientations: 2-node tree")
-        return "tree", k2
-    _assert_consistent_forced(system, fam, forced)
-
-    undecided = [
-        m
-        for m in system.nondegenerate_reps
-        if m not in forced and u.inv_id(m) not in forced
-    ]
+    undecided = system.rep_mask & ~(forced | inv_forced)
     if not undecided:
         return _settled(system, fam, forced, transcript, depth, "tangle")
 
-    r0 = min(undecided)
+    r0 = (undecided & -undecided).bit_length() - 1
     # the members neither forced nor degenerate
-    pool = system.member_mask
-    for m in forced | system.degenerate_ids:
-        pool &= ~(1 << m)
+    pool = system.member_mask & ~(forced | system.degenerate_mask)
     r1 = _least_minimal_below(system, pool, r0)
     r2_back = _least_minimal_below(system, pool, u.inv_id(r0))
     r2_fwd = u.inv_id(r2_back)
@@ -843,11 +926,13 @@ def _strong_step(
 
     shifted: list[STree] = []
     for side, r_min, s in (("first", r1, s0_id), ("second", r2_back, inv_s0)):
-        if u.inv_id(s) in forced:
+        if inv_forced >> s & 1:  # inv(s) is forced
             continue
         inv_r = u.inv_id(r_min)
         sub = fam.with_star([inv_r])
-        kind, payload = _strong(system, sub, transcript, memo, depth + 1)
+        kind, payload = _strong(
+            system, sub, forced, inv_forced, r_min, transcript, memo, depth + 1
+        )
         if kind == "tangle":
             return kind, payload
         t = prune_to_irredundant(payload)

@@ -14,7 +14,9 @@ new trees and never mutate.
 
 from __future__ import annotations
 
+import copy
 import re
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +28,7 @@ from .core import (
     Universe,
     _as_id,
     _id_entry,
+    _id_row,
     _is_id,
     is_star,
 )
@@ -44,13 +47,6 @@ _NODE_ID = re.compile(r"-?[0-9]+")
 
 def star_sort_key(sigma: frozenset[int]) -> tuple:
     return (len(sigma), tuple(sorted(sigma)))
-
-
-def _star_mask(sigma: frozenset[int]) -> int:
-    mask = 0
-    for i in sigma:
-        mask |= 1 << i
-    return mask
 
 
 def _bit_ids(mask: int) -> list[int]:
@@ -74,7 +70,8 @@ class StarFamily:
 
     A family built by the constructor is a *root*: ``root`` is ``None`` and
     it holds its ``stars``, plus a ``memo`` that the engines fill per
-    ``(s0, r, system)``.  :meth:`with_star` adds a singleton star without
+    system and ``(s0, r)``.  The memo holds its systems weakly, so a family
+    used with many systems keeps none of them alive.  :meth:`with_star` adds a singleton star without
     copying: the child's ``root`` is the root family and ``extra`` is the
     bit row of the ids whose singleton stars it adds, so ``sigma in child``
     is ``sigma in root.stars`` or a single id whose bit is in ``extra``.
@@ -87,7 +84,7 @@ class StarFamily:
         self.stars = frozenset(frozenset(map(_as_id, sigma)) for sigma in stars)
         self.root: Optional[StarFamily] = None
         self.extra = 0
-        self.memo: dict = {}
+        self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         if validate:
             for sigma in self.sorted_stars:
                 if not is_star(universe.sep(i) for i in sigma):
@@ -114,7 +111,7 @@ class StarFamily:
     @cached_property
     def star_masks(self) -> tuple[int, ...]:
         """Bit row of each star, in ``sorted_stars`` order."""
-        return tuple(_star_mask(sigma) for sigma in self.sorted_stars)
+        return tuple(_id_row(sigma) for sigma in self.sorted_stars)
 
     @cached_property
     def mask_set(self) -> frozenset[int]:
@@ -186,12 +183,12 @@ class StarFamily:
         return hit
 
     def restricted_to(self, system: SeparationSystem) -> "StarFamily":
-        """The sub-family of stars lying entirely inside the system."""
-        return StarFamily(
-            self.universe,
-            (sigma for sigma in self.stars if sigma <= system.member_ids),
-            validate=False,
-        )
+        """The sub-family of stars lying entirely inside the system; the
+        family itself when no star is dropped, so its caches carry over."""
+        kept = [sigma for sigma in self.stars if sigma <= system.member_ids]
+        if len(kept) == len(self.stars):
+            return self
+        return StarFamily(self.universe, kept, validate=False)
 
     def forces(self, sep: OrientedSep) -> bool:
         """True iff the family contains the singleton star of ``sep``'s inverse."""
@@ -279,6 +276,7 @@ class STree:
 
         self.system = system
         self.alpha: dict[tuple[int, int], int] = self._normalize_alpha(alpha)
+        self._stars: dict[int, frozenset[int]] = {}
 
         self.root_leaf = int(root_leaf) if root_leaf is not None else None
         if self.root_leaf is not None:
@@ -336,8 +334,11 @@ class STree:
     # -- basic queries ---------------------------------------------------
 
     def node_star(self, t: int) -> frozenset[int]:
-        """Label set of the edges pointing at ``t``."""
-        return frozenset(self.alpha[(w, t)] for w in self.adj[t])
+        """Label set of the edges pointing at ``t`` (cached per node)."""
+        star = self._stars.get(t)
+        if star is None:
+            star = self._stars[t] = frozenset(self.alpha[(w, t)] for w in self.adj[t])
+        return star
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(n for n in self.nodes if len(self.adj[n]) == 1)
@@ -388,6 +389,14 @@ class STree:
         return frozenset(seen)
 
     # -- derived trees -----------------------------------------------------
+
+    def _with_root_leaf(self, root: int) -> "STree":
+        """This tree with ``root`` as its root leaf, sharing its checked parts."""
+        if len(self.adj[root]) > 1:
+            raise MalformedInput(f"root {root} is not a leaf")
+        out = copy.copy(self)
+        out.root_leaf = root
+        return out
 
     def without_nodes(self, drop: Iterable[int], *, root_leaf=None) -> "STree":
         dropped = set(drop)
@@ -673,9 +682,7 @@ def tighten_rooted(tree: STree, root: int) -> STree:
         raise InternalInvariant(
             f"root label appears on {count} oriented edges after tightening"
         )
-    return STree(
-        t.system, t.edges, t.alpha, nodes=t.nodes, root_leaf=root
-    )
+    return t._with_root_leaf(root)
 
 
 def find_guided_sink(tree: STree, picks) -> int:

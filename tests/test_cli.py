@@ -218,6 +218,22 @@ def _one_error_line(capsys) -> None:
     assert "Traceback" not in err
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A document whose tables do not fit in memory ends in one error line,
+    as numpy's allocation failure, a MemoryError, does on a large order."""
+
+    def no_memory(n, items):
+        raise MemoryError(f"Unable to allocate an order matrix of shape ({n}, {n})")
+
+    monkeypatch.setattr("tangleduct.core._leq_from_pairs", no_memory)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json_dict(gen.full_cover_system(2))))
+    assert run(RunConfig("validate", str(path))) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+    assert "Traceback" not in err
+
+
 MALFORMED_PICKS = {
     "past the end": [1000000000],
     "negative": [-1],

@@ -585,7 +585,7 @@ def test_child_adding_the_singleton_images_its_root_lacks(rng):
                 singles = [y for image in missing if len(image) == 1 for y in image]
                 row = sum(1 << y for y in singles)
                 larger = len(singles) < len(missing)
-                assert family.memo[cand, r, system] == (-1 if larger else row)
+                assert family.memo[system][cand, r] == (-1 if larger else row)
                 if not singles:
                     continue
                 child = family

@@ -1,0 +1,178 @@
+"""The engines' incremental per-step state against whole-set recomputation.
+
+Below the root, a strong step's forced ids are its parent's plus one id,
+so the engine checks only that id: ``_added_pair`` for a pair of inverses
+and ``_added_conflict`` for an inconsistency.  On a consistent forced set
+without pairs, these must name what ``_forced_pair_tree`` and
+``find_inconsistency`` name on the whole set.  Also here:
+``SeparationSystem.trivial_ids`` against its per-member definition, and
+the caller's family as the engines' root (``restricted_to`` returns it
+unchanged, and its root-scan memo holds systems only weakly).
+"""
+
+import gc
+import random
+import weakref
+from functools import lru_cache
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import gen
+from tangleduct import (
+    FNotStandard,
+    GraphInput,
+    NotFSeparable,
+    StarFamily,
+    find_inconsistency,
+    graph_separations,
+    strong_duality,
+    weak_duality,
+)
+from tangleduct.core import _id_row
+from tangleduct.duality import _added_conflict, _added_pair, _forced_pair_tree
+
+
+tk = gen.bench_tk()
+LADDER = sorted(tk.EXPECTED_KIND)
+
+
+@lru_cache(maxsize=None)
+def ladder_system(name, k):
+    return graph_separations(GraphInput.parse(tk.GRAPHS[name]), k)
+
+
+def draw_system(rng, which):
+    if which is None:
+        return gen.random_system(rng, max_pairs=6)
+    return ladder_system(*which)
+
+
+def consistent_forced(rng, system):
+    """A random forced set as the engines keep it: no pair of inverses,
+    and consistent together with the degenerate members."""
+    u = system.universe
+    order = [m for m in system.members if not u.is_degenerate_id(m)]
+    rng.shuffle(order)
+    forced = set()
+    for x in order:
+        if rng.random() < 0.5 or u.inv_id(x) in forced:
+            continue
+        if find_inconsistency(forced | {x} | system.degenerate_ids, system) is None:
+            forced.add(x)
+    return forced
+
+
+# --- one added id against the whole set ------------------------------------------------
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, *LADDER]))
+def test_added_id_names_the_whole_set_witness(seed, which):
+    rng = random.Random(seed)
+    system = draw_system(rng, which)
+    u = system.universe
+    forced = consistent_forced(rng, system)
+    row = _id_row(forced)
+    for added in system.members:
+        if u.is_degenerate_id(added) or added in forced:
+            continue
+        whole = frozenset(forced | {added})
+        tree = _forced_pair_tree(system, whole)
+        assert _added_pair(system, row, added) == (
+            None if tree is None else tree.alpha[(0, 1)]
+        )
+        hit = find_inconsistency(whole | system.degenerate_ids, system)
+        assert _added_conflict(system, row, added) == (
+            None if hit is None else (hit[0].id, hit[1].id)
+        )
+
+
+# --- trivial ids ------------------------------------------------------------------------
+
+
+def per_member_trivial_ids(system):
+    """The members ``r`` with a member ``s`` such that ``r < s`` and
+    ``r < inv(s)``, one member at a time."""
+    u = system.universe
+    return frozenset(
+        r
+        for r in system.members
+        if any(
+            u.lt_ids(r, s) and u.lt_ids(r, u.inv_id(s)) for s in system.members
+        )
+    )
+
+
+@pytest.mark.parametrize("name, k", LADDER)
+def test_trivial_ids_on_ladder_systems(name, k):
+    system = ladder_system(name, k)
+    assert system.trivial_ids == per_member_trivial_ids(system)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, *LADDER]))
+def test_trivial_ids_on_random_subsystems(seed, which):
+    rng = random.Random(seed)
+    base = gen.full_cover_system(4) if which is None else ladder_system(*which)
+    system = gen.random_subsystem(rng, base, max_pairs=8)
+    assert system.trivial_ids == per_member_trivial_ids(system)
+
+
+def test_trivial_ids_of_the_empty_system(cover2):
+    assert gen.subsystem(cover2, []).trivial_ids == frozenset()
+
+
+# --- the caller's family as the engines' root ---------------------------------------------
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_restricted_to_is_the_family_iff_no_star_is_dropped(seed):
+    rng = random.Random(seed)
+    system = gen.random_system(rng, max_pairs=5)
+    family = gen.random_family(rng, system, max_stars=6, standard=rng.random() < 0.5)
+    sub = gen.random_subsystem(rng, system, max_pairs=3)
+    for fam, target in ((family, system), (family, sub)):
+        kept = fam.restricted_to(target)
+        inside = {sigma for sigma in fam.stars if sigma <= target.member_ids}
+        assert kept.stars == inside
+        assert (kept is fam) == (inside == fam.stars)
+
+
+def test_family_keeps_no_system_alive():
+    graph = GraphInput.parse(tk.GRAPHS["P5"])
+    system = graph_separations(graph, 3)
+    family = tk.tk_family(system, graph)
+    strong_duality(system, family)
+    weak_duality(system, family)
+    assert system in family.memo  # the engines scanned this family as root
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
+    assert len(family.memo) == 0
+
+
+def engine_outcomes(system, family):
+    out = []
+    for engine in (strong_duality, weak_duality):
+        try:
+            out.append(engine(system, family).to_json_dict())
+        except (FNotStandard, NotFSeparable) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_one_family_across_systems_answers_as_fresh_copies(seed):
+    """A family whose caches carry over from system to system gives each
+    system the answers a fresh copy of it gives."""
+    rng = random.Random(seed)
+    base = gen.full_cover_system(rng.randint(3, 4))
+    core = gen.random_subsystem(rng, base, max_pairs=2, allow_degenerate=False)
+    family = gen.random_family(rng, core, max_stars=6, standard=True)
+    for _ in range(4):
+        extra = rng.sample(base.nondegenerate_reps, rng.randint(0, 3))
+        system = gen.subsystem(base, [*core.members, *extra])
+        assert family.restricted_to(system) is family
+        fresh = StarFamily(base.universe, family.stars)
+        assert engine_outcomes(system, family) == engine_outcomes(system, fresh)
