@@ -379,15 +379,15 @@ class Universe:
 
     def to_json_dict(self, members: Optional[Iterable[int]] = None) -> dict:
         n = len(self)
-        pairs = np.argwhere(self._leq).tolist()
         d = {
             "elements": list(range(n)),
             "inverse": {str(i): int(self._inv[i]) for i in range(n)},
-            "leq": pairs,
         }
         if self.set_labels is not None and self.ground is not None:
-            # join/meet are recomputed from the labels on read; the explicit
-            # n-by-n tables would dominate the file for large closures
+            # the side pairs fix the order, (A, B) <= (C, D) iff A ⊆ C and
+            # B ⊇ D, and the join (A ∪ C, B ∩ D): the reader rebuilds both
+            # from the labels, so neither the order pairs nor the n-by-n
+            # tables, which would dominate the file, are written
             d["ground"] = list(self.ground)
             d["labels"] = [
                 [
@@ -397,6 +397,7 @@ class Universe:
                 for a, b in self.set_labels
             ]
         else:
+            d["leq"] = np.argwhere(self._leq).tolist()
             d["join"] = [
                 [r, s, int(self._join[r, s])] for r in range(n) for s in range(n)
             ]
@@ -757,21 +758,21 @@ def _leq_from_pairs(n: int, items) -> np.ndarray:
     if not isinstance(items, (list, tuple)):
         raise MalformedInput("'leq' must be a list of [a, b] pairs")
     leq = np.zeros((n, n), dtype=bool)
-    try:
-        pairs = np.asarray(items)
-    except (ValueError, TypeError, OverflowError):  # ragged or odd entries
-        pairs = None
-    # the whole list at once when it is a clean in-range integer (k, 2) array;
-    # numpy reads a bool mixed with ints as an int, hence the type scan
+    # the whole list at once when every entry is a list of two JSON integers
+    # (``type(x) is int`` rules out ``true``/``false``) and every id is in
+    # range; anything else takes the loop, which names the first bad entry
     if (
-        pairs is not None
-        and pairs.dtype.kind == "i"
-        and pairs.shape[1:] == (2,)
-        and (not len(pairs) or (pairs.min() >= 0 and pairs.max() < n))
-        and bool not in set(map(type, chain.from_iterable(items)))
+        set(map(type, items)) <= {list}
+        and set(map(len, items)) <= {2}
+        and set(map(type, chain.from_iterable(items))) <= {int}
     ):
-        leq[pairs[:, 0], pairs[:, 1]] = True
-        return leq
+        try:
+            flat = np.fromiter(chain.from_iterable(items), np.int64, count=2 * len(items))
+        except OverflowError:  # an id past int64 is out of range anyway
+            flat = None
+        if flat is not None and (not len(flat) or (flat.min() >= 0 and flat.max() < n)):
+            leq[flat[0::2], flat[1::2]] = True
+            return leq
     for item in items:
         a, b = _id_entry(item, 2, "'leq'", "[a, b] pairs")
         if not (0 <= a < n and 0 <= b < n):
@@ -831,7 +832,12 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     ``leq`` (list of ``[a, b]`` pairs), optional ``join``/``meet`` tables as
     ``[a, b, value]`` triples (derived from the order when omitted), optional
     ``members`` (defaults to all elements), optional ``ground``/``labels``
-    annotations for set universes.  Every id must be a JSON integer.
+    for set universes.  Every id must be a JSON integer.
+
+    With ``ground`` and ``labels`` present the side pairs fix the order and
+    the join, so ``leq`` is optional: the order is taken from the labels,
+    and a ``leq`` that is given must equal it.  ``inverse`` must equal the
+    labels' flips.  Either way the universe is law-checked in full.
     """
     try:
         elements = list(d["elements"])
@@ -852,7 +858,7 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
         if not (_is_id(x) and 0 <= x < n):
             raise MalformedInput(f"bad 'inverse' table: {i} maps to {x!r}, not an element id")
 
-    leq = _leq_from_pairs(n, d.get("leq", ()))
+    leq = _leq_from_pairs(n, d["leq"]) if "leq" in d else None
     join = _table_from_triples(n, d["join"], "join") if "join" in d else None
     meet = _table_from_triples(n, d["meet"], "meet") if "meet" in d else None
 
@@ -861,14 +867,17 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     if "labels" in d and "ground" in d:
         ground, set_labels = _set_labels(d["ground"], d["labels"], n)
         label_leq, label_inv, label_join = tables_from_masks(set_labels)
-        if not np.array_equal(label_leq, leq):
+        if leq is not None and not np.array_equal(label_leq, leq):
             raise MalformedInput("'leq' disagrees with the set labels")
         if not np.array_equal(label_inv, np.asarray(inverse)):
             raise MalformedInput("'inverse' disagrees with the set labels")
+        leq = label_leq
         # a supplied join is law-checked by Universe, and a supremum is
         # unique, so it cannot disagree with the labels' join either
         if join is None:
             join = label_join
+    elif leq is None:
+        raise MalformedInput("'leq' is required without 'ground' and 'labels'")
 
     universe = Universe(leq, inverse, join, meet, set_labels=set_labels, ground=ground)
     members = d.get("members")

@@ -30,7 +30,6 @@ from .core import (
     _id_entry,
     _id_row,
     _is_id,
-    is_star,
 )
 from .errors import (
     AlphaImageOutsideS,
@@ -57,6 +56,28 @@ def _bit_ids(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _is_star_ids(universe: Universe, ids: Iterable[int]) -> bool:
+    """:func:`~tangleduct.core.is_star` on element ids, read off bit rows.
+
+    A star holds no degenerate element, and for any two distinct elements
+    ``s`` and ``t`` the bit of ``inv(t)`` is set in ``above_mask(s)``.  An
+    id outside the universe raises ``IndexError``, as ``Universe.sep`` does.
+    """
+    ids = tuple(ids)
+    n = len(universe)
+    for i in ids:
+        if not 0 <= i < n:
+            raise IndexError(f"element id {i} outside a universe of {n}")
+    flips = [universe.inv_id(i) for i in ids]
+    if any(i == f for i, f in zip(ids, flips)):
+        return False
+    if len(ids) < 2:  # the engines' singletons need no bit row
+        return True
+    row = _id_row(flips)
+    # s <= inv(s) is not required, so the bit of inv(s) is let through
+    return not any(row & ~(universe.above_mask(i) | 1 << f) for i, f in zip(ids, flips))
 
 
 class StarFamily:
@@ -87,7 +108,7 @@ class StarFamily:
         self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         if validate:
             for sigma in self.sorted_stars:
-                if not is_star(universe.sep(i) for i in sigma):
+                if not _is_star_ids(universe, sigma):
                     raise FNotStars(sigma)
 
     def _extra_stars(self) -> list[frozenset[int]]:
@@ -154,7 +175,7 @@ class StarFamily:
 
     def with_star(self, sigma) -> "StarFamily":
         ids = frozenset(map(_as_id, sigma))
-        if not is_star(self.universe.sep(i) for i in ids):
+        if not _is_star_ids(self.universe, ids):
             raise FNotStars(ids)
         if ids in self:
             return self
@@ -553,7 +574,7 @@ def validate_stree(tree: STree, family: Optional[StarFamily] = None) -> STreeRep
 
     over_stars = True
     for t in tree.nodes:
-        if not is_star(u.sep(i) for i in tree.node_star(t)):
+        if not _is_star_ids(u, tree.node_star(t)):
             over_stars = False
             problems.append(f"star at node {t} is not a star")
             break

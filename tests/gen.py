@@ -18,6 +18,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from tangleduct import (
     GraphInput,
     STree,
@@ -26,6 +28,7 @@ from tangleduct import (
     build_set_universe,
     graph_separations,
     standardize,
+    system_from_json_dict,
 )
 from tangleduct import duality
 from tangleduct.core import _as_id
@@ -106,6 +109,12 @@ def bench_tk():
 
 
 @lru_cache(maxsize=None)
+def ladder_system(name: str, k: int) -> SeparationSystem:
+    """S_k of a graph of the benchmark ladder, ``GRAPHS`` in ``bench/tk.py``."""
+    return graph_separations(GraphInput.parse(bench_tk().GRAPHS[name]), k)
+
+
+@lru_cache(maxsize=None)
 def graph_system(name: str, k: int) -> SeparationSystem:
     return graph_separations(GraphInput.parse(_GRAPHS[name]), k, max_closure=4096)
 
@@ -122,6 +131,18 @@ def random_system(rng: random.Random, max_pairs: int = 5) -> SeparationSystem:
     name = rng.choice(sorted(_GRAPHS))
     k = rng.randint(1, 3)
     return random_subsystem(rng, graph_system(name, k), max_pairs)
+
+
+def add_leq(doc: dict) -> dict:
+    """Turn a set-labelled system document into the older format, which
+    also lists the order as ``[a, b]`` pairs; returns ``doc``.
+
+    The pairs are those of the universe the document loads to, in the
+    row-major order the writer used to emit them.
+    """
+    leq = system_from_json_dict(doc).universe.leq_matrix()
+    doc["leq"] = np.argwhere(leq).tolist()
+    return doc
 
 
 # --- star families -------------------------------------------------------------

@@ -188,6 +188,8 @@ def test_malformed_system_is_one_error_line(case, tmp_path, capsys):
         doc = _abstract_system_doc()
     else:
         doc = system_to_json_dict(gen.full_cover_system(2))
+        if case.startswith("leq"):
+            gen.add_leq(doc)
     mutate(doc)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(doc))
@@ -227,7 +229,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("tangleduct.core._leq_from_pairs", no_memory)
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(system_to_json_dict(gen.full_cover_system(2))))
+    path.write_text(json.dumps(gen.add_leq(system_to_json_dict(gen.full_cover_system(2)))))
     assert run(RunConfig("validate", str(path))) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")

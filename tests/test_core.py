@@ -354,7 +354,7 @@ class TestJson:
         [
             lambda d: d.update(elements=[0, 2]),
             lambda d: d.update(inverse={"0": 1}),
-            lambda d: d["leq"].append([0, 99]),
+            lambda d: gen.add_leq(d)["leq"].append([0, 99]),
             lambda d: d.update(inverse=[0]),
         ],
     )
@@ -364,8 +364,17 @@ class TestJson:
         with pytest.raises(MalformedInput):
             system_from_json_dict(d)
 
+    def test_order_required_without_labels(self, cover2):
+        d = chain_universe().to_json_dict()
+        del d["leq"]
+        labelled = system_to_json_dict(cover2)
+        del labelled["labels"]
+        for doc in (d, labelled):
+            with pytest.raises(MalformedInput, match="'leq' is required"):
+                system_from_json_dict(doc)
+
     def test_labels_disagreeing_with_order_rejected(self, cover2):
-        d = system_to_json_dict(cover2)
+        d = gen.add_leq(system_to_json_dict(cover2))
         d["leq"] = [p for p in d["leq"] if p != [0, 1]]
         with pytest.raises(MalformedInput):
             system_from_json_dict(d)
@@ -379,6 +388,44 @@ class TestJson:
         d["labels"][0], d["labels"][1] = d["labels"][1], d["labels"][0]
         with pytest.raises(MalformedInput, match="sorted"):
             system_from_json_dict(d)
+
+
+def assert_label_document_roundtrip(system, rng):
+    """A set-labelled document carries no ``leq``; it loads to the same
+    universe, with or without the order pairs added back, and order pairs
+    that differ from the labels' order in one pair are rejected."""
+    u = system.universe
+    doc = system_to_json_dict(system)
+    assert "leq" not in doc and "join" not in doc
+    old = {**doc, "leq": np.argwhere(u.leq_matrix()).tolist()}
+    for d in (doc, old):
+        back = system_from_json_dict(d)
+        assert back.members == system.members
+        v = back.universe
+        assert np.array_equal(v.leq_matrix(), u.leq_matrix())
+        assert np.array_equal(v.inverse_table(), u.inverse_table())
+        assert np.array_equal(v.join_table(), u.join_table())
+        assert v.set_labels == u.set_labels and v.ground == u.ground
+    pairs = old["leq"]
+    drop = rng.randrange(len(pairs))
+    wrong = [pairs[:drop] + pairs[drop + 1 :]]
+    missing = np.flatnonzero(~u.leq_matrix())
+    if len(missing):
+        pair = divmod(int(missing[rng.randrange(len(missing))]), len(u))
+        wrong.append(sorted(pairs + [list(pair)]))
+    for leq in wrong:
+        with pytest.raises(MalformedInput, match="'leq' disagrees with the set labels"):
+            system_from_json_dict({**old, "leq": leq})
+
+
+def test_label_documents_of_the_bench_ladder(rng):
+    for name, k in sorted(gen.bench_tk().EXPECTED_KIND):
+        assert_label_document_roundtrip(gen.ladder_system(name, k), rng)
+
+
+@given(st.randoms(use_true_random=False))
+def test_label_documents_of_random_systems(rnd):
+    assert_label_document_roundtrip(gen.random_system(rnd), rnd)
 
 
 def test_tables_from_masks_matches_universe(cover2):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gen
 from tangleduct import (
@@ -14,6 +16,7 @@ from tangleduct import (
     find_guided_sink,
     is_order_respecting,
     is_over,
+    is_star,
     prune_to_irredundant,
     star_sort_key,
     tighten_rooted,
@@ -25,6 +28,23 @@ from tangleduct.errors import (
     InternalInvariant,
     RootLabelTrivial,
 )
+from tangleduct.stree import _is_star_ids
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_star_check_on_ids_matches_is_star(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        system = gen.ladder_system(*rng.choice(sorted(gen.bench_tk().EXPECTED_KIND)))
+    else:
+        system = gen.random_system(rng)
+    u = system.universe
+    for _ in range(20):
+        star = sorted(gen.random_star_ids(rng, system) or ())
+        near = star + rng.sample(system.members, rng.randint(0, 2))
+        anywhere = rng.sample(range(len(u)), rng.randint(0, min(4, len(u))))
+        for ids in (star, near, anywhere):
+            assert _is_star_ids(u, ids) == is_star(u.sep(i) for i in ids), ids
 
 
 class TestStarFamily:
@@ -49,6 +69,17 @@ class TestStarFamily:
             StarFamily(cover2.universe, [[1, 2]])
         with pytest.raises(FNotStars):
             StarFamily(cover2.universe, [[8]])  # degenerate
+
+    def test_first_failing_star_or_id_out_of_range_raises(self, cover2):
+        u = cover2.universe
+        with pytest.raises(FNotStars) as exc:
+            StarFamily(u, [[1, 2], [0, 2], [8], [7, 1]])
+        assert exc.value.witness == frozenset({8})
+        for bad in (-1, len(u)):
+            with pytest.raises(IndexError, match=f"element id {bad} outside"):
+                StarFamily(u, [[0, 2], [bad]])
+            with pytest.raises(IndexError, match=f"element id {bad} outside"):
+                StarFamily(u, [[1]]).with_star([bad])
 
     def test_empty_star_allowed(self, cover2):
         fam = StarFamily(cover2.universe, [()])

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import gen
 from tangleduct import GraphInput, MalformedInput, RunConfig, Universe, run
 from tangleduct.backends import _close_under_join_meet, _graph_separation_masks
+from tangleduct.cli import _dumps
 from tangleduct.core import tables_from_masks
 from tangleduct.errors import InternalInvariant, MeetNotInfimum, TangleductError
 from test_law_checks import dense_check_bounds
@@ -221,18 +222,43 @@ def test_grid_universe_builds_in_bounded_memory():
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-# sha256 of the graph-sk documents as written before the tables were chunked
+# sha256 of the graph-sk documents as written before the tables were chunked,
+# when set-labelled documents still listed the order as ``leq`` pairs
 GRID_DOCUMENT_SHA256 = {
     2: "08702e55d83457f02d28fd38629b15666e32dab6fdbb34f76b3fb2f0dcd7a94c",
     4: "ad734d6a7f736baafe34705fed4e025dee1e0ab5f683abff84b83f74132c4322",
 }
 
+# sha256 of the same graph-sk documents as written now, without ``leq``
+GRID_LABEL_DOCUMENT_SHA256 = {
+    2: "de926917c323d8b85f07e4a3b88d27940fe180d0011c21bcb0f881e2b0c6b6d0",
+    4: "5469ba8f0c1c6b33e085e55be9b250a9b552063d2b6cdd8a18ff7ea4b67e5dae",
+}
 
-@pytest.mark.parametrize("k", sorted(GRID_DOCUMENT_SHA256))
-def test_grid_documents_unchanged(k, tmp_path):
-    graph = tmp_path / "grid3x3.txt"
+
+@pytest.fixture(scope="module", params=sorted(GRID_DOCUMENT_SHA256))
+def grid_document(request, tmp_path_factory):
+    """``(k, bytes)`` of the graph-sk document of the 3×3 grid at k."""
+    k = request.param
+    tmp = tmp_path_factory.mktemp(f"grid{k}")
+    graph = tmp / "grid3x3.txt"
     graph.write_text(GRID3X3)
-    out = tmp_path / "system.json"
+    out = tmp / "system.json"
     assert run(RunConfig("graph-sk", str(graph), k=k, max_closure=4096,
                          output_path=str(out))) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_DOCUMENT_SHA256[k]
+    return k, out.read_bytes()
+
+
+def test_grid_documents_unchanged(grid_document):
+    # the document with its order pairs added back, as the CLI writes JSON
+    k, text = grid_document
+    doc = json.loads(text)
+    gen.add_leq(doc["system"])
+    old = (_dumps(doc) + "\n").encode()
+    assert hashlib.sha256(old).hexdigest() == GRID_DOCUMENT_SHA256[k]
+
+
+def test_grid_label_documents_unchanged(grid_document):
+    k, text = grid_document
+    assert b'"leq"' not in text
+    assert hashlib.sha256(text).hexdigest() == GRID_LABEL_DOCUMENT_SHA256[k]
