@@ -57,19 +57,6 @@ from .essential import essential_core, essentialize_stree
 from .oracle import DEFAULT_CENSUS_CAP, _bits, _listing_chunks, _truth_tables
 from .stree import STree, StarFamily
 
-ENV_MAX_CLOSURE = "TANGLEDUCT_MAX_CLOSURE"
-COMMANDS = (
-    "validate",
-    "weak",
-    "strong",
-    "tangles",
-    "check-tree",
-    "essential-core",
-    "essentialize",
-    "graph-sk",
-)
-
-
 @dataclass
 class RunConfig:
     """One CLI invocation: a command plus its input paths and flags."""
@@ -91,8 +78,9 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
         prog="tangleduct",
         description="separation systems, tangles, and tree certificates",
     )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("input", help="input file path, or '-' for stdin")
+    parser.add_argument("command", choices=(*_COMMANDS, "graph-sk"))
+    parser.add_argument("input_path", metavar="input",
+                        help="input file path, or '-' for stdin")
     parser.add_argument("--system", dest="system_path", default=None,
                         help="system JSON when the input lacks one")
     parser.add_argument("--family", dest="family_path", default=None,
@@ -102,26 +90,14 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
     parser.add_argument("--k", type=int, default=None,
                         help="order bound for graph-sk")
     parser.add_argument("--max-closure", type=int, default=None,
-                        help=f"universe closure cap (env {ENV_MAX_CLOSURE})")
+                        help=f"universe closure cap (default {DEFAULT_CLOSURE_CAP})")
     parser.add_argument("--auto-standardize", action="store_true",
                         help="add missing trivial-forcing stars for strong/check-tree")
     parser.add_argument("--format", dest="fmt", choices=("json", "dot"),
                         default="json")
     parser.add_argument("--demo-family", action="store_true",
                         help="graph-sk: bundle a demo star family with the system")
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        input_path=ns.input,
-        system_path=ns.system_path,
-        family_path=ns.family_path,
-        output_path=ns.output_path,
-        k=ns.k,
-        max_closure=ns.max_closure,
-        auto_standardize=ns.auto_standardize,
-        fmt=ns.fmt,
-        demo_family=ns.demo_family,
-    )
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 def _read_text(path: str) -> str:
@@ -276,20 +252,6 @@ def demo_family(system: SeparationSystem) -> StarFamily:
     return standardize(StarFamily(u, singles), system)
 
 
-def _closure_cap(config: RunConfig) -> int:
-    if config.max_closure is not None:
-        return config.max_closure
-    env = os.environ.get(ENV_MAX_CLOSURE)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise MalformedInput(
-                f"environment variable {ENV_MAX_CLOSURE} must be an integer"
-            ) from exc
-    return DEFAULT_CLOSURE_CAP
-
-
 def _cmd_validate(config: RunConfig, docs: _Documents) -> int:
     system = _require_system(docs)
     u = system.universe
@@ -392,7 +354,8 @@ def _cmd_graph_sk(config: RunConfig) -> int:
     if config.k is None:
         raise MalformedInput("graph-sk requires --k")
     graph = GraphInput.parse(_read_text(config.input_path))
-    system = graph_separations(graph, config.k, max_closure=_closure_cap(config))
+    cap = DEFAULT_CLOSURE_CAP if config.max_closure is None else config.max_closure
+    system = graph_separations(graph, config.k, max_closure=cap)
     doc = {"system": system_to_json_dict(system)}
     if config.demo_family:
         fam = demo_family(system)
@@ -403,27 +366,27 @@ def _cmd_graph_sk(config: RunConfig) -> int:
     return 0
 
 
+# the commands that read JSON documents; graph-sk reads edge-list text
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "weak": _cmd_weak,
+    "strong": _cmd_strong,
+    "tangles": _cmd_tangles,
+    "check-tree": _cmd_check_tree,
+    "essential-core": _cmd_essential_core,
+    "essentialize": _cmd_essentialize,
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
         if config.command == "graph-sk":
             return _cmd_graph_sk(config)
         docs = _load_documents(config)
-        if config.command == "validate":
-            return _cmd_validate(config, docs)
-        if config.command == "weak":
-            return _cmd_weak(config, docs)
-        if config.command == "strong":
-            return _cmd_strong(config, docs)
-        if config.command == "tangles":
-            return _cmd_tangles(config, docs)
-        if config.command == "check-tree":
-            return _cmd_check_tree(config, docs)
-        if config.command == "essential-core":
-            return _cmd_essential_core(config, docs)
-        if config.command == "essentialize":
-            return _cmd_essentialize(config, docs)
-        raise MalformedInput(f"unknown command {config.command!r}")
+        if config.command not in _COMMANDS:
+            raise MalformedInput(f"unknown command {config.command!r}")
+        return _COMMANDS[config.command](config, docs)
     except InternalInvariant:
         raise
     except HypothesisFailure as exc:

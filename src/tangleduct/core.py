@@ -628,13 +628,28 @@ def find_inconsistency(
     if ids and not (0 <= ids[0] and ids[-1] < len(u)):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise IndexError(f"element id {bad} outside a universe of {len(u)}")
-    picked = 0
-    for a in ids:
-        picked |= 1 << a
-    for a in ids:
-        hit = u.conflict_mask(a) & picked
+    picked = _id_row(ids)
+    hit = _first_conflict(u, picked, picked)
+    return None if hit is None else (u.sep(hit[0]), u.sep(hit[1]))
+
+
+def _first_conflict(universe: Universe, picked: int, new: int) -> Optional[tuple[int, int]]:
+    """The least inconsistent pair of the bit row ``picked`` that holds an id
+    of the row ``new``, as ids ``(a, b)`` with ``inv(a) < b``, or ``None``.
+
+    The ids of ``new`` are scanned in ascending order; the first whose
+    conflict row meets ``picked``, with the least id ``c`` it meets, makes
+    the pair.  Conflict is symmetric, so with ``new = picked`` this is the
+    least witness of the whole set, and so it is with ``new = 1 << x`` when
+    every conflict within ``picked`` holds ``x``.
+    """
+    while new:
+        a = (new & -new).bit_length() - 1
+        hit = universe.conflict_mask(a) & picked
         if hit:
-            return u.sep(a), u.sep((hit & -hit).bit_length() - 1)
+            c = (hit & -hit).bit_length() - 1
+            return min(a, c), max(a, c)
+        new &= new - 1
     return None
 
 

@@ -43,12 +43,13 @@ family below the root is the root family plus the singletons
 their bit row costs one bit per id instead of the whole family.
 
 The engines pass their forced state from parent to child as two bit
-rows, the forced ids and their inverses.  Only the root checks the whole
-forced set for a pair of inverses and for consistency.  A child forces
-its parent's ids, which passed both checks, plus one id, so one bit of
-the parent's row finds a pair and one AND of the new id's conflict row
-finds a conflict, naming the least witness a check of the whole set
-names.  The root is the caller's family itself when the system drops none
+rows, the forced ids and their inverses.  Each check on it is one rule,
+applied at every level, the root included: a pair of inverses is the
+least bit of the AND of the two rows, and the strong engine's conflict
+scan runs over the ids not yet checked, at the root all forced and
+degenerate ids, at a child the one id it adds to its parent's, which
+passed both checks.  Either way the least witness of the whole set is
+named.  The root is the caller's family itself when the system drops none
 of its stars (:meth:`StarFamily.restricted_to`), so the family's caches
 and its root scans, kept per system, carry over from call to call.
 """
@@ -64,9 +65,9 @@ from .core import (
     OrientedSep,
     SeparationSystem,
     _as_id,
+    _first_conflict,
     _id_row,
     _is_id,
-    find_inconsistency,
     is_consistent,
     is_orientation,
 )
@@ -242,26 +243,6 @@ def _require_usable_base(r: int, system: SeparationSystem, what: str) -> None:
         raise MalformedInput(f"{what} is trivial in the system")
 
 
-def _shift_target_id(system: SeparationSystem, r: int, s0: int, target: int) -> int:
-    u = system.universe
-    if target == r:
-        return s0
-    if target == u.inv_id(r):
-        return u.inv_id(s0)
-    t_inv = u.inv_id(target)
-    above = u.leq_ids(r, target)
-    above_inv = u.leq_ids(r, t_inv)
-    if above and above_inv:
-        raise InternalInvariant(
-            "both orientations of a shift target lie above the base"
-        )
-    if above:
-        return u.join_id(target, s0)
-    if above_inv:
-        return u.inv_id(u.join_id(t_inv, s0))
-    raise TargetNotAboveR(target, r)
-
-
 def shift_map(r, s0, target, system: SeparationSystem) -> OrientedSep:
     """Shift one separation across ``s0``.
 
@@ -279,7 +260,14 @@ def shift_map(r, s0, target, system: SeparationSystem) -> OrientedSep:
         raise MalformedInput("s0 does not lie above the shift base")
     if t_id not in system.member_ids and t_id not in (r_id, u.inv_id(r_id)):
         raise MalformedInput("shift target is not a member of the system")
-    return u.sep(_shift_target_id(system, r_id, s0_id, t_id))
+    if t_id == r_id:
+        return u.sep(s0_id)
+    # the image table joins r's inverse with s0 when r is small
+    if t_id == u.inv_id(r_id):
+        return u.sep(u.inv_id(s0_id))
+    if not system.domain_mask(r_id) >> t_id & 1:
+        raise TargetNotAboveR(t_id, r_id)
+    return u.sep(_shift_image_bits(system, r_id, s0_id)[t_id].bit_length() - 1)
 
 
 def emulates(s0, r, system: SeparationSystem) -> bool:
@@ -316,7 +304,7 @@ def _joins_stay_inside(system: SeparationSystem, s0: int, r: int) -> bool:
 
 
 def _shift_image_bits(system: SeparationSystem, r: int, s0: int) -> list[int]:
-    """The bit of each member's shift across ``s0`` (as ``_shift_target_id``).
+    """The bit of each member's shift across ``s0`` (as :func:`shift_map`).
 
     Built from one column of the join table for every id at once (``r``
     itself joins to ``s0``, as ``r <= s0``) and cached per pair.  Only the
@@ -472,13 +460,7 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
         if t != root and tree.node_star(t) not in family:
             raise MalformedInput(f"star at node {t} is not in the family")
 
-    parent = {root: None}
-    order = [root]
-    for n in order:
-        for w in tree.adj[n]:
-            if w not in parent:
-                parent[w] = n
-                order.append(w)
+    parent = tree._parents(root)
     alpha: dict[tuple[int, int], int] = {}
     for u_, v_ in tree.edges:
         away = (u_, v_) if parent[v_] == u_ else (v_, u_)
@@ -590,13 +572,8 @@ def weak_duality(system: SeparationSystem, family: StarFamily) -> Certificate:
     transcript = [
         f"restricted family to the system: {len(fam)} of {len(family)} stars kept"
     ]
-    forced = fam.forced_ids(system)
-    k2 = _forced_pair_tree(system, forced)
-    if k2 is not None:
-        kind, payload = _both_forced(k2, transcript, depth=0)
-    else:
-        rows = _forced_rows(system, forced)
-        kind, payload = _weak(system, fam, *rows, transcript, depth=0)
+    rows = _forced_rows(system, fam.forced_ids(system))
+    kind, payload = _weak(system, fam, *rows, transcript, depth=0)
     return _certify("weak", kind, payload, system, family, transcript)
 
 
@@ -628,27 +605,19 @@ def _forced_rows(system: SeparationSystem, forced: frozenset[int]) -> tuple[int,
     return _id_row(forced), _id_row(map(inv, forced))
 
 
-def _forced_pair_tree(
-    system: SeparationSystem, forced: frozenset[int]
-) -> Optional[STree]:
-    inv = system.universe.inv_id
-    for s in sorted(forced):
-        if inv(s) in forced:
-            return STree(system, [(0, 1)], {(0, 1): s})
-    return None
-
-
-def _added_pair(system: SeparationSystem, forced: int, added: int) -> Optional[int]:
-    """The label of :func:`_forced_pair_tree` on the ids of the row
-    ``forced``, which holds no pair of inverses, plus ``added``: the only
-    possible pair is ``added`` and its inverse."""
-    inv_added = system.universe.inv_id(added)
-    return min(added, inv_added) if forced >> inv_added & 1 else None
-
-
-def _both_forced(tree: STree, transcript: list[str], depth: int) -> tuple[str, object]:
+def _pair_tree(
+    system: SeparationSystem, forced: int, inv_forced: int, transcript: list[str], depth: int
+) -> Optional[tuple[str, object]]:
+    """The 2-node tree when the family forces both orientations of a
+    separation, labelled by the least forced id whose inverse is forced
+    too: the least bit of ``forced & inv_forced``.  Below the root a level
+    forces its parent's ids, which hold no pair, plus one id, so the only
+    possible pair is that id and its inverse."""
+    both = forced & inv_forced
+    if not both:
+        return None
     transcript.append(f"[{depth}] family forces both orientations: 2-node tree")
-    return "tree", tree
+    return "tree", STree(system, [(0, 1)], {(0, 1): (both & -both).bit_length() - 1})
 
 
 def _settled(
@@ -686,10 +655,13 @@ def _weak(
     """One level on the bit rows of the forced ids and of their inverses.
 
     Each branch forces one orientation of a separation with neither
-    forced, so no level below the root forces a pair of inverses.
+    forced, so only the root can force a pair of inverses.
     """
     if depth > len(system.members) + 2:
         raise InternalInvariant("weak recursion exceeded its depth bound")
+    pair = _pair_tree(system, forced, inv_forced, transcript, depth)
+    if pair is not None:
+        return pair
     u = system.universe
     # the least nondegenerate member with neither orientation forced
     free = system.member_mask & ~(system.degenerate_mask | forced | inv_forced)
@@ -776,39 +748,11 @@ def strong_duality(
         transcript.append(
             f"standardized: forced {len(missing)} trivial orientation(s)"
         )
-    forced = fam.forced_ids(system)
-    k2 = _forced_pair_tree(system, forced)
-    if k2 is not None:
-        kind, payload = _both_forced(k2, transcript, depth=0)
-    else:
-        _assert_consistent_forced(system, fam, forced)
-        rows = _forced_rows(system, forced)
-        kind, payload = _strong_step(system, fam, *rows, transcript, {}, depth=0)
+    forced, inv_forced = _forced_rows(system, fam.forced_ids(system))
+    # the root checks every forced and degenerate id for a conflict
+    new = forced | system.degenerate_mask
+    kind, payload = _strong(system, fam, forced, inv_forced, new, transcript, {}, 0)
     return _certify("strong", kind, payload, system, fam, transcript)
-
-
-def _assert_consistent_forced(
-    system: SeparationSystem, fam: StarFamily, forced: frozenset[int]
-) -> None:
-    hit = find_inconsistency(forced | system.degenerate_ids, system)
-    if hit is not None:
-        _raise_inconsistent(system, fam, hit[0].id, hit[1].id)
-
-
-def _added_conflict(
-    system: SeparationSystem, forced: int, added: int
-) -> Optional[tuple[int, int]]:
-    """:func:`find_inconsistency`'s witness ids on the forced and degenerate
-    ids, when those of the row ``forced`` are consistent and ``added`` is
-    forced too.  Conflict is symmetric, so each new conflict holds
-    ``added``; with ``c`` the least id it conflicts with, the least picked
-    id in a conflict is ``min(c, added)`` and the other is ``max(c, added)``.
-    """
-    hit = system.universe.conflict_mask(added) & (forced | system.degenerate_mask)
-    if not hit:
-        return None
-    c = (hit & -hit).bit_length() - 1
-    return min(c, added), max(c, added)
 
 
 def _raise_inconsistent(
@@ -852,57 +796,33 @@ def _strong(
     fam: StarFamily,
     forced: int,
     inv_forced: int,
-    added: int,
+    new: int,
     transcript: list[str],
     memo: dict,
     depth: int,
 ) -> tuple[str, object]:
-    """One recursion level below the root, forcing the parent's row
-    ``forced`` plus ``added``; ``inv_forced`` is the row of the parent's
-    forced inverses.  Memoized by the forced ids, as their bit row, which
-    determine the family (see the module docstring).  The parent's forced
-    ids hold no pair and are consistent, so only ``added`` can make a pair
-    or a conflict.  With :func:`_strong_step`, which calls back here for
-    each branch, a level takes two Python frames."""
-    if depth > len(system.members) + 2:
-        raise InternalInvariant("strong recursion exceeded its depth bound")
-    row = forced | 1 << added
-    result = memo.get(row)
-    if result is None:
-        pair = _added_pair(system, forced, added)
-        if pair is not None:
-            tree = STree(system, [(0, 1)], {(0, 1): pair})
-            result = _both_forced(tree, transcript, depth)
-        else:
-            hit = _added_conflict(system, forced, added)
-            if hit is not None:
-                _raise_inconsistent(system, fam, *hit)
-            inv_row = inv_forced | 1 << system.universe.inv_id(added)
-            result = _strong_step(system, fam, row, inv_row, transcript, memo, depth)
-        memo[row] = result
-    return result
-
-
-def _strong_step(
-    system: SeparationSystem,
-    fam: StarFamily,
-    forced: int,
-    inv_forced: int,
-    transcript: list[str],
-    memo: dict,
-    depth: int,
-) -> tuple[str, object]:
-    """Settle the family, or split an undecided separation at a separator.
+    """One recursion level: settle the family, or split an undecided
+    separation at a separator.
 
     ``forced`` and ``inv_forced`` are the bit rows of the forced ids and of
-    their inverses, which passed the pair and consistency checks.  Each
-    side ``(r_min, s)``, first ``(r1, s0)`` then ``(r2_back, inv(s0))``,
-    unless ``inv(s)`` is forced, recurses with ``r_min`` forced, then
-    prunes, tightens at the added leaf and shifts across ``s``.  A tangle,
-    a tree already over the family, or a shifted tree whose root singleton
-    ``{inv(s)}`` is a family star answers the step; else both are spliced.
+    their inverses, and ``new`` the row of the picks not yet checked for a
+    conflict: at the root every forced and degenerate id, at a child the
+    one id it adds to its parent's.  Each side ``(r_min, s)``, first
+    ``(r1, s0)`` then ``(r2_back, inv(s0))``, unless ``inv(s)`` is forced,
+    recurses with ``r_min`` forced, then prunes, tightens at the added leaf
+    and shifts across ``s``.  A tangle, a tree already over the family, or
+    a shifted tree whose root singleton ``{inv(s)}`` is a family star
+    answers the level; else both are spliced.
     """
+    if depth > len(system.members) + 2:
+        raise InternalInvariant("strong recursion exceeded its depth bound")
+    pair = _pair_tree(system, forced, inv_forced, transcript, depth)
+    if pair is not None:
+        return pair
     u = system.universe
+    hit = _first_conflict(u, forced | system.degenerate_mask, new)
+    if hit is not None:
+        _raise_inconsistent(system, fam, *hit)
     undecided = system.rep_mask & ~(forced | inv_forced)
     if not undecided:
         return _settled(system, fam, forced, transcript, depth, "tangle")
@@ -929,10 +849,16 @@ def _strong_step(
         if inv_forced >> s & 1:  # inv(s) is forced
             continue
         inv_r = u.inv_id(r_min)
-        sub = fam.with_star([inv_r])
-        kind, payload = _strong(
-            system, sub, forced, inv_forced, r_min, transcript, memo, depth + 1
-        )
+        # memoized by the forced ids, as their bit row, which determine the
+        # family (see the module docstring); no child's row is the root's
+        row = forced | 1 << r_min
+        result = memo.get(row)
+        if result is None:
+            sub, inv_row = fam.with_star([inv_r]), inv_forced | 1 << inv_r
+            result = memo[row] = _strong(
+                system, sub, row, inv_row, 1 << r_min, transcript, memo, depth + 1
+            )
+        kind, payload = result
         if kind == "tangle":
             return kind, payload
         t = prune_to_irredundant(payload)

@@ -312,17 +312,7 @@ class STree:
                 f"{len(self.nodes)} nodes need {len(self.nodes) - 1} edges to"
                 f" form a tree, got {len(self.edges)}"
             )
-        seen = {self.nodes[0]}
-        frontier = [self.nodes[0]]
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for w in self.adj[n]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        if len(seen) != len(self.nodes):
+        if len(self._parents(self.nodes[0])) != len(self.nodes):
             raise MalformedInput("edge set is not connected")
 
     def _normalize_alpha(self, alpha: dict) -> dict[tuple[int, int], int]:
@@ -367,18 +357,27 @@ class STree:
     def oriented_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.alpha))
 
+    def _parents(
+        self, start: int, cut: Iterable[tuple[int, int]] = ()
+    ) -> dict[int, Optional[int]]:
+        """The parent of each node reachable from ``start`` without crossing
+        the ``cut`` edges, in either direction; ``start`` maps to ``None``.
+        In a tree the parents are unique, whatever the order of the walk."""
+        banned = set()
+        for u, v in cut:
+            banned.update(((u, v), (v, u)))
+        parent: dict[int, Optional[int]] = {start: None}
+        order = [start]
+        for n in order:
+            for w in self.adj[n]:
+                if w not in parent and (n, w) not in banned:
+                    parent[w] = n
+                    order.append(w)
+        return parent
+
     def path(self, a: int, b: int) -> tuple[int, ...]:
         """The unique a–b path, as a node sequence."""
-        parent = {a: None}
-        frontier = [a]
-        while frontier and b not in parent:
-            nxt = []
-            for n in frontier:
-                for w in self.adj[n]:
-                    if w not in parent:
-                        parent[w] = n
-                        nxt.append(w)
-            frontier = nxt
+        parent = self._parents(a)
         out = [b]
         while parent[out[-1]] is not None:
             out.append(parent[out[-1]])
@@ -393,21 +392,7 @@ class STree:
 
     def component_nodes(self, start: int, cut: Iterable[tuple[int, int]]) -> frozenset[int]:
         """Nodes reachable from ``start`` without crossing the cut edges."""
-        banned = set()
-        for u, v in cut:
-            banned.add((u, v))
-            banned.add((v, u))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for w in self.adj[n]:
-                    if (n, w) not in banned and w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(self._parents(start, cut))
 
     # -- derived trees -----------------------------------------------------
 
@@ -419,7 +404,7 @@ class STree:
         out.root_leaf = root
         return out
 
-    def without_nodes(self, drop: Iterable[int], *, root_leaf=None) -> "STree":
+    def without_nodes(self, drop: Iterable[int]) -> "STree":
         dropped = set(drop)
         kept = [n for n in self.nodes if n not in dropped]
         edges = [(u, v) for u, v in self.edges if u not in dropped and v not in dropped]
@@ -428,9 +413,7 @@ class STree:
             for (u, v), lab in self.alpha.items()
             if u not in dropped and v not in dropped
         }
-        keep_root = root_leaf if root_leaf is not None else self.root_leaf
-        if keep_root in dropped:
-            keep_root = None
+        keep_root = None if self.root_leaf in dropped else self.root_leaf
         return STree(self.system, edges, alpha, nodes=kept, root_leaf=keep_root)
 
     def _key(self) -> tuple:

@@ -85,15 +85,6 @@ class TestGraphSk:
         graph.write_text(P3)
         assert run(RunConfig("graph-sk", str(graph), k=2, max_closure=5)) == 1
 
-    def test_closure_cap_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TANGLEDUCT_MAX_CLOSURE", "5")
-        graph = tmp_path / "g.txt"
-        graph.write_text(P3)
-        assert run(RunConfig("graph-sk", str(graph), k=2)) == 1
-        assert "closure" in capsys.readouterr().err
-        monkeypatch.setenv("TANGLEDUCT_MAX_CLOSURE", "not-a-number")
-        assert run(RunConfig("graph-sk", str(graph), k=2)) == 1
-
 
 class TestValidate:
     def test_summary_fields(self, p3_setup, capsys):

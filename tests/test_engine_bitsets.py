@@ -646,25 +646,53 @@ LADDER_SHA256 = "b9ddb79ea6a367a040966e893e020be39c960fe87bb794e7dc0ffa6804f070a
 GRID_K4_SHA256 = "aba9354b775d997a2dc8a29d5e60478e0ffdbb5f66405c5701847b51f26a4996"
 
 
-def certificate_digest(pairs):
-    digest = hashlib.sha256()
+# the same certificates keyed by labels: every element id in the picks and
+# the tree labels replaced by its (A, B) side masks, the picks sorted by
+# them, and the transcript left out (it names ids in prose, so the id
+# digests above cover it); these survive a renumbering of the element ids
+LADDER_LABEL_SHA256 = "57d2bd655c9194b34cb094df157d6d524b09f8b48c7c11e0333df60321d8be8a"
+GRID_K4_LABEL_SHA256 = "52ad027bad32ef479cbf686d5b0443ee75af570e07a9e3368228c28bf4a94c0d"
+
+
+def labelled(doc, universe):
+    """A certificate document with its element ids replaced by side masks."""
+    labels = universe.set_labels
+    out = {key: val for key, val in doc.items() if key != "transcript"}
+    if "picks" in out:
+        out["picks"] = sorted(labels[i] for i in out["picks"])
+    if "alpha" in out:
+        out["alpha"] = {key: labels[i] for key, i in out["alpha"].items()}
+    return out
+
+
+def certificate_digests(pairs):
+    """The id digest and the label digest of ``pairs``, from one run of
+    each engine per pair."""
+    by_id, by_label = hashlib.sha256(), hashlib.sha256()
     for name, k in pairs:
         graph = GraphInput.parse(tk.GRAPHS[name])
         system = graph_separations(graph, k)
         family = tk.tk_family(system, graph)
         for engine in (strong_duality, weak_duality):
             doc = engine(system, family).to_json_dict()
-            line = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-            digest.update(line.encode())
-    return digest.hexdigest()
+            for digest, d in ((by_id, doc), (by_label, labelled(doc, system.universe))):
+                line = json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+                digest.update(line.encode())
+    return by_id.hexdigest(), by_label.hexdigest()
 
 
 def test_ladder_certificates_are_unchanged():
-    assert certificate_digest(sorted(tk.EXPECTED_KIND)) == LADDER_SHA256
+    assert certificate_digests(sorted(tk.EXPECTED_KIND)) == (
+        LADDER_SHA256,
+        LADDER_LABEL_SHA256,
+    )
 
 
 def test_grid_k4_certificates_are_unchanged():
-    assert certificate_digest([("grid3x3", 4)]) == GRID_K4_SHA256
+    assert certificate_digests([("grid3x3", 4)]) == (
+        GRID_K4_SHA256,
+        GRID_K4_LABEL_SHA256,
+    )
 
 
 def test_engine_runs_leave_no_reference_cycles():

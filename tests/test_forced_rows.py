@@ -1,10 +1,11 @@
-"""The engines' incremental per-step state against whole-set recomputation.
+"""The engines' forced-state rules against whole-set recomputation.
 
-Below the root, a strong step's forced ids are its parent's plus one id,
-so the engine checks only that id: ``_added_pair`` for a pair of inverses
-and ``_added_conflict`` for an inconsistency.  On a consistent forced set
-without pairs, these must name what ``_forced_pair_tree`` and
-``find_inconsistency`` name on the whole set.  Also here:
+Each rule is written once and runs at every recursion level, the root
+included: ``_pair_tree`` names the least forced id whose inverse is forced
+too, and ``core._first_conflict`` scans the ids not yet checked for a
+conflict, all forced and degenerate ids at the root and the one added id
+at a child.  Both must name what a dense scan of the whole set names,
+and the strong engine must spend one Python frame per level.  Also here:
 ``SeparationSystem.trivial_ids`` against its per-member definition, and
 the caller's family as the engines' root (``restricted_to`` returns it
 unchanged, and its root-scan memo holds systems only weakly).
@@ -12,6 +13,7 @@ unchanged, and its root-scan memo holds systems only weakly).
 
 import gc
 import random
+import sys
 import weakref
 from functools import lru_cache
 
@@ -25,13 +27,14 @@ from tangleduct import (
     GraphInput,
     NotFSeparable,
     StarFamily,
+    duality,
     find_inconsistency,
     graph_separations,
     strong_duality,
     weak_duality,
 )
-from tangleduct.core import _id_row
-from tangleduct.duality import _added_conflict, _added_pair, _forced_pair_tree
+from tangleduct.core import _first_conflict, _id_row
+from tangleduct.duality import _forced_rows, _pair_tree
 
 
 tk = gen.bench_tk()
@@ -64,6 +67,28 @@ def consistent_forced(rng, system):
     return forced
 
 
+def pair_label(system, forced, inv_forced):
+    """The label of ``_pair_tree``'s 2-node tree on the rows, or None."""
+    pair = _pair_tree(system, forced, inv_forced, [], 0)
+    return None if pair is None else pair[1].alpha[(0, 1)]
+
+
+def ref_least_pair(system, ids):
+    """The least id of the set whose inverse is in it too."""
+    return min((s for s in ids if system.universe.inv_id(s) in ids), default=None)
+
+
+def ref_first_conflict(system, ids):
+    """The least ``a``, then the least ``b``, of the set with ``inv(a) < b``
+    and ``b`` neither ``a`` nor ``inv(a)``."""
+    u = system.universe
+    for a in sorted(ids):
+        for b in sorted(ids):
+            if b not in (a, u.inv_id(a)) and u.lt_ids(u.inv_id(a), b):
+                return a, b
+    return None
+
+
 # --- one added id against the whole set ------------------------------------------------
 
 
@@ -73,19 +98,63 @@ def test_added_id_names_the_whole_set_witness(seed, which):
     system = draw_system(rng, which)
     u = system.universe
     forced = consistent_forced(rng, system)
-    row = _id_row(forced)
+    row, inv_row = _forced_rows(system, forced)
     for added in system.members:
         if u.is_degenerate_id(added) or added in forced:
             continue
         whole = frozenset(forced | {added})
-        tree = _forced_pair_tree(system, whole)
-        assert _added_pair(system, row, added) == (
-            None if tree is None else tree.alpha[(0, 1)]
-        )
+        rows = row | 1 << added, inv_row | 1 << u.inv_id(added)
+        assert pair_label(system, *rows) == ref_least_pair(system, whole)
         hit = find_inconsistency(whole | system.degenerate_ids, system)
-        assert _added_conflict(system, row, added) == (
+        picked = rows[0] | system.degenerate_mask
+        assert _first_conflict(u, picked, 1 << added) == (
             None if hit is None else (hit[0].id, hit[1].id)
         )
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, *LADDER]))
+def test_rules_on_any_pick_set_match_dense_scans(seed, which):
+    """Arbitrary pick sets, inconsistent ones, pairs of inverses and
+    degenerate members included, as the root sees them."""
+    rng = random.Random(seed)
+    system = draw_system(rng, which)
+    u = system.universe
+    for _ in range(4):
+        ids = frozenset(m for m in system.members if rng.random() < rng.random())
+        picked = _id_row(ids)
+        assert _first_conflict(u, picked, picked) == ref_first_conflict(system, ids)
+        assert pair_label(system, *_forced_rows(system, ids)) == ref_least_pair(system, ids)
+
+
+# --- one frame per strong level ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["P6", "grid2x4"])
+def test_strong_engine_takes_one_frame_per_level(name, monkeypatch):
+    """At every separator search, the frames of the engine's module on the
+    stack are ``strong_duality`` and one ``_strong`` per level."""
+    graph = GraphInput.parse(tk.GRAPHS[name])
+    system = graph_separations(graph, 3)
+    family = tk.tk_family(system, graph)
+    search = duality.find_separator
+    stacks = []
+
+    def recorder(*args):
+        frame, names = sys._getframe(1), []
+        while frame is not None:
+            if frame.f_code.co_filename == duality.__file__:
+                names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return search(*args)
+
+    monkeypatch.setattr(duality, "find_separator", recorder)
+    strong_duality(system, family)
+    assert stacks
+    for names in stacks:
+        assert names[-1] == "strong_duality"
+        assert set(names[:-1]) == {"_strong"}
+    assert max(map(len, stacks)) > 2
 
 
 # --- trivial ids ------------------------------------------------------------------------
