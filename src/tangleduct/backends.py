@@ -10,7 +10,14 @@ Sides are bitmasks over an indexed ground set (capped at 24 vertices).
 Universes are materialized by closing a pool of pairs under join and meet,
 subject to a configurable closure cap.  The closure is a distributive
 lattice, so it is generated by joins alone from a few meets of the pool,
-one per coordinate: the proof is at :func:`_close_under_join_meet`.
+one per coordinate: the proof is at :func:`_close_under_join_meet`.  It
+becomes a :class:`~tangleduct.core.MaskUniverse`, whose laws hold by
+construction and are not re-checked, and which looks joins up by column on
+demand instead of storing an n×n join table.
+
+The order-``< k`` separations of a graph are listed from their separators
+``X = A ∩ B`` with ``|X| < k``, one per split of the components of G − X
+(:func:`_graph_separation_masks`), not by walking all 2^n sets A.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import OrientedSep, SeparationSystem, Universe, tables_from_masks
+from .core import MaskUniverse, OrientedSep, SeparationSystem
+from .core import Universe, tables_from_masks  # noqa: F401  (spanned by bench/run.py)
 from .errors import ClosureTooLarge, GroundSetTooLarge, MalformedInput
 
 GROUND_CAP = 24
@@ -161,8 +169,7 @@ def _universe_from_masks(
     ground: Sequence[str], member_masks: set[tuple[int, int]], max_closure: int
 ) -> SeparationSystem:
     closed = _close_under_join_meet(member_masks, max_closure)
-    leq, inverse, join = tables_from_masks(closed)
-    universe = Universe(leq, inverse, join, set_labels=closed, ground=ground)
+    universe = MaskUniverse(closed, ground)
     ids = {m: i for i, m in enumerate(closed)}
     return SeparationSystem(universe, (ids[m] for m in member_masks))
 
@@ -238,36 +245,43 @@ class GraphInput:
 
 
 def _graph_separation_masks(graph: GraphInput, k: int) -> list[tuple[int, int]]:
-    """All (A, B) with A ∪ B = V, no edge across A∖B — B∖A, and |A ∩ B| < k."""
+    """All (A, B) with A ∪ B = V, no edge across A∖B — B∖A, and |A ∩ B| < k.
+
+    Each is ``(X ∪ P, X ∪ Q)`` for its separator ``X = A ∩ B`` and a split
+    of the components of G − X into ``P`` and ``Q``: a component meeting
+    both A∖B and B∖A would hold an edge across.  Conversely every split
+    gives such a pair with ``A ∩ B = X``.  So listing each separator of
+    fewer than k vertices with every split of its components lists each
+    separation exactly once.
+    """
     n = len(graph.vertices)
     full = (1 << n) - 1
-    nbr = graph.neighbor_masks
     out = []
-    for a in range(full + 1):
-        rest = full & ~a
-        boundary = 0
-        for v in range(n):
-            if a >> v & 1 and nbr[v] & rest:
-                boundary |= 1 << v
-        if bin(boundary).count("1") >= k:
-            continue
-        # B = rest | C for any boundary ⊆ C ⊆ A with |C| < k
-        free = a & ~boundary
-        free_bits = [v for v in range(n) if free >> v & 1]
-        budget = k - 1 - bin(boundary).count("1")
-        for extra in _subsets_up_to(free_bits, budget):
-            out.append((a, rest | boundary | extra))
+    for size in range(min(k, n + 1)):
+        for combo in combinations(range(n), size):
+            x = sum(1 << v for v in combo)
+            rest = full & ~x
+            sides = [0]  # unions of components: every choice of P
+            for comp in _components(graph.neighbor_masks, rest):
+                sides += [p | comp for p in sides]
+            out.extend((x | p, x | (rest & ~p)) for p in sides)
     return out
 
 
-def _subsets_up_to(bits: list[int], budget: int):
-    """Masks of all subsets of ``bits`` with at most ``budget`` elements."""
-    for size in range(min(budget, len(bits)) + 1):
-        for combo in combinations(bits, size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            yield m
+def _components(nbr: Sequence[int], rest: int):
+    """Vertex masks of the components of the subgraph induced on ``rest``."""
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
+        yield comp
 
 
 def graph_separations(

@@ -6,8 +6,9 @@ total join that is a genuine supremum.  A *separation system* is any
 involution-closed subset of a universe's elements.
 
 Elements are integer ids ``0 .. n-1``.  The order lives in a full boolean
-matrix, the involution and the join in id tables; every law is verified
-exhaustively at construction time, on every universe:
+matrix, the involution in an id table.  A :class:`Universe` built from
+tables, as every JSON document is, stores its join as an id table too and
+verifies every law exhaustively at construction time:
 
  * partial order (reflexive, antisymmetric, transitive),
  * order reversal:  ``r <= s``  iff  ``s.inverse <= r.inverse``,
@@ -23,6 +24,27 @@ thus the elements below ``join(r*, s*)*``, which is one of them.  A meet
 table supplied from outside is still checked to be the infimum, then
 dropped: an infimum is unique, so it equals the derived one.
 
+A :class:`MaskUniverse` is built from a pool L of side pairs ``(A, B)`` of
+bitmasks, sorted and closed under flips and joins, as the set and graph
+backends' closures are.  Its order is ``(A, B) <= (C, D)`` iff ``A ⊆ C``
+and ``B ⊇ D``, its flip swaps the sides and its join is ``(A|C, B&D)``, and
+the laws hold by construction, so none is re-checked:
+
+ * the order is reflexive and transitive, as ``⊆`` and ``⊇`` are;
+ * it is antisymmetric: ``x <= y <= x`` makes both sides equal, and the
+   pairs of L are distinct;
+ * the flip reverses the order, ``(A, B) <= (C, D)`` iff ``(D, C) <=
+   (B, A)``, and flipping twice gives the pair back;
+ * ``(A|C, B&D)`` lies above ``(A, B)`` and ``(C, D)``, and below every
+   ``(E, F)`` above both (``A, C ⊆ E`` gives ``A|C ⊆ E``, and ``B, D ⊇ F``
+   gives ``B&D ⊇ F``), so it is their least upper bound in L, of which it
+   is a member because L is closed under joins.
+
+It stores no join table: :meth:`Universe.join_column` looks one column up
+in the sorted pair keys on first use and keeps it.  A flip missing from
+the pool raises :class:`MalformedInput` and a join missing from it
+:class:`InternalInvariant`; neither happens for a closed pool.
+
 Transitivity and the bound laws compare rows of the order matrix packed
 into 64-bit words, so each costs O(n²·⌈n/64⌉) word operations rather than
 O(n³) boolean ones.  Where a packed check finds a violation, the dense
@@ -34,13 +56,15 @@ only ``s >= r``.  If row ``r`` is the least failing row of a full scan and
 fails at ``s``, then row ``s`` fails at ``r``, so ``s >= r`` and the half
 scan stops at row ``r`` too, where the dense rerun names the same witness.
 
-Memory: a universe of n elements keeps n² + 4n² bytes, n² for the order and
-4n² for the ``int32`` join table; :meth:`Universe.meet_table` builds another
-4n² on each call.  Building the tables from side masks
-(:func:`tables_from_masks`) and the checks of antisymmetry and order
-reversal work in row chunks of about ``_CHUNK`` cells, so their temporaries
-stay bounded per chunk whatever n is; the packed checks hold the packed
-order (n²/8 bytes a direction) plus the packed words one row of a check
+Memory: a universe of n elements keeps n² bytes for the order; one built
+from tables adds 4n² for the ``int32`` join table, and a mask universe 4n
+bytes per join column it was asked for.  :meth:`Universe.join_table` on a
+mask universe and :meth:`Universe.meet_table` build another 4n² on each
+call.  Building the tables from side masks (:func:`tables_from_masks`,
+:class:`MaskUniverse`) and the checks of antisymmetry and order reversal
+work in row chunks of about ``_CHUNK`` cells, so their temporaries stay
+bounded per chunk whatever n is; the packed checks hold the packed order
+(n²/8 bytes a direction) plus the packed words one row of a check
 compares, which the bound check keeps in two reused buffers of n²/8 bytes
 each.  Chunked checks scan rows in ascending order and name the same least
 witness as a one-shot check.
@@ -71,6 +95,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    InternalInvariant,
     InvolutionNotOrderReversing,
     JoinNotSupremum,
     MalformedInput,
@@ -165,8 +190,7 @@ class Universe:
         if inv.shape != (n,) or (n and (inv.min() < 0 or inv.max() >= n)):
             raise MalformedInput("inverse table must map ids to ids")
 
-        self._leq = _readonly(leq)
-        self._inv = _readonly(inv)
+        self._store(leq, inv, set_labels, ground)
         up = _pack_rows(leq)  # up[a]: the ids above a
         self._check_order(up)
         self._check_involution()
@@ -178,6 +202,17 @@ class Universe:
             meet = _id_table(meet, n, "meet")
         self._check_bounds(up, meet)
 
+    def _store(
+        self,
+        leq: np.ndarray,
+        inv: np.ndarray,
+        set_labels: Optional[Sequence[tuple[int, int]]],
+        ground: Optional[Sequence[str]],
+    ) -> None:
+        """Keep the order and the involution, and start the bit row caches."""
+        n = len(inv)
+        self._leq = _readonly(leq)
+        self._inv = _readonly(inv)
         self.set_labels = tuple(set_labels) if set_labels is not None else None
         self.ground = tuple(ground) if ground is not None else None
         self._above: list[Optional[int]] = [None] * n
@@ -310,11 +345,11 @@ class Universe:
         return int(self._inv[a])
 
     def join_id(self, a: int, b: int) -> int:
-        return int(self._join[a, b])
+        return int(self.join_column(b)[a])
 
     def meet_id(self, a: int, b: int) -> int:
         inv = self._inv
-        return int(inv[self._join[inv[a], inv[b]]])
+        return int(inv[self.join_id(int(inv[a]), int(inv[b]))])
 
     def is_degenerate_id(self, a: int) -> bool:
         return int(self._inv[a]) == a
@@ -352,13 +387,17 @@ class Universe:
     def inverse_table(self) -> np.ndarray:
         return self._inv
 
+    def join_column(self, s: int) -> np.ndarray:
+        """The read-only ``int32`` ids ``join(t, s)`` over all ids ``t``."""
+        return self._join[:, s]
+
     def join_table(self) -> np.ndarray:
         return self._join
 
     def meet_table(self) -> np.ndarray:
         """The ``int32`` meet table, derived by De Morgan on each call."""
         inv = self._inv
-        return _readonly(inv.astype(np.int32)[self._join[np.ix_(inv, inv)]])
+        return _readonly(inv.astype(np.int32)[self.join_table()[np.ix_(inv, inv)]])
 
     def element_repr(self, i: int) -> str:
         if self.set_labels is None:
@@ -398,14 +437,48 @@ class Universe:
             ]
         else:
             d["leq"] = np.argwhere(self._leq).tolist()
-            d["join"] = [
-                [r, s, int(self._join[r, s])] for r in range(n) for s in range(n)
-            ]
+            join = self.join_table()
+            d["join"] = [[r, s, int(join[r, s])] for r in range(n) for s in range(n)]
             meet = self.meet_table()
             d["meet"] = [[r, s, int(meet[r, s])] for r in range(n) for s in range(n)]
         if members is not None:
             d["members"] = sorted(int(m) for m in members)
         return d
+
+
+class MaskUniverse(Universe):
+    """The universe of a sorted pool of side pairs ``(A, B)`` of bitmasks,
+    closed under flips and joins, named over the vertices ``ground``.
+
+    Ids are positions in the pool.  The laws hold by construction (the
+    module docstring proves them), so none is checked, and no join table is
+    kept: each join column is looked up in the sorted pair keys on first
+    use and cached per id, like the bit rows.
+    """
+
+    def __init__(self, masks: Sequence[tuple[int, int]], ground: Sequence[str]):
+        a, b, keys = _mask_keys(masks)
+        leq, inverse = _order_and_flips(a, b, keys)
+        self._store(leq, inverse, masks, ground)
+        self._a, self._b, self._keys = a, b, keys
+        self._columns: list[Optional[np.ndarray]] = [None] * len(keys)
+
+    def join_column(self, s: int) -> np.ndarray:
+        col = self._columns[s]
+        if col is None:
+            a, b = self._a, self._b
+            col = _find_keys(self._keys, a | a[s], b & b[s])
+            if col is None:
+                raise InternalInvariant(f"a join with {s} is missing from a closed mask pool")
+            col = self._columns[s] = _readonly(col.astype(np.int32))
+        return col
+
+    def join_table(self) -> np.ndarray:
+        """The ``int32`` join table, built on each call and not kept."""
+        join = _mask_join_table(self._a, self._b, self._keys)
+        if join is None:
+            raise InternalInvariant("a join is missing from a closed mask pool")
+        return _readonly(join)
 
 
 class OrientedSep:
@@ -711,6 +784,70 @@ def is_nested(r: OrientedSep, s: OrientedSep) -> bool:
 # --- JSON ------------------------------------------------------------------
 
 
+def _mask_keys(
+    masks: Sequence[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sides ``A`` and ``B`` of a mask pool and its keys ``A << 32 | B``,
+    as ``uint64`` arrays; the keys must ascend."""
+    a = np.array([m[0] for m in masks], dtype=np.uint64)
+    b = np.array([m[1] for m in masks], dtype=np.uint64)
+    if ((a | b) >> np.uint64(32)).any():
+        raise MalformedInput("side masks must fit in 32 bits")
+    keys = a << np.uint64(32) | b
+    if not (keys[1:] > keys[:-1]).all():
+        raise MalformedInput("mask pool must be sorted by (A, B) without repeats")
+    return a, b, keys
+
+
+def _find_keys(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """The positions of the pairs ``(a, b)`` in the sorted ``keys``, or
+    ``None`` when one is missing."""
+    want = a << np.uint64(32) | b
+    idx = np.searchsorted(keys, want)
+    np.clip(idx, 0, len(keys) - 1, out=idx)
+    return idx if (keys[idx] == want).all() else None
+
+
+def _order_and_flips(
+    a: np.ndarray, b: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The order matrix of a sorted mask pool, in row chunks of about
+    ``_CHUNK`` cells, and the id of each pair's flip."""
+    inverse = _find_keys(keys, b, a)
+    if inverse is None:
+        raise MalformedInput("mask pool is not closed under flips")
+    n = len(keys)
+    leq = np.empty((n, n), dtype=bool)
+    rows = _chunk_rows(n)
+    for lo in range(0, n, rows):
+        ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
+        leq[lo : lo + rows] = ((ra & ~a) == 0) & ((b & ~rb) == 0)
+    return leq, inverse
+
+
+def _mask_join_table(a: np.ndarray, b: np.ndarray, keys: np.ndarray) -> Optional[np.ndarray]:
+    """The ``int32`` join table of a sorted mask pool, or ``None`` when a
+    join lies outside it.
+
+    It is built in row chunks of about ``_CHUNK`` cells that each look
+    their keys up in the pool.  The key of ``(r, s)`` is the key of
+    ``(s, r)``, so a chunk of rows from ``lo`` looks up only the columns
+    from ``lo`` on and writes that block and its transpose; a join missing
+    from the pool is missing in both orders, so the same pools fail.
+    """
+    n = len(keys)
+    join = np.empty((n, n), dtype=np.int32)
+    rows = _chunk_rows(n)
+    for lo in range(0, n, rows):
+        hi = lo + rows
+        block = _find_keys(keys, a[lo:hi, None] | a[lo:], b[lo:hi, None] & b[lo:])
+        if block is None:
+            return None
+        join[lo:hi, lo:] = block
+        join[hi:, lo:hi] = join[lo:hi, hi:].T
+    return join
+
+
 def tables_from_masks(
     masks: Sequence[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -718,39 +855,14 @@ def tables_from_masks(
 
     The pool must be sorted by ``(A, B)`` and closed under flips and joins
     ``(A|C, B&D)``; ids are positions in the pool.  It is then closed under
-    meets ``(A&C, B|D)`` too, each the flip of the join of the flips.  The
-    join is an ``int32`` table, built in row chunks of about ``_CHUNK``
-    cells that each look their keys up in the pool.  The key of ``(r, s)``
-    is the key of ``(s, r)``, so a chunk of rows from ``lo`` looks up only
-    the columns from ``lo`` on and writes that block and its transpose; a
-    join missing from the pool is missing in both orders, so the same pools
-    are rejected.
+    meets ``(A&C, B|D)`` too, each the flip of the join of the flips.
+    Sides are masks of at most 32 bits, packed as ``uint64`` keys.
     """
-    a = np.array([m[0] for m in masks], dtype=np.int64)
-    b = np.array([m[1] for m in masks], dtype=np.int64)
-    packed = (a << 32) | b
-    n = len(packed)
-    if n > 1 and not (np.diff(packed) > 0).all():
-        raise MalformedInput("mask pool must be sorted by (A, B) without repeats")
-
-    def lookup(pa: np.ndarray, pb: np.ndarray, what: str) -> np.ndarray:
-        keys = (pa << 32) | pb
-        idx = np.searchsorted(packed, keys)
-        np.clip(idx, 0, n - 1, out=idx)
-        if not (packed[idx] == keys).all():
-            raise MalformedInput(f"mask pool is not closed under {what}")
-        return idx
-
-    inverse = lookup(b, a, "flips")
-    leq = np.empty((n, n), dtype=bool)
-    join = np.empty((n, n), dtype=np.int32)
-    rows = _chunk_rows(n)
-    for lo in range(0, n, rows):
-        hi = lo + rows
-        ra, rb = a[lo:hi, None], b[lo:hi, None]
-        leq[lo:hi] = ((ra & ~a) == 0) & ((b & ~rb) == 0)
-        join[lo:hi, lo:] = lookup(ra | a[lo:], rb & b[lo:], "joins")
-        join[hi:, lo:hi] = join[lo:hi, hi:].T
+    a, b, keys = _mask_keys(masks)
+    leq, inverse = _order_and_flips(a, b, keys)
+    join = _mask_join_table(a, b, keys)
+    if join is None:
+        raise MalformedInput("mask pool is not closed under joins")
     return leq, inverse, join
 
 
@@ -813,7 +925,7 @@ def _table_from_triples(n: int, triples, what: str) -> np.ndarray:
 
 def _set_labels(ground, labels, n: int) -> tuple[list[str], list[tuple[int, int]]]:
     """Ground names and one ``(A, B)`` bitmask pair per element."""
-    # tables_from_masks keys a pair as A << 32 | B
+    # tables_from_masks keys a pair as the uint64 A << 32 | B
     if not isinstance(ground, list) or len(ground) > 32:
         raise MalformedInput("'ground' must be a list of at most 32 vertex names")
     if not isinstance(labels, list) or len(labels) != n:

@@ -300,13 +300,13 @@ def _joins_stay_inside(system: SeparationSystem, s0: int, r: int) -> bool:
     flags = system.member_flags
     above = flags & u.leq_matrix()[r]
     above[u.inv_id(r)] = False
-    return bool(flags[u.join_table()[:, s0][above]].all())
+    return bool(flags[u.join_column(s0)[above]].all())
 
 
 def _shift_image_bits(system: SeparationSystem, r: int, s0: int) -> list[int]:
     """The bit of each member's shift across ``s0`` (as :func:`shift_map`).
 
-    Built from one column of the join table for every id at once (``r``
+    Built from the join column of ``s0`` for every id at once (``r``
     itself joins to ``s0``, as ``r <= s0``) and cached per pair.  Only the
     entries read by ``emulates_for_family`` are meaningful: members with an
     orientation above ``r``, other than ``r``'s inverse, which no qualifying
@@ -318,7 +318,7 @@ def _shift_image_bits(system: SeparationSystem, r: int, s0: int) -> list[int]:
         return bits
     u = system.universe
     inv = u.inverse_table()
-    col = u.join_table()[:, s0]
+    col = u.join_column(s0)
     up = u.leq_matrix()[r]
     both = up & up[inv] & system.member_flags
     both[[r, inv[r]]] = False

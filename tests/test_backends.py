@@ -5,6 +5,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gen
 from gen import brute_force_separations
@@ -18,6 +20,7 @@ from tangleduct import (
     is_improper,
     side_masks,
 )
+from tangleduct.backends import _graph_separation_masks
 from tangleduct.core import _as_id
 from tangleduct.errors import ClosureTooLarge, GroundSetTooLarge
 
@@ -158,6 +161,21 @@ class TestGraphSeparations:
         got = {side_masks(u.sep(m)) for m in system.member_ids}
         assert got == brute_force_separations(graph, k)
 
+    @pytest.mark.parametrize("name", sorted(gen.bench_tk().GRAPHS))
+    def test_separator_listing_matches_brute_force_on_the_ladder(self, name):
+        graph = GraphInput.parse(gen.bench_tk().GRAPHS[name])
+        assert_separator_listing(graph)
+
+    @given(
+        n=st.integers(1, 6),
+        edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12),
+    )
+    def test_separator_listing_matches_brute_force_on_random_graphs(self, n, edges):
+        graph = GraphInput(
+            [str(v) for v in range(n)], [(str(u % n), str(v % n)) for u, v in edges]
+        )
+        assert_separator_listing(graph)
+
     def test_universe_elements_are_graph_separations(self, p3_s2):
         # closure never leaves the space of valid graph separations
         graph = GraphInput.parse(gen._GRAPHS["p3"])
@@ -175,6 +193,16 @@ class TestGraphSeparations:
         graph = GraphInput.parse("1 2\n")
         with pytest.raises(MalformedInput):
             graph_separations(graph, 0)
+
+
+def assert_separator_listing(graph: GraphInput) -> None:
+    """Every order ``k`` from 0 to n + 1 lists each separation once."""
+    n = len(graph.vertices)
+    every = brute_force_separations(graph, n + 1)
+    for k in range(n + 2):
+        got = _graph_separation_masks(graph, k)
+        assert len(got) == len(set(got))
+        assert set(got) == {(a, b) for a, b in every if bin(a & b).count("1") < k}
 
 
 class TestOrderFunctions:
