@@ -19,6 +19,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -648,10 +649,16 @@ GRID_K4_SHA256 = "aba9354b775d997a2dc8a29d5e60478e0ffdbb5f66405c5701847b51f26a49
 
 # the same certificates keyed by labels: every element id in the picks and
 # the tree labels replaced by its (A, B) side masks, the picks sorted by
-# them, and the transcript left out (it names ids in prose, so the id
-# digests above cover it); these survive a renumbering of the element ids
+# them, and the transcript left out; these survive a renumbering of the
+# element ids
 LADDER_LABEL_SHA256 = "57d2bd655c9194b34cb094df157d6d524b09f8b48c7c11e0333df60321d8be8a"
 GRID_K4_LABEL_SHA256 = "52ad027bad32ef479cbf686d5b0443ee75af570e07a9e3368228c28bf4a94c0d"
+
+# sha256 over the transcripts of the same certificates, one line per
+# transcript line, with every element id the engines name replaced by its
+# (A, B) side masks (:func:`labelled_transcript`); depths and counts stay
+LADDER_TRANSCRIPT_LABEL_SHA256 = "fcde73b13dafa4abf5a487970f01f9552d55ca9cf961ec8646841b1122d691ee"
+GRID_K4_TRANSCRIPT_LABEL_SHA256 = "ab9ec225d4e895210e69383c74a13a754c7467cd6286f8dc85f71cd34c5cb18c"
 
 
 def labelled(doc, universe):
@@ -665,26 +672,60 @@ def labelled(doc, universe):
     return out
 
 
+# the transcript lines that name element ids, with the ids as groups; a
+# splice line's first number counts branch copies and is kept
+_TRANSCRIPT_IDS = [
+    re.compile(r"undecided (\d+): separating (\d+) from (\d+) at (\d+)$"),
+    re.compile(r"splitting on undecided separation (\d+)$"),
+    re.compile(r"forced picks contain star \[([\d, ]*)\]"),
+    re.compile(r"spliced both branches at (\d+)$"),
+    re.compile(r"splicing \d+ branch copy\(ies\) at separation (\d+)$"),
+]
+
+
+def labelled_transcript(lines, universe):
+    """Transcript lines with every element id replaced by its side masks."""
+    labels = universe.set_labels
+
+    def name(ids: str) -> str:
+        return ", ".join("({}|{})".format(*labels[int(i)]) for i in ids.split(", ") if i)
+
+    out = []
+    for line in lines:
+        for pattern in _TRANSCRIPT_IDS:
+            m = pattern.search(line)
+            if m:
+                for g in range(m.lastindex, 0, -1):
+                    line = line[: m.start(g)] + name(m.group(g)) + line[m.end(g) :]
+                break
+        out.append(line)
+    return out
+
+
 def certificate_digests(pairs):
-    """The id digest and the label digest of ``pairs``, from one run of
-    each engine per pair."""
-    by_id, by_label = hashlib.sha256(), hashlib.sha256()
+    """The id digest, the label digest and the transcript label digest of
+    ``pairs``, from one run of each engine per pair."""
+    by_id, by_label, by_transcript = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for name, k in pairs:
         graph = GraphInput.parse(tk.GRAPHS[name])
         system = graph_separations(graph, k)
         family = tk.tk_family(system, graph)
         for engine in (strong_duality, weak_duality):
-            doc = engine(system, family).to_json_dict()
+            cert = engine(system, family)
+            doc = cert.to_json_dict()
             for digest, d in ((by_id, doc), (by_label, labelled(doc, system.universe))):
                 line = json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
                 digest.update(line.encode())
-    return by_id.hexdigest(), by_label.hexdigest()
+            for line in labelled_transcript(cert.transcript, system.universe):
+                by_transcript.update((line + "\n").encode())
+    return by_id.hexdigest(), by_label.hexdigest(), by_transcript.hexdigest()
 
 
 def test_ladder_certificates_are_unchanged():
     assert certificate_digests(sorted(tk.EXPECTED_KIND)) == (
         LADDER_SHA256,
         LADDER_LABEL_SHA256,
+        LADDER_TRANSCRIPT_LABEL_SHA256,
     )
 
 
@@ -692,6 +733,7 @@ def test_grid_k4_certificates_are_unchanged():
     assert certificate_digests([("grid3x3", 4)]) == (
         GRID_K4_SHA256,
         GRID_K4_LABEL_SHA256,
+        GRID_K4_TRANSCRIPT_LABEL_SHA256,
     )
 
 

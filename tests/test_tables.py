@@ -236,6 +236,23 @@ GRID_LABEL_DOCUMENT_SHA256 = {
 }
 
 
+# sha256 of the same documents keyed by labels: the ground list and the
+# sorted (A, B) name-list pairs of the members (:func:`document_labels`);
+# these survive a renumbering of the element ids and the elements a
+# document lists besides its members
+GRID_DOCUMENT_LABEL_SHA256 = {
+    2: "ba338bcb5533770475fcd2a65173f7b3fafee8c1a508f1f462f982c5e8b99ce7",
+    4: "6b3b736d12b27433f3de6a715f7aa6052635cad03369b3ac3237c5231b0db41b",
+}
+
+
+def document_labels(doc) -> bytes:
+    """The ground list and the sorted member labels of a system document."""
+    labels = doc["labels"]
+    members = sorted(labels[m] for m in doc["members"])
+    return (_dumps({"ground": doc["ground"], "members": members}) + "\n").encode()
+
+
 @pytest.fixture(scope="module", params=sorted(GRID_DOCUMENT_SHA256))
 def grid_document(request, tmp_path_factory):
     """``(k, bytes)`` of the graph-sk document of the 3×3 grid at k."""
@@ -262,3 +279,5 @@ def test_grid_label_documents_unchanged(grid_document):
     k, text = grid_document
     assert b'"leq"' not in text
     assert hashlib.sha256(text).hexdigest() == GRID_LABEL_DOCUMENT_SHA256[k]
+    labels = document_labels(json.loads(text)["system"])
+    assert hashlib.sha256(labels).hexdigest() == GRID_DOCUMENT_LABEL_SHA256[k]
