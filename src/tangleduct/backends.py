@@ -6,14 +6,13 @@ combined by ``join = (A ∪ C, B ∩ D)`` / ``meet = (A ∩ C, B ∪ D)``.  A *g
 separation* is an unordered such pair with no edge between A∖B and B∖A; its
 order is ``|A ∩ B|``.
 
-Sides are bitmasks over an indexed ground set (capped at 24 vertices).
-Universes are materialized by closing a pool of pairs under join and meet,
-subject to a configurable closure cap.  The closure is a distributive
-lattice, so it is generated by joins alone from a few meets of the pool,
-one per coordinate: the proof is at :func:`_close_under_join_meet`.  It
-becomes a :class:`~tangleduct.core.MaskUniverse`, whose laws hold by
-construction and are not re-checked, and which looks joins up by column on
-demand instead of storing an n×n join table.
+Sides are bitmasks over an indexed ground set (capped at 24 vertices).  A
+system's universe is its members alone, sorted by ``(A, B)``: a
+:class:`~tangleduct.core.MaskUniverse`, whose order and flips hold by
+construction and which looks a join ``(A ∪ C, B ∩ D)`` up among the
+members on demand, finding none when it is not one.  No join or meet of
+members is ever added, so the universe is as large as the system, and a
+configurable cap bounds it.
 
 The order-``< k`` separations of a graph are listed from their separators
 ``X = A ∩ B`` with ``|X| < k``, one per split of the components of G − X
@@ -25,10 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import MaskUniverse, OrientedSep, SeparationSystem
-from .core import Universe, tables_from_masks  # noqa: F401  (spanned by bench/run.py)
 from .errors import ClosureTooLarge, GroundSetTooLarge, MalformedInput
 
 GROUND_CAP = 24
@@ -38,101 +34,18 @@ DEFAULT_CLOSURE_CAP = 4096
 # --- set separation universes -----------------------------------------------
 
 
-_LO = np.uint64((1 << 32) - 1)  # B in the low half of a packed key A << 32 | B
-_HI = ~_LO
-_CHUNK = 1 << 16  # candidate keys, or coordinate cells, per chunk
-
-
-def _join_irreducibles(keys: np.ndarray) -> np.ndarray:
-    """The sorted keys of ``J``: every ``j_c`` of a pool, and its bottom.
-
-    ``j_c`` is the meet of the pool elements with coordinate ``c`` set, for
-    each coordinate that some element sets; the bottom is the meet of the
-    whole pool.  One reduction over a (pool, 2·width) coordinate mask, in
-    row chunks of about ``_CHUNK`` cells, gives every ``j_c`` at once.
-    """
-    a, b = keys >> np.uint64(32), keys & _LO
-    width = int(np.bitwise_or.reduce(a | b)).bit_length()
-    bits = np.uint64(1) << np.arange(width, dtype=np.uint64)
-    meet_a = np.full(2 * width, _LO)
-    meet_b = np.zeros(2 * width, dtype=np.uint64)
-    hit = np.zeros(2 * width, dtype=bool)
-    rows = max(1, _CHUNK // max(2 * width, 1))
-    for lo in range(0, len(keys), rows):
-        ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
-        # coordinate c < width is bit c of A, coordinate width + c bit c of V∖B
-        coords = np.concatenate(((ra & bits) != 0, (rb & bits) == 0), axis=1)
-        meet_a &= np.bitwise_and.reduce(np.where(coords, ra, _LO), axis=0)
-        meet_b |= np.bitwise_or.reduce(np.where(coords, rb, np.uint64(0)), axis=0)
-        hit |= coords.any(axis=0)
-    bottom = np.bitwise_and.reduce(a) << np.uint64(32) | np.bitwise_or.reduce(b)
-    return np.union1d(meet_a[hit] << np.uint64(32) | meet_b[hit], [bottom])
-
-
-def _close_under_join_meet(
-    pool: Iterable[tuple[int, int]], cap: int
-) -> list[tuple[int, int]]:
-    """Close a pool of (A, B) masks and their flips under joins and meets.
-
-    Read (A, B) as the bit vector of its coordinates over V = the bits the
-    masks use: the bits of A, then the bits of V∖B.  The join is then the
-    coordinate-wise OR and the meet the coordinate-wise AND, so the closure
-    L is a distributive lattice, and each of its elements is a join of
-    meets of pool elements.  Let ``j_c`` be the meet of the pool elements
-    with coordinate ``c`` set.  If ``c`` is set in ``y = m_1 ∨ … ∨ m_k``,
-    it is set in some ``m_i``, hence in every pool element of that meet, so
-    ``j_c <= m_i <= y``; and ``c`` is set in ``j_c``.  So ``y`` is the join
-    of the ``j_c`` with ``c`` set in ``y``, or, with no coordinate set, the
-    meet of the whole pool.  L is thus the pool plus every join of
-    ``J = {j_c} ∪ {bottom}`` (:func:`_join_irreducibles`).  Frontier
-    rounds of ``frontier ∨ J`` on packed keys ``A << 32 | B`` find it, as
-    every element found joins every member of J once: |L|·|J| candidates,
-    where |J| <= 2·width + 1.
-
-    Raises :class:`ClosureTooLarge` as soon as the part of L found so far
-    holds more than ``max(cap, p)`` elements, p the size of the pool with
-    its flips.  That part lies in L and ends as L, so this happens exactly
-    when the closure has grown past the pool and holds more than ``cap``
-    elements; a closed pool of any size passes.
-    """
-    keys = np.array([a << 32 | b for a, b in pool], dtype=np.uint64)
-    seen = np.union1d(keys, (keys & _LO) << np.uint64(32) | keys >> np.uint64(32))
-    if not len(seen):
-        return []
-    bound = max(cap, len(seen))
-    irreducibles = _join_irreducibles(seen)
-    frontier = seen = np.union1d(seen, irreducibles)
-    if len(seen) > bound:
-        raise ClosureTooLarge(cap)
-    rows = max(1, _CHUNK // len(irreducibles))
-    while len(frontier):
-        new = np.empty(0, dtype=np.uint64)
-        for lo in range(0, len(frontier), rows):
-            f = frontier[lo : lo + rows, None]
-            found = np.unique(((f | irreducibles) & _HI) | (f & irreducibles & _LO))
-            at = np.searchsorted(seen, found)
-            np.clip(at, 0, len(seen) - 1, out=at)
-            new = np.union1d(new, found[seen[at] != found])
-            if len(seen) + len(new) > bound:
-                raise ClosureTooLarge(cap)
-        seen = np.union1d(seen, new)
-        frontier = new
-    low = (1 << 32) - 1
-    return [(k >> 32, k & low) for k in seen.tolist()]
-
-
 def build_set_universe(
     ground: Sequence[str],
     pairs: Iterable[tuple[Iterable[str], Iterable[str]]],
     *,
     max_closure: int = DEFAULT_CLOSURE_CAP,
 ) -> SeparationSystem:
-    """Universe from a pool of set separations, closed under join and meet.
+    """The system of a pool of set separations, in the universe of its members.
 
     ``pairs`` lists the members of the resulting system by their sides, as
     vertex-name iterables; flips are added automatically.  Every pair must
-    cover the ground set.  The closure becomes the universe; raises
-    :class:`ClosureTooLarge` past ``max_closure`` elements.
+    cover the ground set.  Raises :class:`ClosureTooLarge` when the members
+    with their flips are more than ``max_closure``.
     """
     ground = [str(g) for g in ground]
     if len(ground) != len(set(ground)):
@@ -168,10 +81,12 @@ def build_set_universe(
 def _universe_from_masks(
     ground: Sequence[str], member_masks: set[tuple[int, int]], max_closure: int
 ) -> SeparationSystem:
-    closed = _close_under_join_meet(member_masks, max_closure)
-    universe = MaskUniverse(closed, ground)
-    ids = {m: i for i, m in enumerate(closed)}
-    return SeparationSystem(universe, (ids[m] for m in member_masks))
+    """The system of a flip-closed set of side pairs, all of them members,
+    in the universe of those pairs alone, sorted by ``(A, B)``."""
+    if len(member_masks) > max_closure:
+        raise ClosureTooLarge(max_closure)
+    pool = sorted(member_masks)
+    return SeparationSystem(MaskUniverse(pool, ground), range(len(pool)))
 
 
 def side_masks(sep: OrientedSep) -> tuple[int, int]:
@@ -287,11 +202,13 @@ def _components(nbr: Sequence[int], rest: int):
 def graph_separations(
     graph: GraphInput, k: int, *, max_closure: int = DEFAULT_CLOSURE_CAP
 ) -> SeparationSystem:
-    """The system of graph separations of order < k inside its closure universe.
+    """The system of graph separations of order < k, in the universe of its
+    members.
 
-    The members are exactly the order-``< k`` separations; the universe is
-    their join/meet closure (graph separations are closed under both, so every
-    universe element is itself a graph separation).
+    The members are exactly the order-``< k`` separations, and the universe
+    holds nothing else: the join of two members is looked up among them
+    (:class:`~tangleduct.core.MaskUniverse`).  Raises
+    :class:`ClosureTooLarge` when there are more than ``max_closure``.
     """
     if k < 0:
         raise MalformedInput("k must be non-negative")

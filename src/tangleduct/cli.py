@@ -90,7 +90,8 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
     parser.add_argument("--k", type=int, default=None,
                         help="order bound for graph-sk")
     parser.add_argument("--max-closure", type=int, default=None,
-                        help=f"universe closure cap (default {DEFAULT_CLOSURE_CAP})")
+                        help="cap on the separations of the universe, members and their"
+                             f" flips (default {DEFAULT_CLOSURE_CAP})")
     parser.add_argument("--auto-standardize", action="store_true",
                         help="add missing trivial-forcing stars for strong/check-tree")
     parser.add_argument("--format", dest="fmt", choices=("json", "dot"),

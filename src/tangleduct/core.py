@@ -2,13 +2,14 @@
 
 A *universe* is a finite poset of oriented separations carrying an
 order-reversing involution (written ``*`` in math, ``.inverse`` here) and a
-total join that is a genuine supremum.  A *separation system* is any
-involution-closed subset of a universe's elements.
+join that is a genuine supremum wherever the universe holds it.  A
+*separation system* is any involution-closed subset of a universe's
+elements.
 
 Elements are integer ids ``0 .. n-1``.  The order lives in a full boolean
 matrix, the involution in an id table.  A :class:`Universe` built from
-tables, as every JSON document is, stores its join as an id table too and
-verifies every law exhaustively at construction time:
+tables, as every JSON document without set labels is, stores its join as
+an id table too and verifies every law exhaustively at construction time:
 
  * partial order (reflexive, antisymmetric, transitive),
  * order reversal:  ``r <= s``  iff  ``s.inverse <= r.inverse``,
@@ -25,10 +26,11 @@ table supplied from outside is still checked to be the infimum, then
 dropped: an infimum is unique, so it equals the derived one.
 
 A :class:`MaskUniverse` is built from a pool L of side pairs ``(A, B)`` of
-bitmasks, sorted and closed under flips and joins, as the set and graph
-backends' closures are.  Its order is ``(A, B) <= (C, D)`` iff ``A ⊆ C``
-and ``B ⊇ D``, its flip swaps the sides and its join is ``(A|C, B&D)``, and
-the laws hold by construction, so none is re-checked:
+bitmasks, sorted and closed under flips, as the set and graph backends'
+member sets are; it need not be closed under anything else.  Its order is
+``(A, B) <= (C, D)`` iff ``A ⊆ C`` and ``B ⊇ D``, its flip swaps the sides,
+and the join of two of its pairs is ``(A|C, B&D)`` if L holds that pair.
+The laws hold by construction, so none is re-checked:
 
  * the order is reflexive and transitive, as ``⊆`` and ``⊇`` are;
  * it is antisymmetric: ``x <= y <= x`` makes both sides equal, and the
@@ -37,13 +39,18 @@ the laws hold by construction, so none is re-checked:
    (B, A)``, and flipping twice gives the pair back;
  * ``(A|C, B&D)`` lies above ``(A, B)`` and ``(C, D)``, and below every
    ``(E, F)`` above both (``A, C ⊆ E`` gives ``A|C ⊆ E``, and ``B, D ⊇ F``
-   gives ``B&D ⊇ F``), so it is their least upper bound in L, of which it
-   is a member because L is closed under joins.
+   gives ``B&D ⊇ F``), so it is their least upper bound among all side
+   pairs; when it lies in L it is also their least upper bound in L, as L
+   holds only side pairs.  The meet ``(A&C, B|D)``, the flip of the join
+   of the flips, is likewise the greatest lower bound in L when L holds it.
 
 It stores no join table: :meth:`Universe.join_column` looks one column up
-in the sorted pair keys on first use and keeps it.  A flip missing from
-the pool raises :class:`MalformedInput` and a join missing from it
-:class:`InternalInvariant`; neither happens for a closed pool.
+in the sorted pair keys on first use and keeps it, with -1 where the join
+is not in L.  The engines read -1 as "not a member".
+:meth:`Universe.join_id`, :meth:`Universe.meet_id` and
+:meth:`OrientedSep.join`/``meet`` raise :class:`MalformedInput` for a join
+or meet outside the universe, and a flip missing from the pool raises it
+too.
 
 Transitivity and the bound laws compare rows of the order matrix packed
 into 64-bit words, so each costs O(n²·⌈n/64⌉) word operations rather than
@@ -58,16 +65,15 @@ scan stops at row ``r`` too, where the dense rerun names the same witness.
 
 Memory: a universe of n elements keeps n² bytes for the order; one built
 from tables adds 4n² for the ``int32`` join table, and a mask universe 4n
-bytes per join column it was asked for.  :meth:`Universe.join_table` on a
-mask universe and :meth:`Universe.meet_table` build another 4n² on each
-call.  Building the tables from side masks (:func:`tables_from_masks`,
-:class:`MaskUniverse`) and the checks of antisymmetry and order reversal
-work in row chunks of about ``_CHUNK`` cells, so their temporaries stay
-bounded per chunk whatever n is; the packed checks hold the packed order
-(n²/8 bytes a direction) plus the packed words one row of a check
-compares, which the bound check keeps in two reused buffers of n²/8 bytes
-each.  Chunked checks scan rows in ascending order and name the same least
-witness as a one-shot check.
+bytes per join column it was asked for.  :meth:`Universe.meet_table` builds
+another 4n² on each call; it and :meth:`Universe.join_table` exist only on
+a universe built from tables.  The order of a mask universe and the checks
+of antisymmetry and order reversal work in row chunks of about ``_CHUNK``
+cells, so their temporaries stay bounded per chunk whatever n is; the
+packed checks hold the packed order (n²/8 bytes a direction) plus the
+packed words one row of a check compares, which the bound check keeps in
+two reused buffers of n²/8 bytes each.  Chunked checks scan rows in
+ascending order and name the same least witness as a one-shot check.
 
 The engines' hot path asks set questions ("which picks lie strictly above
 this one's inverse?", "do all elements of this star lie in that domain?").
@@ -95,7 +101,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    InternalInvariant,
     InvolutionNotOrderReversing,
     JoinNotSupremum,
     MalformedInput,
@@ -215,6 +220,7 @@ class Universe:
         self._inv = _readonly(inv)
         self.set_labels = tuple(set_labels) if set_labels is not None else None
         self.ground = tuple(ground) if ground is not None else None
+        self._join: Optional[np.ndarray] = None  # kept by table-built universes
         self._above: list[Optional[int]] = [None] * n
         self._below: list[Optional[int]] = [None] * n
         self._conflict: list[Optional[int]] = [None] * n
@@ -345,11 +351,17 @@ class Universe:
         return int(self._inv[a])
 
     def join_id(self, a: int, b: int) -> int:
-        return int(self.join_column(b)[a])
+        j = int(self.join_column(b)[a])
+        if j < 0:
+            raise MalformedInput(f"the join of {a} and {b} lies outside the universe")
+        return j
 
     def meet_id(self, a: int, b: int) -> int:
         inv = self._inv
-        return int(inv[self.join_id(int(inv[a]), int(inv[b]))])
+        j = int(self.join_column(int(inv[b]))[int(inv[a])])
+        if j < 0:
+            raise MalformedInput(f"the meet of {a} and {b} lies outside the universe")
+        return int(inv[j])
 
     def is_degenerate_id(self, a: int) -> bool:
         return int(self._inv[a]) == a
@@ -388,10 +400,14 @@ class Universe:
         return self._inv
 
     def join_column(self, s: int) -> np.ndarray:
-        """The read-only ``int32`` ids ``join(t, s)`` over all ids ``t``."""
+        """The read-only ``int32`` ids ``join(t, s)`` over all ids ``t``, -1
+        where a mask universe does not hold the join."""
         return self._join[:, s]
 
     def join_table(self) -> np.ndarray:
+        """The ``int32`` join table of a universe built from tables."""
+        if self._join is None:
+            raise MalformedInput("a mask universe keeps no join table")
         return self._join
 
     def meet_table(self) -> np.ndarray:
@@ -447,13 +463,14 @@ class Universe:
 
 
 class MaskUniverse(Universe):
-    """The universe of a sorted pool of side pairs ``(A, B)`` of bitmasks,
-    closed under flips and joins, named over the vertices ``ground``.
+    """The universe of a sorted, flip-closed pool of side pairs ``(A, B)`` of
+    bitmasks, named over the vertices ``ground``.
 
     Ids are positions in the pool.  The laws hold by construction (the
     module docstring proves them), so none is checked, and no join table is
     kept: each join column is looked up in the sorted pair keys on first
-    use and cached per id, like the bit rows.
+    use and cached per id, like the bit rows, with -1 where the join is not
+    in the pool.
     """
 
     def __init__(self, masks: Sequence[tuple[int, int]], ground: Sequence[str]):
@@ -467,18 +484,9 @@ class MaskUniverse(Universe):
         col = self._columns[s]
         if col is None:
             a, b = self._a, self._b
-            col = _find_keys(self._keys, a | a[s], b & b[s])
-            if col is None:
-                raise InternalInvariant(f"a join with {s} is missing from a closed mask pool")
-            col = self._columns[s] = _readonly(col.astype(np.int32))
+            col = _find_keys(self._keys, a | a[s], b & b[s]).astype(np.int32)
+            col = self._columns[s] = _readonly(col)
         return col
-
-    def join_table(self) -> np.ndarray:
-        """The ``int32`` join table, built on each call and not kept."""
-        join = _mask_join_table(self._a, self._b, self._keys)
-        if join is None:
-            raise InternalInvariant("a join is missing from a closed mask pool")
-        return _readonly(join)
 
 
 class OrientedSep:
@@ -799,13 +807,13 @@ def _mask_keys(
     return a, b, keys
 
 
-def _find_keys(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """The positions of the pairs ``(a, b)`` in the sorted ``keys``, or
-    ``None`` when one is missing."""
+def _find_keys(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The positions of the pairs ``(a, b)`` in the sorted ``keys``, -1
+    where one is missing."""
     want = a << np.uint64(32) | b
     idx = np.searchsorted(keys, want)
     np.clip(idx, 0, len(keys) - 1, out=idx)
-    return idx if (keys[idx] == want).all() else None
+    return np.where(keys[idx] == want, idx, -1)
 
 
 def _order_and_flips(
@@ -814,7 +822,7 @@ def _order_and_flips(
     """The order matrix of a sorted mask pool, in row chunks of about
     ``_CHUNK`` cells, and the id of each pair's flip."""
     inverse = _find_keys(keys, b, a)
-    if inverse is None:
+    if (inverse < 0).any():
         raise MalformedInput("mask pool is not closed under flips")
     n = len(keys)
     leq = np.empty((n, n), dtype=bool)
@@ -823,47 +831,6 @@ def _order_and_flips(
         ra, rb = a[lo : lo + rows, None], b[lo : lo + rows, None]
         leq[lo : lo + rows] = ((ra & ~a) == 0) & ((b & ~rb) == 0)
     return leq, inverse
-
-
-def _mask_join_table(a: np.ndarray, b: np.ndarray, keys: np.ndarray) -> Optional[np.ndarray]:
-    """The ``int32`` join table of a sorted mask pool, or ``None`` when a
-    join lies outside it.
-
-    It is built in row chunks of about ``_CHUNK`` cells that each look
-    their keys up in the pool.  The key of ``(r, s)`` is the key of
-    ``(s, r)``, so a chunk of rows from ``lo`` looks up only the columns
-    from ``lo`` on and writes that block and its transpose; a join missing
-    from the pool is missing in both orders, so the same pools fail.
-    """
-    n = len(keys)
-    join = np.empty((n, n), dtype=np.int32)
-    rows = _chunk_rows(n)
-    for lo in range(0, n, rows):
-        hi = lo + rows
-        block = _find_keys(keys, a[lo:hi, None] | a[lo:], b[lo:hi, None] & b[lo:])
-        if block is None:
-            return None
-        join[lo:hi, lo:] = block
-        join[hi:, lo:hi] = join[lo:hi, hi:].T
-    return join
-
-
-def tables_from_masks(
-    masks: Sequence[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Order, involution and join tables for a pool of side-pair bitmasks.
-
-    The pool must be sorted by ``(A, B)`` and closed under flips and joins
-    ``(A|C, B&D)``; ids are positions in the pool.  It is then closed under
-    meets ``(A&C, B|D)`` too, each the flip of the join of the flips.
-    Sides are masks of at most 32 bits, packed as ``uint64`` keys.
-    """
-    a, b, keys = _mask_keys(masks)
-    leq, inverse = _order_and_flips(a, b, keys)
-    join = _mask_join_table(a, b, keys)
-    if join is None:
-        raise MalformedInput("mask pool is not closed under joins")
-    return leq, inverse, join
 
 
 def _is_id(x) -> bool:
@@ -925,7 +892,7 @@ def _table_from_triples(n: int, triples, what: str) -> np.ndarray:
 
 def _set_labels(ground, labels, n: int) -> tuple[list[str], list[tuple[int, int]]]:
     """Ground names and one ``(A, B)`` bitmask pair per element."""
-    # tables_from_masks keys a pair as the uint64 A << 32 | B
+    # a MaskUniverse keys a pair as the uint64 A << 32 | B
     if not isinstance(ground, list) or len(ground) > 32:
         raise MalformedInput("'ground' must be a list of at most 32 vertex names")
     if not isinstance(labels, list) or len(labels) != n:
@@ -952,6 +919,21 @@ def _set_labels(ground, labels, n: int) -> tuple[list[str], list[tuple[int, int]
     return names, masks
 
 
+def _check_label_tables(
+    universe: MaskUniverse, join: Optional[np.ndarray], meet: Optional[np.ndarray]
+) -> None:
+    """A given join or meet table must equal the labels' at every pair, and
+    so hold no pair whose join or meet lies outside the universe."""
+    inv = universe.inverse_table()
+    for s in range(len(universe)):
+        if join is not None and not np.array_equal(join[:, s], universe.join_column(s)):
+            raise MalformedInput("'join' disagrees with the set labels")
+        if meet is not None:
+            col = universe.join_column(int(inv[s]))[inv]
+            if not np.array_equal(meet[:, s], np.where(col < 0, -1, inv[col])):
+                raise MalformedInput("'meet' disagrees with the set labels")
+
+
 def system_from_json_dict(d: dict) -> SeparationSystem:
     """Build a validated universe plus system from the JSON schema.
 
@@ -961,10 +943,14 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     ``members`` (defaults to all elements), optional ``ground``/``labels``
     for set universes.  Every id must be a JSON integer.
 
-    With ``ground`` and ``labels`` present the side pairs fix the order and
-    the join, so ``leq`` is optional: the order is taken from the labels,
-    and a ``leq`` that is given must equal it.  ``inverse`` must equal the
-    labels' flips.  Either way the universe is law-checked in full.
+    With ``ground`` and ``labels`` present the side pairs fix the order, the
+    flips and the joins, so ``leq`` is optional, and the document loads as
+    a :class:`MaskUniverse` with no law check.  The labels must be distinct,
+    sorted by their ``(A, B)`` masks and closed under flips; ``inverse``
+    must equal their flips, and a ``leq``, ``join`` or ``meet`` that is
+    given must equal what they give.  Any such pool is valid, so documents
+    listing more elements than their members load too.  Without labels the
+    tables are law-checked in full by :class:`Universe`.
     """
     try:
         elements = list(d["elements"])
@@ -989,24 +975,18 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     join = _table_from_triples(n, d["join"], "join") if "join" in d else None
     meet = _table_from_triples(n, d["meet"], "meet") if "meet" in d else None
 
-    set_labels = None
-    ground = None
     if "labels" in d and "ground" in d:
         ground, set_labels = _set_labels(d["ground"], d["labels"], n)
-        label_leq, label_inv, label_join = tables_from_masks(set_labels)
-        if leq is not None and not np.array_equal(label_leq, leq):
+        universe = MaskUniverse(set_labels, ground)
+        if leq is not None and not np.array_equal(universe.leq_matrix(), leq):
             raise MalformedInput("'leq' disagrees with the set labels")
-        if not np.array_equal(label_inv, np.asarray(inverse)):
+        if not np.array_equal(universe.inverse_table(), np.asarray(inverse)):
             raise MalformedInput("'inverse' disagrees with the set labels")
-        leq = label_leq
-        # a supplied join is law-checked by Universe, and a supremum is
-        # unique, so it cannot disagree with the labels' join either
-        if join is None:
-            join = label_join
+        _check_label_tables(universe, join, meet)
     elif leq is None:
         raise MalformedInput("'leq' is required without 'ground' and 'labels'")
-
-    universe = Universe(leq, inverse, join, meet, set_labels=set_labels, ground=ground)
+    else:
+        universe = Universe(leq, inverse, join, meet)
     members = d.get("members")
     if members is None:
         members = range(n)

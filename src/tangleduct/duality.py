@@ -22,7 +22,7 @@ when its bit row lies inside the system's domain row for ``r`` and meets
 the members-above-``r`` row, and the family caches that selection per row
 pair.  The family-independent parts are kept in the system's ``memo``: the
 plain emulation answer per ``(s0, r)``, and per ``(r, s0)`` the shift image
-of every id, built from one column of the join table.  Each image is then
+of every id, built from one join column of ``s0``.  Each image is then
 checked by its bit row against the family's set of star rows.
 
 Only a root family's stars are scanned.  Every family the engines recurse
@@ -267,7 +267,10 @@ def shift_map(r, s0, target, system: SeparationSystem) -> OrientedSep:
         return u.sep(u.inv_id(s0_id))
     if not system.domain_mask(r_id) >> t_id & 1:
         raise TargetNotAboveR(t_id, r_id)
-    return u.sep(_shift_image_bits(system, r_id, s0_id)[t_id].bit_length() - 1)
+    image = _shift_image_bits(system, r_id, s0_id)[t_id].bit_length() - 1
+    if image < 0:
+        raise MalformedInput(f"the shift of {t_id} across {s0_id} lies outside the universe")
+    return u.sep(image)
 
 
 def emulates(s0, r, system: SeparationSystem) -> bool:
@@ -300,7 +303,9 @@ def _joins_stay_inside(system: SeparationSystem, s0: int, r: int) -> bool:
     flags = system.member_flags
     above = flags & u.leq_matrix()[r]
     above[u.inv_id(r)] = False
-    return bool(flags[u.join_column(s0)[above]].all())
+    joins = u.join_column(s0)[above]
+    # -1: the join is not in the universe, so not a member either
+    return bool((joins >= 0).all() and flags[joins].all())
 
 
 def _shift_image_bits(system: SeparationSystem, r: int, s0: int) -> list[int]:
@@ -310,7 +315,9 @@ def _shift_image_bits(system: SeparationSystem, r: int, s0: int) -> list[int]:
     itself joins to ``s0``, as ``r <= s0``) and cached per pair.  Only the
     entries read by ``emulates_for_family`` are meaningful: members with an
     orientation above ``r``, other than ``r``'s inverse, which no qualifying
-    star holds.  Non-members get 0, so a list costs O(members · n/8) bytes.
+    star holds.  Non-members get 0, so a list costs O(members · n/8) bytes,
+    and so does a member whose image is not in the universe: once
+    ``s0`` emulates ``r``, no entry that is read is one of these.
     """
     key = ("shift", r, s0)
     bits = system.memo.get(key)
@@ -326,10 +333,12 @@ def _shift_image_bits(system: SeparationSystem, r: int, s0: int) -> list[int]:
         raise InternalInvariant(
             "both orientations of a shift target lie above the base"
         )
-    image = np.where(up, col, inv[col[inv]]).tolist()
+    back = col[inv]
+    image = np.where(up, col, np.where(back < 0, -1, inv[back])).tolist()
     bits = [0] * len(image)
     for t in system.members:
-        bits[t] = 1 << image[t]
+        if image[t] >= 0:
+            bits[t] = 1 << image[t]
     system.memo[key] = bits
     return bits
 

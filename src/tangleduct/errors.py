@@ -67,9 +67,10 @@ class MeetNotInfimum(TangleductError):
 # --- set / graph backends --------------------------------------------------
 
 class ClosureTooLarge(TangleductError):
+    # the cap bounds a universe's side pairs: the members and their flips
     def __init__(self, cap: int):
         super().__init__(
-            f"join/meet closure exceeds the configured cap of {cap} elements"
+            f"separation universe exceeds the configured cap of {cap} elements"
         )
         self.cap = cap
 

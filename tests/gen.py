@@ -145,6 +145,12 @@ def add_leq(doc: dict) -> dict:
     return doc
 
 
+def join_columns(universe) -> np.ndarray:
+    """Every join column of a universe side by side: the ``int32`` join
+    table, -1 where a mask universe does not hold the join."""
+    return np.stack([universe.join_column(s) for s in range(len(universe))], axis=1)
+
+
 # --- star families -------------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from tangleduct import (
 from tangleduct.backends import _graph_separation_masks
 from tangleduct.core import _as_id
 from tangleduct.errors import ClosureTooLarge, GroundSetTooLarge
+from test_closure import closed_universe, reference_closure
 
 
 class OrderFunction:
@@ -60,7 +61,8 @@ class OrderFunction:
 def submodularity_violation(
     order: OrderFunction, universe: Universe
 ) -> Optional[tuple[OrientedSep, OrientedSep]]:
-    """Least pair (r, s) with order(r ∨ s) + order(r ∧ s) > order(r) + order(s)."""
+    """Least pair (r, s) with order(r ∨ s) + order(r ∧ s) > order(r) + order(s),
+    on a universe built from tables."""
     vals = order.values
     lhs = vals[universe.join_table()] + vals[universe.meet_table()]
     rhs = vals[:, None] + vals[None, :]
@@ -95,10 +97,12 @@ class TestBuildSetUniverse:
             build_set_universe(["x", "x"], [(["x"], ["x"])])
 
     def test_closure_cap_enforced(self):
+        # the cap bounds the 16 pairs and flips, not their closure of 256
         ground = [str(i) for i in range(8)]
         pairs = [([g], ground) for g in ground]
+        assert len(build_set_universe(ground, pairs, max_closure=16).universe) == 16
         with pytest.raises(ClosureTooLarge):
-            build_set_universe(ground, pairs, max_closure=20)
+            build_set_universe(ground, pairs, max_closure=15)
 
     def test_ground_cap_enforced(self):
         ground = [str(i) for i in range(25)]
@@ -138,7 +142,7 @@ class TestGraphInput:
 
 class TestGraphSeparations:
     @pytest.mark.parametrize(
-        "name,k,universe_size,member_count,pair_count",
+        "name,k,closure_size,member_count,pair_count",
         [
             ("p3", 1, 2, 2, 1),
             ("p3", 2, 17, 10, 5),
@@ -146,9 +150,11 @@ class TestGraphSeparations:
             ("k3", 2, 15, 8, 4),
         ],
     )
-    def test_frozen_shapes(self, name, k, universe_size, member_count, pair_count):
+    def test_frozen_shapes(self, name, k, closure_size, member_count, pair_count):
+        # the universe is the members alone; their join/meet closure is larger
         s = gen.graph_system(name, k)
-        assert len(s.universe) == universe_size
+        assert len(s.universe) == member_count
+        assert len(reference_closure(s.universe.set_labels, 10**6)) == closure_size
         assert len(s.members) == member_count
         assert len(s.nondegenerate_reps) == pair_count
 
@@ -177,7 +183,7 @@ class TestGraphSeparations:
         assert_separator_listing(graph)
 
     def test_universe_elements_are_graph_separations(self, p3_s2):
-        # closure never leaves the space of valid graph separations
+        # the universe holds valid graph separations only
         graph = GraphInput.parse(gen._GRAPHS["p3"])
         u = p3_s2.universe
         valid = brute_force_separations(graph, len(graph.vertices) + 1)
@@ -214,8 +220,9 @@ class TestOrderFunctions:
             for name, k in sorted(tk.EXPECTED_KIND)
         ]
         for system in (p3_s2, cover3, *ladder):
-            order = OrderFunction.vertex_overlap(system.universe)
-            assert is_submodular(order, system.universe)
+            # on the universe of the members' join/meet closure
+            u, _ = closed_universe(system.universe.set_labels)
+            assert is_submodular(OrderFunction.vertex_overlap(u), u)
 
     def test_vertex_overlap_values(self, p3_s2):
         order = OrderFunction.vertex_overlap(p3_s2.universe)
@@ -235,7 +242,8 @@ class TestOrderFunctions:
             OrderFunction(cover2.universe, [-1] * len(cover2.universe))
 
     def test_violation_reported_for_crafted_order(self, cover2):
-        u = cover2.universe
+        # every covering pair: the closure is the pool, with the same ids
+        u, _ = closed_universe(cover2.universe.set_labels)
         # charge everything 1 except one join result, forced too high
         vals = np.ones(len(u), dtype=int)
         j = u.join_id(1, 3)

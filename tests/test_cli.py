@@ -109,8 +109,7 @@ def _abstract_system_doc() -> dict:
 
     u = gen.full_cover_system(2).universe
     inverse = [u.inv_id(i) for i in range(len(u))]
-    bare = Universe(u.leq_matrix(), inverse, u.join_table(), u.meet_table())
-    return bare.to_json_dict()
+    return Universe(u.leq_matrix(), inverse, gen.join_columns(u)).to_json_dict()
 
 
 def _set(key, value):
@@ -134,7 +133,7 @@ def _recode(key, pred, recode):
 
 
 def _swap_labels_beside_join(d):
-    join = gen.full_cover_system(2).universe.join_table()
+    join = gen.join_columns(gen.full_cover_system(2).universe)
     d["join"] = [[r, s, int(v)] for (r, s), v in np.ndenumerate(join)]
     d["labels"][0], d["labels"][1] = d["labels"][1], d["labels"][0]
 
@@ -188,6 +187,21 @@ def test_malformed_system_is_one_error_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_labels_not_closed_under_flips_is_one_error_line(tmp_path, capsys):
+    # ({x}|{x,y}) and ({x,y}|{y}), without their flips
+    doc = {
+        "elements": [0, 1],
+        "inverse": {"0": 1, "1": 0},
+        "ground": ["x", "y"],
+        "labels": [[["x"], ["x", "y"]], [["x", "y"], ["y"]]],
+    }
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig("validate", str(path))) == 1
+    err = capsys.readouterr().err
+    assert err == "error: mask pool is not closed under flips\n"
 
 
 def _tangle_envelope() -> dict:
@@ -527,7 +541,7 @@ class TestEssentialCommands:
         _, env = p3_setup
         assert run(RunConfig("essential-core", str(env))) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["stars"] == [[], [1], [5], [9], [11]]
+        assert out["stars"] == [[], [1], [4], [6], [8]]
 
     def test_essentialize_emits_a_tree(self, p3_setup, capsys):
         tmp_path, env = p3_setup

@@ -1,17 +1,21 @@
-"""The join/meet closure from join-irreducibles against the pairwise reference loop."""
+"""Pool universes against the join/meet closure of a pairwise reference loop.
+
+The set and graph backends build a system's universe from its members and
+their flips alone (``backends._universe_from_masks``).  The universe of a
+pool's join/meet closure, built from dense tables and law-checked in full
+by ``Universe``, is the reference: the pool universe's order, flips and
+join columns must be its tables restricted to the pool, with -1 exactly
+where the closed join is not a pool element.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import gen
-from tangleduct import GraphInput
-from tangleduct.backends import (
-    _close_under_join_meet,
-    _graph_separation_masks,
-    _join_irreducibles,
-)
+from tangleduct import GraphInput, MalformedInput, Universe, graph_separations
+from tangleduct.backends import _graph_separation_masks, _universe_from_masks
+from tangleduct.core import MaskUniverse
 from tangleduct.errors import ClosureTooLarge
 
 
@@ -37,13 +41,6 @@ def reference_closure(pool, cap):
     return sorted(seen)
 
 
-def _outcome(close, pool, cap):
-    try:
-        return close(pool, cap)
-    except ClosureTooLarge as exc:
-        return ("too large", exc.cap)
-
-
 @st.composite
 def pools(draw):
     """Random pools over a ground set of at most five points.
@@ -64,62 +61,129 @@ def _shifted(pool, offset):
     return [(a << offset, b << offset) for a, b in pool]
 
 
+def dense_tables(masks):
+    """Order, flips, joins and meets of a sorted mask pool from one n-by-n
+    key array each, -1 where a join or meet is not in the pool."""
+    a = np.array([m[0] for m in masks], dtype=np.int64)
+    b = np.array([m[1] for m in masks], dtype=np.int64)
+    packed = (a << 32) | b
+
+    def lookup(pa, pb):
+        keys = (pa << 32) | pb
+        idx = np.clip(np.searchsorted(packed, keys), 0, len(packed) - 1)
+        return np.where(packed[idx] == keys, idx, -1)
+
+    leq = ((a[:, None] & ~a[None, :]) == 0) & ((b[None, :] & ~b[:, None]) == 0)
+    inverse = lookup(b, a)
+    if (inverse < 0).any():
+        raise MalformedInput("mask pool is not closed under flips")
+    join = lookup(a[:, None] | a[None, :], b[:, None] & b[None, :])
+    meet = lookup(a[:, None] & a[None, :], b[:, None] | b[None, :])
+    return leq, inverse, join, meet
+
+
+def ground_of(masks):
+    width = max((a | b for a, b in masks), default=0).bit_length()
+    return [f"v{i}" for i in range(width)]
+
+
+def pool_system(pool, cap=10**6):
+    """The system of a pool and its flips, all members, in their universe."""
+    flipped = set(pool) | {(b, a) for a, b in pool}
+    return _universe_from_masks(ground_of(flipped), flipped, cap)
+
+
+def closed_universe(pool):
+    """The law-checked universe of a pool's reference closure, built from
+    tables and labelled by its side masks, and the closure."""
+    closed = reference_closure(pool, 10**6)
+    leq, inverse, join, meet = dense_tables(closed)
+    assert (join >= 0).all() and (meet >= 0).all()
+    u = Universe(leq, inverse, join, meet, set_labels=closed, ground=ground_of(closed))
+    return u, closed
+
+
+def assert_restricts_closure(u: MaskUniverse) -> None:
+    """The pool universe ``u`` is the closure universe restricted to its
+    pool, in the closure's order of ids, with -1 exactly where the closed
+    join is not a pool element."""
+    pool = list(u.set_labels)
+    ref, closed = closed_universe(pool)
+    at = {m: i for i, m in enumerate(closed)}
+    pos = np.array([at[m] for m in pool], dtype=np.intp)
+    assert (np.diff(pos) > 0).all()
+    # the pool id of each closure id, -1 off the pool
+    back = np.full(len(closed), -1)
+    back[pos] = np.arange(len(pool))
+    assert np.array_equal(u.leq_matrix(), ref.leq_matrix()[np.ix_(pos, pos)])
+    assert np.array_equal(u.inverse_table(), back[ref.inverse_table()[pos]])
+    n = len(pool)
+    # every pair on small pools, about 64 rows per column on large ones
+    rows = range(0, n, 1 if n <= 256 else n // 64)
+    for s in range(n):
+        col = u.join_column(s)
+        closed_join = ref.join_column(pos[s])[pos]
+        assert col.dtype == np.int32 and not col.flags.writeable
+        assert col is u.join_column(s)
+        assert np.array_equal(col, back[closed_join])
+        assert np.array_equal(col < 0, back[closed_join] < 0)
+        for t in rows:
+            if col[t] < 0:
+                with pytest.raises(MalformedInput, match="outside the universe"):
+                    u.join_id(t, s)
+            else:
+                assert pos[u.join_id(t, s)] == ref.join_id(pos[t], pos[s])
+            meet = back[ref.meet_id(pos[t], pos[s])]
+            if meet < 0:
+                with pytest.raises(MalformedInput, match="outside the universe"):
+                    u.meet_id(t, s)
+            else:
+                assert u.meet_id(t, s) == meet
+
+
 # shifted by up to 27 bits, masks reach bit 31: A fills the top half of a
 # packed 64-bit key
 @given(pool=pools(), offset=st.integers(0, 27))
 def test_matches_reference(pool, offset):
-    pool = _shifted(pool, offset)
-    got = _close_under_join_meet(pool, 10**6)
-    assert got == reference_closure(pool, 10**6)
-    assert all(type(x) is int for pair in got for x in pair)
+    # a closed pool: the universe holds every join and meet, and equals
+    # the law-checked universe of the same pairs
+    closed = reference_closure(_shifted(pool, offset), 10**6)
+    u = MaskUniverse(closed, ground_of(closed))
+    ref, _ = closed_universe(closed)
+    assert np.array_equal(u.leq_matrix(), ref.leq_matrix())
+    assert np.array_equal(u.inverse_table(), ref.inverse_table())
+    for s in range(len(closed)):
+        assert np.array_equal(u.join_column(s), ref.join_column(s))
+        assert [u.meet_id(t, s) for t in range(len(closed))] == [
+            ref.meet_id(t, s) for t in range(len(closed))
+        ]
 
 
 @given(pool=pools(), offset=st.integers(0, 27), cap=st.integers(0, 250))
 def test_cap_matches_reference(pool, offset, cap):
+    # the cap bounds the pool with its flips, whatever its closure holds
     pool = _shifted(pool, offset)
-    assert _outcome(_close_under_join_meet, pool, cap) == _outcome(
-        reference_closure, pool, cap
-    )
-
-
-@given(pool=pools(), offset=st.integers(0, 27))
-def test_join_irreducibles_are_few_and_generate_the_closure(pool, offset):
-    pool = _shifted(pool, offset)
-    flipped = pool + [(b, a) for a, b in pool]
-    keys = np.array(sorted({a << 32 | b for a, b in flipped}), dtype=np.uint64)
-    width = max(a | b for a, b in pool).bit_length()
-    irreducibles = [(k >> 32, k & (1 << 32) - 1) for k in _join_irreducibles(keys).tolist()]
-    assert len(irreducibles) <= 2 * width + 1
-    # every closure element is one of them or a join of some of them
-    closed = reference_closure(pool, 10**6)
-    assert set(irreducibles) <= set(closed)
-    joins = set(irreducibles)
-    for c, d in irreducibles:
-        joins |= {(a | c, b & d) for a, b in joins}
-    assert joins == set(closed)
-
-
-def _closed_masks():
-    return gen.full_cover_system(3).universe.set_labels
-
-
-def test_closed_pool_larger_than_cap_passes():
-    pool = _closed_masks()
-    assert _close_under_join_meet(pool, 5) == sorted(pool)
+    size = len(set(pool) | {(b, a) for a, b in pool})
+    if size > cap:
+        with pytest.raises(ClosureTooLarge) as exc:
+            pool_system(pool, cap)
+        assert exc.value.cap == cap
+    else:
+        assert len(pool_system(pool, cap).universe) == size
 
 
 @pytest.mark.parametrize("graph,k", [("a b\nb c\n", 2), ("a b\nb c\nc d\nd a\n", 3)])
 def test_cap_boundary(graph, k):
-    pool = set(_graph_separation_masks(GraphInput.parse(graph), k))
-    closed = _close_under_join_meet(pool, 10**6)
-    assert len(closed) > len(pool)
-    assert _close_under_join_meet(pool, len(closed)) == closed
-    with pytest.raises(ClosureTooLarge):
-        _close_under_join_meet(pool, len(closed) - 1)
+    graph = GraphInput.parse(graph)
+    pool = set(_graph_separation_masks(graph, k))
+    assert len(reference_closure(pool, 10**6)) > len(pool)
+    assert len(graph_separations(graph, k, max_closure=len(pool)).universe) == len(pool)
+    with pytest.raises(ClosureTooLarge, match=f"cap of {len(pool) - 1} elements"):
+        graph_separations(graph, k, max_closure=len(pool) - 1)
 
 
 def test_chunked_rounds_match_reference(monkeypatch):
-    # one frontier row per chunk, so every round runs through many chunks
-    monkeypatch.setattr("tangleduct.backends._CHUNK", 1)
+    # one row per chunk of the order build
+    monkeypatch.setattr("tangleduct.core._CHUNK", 1)
     pool = set(_graph_separation_masks(GraphInput.parse("a b\nb c\nc d\n"), 2))
-    assert _close_under_join_meet(pool, 10**6) == reference_closure(pool, 10**6)
+    assert_restricts_closure(pool_system(pool).universe)

@@ -25,8 +25,9 @@ from tangleduct import (
     is_star,
     system_from_json_dict,
     system_to_json_dict,
-    tables_from_masks,
 )
+from tangleduct.core import MaskUniverse
+from test_closure import reference_closure
 from tangleduct.errors import (
     InvolutionNotOrderReversing,
     JoinNotSupremum,
@@ -102,9 +103,11 @@ class TestUniverseAxioms:
 
     def test_derived_join_matches_mask_join(self, cover3):
         u = cover3.universe
+        n = len(u)
         derived = Universe(u.leq_matrix(), u.inverse_table())
-        assert np.array_equal(derived.join_table(), u.join_table())
-        assert np.array_equal(derived.meet_table(), u.meet_table())
+        assert np.array_equal(derived.join_table(), gen.join_columns(u))
+        meet = [[u.meet_id(r, s) for s in range(n)] for r in range(n)]
+        assert np.array_equal(derived.meet_table(), meet)
 
     def test_join_table_checked_against_order(self):
         u = chain_universe()
@@ -126,7 +129,7 @@ class TestUniverseAxioms:
 
     def test_tables_kept_as_int32(self, cover2):
         u = cover2.universe
-        assert u.join_table().dtype == u.meet_table().dtype == np.int32
+        assert {u.join_column(s).dtype for s in range(len(u))} == {np.dtype(np.int32)}
         assert chain_universe().join_table().dtype == np.int32
         back = system_from_json_dict(chain_universe().to_json_dict()).universe
         assert back.join_table().dtype == back.meet_table().dtype == np.int32
@@ -382,12 +385,52 @@ class TestJson:
     def test_labels_checked_beside_a_join(self, cover2):
         # a supplied join must not switch off the label check
         d = system_to_json_dict(cover2)
-        join = cover2.universe.join_table()
+        join = gen.join_columns(cover2.universe)
         d["join"] = [[r, s, int(v)] for (r, s), v in np.ndenumerate(join)]
         system_from_json_dict(d)
         d["labels"][0], d["labels"][1] = d["labels"][1], d["labels"][0]
         with pytest.raises(MalformedInput, match="sorted"):
             system_from_json_dict(d)
+
+
+    def test_label_tables_checked_against_the_labels(self, cover2, p3_s2):
+        d = system_to_json_dict(cover2)
+        n = len(cover2.universe)
+        for key, table in (("join", gen.join_columns(cover2.universe)),
+                           ("meet", closed_meets(cover2.universe))):
+            good = [[r, s, int(v)] for (r, s), v in np.ndenumerate(table)]
+            system_from_json_dict({**d, key: good})
+            bad = [[r, s, (v + 1) % n if (r, s) == (0, 1) else v] for r, s, v in good]
+            with pytest.raises(MalformedInput, match=f"'{key}' disagrees with the set labels"):
+                system_from_json_dict({**d, key: bad})
+        # a join table can only name ids, so any for p3 disagrees with its
+        # labels where a join of members is not a member
+        d = system_to_json_dict(p3_s2)
+        n = len(p3_s2.universe)
+        join = np.maximum(gen.join_columns(p3_s2.universe), 0)
+        d["join"] = [[r, s, int(v)] for (r, s), v in np.ndenumerate(join)]
+        with pytest.raises(MalformedInput, match="'join' disagrees with the set labels"):
+            system_from_json_dict(d)
+
+    def test_documents_listing_the_closure_load(self, p3_s2):
+        # older writers listed every element of the members' join/meet
+        # closure; any sorted, flip-closed set of labels is a universe
+        closed = reference_closure(p3_s2.universe.set_labels, 10**6)
+        ids = {m: i for i, m in enumerate(closed)}
+        doc = MaskUniverse(closed, p3_s2.universe.ground).to_json_dict(
+            members=[ids[m] for m in p3_s2.universe.set_labels]
+        )
+        back = system_from_json_dict(doc)
+        assert len(back.universe) == 17 and len(back) == 10
+        labels = back.universe.set_labels
+        assert [labels[m] for m in back.members] == list(p3_s2.universe.set_labels)
+        assert back.trivial_ids == {ids[p3_s2.universe.set_labels[m]] for m in p3_s2.trivial_ids}
+
+
+def closed_meets(u) -> np.ndarray:
+    """The meet table of a universe that holds every join, by De Morgan."""
+    inv = u.inverse_table()
+    return inv[gen.join_columns(u)[np.ix_(inv, inv)]]
 
 
 def assert_label_document_roundtrip(system, rng):
@@ -404,7 +447,8 @@ def assert_label_document_roundtrip(system, rng):
         v = back.universe
         assert np.array_equal(v.leq_matrix(), u.leq_matrix())
         assert np.array_equal(v.inverse_table(), u.inverse_table())
-        assert np.array_equal(v.join_table(), u.join_table())
+        assert isinstance(v, MaskUniverse)
+        assert np.array_equal(gen.join_columns(v), gen.join_columns(u))
         assert v.set_labels == u.set_labels and v.ground == u.ground
     pairs = old["leq"]
     drop = rng.randrange(len(pairs))
@@ -426,16 +470,3 @@ def test_label_documents_of_the_bench_ladder(rng):
 @given(st.randoms(use_true_random=False))
 def test_label_documents_of_random_systems(rnd):
     assert_label_document_roundtrip(gen.random_system(rnd), rnd)
-
-
-def test_tables_from_masks_matches_universe(cover2):
-    u = cover2.universe
-    masks = list(u.set_labels)
-    leq, inv, join = tables_from_masks(masks)
-    assert np.array_equal(leq, u.leq_matrix())
-    assert np.array_equal(inv, [u.inv_id(i) for i in range(len(u))])
-    assert np.array_equal(join, u.join_table())
-    # the meet De Morgan derives is the side-mask meet (A ∩ C, B ∪ D)
-    ids = {m: i for i, m in enumerate(masks)}
-    meet = [[ids[(a & c, b | d)] for c, d in masks] for a, b in masks]
-    assert np.array_equal(u.meet_table(), meet)

@@ -14,6 +14,7 @@ import pytest
 import gen
 from tangleduct import (
     Certificate,
+    GraphInput,
     MalformedInput,
     NotFSeparable,
     STree,
@@ -32,10 +33,12 @@ from tangleduct import (
     strong_duality,
     validate_stree,
     verify_certificate,
+    graph_separations,
     violating_star,
     weak_duality,
 )
 from tangleduct.errors import FNotStandard, TargetNotAboveR
+from test_tables import GRID4X4
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,46 @@ class TestEmulation:
             for m in sub.members
             if m != u.inv_id(0) and u.leq_ids(0, m)
         )
+
+    def test_joins_leaving_the_universe_are_not_members(self):
+        # the universe of P4 at k=3 is its members alone: emulation and
+        # shift images must take a join outside it as "not a member", as
+        # the side masks say, never as some id
+        system = gen.graph_system("p4", 3)
+        u = system.universe
+        labels = u.set_labels
+        ids = {m: i for i, m in enumerate(labels)}
+
+        def join(a, b):
+            return ids.get((labels[a][0] | labels[b][0], labels[a][1] & labels[b][1]))
+
+        outside = 0
+        for r in system.members:
+            if u.is_degenerate_id(r):
+                continue
+            above = [m for m in system.members if m != u.inv_id(r) and u.leq_ids(r, m)]
+            for s0 in system.members:
+                want = u.leq_ids(r, s0) and all(join(m, s0) is not None for m in above)
+                assert emulates(s0, r, system) == want, (s0, r)
+                if r in system.trivial_ids or not u.leq_ids(r, s0):
+                    continue
+                for t in system.members:
+                    if t in (r, u.inv_id(r)):
+                        continue
+                    # the orientation of t above r joins s0; inverses follow
+                    flip = not u.leq_ids(r, t)
+                    base = u.inv_id(t) if flip else t
+                    if not u.leq_ids(r, base):
+                        continue
+                    image = join(base, s0)
+                    if image is None:
+                        outside += 1
+                        with pytest.raises(MalformedInput, match="outside the universe"):
+                            shift_map(r, s0, t, system)
+                    else:
+                        want = u.inv_id(image) if flip else image
+                        assert shift_map(r, s0, t, system).id == want
+        assert outside
 
     def test_family_emulation_checks_star_images(self, std2):
         system, fam = std2
@@ -356,6 +399,20 @@ class TestStrongDuality:
         assert cert.tree.edges == edges
         stars_at = {t: sorted(cert.tree.node_star(t)) for t in cert.tree.nodes}
         assert stars_at == node_stars
+
+
+def test_grid4x4_k3_has_a_tangle():
+    # the 4x4 grid has branch-width 4, so a tangle of order 3; its 282
+    # members have a join/meet closure of 209,871 elements
+    graph = GraphInput.parse(GRID4X4)
+    system = graph_separations(graph, 3)
+    family = gen.bench_tk().tk_family(system, graph)
+    assert len(system) == len(system.universe) == 282
+    strong = strong_duality(system, family)
+    weak = weak_duality(system, family)
+    assert (strong.kind, weak.kind) == ("tangle", "orientation")
+    for cert in (strong, weak):
+        assert verify_certificate(cert, system, family) == (True, ())
 
 
 class TestCertificates:

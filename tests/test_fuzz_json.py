@@ -52,7 +52,7 @@ def _documents() -> list[dict]:
     u = cover2.universe
     # the same tables without set labels, so the join/meet triples are read
     bare = Universe(
-        u.leq_matrix(), [u.inv_id(i) for i in range(len(u))], u.join_table(), u.meet_table()
+        u.leq_matrix(), [u.inv_id(i) for i in range(len(u))], gen.join_columns(u)
     ).to_json_dict()
     docs = [
         _envelope(cover2, (), strong_duality),  # tangle

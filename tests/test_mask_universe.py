@@ -1,70 +1,41 @@
-"""Mask universes against the law-checked universe of the same pool.
+"""Mask universes against the law-checked universe of their closure.
 
 A ``MaskUniverse`` takes its laws from construction (the ``core``
-docstring proves them) and looks its joins up one column at a time.
-``Universe(*tables_from_masks(pool))`` builds every table and checks every
-law.  On every system of the benchmark ladder and on random closed pools,
-both must give the same order, flips, joins and meets.
+docstring proves them) and looks its joins up one column at a time.  The
+set and graph backends build it from a system's members and their flips
+alone.  On every system of the benchmark ladder and on random pools, it
+must be the law-checked universe of the pool's join/meet closure restricted
+to the pool (``test_closure.assert_restricts_closure``).
 """
 
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import gen
-from tangleduct import GraphInput, InternalInvariant, MalformedInput, Universe
+from tangleduct import GraphInput, MalformedInput
 from tangleduct import graph_separations, system_from_json_dict
-from tangleduct.backends import _close_under_join_meet
-from tangleduct.core import MaskUniverse, tables_from_masks
-from test_closure import _shifted, pools
+from tangleduct.core import MaskUniverse
+from test_closure import _shifted, assert_restricts_closure, pool_system, pools
 from test_tables import GRID3X3
 
 LADDER = sorted(gen.bench_tk().EXPECTED_KIND)
-
-
-def _ground(masks):
-    width = max((a | b for a, b in masks), default=0).bit_length()
-    return [f"v{i}" for i in range(width)]
-
-
-def assert_matches_checked_universe(u: MaskUniverse) -> None:
-    masks = list(u.set_labels)
-    ref = Universe(*tables_from_masks(masks))
-    n = len(ref)
-    assert len(u) == n
-    assert np.array_equal(u.leq_matrix(), ref.leq_matrix())
-    assert np.array_equal(u.inverse_table(), ref.inverse_table())
-    join = u.join_table()
-    assert join.dtype == np.int32 and np.array_equal(join, ref.join_table())
-    meet = u.meet_table()
-    assert meet.dtype == np.int32 and np.array_equal(meet, ref.meet_table())
-    # every pair on small universes, about 64 rows per column on large ones
-    rows = range(0, n, 1 if n <= 256 else n // 64)
-    for s in range(n):
-        col = u.join_column(s)
-        assert col.dtype == np.int32 and not col.flags.writeable
-        assert np.array_equal(col, ref.join_column(s))
-        assert col is u.join_column(s)
-        assert [u.join_id(t, s) for t in rows] == [ref.join_id(t, s) for t in rows]
-        assert [u.meet_id(t, s) for t in rows] == [ref.meet_id(t, s) for t in rows]
 
 
 @pytest.mark.parametrize("name,k", LADDER)
 def test_ladder_universes_match_checked_universe(name, k):
     u = gen.ladder_system(name, k).universe
     assert isinstance(u, MaskUniverse)
-    assert_matches_checked_universe(u)
+    assert_restricts_closure(u)
 
 
 # shifted by up to 27 bits, masks reach bit 31: A fills the top half of a
 # packed 64-bit key
 @given(pool=pools(), offset=st.integers(0, 27))
 def test_random_pools_match_checked_universe(pool, offset):
-    closed = _close_under_join_meet(_shifted(pool, offset), 10**6)
-    assert_matches_checked_universe(MaskUniverse(closed, _ground(closed)))
+    assert_restricts_closure(pool_system(_shifted(pool, offset)).universe)
 
 
 def test_set_and_graph_universes_are_mask_universes(cover3, p3_s2):
@@ -72,14 +43,44 @@ def test_set_and_graph_universes_are_mask_universes(cover3, p3_s2):
         assert isinstance(system.universe, MaskUniverse)
 
 
-def test_joins_missing_from_the_pool_are_internal_errors():
+def test_joins_missing_from_the_pool_are_malformed_input():
     # each pair is its own flip, but the join (3, 0) of the first two is
-    # not in the pool
+    # not in the pool, nor is their meet (0, 3)
     u = MaskUniverse([(1, 1), (2, 2), (3, 3)], ["x", "y"])
-    with pytest.raises(InternalInvariant):
+    assert u.join_column(1).tolist() == [-1, 1, -1]
+    with pytest.raises(MalformedInput, match="join of 0 and 1 lies outside"):
         u.join_id(0, 1)
-    with pytest.raises(InternalInvariant):
+    with pytest.raises(MalformedInput, match="meet of 0 and 1 lies outside"):
+        u.meet_id(0, 1)
+    a, b = u.sep(0), u.sep(1)
+    with pytest.raises(MalformedInput, match="outside the universe"):
+        a.join(b)
+    with pytest.raises(MalformedInput, match="outside the universe"):
+        a.meet(b)
+    # a mask universe keeps no join table, and derives no meet table
+    with pytest.raises(MalformedInput, match="no join table"):
         u.join_table()
+    with pytest.raises(MalformedInput, match="no join table"):
+        u.meet_table()
+
+
+def test_graph_members_whose_join_is_not_a_member(p3_s2):
+    # P3 = 1-2-3 at k=2: the join of ({1}|{1,2,3}) and ({2}|{1,2,3}) is
+    # ({1,2}|{1,2,3}), of order 2, so neither a member nor in the universe;
+    # so is the meet ({1,2,3}|{1,2}) of their flips
+    u = p3_s2.universe
+    ids = {u.element_repr(i): i for i in range(len(u))}
+    r, s = u.sep(ids["({1}|{1,2,3})"]), u.sep(ids["({2}|{1,2,3})"])
+    assert u.join_column(s.id)[r.id] == u.join_column(r.id)[s.id] == -1
+    calls = [
+        lambda: r.join(s),
+        lambda: u.join_id(r.id, s.id),
+        lambda: (~r).meet(~s),
+        lambda: u.meet_id((~r).id, (~s).id),
+    ]
+    for call in calls:
+        with pytest.raises(MalformedInput, match="lies outside the universe"):
+            call()
 
 
 def test_missing_flips_and_unsorted_pools_rejected():
@@ -89,12 +90,12 @@ def test_missing_flips_and_unsorted_pools_rejected():
         MaskUniverse([(3, 1), (1, 3)], ["x", "y"])
     # a 33-bit side would spill into the other half of its key
     with pytest.raises(MalformedInput, match="32 bits"):
-        tables_from_masks([(1, 1 << 32), (1 << 32, 1)])
+        MaskUniverse([(1, 1 << 32), (1 << 32, 1)], ["x"])
 
 
 def test_grid_universe_is_held_in_bounded_memory():
-    # the 2021-element universe keeps its order matrix (4.1 MB) and no
-    # n-by-n join table (16.3 MB as int32)
+    # the universe is the 356 members alone: it keeps their order matrix
+    # (127 KB) and no n-by-n join table
     graph = GraphInput.parse(GRID3X3)
     tracemalloc.start()
     try:
@@ -102,8 +103,8 @@ def test_grid_universe_is_held_in_bounded_memory():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(system.universe) == 2021
-    assert held < 8 * 10**6, f"held {held / 10**6:.1f} MB"
+    assert len(system.universe) == len(system) == 356
+    assert held < 10**6, f"held {held / 10**6:.1f} MB"
 
 
 def test_thirty_two_ground_names_load():

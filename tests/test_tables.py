@@ -1,12 +1,13 @@
-"""Row-chunked table building and law checks against one-shot references.
+"""Row-chunked order building and law checks against one-shot references.
 
-``tables_from_masks`` and the universe's antisymmetry and order-reversal
-checks work in row chunks of ``core._CHUNK`` cells.  The dense versions
-below build or check the whole n-by-n table at once; with the chunk size
-cut to one row, or to a row count that does not divide n, both must give
-the same tables, or raise the same error with the same message.  The meet
-is not built from masks: the universe derives it by De Morgan, and it must
-equal the dense mask meet.
+A ``MaskUniverse`` builds its order in row chunks of ``core._CHUNK``
+cells, and the universe's antisymmetry and order-reversal checks work in
+such chunks too.  The dense versions below build or check the whole n-by-n
+table at once; with the chunk size cut to one row, or to a row count that
+does not divide n, both must give the same tables, or raise the same error
+with the same message.  The mask universe keeps no join or meet table: its
+join columns must equal the dense mask join, -1 where the pool lacks a
+join, and the meets derived from them by De Morgan the dense mask meet.
 """
 
 import hashlib
@@ -20,36 +21,20 @@ from hypothesis import strategies as st
 
 import gen
 from tangleduct import GraphInput, MalformedInput, RunConfig, Universe, run
-from tangleduct.backends import _close_under_join_meet, _graph_separation_masks
+from tangleduct import graph_separations
 from tangleduct.cli import _dumps
-from tangleduct.core import tables_from_masks
+from tangleduct.core import MaskUniverse
 from tangleduct.errors import InternalInvariant, MeetNotInfimum, TangleductError
+from test_closure import closed_universe, dense_tables, ground_of, reference_closure
 from test_law_checks import dense_check_bounds
 
 GRID3X3 = (
     "11 12\n12 13\n21 22\n22 23\n31 32\n32 33\n"
     "11 21\n21 31\n12 22\n22 32\n13 23\n23 33\n"
 )
-
-
-def dense_tables(masks):
-    """Order, involution, join and meet from one n-by-n key array each."""
-    a = np.array([m[0] for m in masks], dtype=np.int64)
-    b = np.array([m[1] for m in masks], dtype=np.int64)
-    packed = (a << 32) | b
-
-    def lookup(pa, pb, what):
-        keys = (pa << 32) | pb
-        idx = np.clip(np.searchsorted(packed, keys), 0, len(packed) - 1)
-        if not (packed[idx] == keys).all():
-            raise MalformedInput(f"mask pool is not closed under {what}")
-        return idx
-
-    leq = ((a[:, None] & ~a[None, :]) == 0) & ((b[None, :] & ~b[:, None]) == 0)
-    inverse = lookup(b, a, "flips")
-    join = lookup(a[:, None] | a[None, :], b[:, None] & b[None, :], "joins")
-    meet = lookup(a[:, None] & a[None, :], b[:, None] | b[None, :], "meets")
-    return leq, inverse, join, meet
+GRID4X4 = "".join(
+    f"{r}{c} {r}{c + 1}\n{c}{r} {c + 1}{r}\n" for r in range(1, 5) for c in range(1, 4)
+)
 
 
 def dense_de_morgan(inv, join, meet):
@@ -78,17 +63,25 @@ def chunk_sizes(n):
     return [1, rows * n]
 
 
+def mask_tables(masks):
+    """Order, flips, every join column and the meets they give by De
+    Morgan, of the mask universe of ``masks``."""
+    u = MaskUniverse(masks, ground_of(masks))
+    inv = u.inverse_table()
+    join = gen.join_columns(u)
+    assert join.dtype == np.int32
+    flipped = join[np.ix_(inv, inv)]
+    meet = np.where(flipped < 0, -1, inv[flipped])
+    return u.leq_matrix(), inv, join, meet
+
+
 def assert_tables_match(masks, monkeypatch):
     expect = dense_tables(masks)
     for size in chunk_sizes(len(masks)):
         monkeypatch.setattr("tangleduct.core._CHUNK", size)
-        got = tables_from_masks(masks)
-        assert len(got) == 3
+        got = mask_tables(masks)
         for want, have in zip(expect, got):
             assert np.array_equal(want, have)
-        assert got[2].dtype == np.int32
-    meet = Universe(*got).meet_table()
-    assert meet.dtype == np.int32 and np.array_equal(meet, expect[3])
 
 
 MASK_POOLS = {
@@ -112,13 +105,13 @@ def test_chunked_tables_match_dense(name, monkeypatch):
 def test_chunked_tables_match_dense_on_random_closed_pools(raw):
     # pools over four points that cover the ground set close within 3^4
     pool = [(a, b | (15 & ~a)) for a, b in raw]
-    masks = _close_under_join_meet(pool, 10**6)
+    masks = reference_closure(pool, 10**6)
     with pytest.MonkeyPatch.context() as mp:
         assert_tables_match(masks, mp)
 
 
-# flip-closed, but (3, 3) | (1, 3) leaves it under meets from row 0 on
-# and (2, 3) | (1, 3) under joins from row 2 on: joins are named first
+# flip-closed, but open under joins, as (3, 2) | (3, 1) = (3, 0), and under
+# meets, as (1, 3) & (2, 3) = (0, 3)
 OPEN_UNDER_JOINS_LATER = [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)]
 
 
@@ -134,10 +127,23 @@ OPEN_UNDER_JOINS_LATER = [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)]
 )
 def test_open_pool_messages_match_dense(masks, what, monkeypatch):
     expect = _outcome(lambda: dense_tables(masks))
-    assert expect[:2] == (MalformedInput, f"mask pool is not closed under {what}")
+    if what == "flips":
+        assert expect[:2] == (MalformedInput, "mask pool is not closed under flips")
     for size in chunk_sizes(len(masks)):
         monkeypatch.setattr("tangleduct.core._CHUNK", size)
-        assert _outcome(lambda: tables_from_masks(masks)) == expect
+        if what == "flips":
+            assert _outcome(lambda: MaskUniverse(masks, ground_of(masks))) == expect
+            continue
+        # a pool open under joins builds, and the joins it lacks read -1;
+        # join_id names the least such pair
+        for want, have in zip(expect, mask_tables(masks)):
+            assert np.array_equal(want, have)
+        u = MaskUniverse(masks, ground_of(masks))
+        r, s = (int(x) for x in np.argwhere(expect[2] < 0)[0])
+        assert (r, s) == (2, 3)
+        assert _outcome(lambda: u.join_id(r, s)) == (
+            MalformedInput, "the join of 2 and 3 lies outside the universe", None
+        )
 
 
 def _build(*tables):
@@ -150,7 +156,7 @@ def _build(*tables):
 def _wrong_meets(name):
     """The universe, and its meet table with one in-range entry moved off
     (late, middle and last rows) plus the dense reference's verdict on it."""
-    u = gen.full_cover_system(int(name[-1])).universe
+    u, _ = closed_universe(gen.full_cover_system(int(name[-1])).universe.set_labels)
     inv, join = u.inverse_table(), u.join_table()
     n = len(u)
     for r, s in [(n - 1, 0), (n // 2, n - 2), (n - 1, n - 1)]:
@@ -188,9 +194,10 @@ def test_validate_rejects_a_wrong_meet(tmp_path, capsys):
 def test_chunked_order_checks_match_one_chunk(name, flips):
     # antisymmetry and order reversal run in row chunks: corrupt the order
     # and compare whole-constructor outcomes against a single chunk
-    u = {"cover3": gen.full_cover_system(3), "p4_k2": gen.graph_system("p4", 2)}[
+    pool = {"cover3": gen.full_cover_system(3), "p4_k2": gen.graph_system("p4", 2)}[
         name
-    ].universe
+    ].universe.set_labels
+    u, _ = closed_universe(pool)
     n = len(u)
     leq = u.leq_matrix().copy()
     for a, b in flips:
@@ -205,41 +212,27 @@ def test_chunked_order_checks_match_one_chunk(name, flips):
 
 
 def test_grid_universe_builds_in_bounded_memory():
-    # the 1023-element universe keeps about 5.2 MB of tables (n² bytes of
-    # order, 4n² of int32 join) and peaks at 7.6 MiB while it is built; a
-    # stored meet table adds 4 MiB, a one-shot int64 build about 50 MB
-    graph = GraphInput.parse(GRID3X3)
-    masks = _close_under_join_meet(set(_graph_separation_masks(graph, 2)), 4096)
-    assert len(masks) == 1023
+    # the 4x4 grid at k=4: a universe of its 1546 members keeps their
+    # 2.4 MB order matrix, built in chunks of about 64 KB; the join/meet
+    # closure of the same members has more than 209,871 elements (already
+    # at k=3), whose order would take over 41 GiB
+    graph = GraphInput.parse(GRID4X4)
     tracemalloc.start()
     try:
-        tables = tables_from_masks(masks)
-        universe = Universe(*tables, set_labels=masks, ground=graph.vertices)
+        system = graph_separations(graph, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(universe) == 1023
-    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    n = len(system.universe)
+    assert n == len(system) == 1546
+    assert peak < 2 * n * n, f"peak {peak / 2**20:.1f} MiB"
 
 
-# sha256 of the graph-sk documents as written before the tables were chunked,
-# when set-labelled documents still listed the order as ``leq`` pairs
-GRID_DOCUMENT_SHA256 = {
-    2: "08702e55d83457f02d28fd38629b15666e32dab6fdbb34f76b3fb2f0dcd7a94c",
-    4: "ad734d6a7f736baafe34705fed4e025dee1e0ab5f683abff84b83f74132c4322",
-}
-
-# sha256 of the same graph-sk documents as written now, without ``leq``
-GRID_LABEL_DOCUMENT_SHA256 = {
-    2: "de926917c323d8b85f07e4a3b88d27940fe180d0011c21bcb0f881e2b0c6b6d0",
-    4: "5469ba8f0c1c6b33e085e55be9b250a9b552063d2b6cdd8a18ff7ea4b67e5dae",
-}
-
-
-# sha256 of the same documents keyed by labels: the ground list and the
-# sorted (A, B) name-list pairs of the members (:func:`document_labels`);
-# these survive a renumbering of the element ids and the elements a
-# document lists besides its members
+# sha256 of the graph-sk documents of the 3x3 grid keyed by labels: the
+# ground list and the sorted (A, B) name-list pairs of the members
+# (:func:`document_labels`), computed before the universe was cut down to
+# the members; they survive a renumbering of the element ids and the
+# elements a document lists besides its members
 GRID_DOCUMENT_LABEL_SHA256 = {
     2: "ba338bcb5533770475fcd2a65173f7b3fafee8c1a508f1f462f982c5e8b99ce7",
     4: "6b3b736d12b27433f3de6a715f7aa6052635cad03369b3ac3237c5231b0db41b",
@@ -253,7 +246,7 @@ def document_labels(doc) -> bytes:
     return (_dumps({"ground": doc["ground"], "members": members}) + "\n").encode()
 
 
-@pytest.fixture(scope="module", params=sorted(GRID_DOCUMENT_SHA256))
+@pytest.fixture(scope="module", params=sorted(GRID_DOCUMENT_LABEL_SHA256))
 def grid_document(request, tmp_path_factory):
     """``(k, bytes)`` of the graph-sk document of the 3×3 grid at k."""
     k = request.param
@@ -266,18 +259,11 @@ def grid_document(request, tmp_path_factory):
     return k, out.read_bytes()
 
 
-def test_grid_documents_unchanged(grid_document):
-    # the document with its order pairs added back, as the CLI writes JSON
-    k, text = grid_document
-    doc = json.loads(text)
-    gen.add_leq(doc["system"])
-    old = (_dumps(doc) + "\n").encode()
-    assert hashlib.sha256(old).hexdigest() == GRID_DOCUMENT_SHA256[k]
-
-
 def test_grid_label_documents_unchanged(grid_document):
     k, text = grid_document
     assert b'"leq"' not in text
-    assert hashlib.sha256(text).hexdigest() == GRID_LABEL_DOCUMENT_SHA256[k]
-    labels = document_labels(json.loads(text)["system"])
+    doc = json.loads(text)["system"]
+    # the document lists the members alone
+    assert doc["members"] == doc["elements"] == list(range(len(doc["labels"])))
+    labels = document_labels(doc)
     assert hashlib.sha256(labels).hexdigest() == GRID_DOCUMENT_LABEL_SHA256[k]
