@@ -6,7 +6,7 @@ combined by ``join = (A ∪ C, B ∩ D)`` / ``meet = (A ∩ C, B ∪ D)``.  A *g
 separation* is an unordered such pair with no edge between A∖B and B∖A; its
 order is ``|A ∩ B|``.
 
-Sides are bitmasks over an indexed ground set (capped at 24 vertices).  A
+Sides are bitmasks over an indexed ground set (capped at 32 vertices).  A
 system's universe is its members alone, sorted by ``(A, B)``: a
 :class:`~tangleduct.core.MaskUniverse`, whose order and flips hold by
 construction and which looks a join ``(A ∪ C, B ∩ D)`` up among the
@@ -16,18 +16,19 @@ configurable cap bounds it.
 
 The order-``< k`` separations of a graph are listed from their separators
 ``X = A ∩ B`` with ``|X| < k``, one per split of the components of G − X
-(:func:`_graph_separation_masks`), not by walking all 2^n sets A.
+(:func:`_graph_separation_masks`), not by walking all 2^n sets A.  The
+listing is lazy, so a graph with more separations than the cap is refused
+as soon as the cap is passed.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, islice
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import MaskUniverse, OrientedSep, SeparationSystem
+from .core import GROUND_CAP, MaskUniverse, OrientedSep, SeparationSystem
 from .errors import ClosureTooLarge, GroundSetTooLarge, MalformedInput
 
-GROUND_CAP = 24
 DEFAULT_CLOSURE_CAP = 4096
 
 
@@ -79,9 +80,9 @@ def build_set_universe(
 
 
 def _universe_from_masks(
-    ground: Sequence[str], member_masks: set[tuple[int, int]], max_closure: int
+    ground: Sequence[str], member_masks: Collection[tuple[int, int]], max_closure: int
 ) -> SeparationSystem:
-    """The system of a flip-closed set of side pairs, all of them members,
+    """The system of flip-closed, distinct side pairs, all of them members,
     in the universe of those pairs alone, sorted by ``(A, B)``."""
     if len(member_masks) > max_closure:
         raise ClosureTooLarge(max_closure)
@@ -159,7 +160,7 @@ class GraphInput:
         return cls(vertices, edges)
 
 
-def _graph_separation_masks(graph: GraphInput, k: int) -> list[tuple[int, int]]:
+def _graph_separation_masks(graph: GraphInput, k: int) -> Iterator[tuple[int, int]]:
     """All (A, B) with A ∪ B = V, no edge across A∖B — B∖A, and |A ∩ B| < k.
 
     Each is ``(X ∪ P, X ∪ Q)`` for its separator ``X = A ∩ B`` and a split
@@ -167,20 +168,30 @@ def _graph_separation_masks(graph: GraphInput, k: int) -> list[tuple[int, int]]:
     both A∖B and B∖A would hold an edge across.  Conversely every split
     gives such a pair with ``A ∩ B = X``.  So listing each separator of
     fewer than k vertices with every split of its components lists each
-    separation exactly once.
+    separation exactly once.  The splits of one separator are the unions
+    of a choice from each half of its components, so they are listed one
+    at a time from two lists of about the square root of their number.
     """
     n = len(graph.vertices)
     full = (1 << n) - 1
-    out = []
     for size in range(min(k, n + 1)):
         for combo in combinations(range(n), size):
             x = sum(1 << v for v in combo)
             rest = full & ~x
-            sides = [0]  # unions of components: every choice of P
-            for comp in _components(graph.neighbor_masks, rest):
-                sides += [p | comp for p in sides]
-            out.extend((x | p, x | (rest & ~p)) for p in sides)
-    return out
+            comps = list(_components(graph.neighbor_masks, rest))
+            half = len(comps) // 2
+            low = _unions(comps[:half])
+            for high in _unions(comps[half:]):
+                for p in low:
+                    yield x | p | high, x | (rest & ~(p | high))
+
+
+def _unions(comps: Sequence[int]) -> list[int]:
+    """The union of every subset of some vertex masks."""
+    sides = [0]
+    for comp in comps:
+        sides += [p | comp for p in sides]
+    return sides
 
 
 def _components(nbr: Sequence[int], rest: int):
@@ -212,7 +223,8 @@ def graph_separations(
     """
     if k < 0:
         raise MalformedInput("k must be non-negative")
-    masks = set(_graph_separation_masks(graph, k))
+    # one past the cap is enough to refuse it, so the listing stops there
+    masks = list(islice(_graph_separation_masks(graph, k), max(max_closure, 0) + 1))
     if not masks:
         raise MalformedInput(f"the graph has no separations of order < {k}")
     return _universe_from_masks(graph.vertices, masks, max_closure)

@@ -9,11 +9,19 @@ elements.
 Elements are integer ids ``0 .. n-1``.  The order lives in a full boolean
 matrix, the involution in an id table.  A :class:`Universe` built from
 tables, as every JSON document without set labels is, stores its join as
-an id table too and verifies every law exhaustively at construction time:
+an id table too.  It checks the order and the involution exhaustively at
+construction time:
 
  * partial order (reflexive, antisymmetric, transitive),
- * order reversal:  ``r <= s``  iff  ``s.inverse <= r.inverse``,
- * ``join(r, s)`` is the least upper bound.
+ * order reversal:  ``r <= s``  iff  ``s.inverse <= r.inverse``.
+
+A join table that is not supplied is derived from the order:
+``join(r, s)`` is the id whose up-set is the set of common upper bounds of
+``r`` and ``s``.  That id lies in its own up-set, so it is an upper bound,
+and its up-set holds every upper bound, so it is the least one.  A derived
+join is thus the supremum by construction and is not re-checked; the
+derivation fails when some pair has no such id.  A supplied join table is
+checked to be the least upper bound.
 
 The meet is not stored but derived by De Morgan,
 ``meet(r, s) = join(r*, s*)*``, and these laws make it the greatest lower
@@ -23,7 +31,9 @@ bound.  As ``*`` reverses the order and is its own inverse, ``t <= r`` iff
 bound), iff ``t <= join(r*, s*)*``.  The lower bounds of ``r`` and ``s`` are
 thus the elements below ``join(r*, s*)*``, which is one of them.  A meet
 table supplied from outside is still checked to be the infimum, then
-dropped: an infimum is unique, so it equals the derived one.
+dropped: an infimum is unique, so it equals the derived one.  So the
+document such a universe writes carries its order and flips, and no join
+or meet table.
 
 A :class:`MaskUniverse` is built from a pool L of side pairs ``(A, B)`` of
 bitmasks, sorted and closed under flips, as the set and graph backends'
@@ -52,27 +62,19 @@ is not in L.  The engines read -1 as "not a member".
 or meet outside the universe, and a flip missing from the pool raises it
 too.
 
-Transitivity and the bound laws compare rows of the order matrix packed
-into 64-bit words, so each costs O(n²·⌈n/64⌉) word operations rather than
-O(n³) boolean ones.  Where a packed check finds a violation, the dense
-check reruns on that row alone to name the same witness.  A supremum is
-symmetric in its arguments, and so is the bound law: the join fails at
-``(r, s)`` iff it fails at ``(s, r)``.  So when the join table equals its
-transpose and no meet table is supplied, row ``r`` of the bound check scans
-only ``s >= r``.  If row ``r`` is the least failing row of a full scan and
-fails at ``s``, then row ``s`` fails at ``r``, so ``s >= r`` and the half
-scan stops at row ``r`` too, where the dense rerun names the same witness.
+Transitivity and the bound laws of supplied tables compare rows of the
+order matrix packed into 64-bit words, so each costs O(n²·⌈n/64⌉) word
+operations rather than O(n³) boolean ones.  Where a packed check finds a
+violation, the dense check reruns on that row alone to name the same
+witness.
 
 Memory: a universe of n elements keeps n² bytes for the order; one built
 from tables adds 4n² for the ``int32`` join table, and a mask universe 4n
-bytes per join column it was asked for.  :meth:`Universe.meet_table` builds
-another 4n² on each call; it and :meth:`Universe.join_table` exist only on
-a universe built from tables.  The order of a mask universe and the checks
-of antisymmetry and order reversal work in row chunks of about ``_CHUNK``
-cells, so their temporaries stay bounded per chunk whatever n is; the
-packed checks hold the packed order (n²/8 bytes a direction) plus the
-packed words one row of a check compares, which the bound check keeps in
-two reused buffers of n²/8 bytes each.  Chunked checks scan rows in
+bytes per join column it was asked for.  The order of a mask universe and
+the checks of antisymmetry and order reversal work in row chunks of about
+``_CHUNK`` cells, so their temporaries stay bounded per chunk whatever n
+is; the packed checks hold the packed order (n²/8 bytes a direction) plus
+the packed words one row of a check compares.  Chunked checks scan rows in
 ascending order and name the same least witness as a one-shot check.
 
 The engines' hot path asks set questions ("which picks lie strictly above
@@ -112,20 +114,14 @@ from .errors import (
 
 _CHUNK = 1 << 16  # table cells per row chunk of the table builders and checks
 
+# most vertices of a ground set: a mask universe keys a side pair (A, B) as
+# the uint64 A << 32 | B
+GROUND_CAP = 32
+
 
 def _chunk_rows(n: int) -> int:
     """Rows per chunk of an n-column table: ``_CHUNK`` cells, at least one row."""
     return max(1, _CHUNK // max(n, 1))
-
-
-def _is_symmetric(table: np.ndarray) -> bool:
-    """True iff ``table == table.T``, compared in row chunks of ``_CHUNK`` cells."""
-    n = len(table)
-    rows = _chunk_rows(n)
-    return all(
-        np.array_equal(table[lo : lo + rows], table[:, lo : lo + rows].T)
-        for lo in range(0, n, rows)
-    )
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -173,9 +169,13 @@ def _id_table(table, n: int, what: str) -> np.ndarray:
 class Universe:
     """A finite lattice of oriented separations with an order-reversing involution.
 
-    ``join`` is derived from the order when omitted.  A supplied ``meet`` is
-    range-checked and checked to be the infimum, then dropped.
+    ``join`` is derived from the order when omitted, and checked when
+    supplied.  A supplied ``meet`` is range-checked and checked to be the
+    infimum, then dropped.
     """
+
+    set_labels: Optional[tuple[tuple[int, int], ...]] = None  # side pairs, if any
+    ground: Optional[tuple[str, ...]] = None  # their vertex names
 
     def __init__(
         self,
@@ -183,9 +183,6 @@ class Universe:
         inverse: Sequence[int],
         join: Optional[np.ndarray] = None,
         meet: Optional[np.ndarray] = None,
-        *,
-        set_labels: Optional[Sequence[tuple[int, int]]] = None,
-        ground: Optional[Sequence[str]] = None,
     ):
         leq = np.asarray(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
@@ -195,32 +192,24 @@ class Universe:
         if inv.shape != (n,) or (n and (inv.min() < 0 or inv.max() >= n)):
             raise MalformedInput("inverse table must map ids to ids")
 
-        self._store(leq, inv, set_labels, ground)
+        self._store(leq, inv)
         up = _pack_rows(leq)  # up[a]: the ids above a
         self._check_order(up)
         self._check_involution()
 
         if join is None:
-            join = self._derive_join(up)
-        self._join = _id_table(join, n, "join")
+            self._join = self._derive_join(up)  # the supremum by construction
+        else:
+            join = self._join = _id_table(join, n, "join")
         if meet is not None:
             meet = _id_table(meet, n, "meet")
-        self._check_bounds(up, meet)
+        self._check_bounds(up, join, meet)
 
-    def _store(
-        self,
-        leq: np.ndarray,
-        inv: np.ndarray,
-        set_labels: Optional[Sequence[tuple[int, int]]],
-        ground: Optional[Sequence[str]],
-    ) -> None:
+    def _store(self, leq: np.ndarray, inv: np.ndarray) -> None:
         """Keep the order and the involution, and start the bit row caches."""
         n = len(inv)
         self._leq = _readonly(leq)
         self._inv = _readonly(inv)
-        self.set_labels = tuple(set_labels) if set_labels is not None else None
-        self.ground = tuple(ground) if ground is not None else None
-        self._join: Optional[np.ndarray] = None  # kept by table-built universes
         self._above: list[Optional[int]] = [None] * n
         self._below: list[Optional[int]] = [None] * n
         self._conflict: list[Optional[int]] = [None] * n
@@ -292,40 +281,23 @@ class Universe:
             if -1 in row:
                 raise JoinNotSupremum(r, row.index(-1), -1)
             table[r] = row
-        return table
+        return _readonly(table)
 
-    def _check_bounds(self, up: np.ndarray, meet: Optional[np.ndarray]) -> None:
-        # join(r, s) is the supremum iff its upper cone equals the
-        # intersection of the cones of r and s; likewise for a supplied
-        # meet table below.  Packed rows find the failing r; the dense rows
-        # name the witness.
-        # Without a meet, a symmetric join is checked on half rows, s >= r:
-        # the module docstring shows that this names the same witness.
-        rel, join = self._leq, self._join
-        n = len(rel)
+    def _check_bounds(
+        self, up: np.ndarray, join: Optional[np.ndarray], meet: Optional[np.ndarray]
+    ) -> None:
+        # a supplied join(r, s) is the supremum iff its up-row equals the
+        # common up-row of r and s; a supplied meet likewise with down-rows.
+        # Packed rows find the failing r; the dense rows name the witness.
+        rel = self._leq
         down = None if meet is None else _pack_rows(rel.T)
-        half = meet is None and _is_symmetric(join)
-        # two reused buffers: fresh n-row temporaries per row cost as much
-        # again, as malloc hands them back to the system each time
-        common, cone = np.empty_like(up), np.empty_like(up)
-
-        def cones_match(rows: np.ndarray, r: int, lo: int, ids: np.ndarray) -> bool:
-            m = n - lo
-            np.bitwise_and(rows[r], rows[lo:], out=common[:m])
-            # ids are in range; "clip" keeps take from buffering its output
-            np.take(rows, ids, axis=0, out=cone[:m], mode="clip")
-            return np.array_equal(common[:m], cone[:m])
-
-        for r in range(n):
-            lo = r if half else 0
-            if not cones_match(up, r, lo, join[r, lo:]):
-                expect = rel[r][None, :] & rel
-                bad = expect != rel[join[r]]
+        for r in range(len(rel)):
+            if join is not None and not np.array_equal(up[r] & up, up[join[r]]):
+                bad = (rel[r][None, :] & rel) != rel[join[r]]
                 s, t = (int(x) for x in np.argwhere(bad)[0])
                 raise JoinNotSupremum(r, s, t)
-            if down is not None and not cones_match(down, r, 0, meet[r]):
-                expect = rel[:, r][:, None] & rel
-                bad = expect != rel[:, meet[r]]
+            if down is not None and not np.array_equal(down[r] & down, down[meet[r]]):
+                bad = (rel[:, r][:, None] & rel) != rel[:, meet[r]]
                 t, s = (int(x) for x in np.argwhere(bad)[0])
                 raise MeetNotInfimum(r, s, t)
 
@@ -404,31 +376,11 @@ class Universe:
         where a mask universe does not hold the join."""
         return self._join[:, s]
 
-    def join_table(self) -> np.ndarray:
-        """The ``int32`` join table of a universe built from tables."""
-        if self._join is None:
-            raise MalformedInput("a mask universe keeps no join table")
-        return self._join
-
-    def meet_table(self) -> np.ndarray:
-        """The ``int32`` meet table, derived by De Morgan on each call."""
-        inv = self._inv
-        return _readonly(inv.astype(np.int32)[self.join_table()[np.ix_(inv, inv)]])
-
     def element_repr(self, i: int) -> str:
-        if self.set_labels is None:
-            return str(i)
-        a_mask, b_mask = self.set_labels[i]
-        names = self.ground or tuple(str(v) for v in range((a_mask | b_mask).bit_length()))
-
-        def side(mask: int) -> str:
-            return "{" + ",".join(names[v] for v in range(len(names)) if mask >> v & 1) + "}"
-
-        return f"({side(a_mask)}|{side(b_mask)})"
+        return str(i)
 
     def __repr__(self) -> str:
-        kind = "set-universe" if self.set_labels is not None else "universe"
-        return f"<{kind} of {len(self)} oriented separations>"
+        return f"<universe of {len(self)} oriented separations>"
 
     # -- serialization ----------------------------------------------------
 
@@ -437,29 +389,15 @@ class Universe:
         d = {
             "elements": list(range(n)),
             "inverse": {str(i): int(self._inv[i]) for i in range(n)},
+            **self._order_json(),
         }
-        if self.set_labels is not None and self.ground is not None:
-            # the side pairs fix the order, (A, B) <= (C, D) iff A ⊆ C and
-            # B ⊇ D, and the join (A ∪ C, B ∩ D): the reader rebuilds both
-            # from the labels, so neither the order pairs nor the n-by-n
-            # tables, which would dominate the file, are written
-            d["ground"] = list(self.ground)
-            d["labels"] = [
-                [
-                    [self.ground[v] for v in range(len(self.ground)) if a >> v & 1],
-                    [self.ground[v] for v in range(len(self.ground)) if b >> v & 1],
-                ]
-                for a, b in self.set_labels
-            ]
-        else:
-            d["leq"] = np.argwhere(self._leq).tolist()
-            join = self.join_table()
-            d["join"] = [[r, s, int(join[r, s])] for r in range(n) for s in range(n)]
-            meet = self.meet_table()
-            d["meet"] = [[r, s, int(meet[r, s])] for r in range(n) for s in range(n)]
         if members is not None:
             d["members"] = sorted(int(m) for m in members)
         return d
+
+    def _order_json(self) -> dict:
+        # the order fixes the join, its supremum, and the meet, by De Morgan
+        return {"leq": np.argwhere(self._leq).tolist()}
 
 
 class MaskUniverse(Universe):
@@ -476,7 +414,9 @@ class MaskUniverse(Universe):
     def __init__(self, masks: Sequence[tuple[int, int]], ground: Sequence[str]):
         a, b, keys = _mask_keys(masks)
         leq, inverse = _order_and_flips(a, b, keys)
-        self._store(leq, inverse, masks, ground)
+        self._store(leq, inverse)
+        self.set_labels = tuple(masks)
+        self.ground = tuple(ground)
         self._a, self._b, self._keys = a, b, keys
         self._columns: list[Optional[np.ndarray]] = [None] * len(keys)
 
@@ -487,6 +427,35 @@ class MaskUniverse(Universe):
             col = _find_keys(self._keys, a | a[s], b & b[s]).astype(np.int32)
             col = self._columns[s] = _readonly(col)
         return col
+
+    def element_repr(self, i: int) -> str:
+        names = self.ground
+
+        def side(mask: int) -> str:
+            return "{" + ",".join(names[v] for v in range(len(names)) if mask >> v & 1) + "}"
+
+        a_mask, b_mask = self.set_labels[i]
+        return f"({side(a_mask)}|{side(b_mask)})"
+
+    def __repr__(self) -> str:
+        return f"<set-universe of {len(self)} oriented separations>"
+
+    def _order_json(self) -> dict:
+        # the side pairs fix the order, (A, B) <= (C, D) iff A ⊆ C and
+        # B ⊇ D, and the join (A ∪ C, B ∩ D): the reader rebuilds both from
+        # the labels, so the order pairs, which would dominate the file,
+        # are not written
+        names = self.ground
+        return {
+            "ground": list(names),
+            "labels": [
+                [
+                    [names[v] for v in range(len(names)) if a >> v & 1],
+                    [names[v] for v in range(len(names)) if b >> v & 1],
+                ]
+                for a, b in self.set_labels
+            ],
+        }
 
 
 class OrientedSep:
@@ -892,9 +861,8 @@ def _table_from_triples(n: int, triples, what: str) -> np.ndarray:
 
 def _set_labels(ground, labels, n: int) -> tuple[list[str], list[tuple[int, int]]]:
     """Ground names and one ``(A, B)`` bitmask pair per element."""
-    # a MaskUniverse keys a pair as the uint64 A << 32 | B
-    if not isinstance(ground, list) or len(ground) > 32:
-        raise MalformedInput("'ground' must be a list of at most 32 vertex names")
+    if not isinstance(ground, list) or len(ground) > GROUND_CAP:
+        raise MalformedInput(f"'ground' must be a list of at most {GROUND_CAP} vertex names")
     if not isinstance(labels, list) or len(labels) != n:
         raise MalformedInput("'labels' must list one (A, B) pair per element")
     names = [str(g) for g in ground]
@@ -939,7 +907,8 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
 
     Expected keys: ``elements`` (list of ids 0..n-1), ``inverse`` (id map),
     ``leq`` (list of ``[a, b]`` pairs), optional ``join``/``meet`` tables as
-    ``[a, b, value]`` triples (derived from the order when omitted), optional
+    ``[a, b, value]`` triples (derived from the order when omitted, as the
+    writer omits them; older documents carry them), optional
     ``members`` (defaults to all elements), optional ``ground``/``labels``
     for set universes.  Every id must be a JSON integer.
 

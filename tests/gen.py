@@ -151,6 +151,27 @@ def join_columns(universe) -> np.ndarray:
     return np.stack([universe.join_column(s) for s in range(len(universe))], axis=1)
 
 
+def meet_table(universe) -> np.ndarray:
+    """The ``int32`` meet table of a universe that holds every join, by De
+    Morgan: ``meet(r, s) = join(r*, s*)*``."""
+    inv = universe.inverse_table()
+    return inv.astype(np.int32)[join_columns(universe)[np.ix_(inv, inv)]]
+
+
+def add_tables(doc: dict) -> dict:
+    """Turn an unlabelled system document into the older format, which
+    also lists the join and meet as ``[a, b, value]`` triples; returns
+    ``doc``.
+
+    The triples are those of the universe the document loads to, in the
+    row-major order the writer used to emit them.
+    """
+    u = system_from_json_dict(doc).universe
+    for key, table in (("join", join_columns(u)), ("meet", meet_table(u))):
+        doc[key] = [[r, s, int(v)] for (r, s), v in np.ndenumerate(table)]
+    return doc
+
+
 # --- star families -------------------------------------------------------------
 
 

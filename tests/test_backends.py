@@ -1,5 +1,6 @@
 """Set universes, graph separation systems, and order functions."""
 
+import tracemalloc
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import gen
 from gen import brute_force_separations
 from tangleduct import (
+    GROUND_CAP,
     GraphInput,
     MalformedInput,
     OrientedSep,
@@ -19,7 +21,9 @@ from tangleduct import (
     graph_separations,
     is_improper,
     side_masks,
+    system_from_json_dict,
 )
+from tangleduct import backends, core
 from tangleduct.backends import _graph_separation_masks
 from tangleduct.core import _as_id
 from tangleduct.errors import ClosureTooLarge, GroundSetTooLarge
@@ -64,7 +68,7 @@ def submodularity_violation(
     """Least pair (r, s) with order(r ∨ s) + order(r ∧ s) > order(r) + order(s),
     on a universe built from tables."""
     vals = order.values
-    lhs = vals[universe.join_table()] + vals[universe.meet_table()]
+    lhs = vals[gen.join_columns(universe)] + vals[gen.meet_table(universe)]
     rhs = vals[:, None] + vals[None, :]
     bad = lhs > rhs
     if bad.any():
@@ -105,7 +109,7 @@ class TestBuildSetUniverse:
             build_set_universe(ground, pairs, max_closure=15)
 
     def test_ground_cap_enforced(self):
-        ground = [str(i) for i in range(25)]
+        ground = [str(i) for i in range(33)]
         with pytest.raises(GroundSetTooLarge):
             build_set_universe(ground, [(ground, ground)])
 
@@ -190,6 +194,29 @@ class TestGraphSeparations:
         for i in range(len(u)):
             assert side_masks(u.sep(i)) in valid
 
+    @pytest.mark.parametrize(
+        "graph,k",
+        [
+            # the 20-vertex path: separators of up to 7 vertices split it
+            # in up to 2^8 ways
+            (GraphInput([f"{v:02}" for v in range(20)], [(f"{v:02}", f"{v + 1:02}")
+                                                        for v in range(19)]), 8),
+            # a star with 20 leaves: its centre splits them in 2^20 ways
+            (GraphInput([f"{v:02}" for v in range(21)], [("00", f"{v:02}")
+                                                        for v in range(1, 21)]), 2),
+        ],
+    )
+    def test_cap_refused_before_the_listing_ends(self, graph, k):
+        # the listing stops one past the default cap of 4096 separations
+        tracemalloc.start()
+        try:
+            with pytest.raises(ClosureTooLarge, match="cap of 4096 elements"):
+                graph_separations(graph, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_negative_k_rejected(self):
         graph = GraphInput.parse("1 2\n")
         with pytest.raises(MalformedInput):
@@ -206,7 +233,7 @@ def assert_separator_listing(graph: GraphInput) -> None:
     n = len(graph.vertices)
     every = brute_force_separations(graph, n + 1)
     for k in range(n + 2):
-        got = _graph_separation_masks(graph, k)
+        got = list(_graph_separation_masks(graph, k))
         assert len(got) == len(set(got))
         assert set(got) == {(a, b) for a, b in every if bin(a & b).count("1") < k}
 
@@ -255,6 +282,29 @@ class TestOrderFunctions:
         r, s = hit
         lhs = order.of(r.join(s)) + order.of(r.meet(s))
         assert lhs > order.of(r) + order.of(s)
+
+
+@pytest.mark.parametrize("size", [GROUND_CAP, GROUND_CAP + 1])
+def test_one_ground_cap_at_every_entry_point(size):
+    # 32 vertices fill the 32-bit sides of a mask universe's pair keys
+    assert GROUND_CAP == core.GROUND_CAP == backends.GROUND_CAP == 32
+    names = [f"v{i:02}" for i in range(size)]
+    full = (1 << size) - 1
+    doc = {"elements": [0], "inverse": {"0": 0}, "ground": names, "labels": [[names, names]]}
+
+    def entry_points():
+        yield lambda: build_set_universe(names, [(names, names)])
+        yield lambda: graph_separations(GraphInput(names, zip(names, names[1:])), 1)
+        yield lambda: system_from_json_dict(doc)
+
+    if size <= GROUND_CAP:
+        set_system, path, labelled = (make() for make in entry_points())
+        assert set_system.universe.set_labels == labelled.universe.set_labels == ((full, full),)
+        assert path.universe.set_labels == ((0, full), (full, 0))
+        return
+    for make, error in zip(entry_points(), (GroundSetTooLarge, GroundSetTooLarge, MalformedInput)):
+        with pytest.raises(error, match=str(GROUND_CAP)):
+            make()
 
 
 def test_wrong_length_order_rejected(cover2):

@@ -104,12 +104,13 @@ class TestValidate:
 
 
 def _abstract_system_doc() -> dict:
-    """cover2's tables as a universe without set labels, so with join/meet."""
+    """cover2's tables as a universe without set labels, in the older format
+    that lists the join and meet too."""
     from tangleduct import Universe
 
     u = gen.full_cover_system(2).universe
     inverse = [u.inv_id(i) for i in range(len(u))]
-    return Universe(u.leq_matrix(), inverse, gen.join_columns(u)).to_json_dict()
+    return gen.add_tables(Universe(u.leq_matrix(), inverse).to_json_dict())
 
 
 def _set(key, value):

@@ -8,12 +8,21 @@ join columns must be its tables restricted to the pool, with -1 exactly
 where the closed join is not a pool element.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tangleduct import GraphInput, MalformedInput, Universe, graph_separations
+import gen
+from tangleduct import (
+    GraphInput,
+    MalformedInput,
+    Universe,
+    graph_separations,
+    system_from_json_dict,
+)
 from tangleduct.backends import _graph_separation_masks, _universe_from_masks
 from tangleduct.core import MaskUniverse
 from tangleduct.errors import ClosureTooLarge
@@ -99,7 +108,8 @@ def closed_universe(pool):
     closed = reference_closure(pool, 10**6)
     leq, inverse, join, meet = dense_tables(closed)
     assert (join >= 0).all() and (meet >= 0).all()
-    u = Universe(leq, inverse, join, meet, set_labels=closed, ground=ground_of(closed))
+    u = Universe(leq, inverse, join, meet)
+    u.set_labels, u.ground = tuple(closed), tuple(ground_of(closed))
     return u, closed
 
 
@@ -187,3 +197,20 @@ def test_chunked_rounds_match_reference(monkeypatch):
     monkeypatch.setattr("tangleduct.core._CHUNK", 1)
     pool = set(_graph_separation_masks(GraphInput.parse("a b\nb c\nc d\n"), 2))
     assert_restricts_closure(pool_system(pool).universe)
+
+
+@given(pool=pools(), offset=st.integers(0, 27))
+def test_unlabelled_documents_round_trip(pool, offset):
+    # the document of a table-built universe holds its order and flips
+    # alone; it loads to the same order, flips and join columns, and so
+    # does the older format that lists the join and meet triples too
+    u, _ = closed_universe(_shifted(pool, offset))
+    doc = u.to_json_dict(members=range(len(u)))
+    assert sorted(doc) == ["elements", "inverse", "leq", "members"]
+    for d in (doc, gen.add_tables(copy.deepcopy(doc))):
+        back = system_from_json_dict(d)
+        assert back.members == tuple(range(len(u)))
+        v = back.universe
+        assert np.array_equal(v.leq_matrix(), u.leq_matrix())
+        assert np.array_equal(v.inverse_table(), u.inverse_table())
+        assert np.array_equal(gen.join_columns(v), gen.join_columns(u))

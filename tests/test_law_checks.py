@@ -1,11 +1,10 @@
 """The packed-row universe law checks against the dense reference checks.
 
-``Universe`` checks transitivity, the join bound law and, for a meet table
-supplied from outside, the meet bound law on rows of the order matrix packed
-into 64-bit words.  A symmetric join with no meet supplied is checked on
-the upper half of its rows only.  The dense versions below are the
-reference: they scan every full row.  On every corrupted table both must
-pass, or raise the same error class with the same message and witness.
+``Universe`` checks transitivity and, for join and meet tables supplied
+from outside, the join and meet bound laws on rows of the order matrix
+packed into 64-bit words, every row in full.  The dense versions below are
+the reference.  On every corrupted table both must pass, or raise the same
+error class with the same message and witness.
 """
 
 import numpy as np
@@ -78,12 +77,12 @@ def _outcome(check) -> object:
 
 def packed_outcome(leq, join, meet):
     u = Universe.__new__(Universe)
-    u._leq, u._join = leq, join
+    u._leq = leq
     up = _pack_rows(leq)
 
     def check():
         u._check_order(up)
-        u._check_bounds(up, meet)
+        u._check_bounds(up, join, meet)
 
     return _outcome(check)
 
@@ -111,7 +110,7 @@ UNIVERSES = {
 
 def tables(name: str):
     u = UNIVERSES[name]()
-    return u.leq_matrix().copy(), u.join_table().copy(), u.meet_table().copy()
+    return u.leq_matrix().copy(), gen.join_columns(u), gen.meet_table(u)
 
 
 def assert_same(leq, join, meet):
@@ -204,13 +203,14 @@ def test_one_corrupted_entry(name, table, data):
         target = join if table == "join" else meet
         target[a, b] = data.draw(st.integers(0, n - 1), label="value")
     assert_same(leq, join, meet)
-    # without a meet, an asymmetric join keeps the full scan
+    # and with the join alone
     assert_same(leq, join, None)
 
 
 def symmetric_corruptions(join, a, b):
     """The join with ``join[a, b]`` and ``join[b, a]`` both moved to each
-    other value: still symmetric, so the half-table check runs on it."""
+    other value: still symmetric, so the first failing row is the lesser
+    of ``a`` and ``b``."""
     for v in range(len(join)):
         if v != join[a, b]:
             wrong = join.copy()

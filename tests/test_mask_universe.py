@@ -57,11 +57,6 @@ def test_joins_missing_from_the_pool_are_malformed_input():
         a.join(b)
     with pytest.raises(MalformedInput, match="outside the universe"):
         a.meet(b)
-    # a mask universe keeps no join table, and derives no meet table
-    with pytest.raises(MalformedInput, match="no join table"):
-        u.join_table()
-    with pytest.raises(MalformedInput, match="no join table"):
-        u.meet_table()
 
 
 def test_graph_members_whose_join_is_not_a_member(p3_s2):

@@ -157,10 +157,10 @@ def _wrong_meets(name):
     """The universe, and its meet table with one in-range entry moved off
     (late, middle and last rows) plus the dense reference's verdict on it."""
     u, _ = closed_universe(gen.full_cover_system(int(name[-1])).universe.set_labels)
-    inv, join = u.inverse_table(), u.join_table()
+    inv, join = u.inverse_table(), gen.join_columns(u)
     n = len(u)
     for r, s in [(n - 1, 0), (n // 2, n - 2), (n - 1, n - 1)]:
-        meet = u.meet_table().copy()
+        meet = gen.meet_table(u)
         meet[inv[r], inv[s]] = (meet[inv[r], inv[s]] + 1) % n
         expect = _outcome(lambda: dense_de_morgan(inv, join, meet))
         assert expect[0] is InternalInvariant and f"at ({r}, {s})" in expect[1]
@@ -172,14 +172,14 @@ def _wrong_meets(name):
 @pytest.mark.parametrize("name", ["cover3", "cover4"])
 def test_wrong_supplied_meet_rejected(name):
     for u, meet, expect in _wrong_meets(name):
-        tables = (u.leq_matrix(), u.inverse_table(), u.join_table(), meet)
+        tables = (u.leq_matrix(), u.inverse_table(), gen.join_columns(u), meet)
         assert _build(*tables) == expect
 
 
 def test_validate_rejects_a_wrong_meet(tmp_path, capsys):
     for u, meet, expect in _wrong_meets("cover3"):
-        # without set labels, the document carries join and meet triples
-        doc = Universe(u.leq_matrix(), u.inverse_table(), u.join_table()).to_json_dict()
+        # an unlabelled document in the older format, with join and meet triples
+        doc = gen.add_tables(Universe(u.leq_matrix(), u.inverse_table()).to_json_dict())
         doc["meet"] = [[r, s, int(meet[r, s])] for r, s, _ in doc["meet"]]
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
@@ -202,7 +202,7 @@ def test_chunked_order_checks_match_one_chunk(name, flips):
     leq = u.leq_matrix().copy()
     for a, b in flips:
         leq[a % n, b % n] = not leq[a % n, b % n]
-    tables = (leq, u.inverse_table(), u.join_table(), u.meet_table())
+    tables = (leq, u.inverse_table(), gen.join_columns(u), gen.meet_table(u))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("tangleduct.core._CHUNK", 1 << 30)
         expect = _build(*tables)
