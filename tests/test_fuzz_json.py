@@ -50,15 +50,16 @@ def _envelope(system, stars, engine) -> dict:
 def _documents() -> list[dict]:
     cover2 = gen.full_cover_system(2)
     u = cover2.universe
-    # the same tables without set labels, so the join/meet triples are read
-    bare = Universe(
-        u.leq_matrix(), [u.inv_id(i) for i in range(len(u))], gen.join_columns(u)
-    ).to_json_dict()
+    # the same order without set labels: once as the writer emits it, and
+    # once in the older format whose join/meet triples the reader still checks
+    bare = Universe(u.leq_matrix(), [u.inv_id(i) for i in range(len(u))]).to_json_dict()
+    tabled = gen.add_tables(copy.deepcopy(bare))
     docs = [
         _envelope(cover2, (), strong_duality),  # tangle
         _envelope(cover2, [[0, 1], [0, 3]], strong_duality),  # tree
         _envelope(cover2, [[0, 1], [0, 3]], weak_duality),
     ]
+    docs.append(dict(docs[1], system=tabled))
     docs.append(dict(docs[1], system=bare))
     return docs
 
