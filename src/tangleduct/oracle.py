@@ -13,9 +13,11 @@ tuples in bounded numpy chunks, when a listing is first read.
 
 The census stays independent: it classifies every code, prunes nothing,
 reads only the order and inverse tables and uses no engine logic.  The
-cross-check plays the strong engine against it: a tree is returned exactly
-when no tangle exists, and on tree instances every consistent orientation
-is walked to a sink node whose star it contains.
+cross-check plays the strong engine against it on the truth tables alone:
+a tree is returned exactly when no tangle exists, a returned tangle is
+the code whose bit the tangle table sets, and on tree instances all
+consistent codes walk the tree at once, each to a sink node whose star it
+picks.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import SeparationSystem, _bit_row
+from .core import SeparationSystem, _bit_row, _id_row
 from .duality import Certificate, strong_duality
 from .errors import InternalInvariant, MalformedInput, NotFSeparable, TooLarge
-from .stree import StarFamily, _check_same_universe, find_guided_sink
+from .stree import StarFamily, STree, _check_same_universe
 
 DEFAULT_CENSUS_CAP = 20
 # codes listed per numpy pass: bounds the temporary picks matrix
@@ -64,22 +66,51 @@ class _Unlisted:
     system: SeparationSystem
     flags: int
 
+    def build(self) -> tuple:
+        return tuple(chain.from_iterable(_listing_chunks(self.system, self.flags)))
+
+
+@dataclass(frozen=True)
+class _Unexhibited(_Unlisted):
+    """A tree answer's exhibits not built yet: ``flags`` holds the
+    consistent codes, ``sinks`` the ``(node, codes)`` pairs they sink at."""
+
+    tree: STree
+    sinks: tuple[tuple[int, int], ...]
+
+    def build(self) -> tuple:
+        total = 1 << len(self.system.nondegenerate_reps)
+        sink_of = np.empty(total, dtype=np.int64)
+        stars = {}
+        for t, codes in self.sinks:
+            sink_of[_codes(codes, total)] = t
+            stars[t] = tuple(sorted(self.tree.node_star(t)))
+        sinks = sink_of[_codes(self.flags, total)].tolist()
+        return tuple(
+            (picks, t, stars[t]) for picks, t in zip(super().build(), sinks)
+        )
+
 
 class _Listing:
-    """A census field that builds its listing from an :class:`_Unlisted`
-    value on first read, and holds a given tuple as it is."""
+    """A field that builds its listing from an :class:`_Unlisted` value on
+    first read, and holds a given tuple as it is.  ``default``, if given,
+    makes the dataclass field optional."""
+
+    def __init__(self, *default):
+        self.default = default
 
     def __set_name__(self, owner, name: str) -> None:
         self.slot = "_" + name
 
     def __get__(self, obj, owner=None):
         if obj is None:
+            if self.default:
+                return self.default[0]
             # no class-level default, so the dataclass field stays required
             raise AttributeError(self.slot)
         value = obj.__dict__[self.slot]
         if isinstance(value, _Unlisted):
-            value = tuple(chain.from_iterable(_listing_chunks(value.system, value.flags)))
-            obj.__dict__[self.slot] = value
+            value = obj.__dict__[self.slot] = value.build()
         return value
 
     def __set__(self, obj, value) -> None:
@@ -144,6 +175,25 @@ def _choices(system: SeparationSystem) -> np.ndarray:
     return choice
 
 
+def _pick_columns(system: SeparationSystem) -> dict[int, int]:
+    """Each member's truth-table column: the codes that pick it.
+
+    The two orientations of the ``i``-th nondegenerate separation take the
+    two columns of bit ``i``; degenerate members, which every code picks,
+    take the full table.
+    """
+    reps = system.nondegenerate_reps
+    inv = system.universe.inv_id
+    cols = {}
+    for r, (keep, flip) in zip(reps, _columns(len(reps))):
+        cols[r] = keep
+        cols[inv(r)] = flip
+    full = (1 << (1 << len(reps))) - 1
+    for d in sorted(system.degenerate_ids):
+        cols[d] = full
+    return cols
+
+
 def _truth_tables(
     system: SeparationSystem, family: StarFamily, cap: int
 ) -> tuple[int, int]:
@@ -160,36 +210,33 @@ def _truth_tables(
     if n > cap:
         raise TooLarge(n, cap)
     full = (1 << (1 << n)) - 1
-    inv = u.inverse_table()
-    deg = np.array(sorted(system.degenerate_ids), dtype=np.int64)
-    choice = _choices(system)
+    cols = _pick_columns(system)
+    picked = _id_row(cols)
 
-    # every possible pick: both orientations of each nondegenerate separation,
-    # then the degenerate members, which every code picks; ``col[k]`` holds
-    # the codes that pick ``ids[k]``
-    ids = np.concatenate([choice.ravel(), deg])
-    col = [c for pair in _columns(n) for c in pair] + [full] * len(deg)
-    # picks a, b clash when inv(a) < b and b is neither a nor inv(a);
-    # the codes making both picks are inconsistent
-    inv_ids = inv[ids]
-    clash = u.leq_matrix()[inv_ids][:, ids]
-    clash &= (inv_ids[:, None] != ids) & (ids[:, None] != ids)
-    hits = [0] * len(col)
-    for k, l in np.argwhere(np.triu(clash | clash.T)).tolist():
-        hits[k] |= col[l]
+    # picks a, b clash when inv(a) <= b and b is neither a nor inv(a); the
+    # codes making both picks are inconsistent.  Each pick clears them with
+    # every partner its row of the order names, so a pair is cleared when
+    # it clashes in either direction
+    inv = u.inverse_table().tolist()
     consistent = full
-    for c, hit in zip(col, hits):
-        if hit:
-            consistent &= ~(c & hit)
+    for a, col in cols.items():
+        ra = inv[a]
+        row = u.above_mask(ra) & picked & ~((1 << a) | (1 << ra))
+        hit = 0
+        while row:
+            low = row & -row
+            hit |= cols[low.bit_length() - 1]
+            row ^= low
+        consistent &= ~(col & hit)
 
-    where = dict(zip(choice.ravel().tolist(), col))
     avoiding = full
+    deg = system.degenerate_ids
     for sigma in family.sorted_stars:
         inside = full
         for e in sigma:
-            c = where.get(e)
-            if c is None:
-                break  # never picked: outside S or degenerate
+            c = cols.get(e)
+            if c is None or e in deg:
+                break  # outside S, or degenerate, which no star holds: never inside
             inside &= c
         else:
             avoiding &= ~inside
@@ -248,16 +295,51 @@ class CrossCheckReport:
     On a hypothesis failure (no separator at some pair) nothing is
     asserted and ``agree`` is ``None``.  Otherwise ``agree`` is True — a
     disagreement raises :class:`InternalInvariant` instead of returning —
-    and for tree answers ``exhibits`` lists, per consistent orientation,
-    the sink node the orientation walks to and the star it contains there.
+    and for tree answers ``exhibits`` lists, per consistent orientation in
+    code order, the picks, the sink node the orientation walks to and the
+    star it contains there.  :func:`cross_check` decides on the codes'
+    truth tables and leaves ``exhibits`` to be listed when first read.
     """
 
     kind: Optional[str]
     hypothesis_failed: bool
     tangle_count: int
     agree: Optional[bool]
-    exhibits: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...] = ()
+    exhibits: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...] = _Listing(())
     certificate: Optional[Certificate] = None
+
+
+def _sinks(tree: STree, cols: dict[int, int], codes: int) -> list[tuple[int, int]]:
+    """Walk the ``codes`` through ``tree`` at once, by the rule of
+    :func:`~tangleduct.stree.find_guided_sink`: the ``(node, codes)`` pairs
+    of the codes that sink at each node.
+
+    At node ``t`` the codes that do not pick the label of ``(w, t)`` move
+    to ``w``, for the first such ``w`` in ``tree.adj[t]``; the codes that
+    pick every incoming label sink at ``t``.  ``cols`` maps a member to
+    the codes that pick it.
+    """
+    frontier = [(tree.nodes[0], codes)]
+    sinks = []
+    for _ in range(len(tree.nodes) + 1):
+        if not frontier:
+            return sinks
+        step = []
+        for t, here in frontier:
+            for w in tree.adj[t]:
+                away = here & ~cols.get(tree.alpha[(w, t)], 0)
+                if away:
+                    step.append((w, away))
+                    here ^= away
+            if here:
+                sinks.append((t, here))
+        frontier = step
+    raise InternalInvariant("guided walk did not reach a sink")
+
+
+def _unlisted_flags(census: OrientationCensus, name: str) -> int:
+    """The truth table of a census listing that has not been built yet."""
+    return census.__dict__["_" + name].flags
 
 
 def cross_check(
@@ -266,54 +348,64 @@ def cross_check(
     *,
     cap: int = DEFAULT_CENSUS_CAP,
 ) -> CrossCheckReport:
-    """Run the strong engine and the census; assert they tell the same story."""
+    """Run the strong engine and the census; assert they tell the same story.
+
+    Every answer is checked on the census truth tables; nothing is listed
+    unless the report's ``exhibits`` are read.
+    """
     census = enumerate_orientations(system, family, "tangle", cap=cap)
+    consistent = _unlisted_flags(census, "consistent")
+    tangles = _unlisted_flags(census, "f_tangles")
     try:
         cert = strong_duality(system, family)
     except NotFSeparable:
         return CrossCheckReport(
             kind=None,
             hypothesis_failed=True,
-            tangle_count=len(census.f_tangles),
+            tangle_count=tangles.bit_count(),
             agree=None,
         )
     if cert.kind == "tangle":
-        if not census.f_tangles:
+        if not tangles:
             raise InternalInvariant(
                 "engine returned a tangle but the census found none"
             )
-        if tuple(sorted(cert.picks)) not in census.f_tangles:
+        picks = tuple(sorted(cert.picks))
+        inv = system.universe.inv_id
+        code = sum(
+            1 << i for i, r in enumerate(system.nondegenerate_reps) if inv(r) in picks
+        )
+        if orientation_picks(system, code) != picks or not tangles >> code & 1:
             raise InternalInvariant(
                 "engine's tangle is missing from the census listing"
             )
         return CrossCheckReport(
             kind="tangle",
             hypothesis_failed=False,
-            tangle_count=len(census.f_tangles),
+            tangle_count=tangles.bit_count(),
             agree=True,
             certificate=cert,
         )
-    if census.f_tangles:
+    if tangles:
         raise InternalInvariant(
             "engine returned a tree but the census found a tangle"
         )
     fam = family.restricted_to(system)
-    exhibits = []
-    for picks in census.consistent:
-        sink = find_guided_sink(cert.tree, picks)
-        star = cert.tree.node_star(sink)
-        if not star <= frozenset(picks):
+    cols = _pick_columns(system)
+    sinks = _sinks(cert.tree, cols, consistent)
+    for t, codes in sinks:
+        star = cert.tree.node_star(t)
+        if any(codes & ~cols.get(label, 0) for label in star):
             raise InternalInvariant(
                 "sink star is not contained in the consistent orientation"
             )
         if star not in fam.stars:
             raise InternalInvariant("sink star is not a family star")
-        exhibits.append((picks, sink, tuple(sorted(star))))
     return CrossCheckReport(
         kind="stree",
         hypothesis_failed=False,
         tangle_count=0,
         agree=True,
-        exhibits=tuple(exhibits),
+        exhibits=_Unexhibited(system, consistent, cert.tree, tuple(sinks)),
         certificate=cert,
     )

@@ -695,9 +695,15 @@ def find_guided_sink(tree: STree, picks) -> int:
 
     Each edge (x, y) is directed towards ``y`` iff the label of (x, y) is
     picked; for a full orientation a directed walk in a tree must end in a
-    sink, whose star is then a subset of the picks.
+    sink, whose star is then a subset of the picks.  Raises
+    :class:`MalformedInput` when the picks hold neither label of an edge.
     """
     ids = set(map(_as_id, picks))
+    for x, y in tree.edges:
+        if tree.alpha[(x, y)] not in ids and tree.alpha[(y, x)] not in ids:
+            raise MalformedInput(f"the picks hold neither label of edge ({x}, {y})")
+    # every edge is left only towards a node whose label is picked, so the
+    # walk never turns back and ends within len(nodes) steps
     t = tree.nodes[0]
     for _ in range(len(tree.nodes) + 1):
         step = None

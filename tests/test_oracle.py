@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 import gen
 from tangleduct import oracle
 from tangleduct import (
+    Certificate,
     MalformedInput,
+    STree,
     StarFamily,
     TooLarge,
     cross_check,
     enumerate_orientations,
+    find_guided_sink,
     find_separator,
     orientation_picks,
     standardize,
+    strong_duality,
     verify_certificate,
 )
+from tangleduct.errors import InternalInvariant
 
 
 def empty_family(system):
@@ -128,9 +133,9 @@ class TestCrossCheck:
             assert sink in rep.certificate.tree.nodes
             assert set(star) <= set(picks)
 
-    def test_lists_only_what_it_reads(self, cover2, monkeypatch):
-        # the census lists on first read: cross_check reads the tangles, and
-        # the consistent orientations only for a tree answer's exhibits
+    def test_lists_only_what_it_reads(self, cover2, cover3, monkeypatch):
+        # cross_check decides on the truth tables and lists nothing; reading
+        # a tree answer's exhibits lists the consistent codes once
         listed = []
         real = oracle._listing_chunks
 
@@ -139,13 +144,21 @@ class TestCrossCheck:
             return real(system, flags)
 
         monkeypatch.setattr(oracle, "_listing_chunks", spy)
-        for stars, kind in (([], "tangle"), ([[0, 1], [0, 3]], "stree")):
-            fam = standardize(StarFamily(cover2.universe, stars), cover2)
-            consistent, avoiding = oracle._truth_tables(cover2, fam, 20)
+        cases = (
+            (cover2, [], "tangle"),
+            (cover2, [[0, 1], [0, 3]], "stree"),
+            (cover3, [[1, 3, 9]], None),
+        )
+        for system, stars, kind in cases:
+            fam = standardize(StarFamily(system.universe, stars), system)
+            consistent, _ = oracle._truth_tables(system, fam, 20)
             listed.clear()
-            assert cross_check(cover2, fam).kind == kind
-            want = [consistent & avoiding] + [consistent] * (kind == "stree")
-            assert listed == want
+            rep = cross_check(system, fam)
+            assert rep.kind == kind
+            assert listed == []
+            rep.exhibits
+            rep.exhibits
+            assert listed == [consistent] * (kind == "stree")
 
     def test_hypothesis_failure_is_reported_not_raised(self, cover3):
         fam = standardize(StarFamily(cover3.universe, [[1, 3, 9]]), cover3)
@@ -168,3 +181,91 @@ class TestCrossCheck:
             assert rep.agree
             kinds[rep.kind] += 1
         assert min(kinds.values()) > 5
+
+
+def _reference_exhibits(system, family, cert):
+    """The exhibits as one guided walk per listed consistent orientation."""
+    tree = cert.tree
+    census = enumerate_orientations(system, family, "tangle")
+    out = []
+    for picks in census.consistent:
+        sink = find_guided_sink(tree, picks)
+        out.append((picks, sink, tuple(sorted(tree.node_star(sink)))))
+    return tuple(out)
+
+
+class TestCrossCheckReference:
+    """cross_check's truth-table answers against listings and per-code walks."""
+
+    def check(self, system, fam):
+        rep = cross_check(system, fam)
+        census = enumerate_orientations(system, fam, "tangle")
+        assert rep.tangle_count == len(census.f_tangles)
+        if rep.kind == "stree":
+            assert rep.exhibits == _reference_exhibits(system, fam, rep.certificate)
+        else:
+            assert rep.exhibits == ()
+        return rep
+
+    def test_random_instances(self, rng):
+        kinds = {"tangle": 0, "stree": 0, None: 0}
+        degenerate = 0
+        for _ in range(240):
+            system = gen.random_system(rng, max_pairs=5)
+            fam = gen.random_family(rng, system, standard=True, allow_empty_star=True)
+            kinds[self.check(system, fam).kind] += 1
+            degenerate += bool(system.degenerate_ids)
+        assert min(kinds.values()) > 5
+        assert degenerate > 20
+
+    def test_one_node_tree_of_the_empty_star(self, cover2):
+        fam = standardize(StarFamily(cover2.universe, [[]]), cover2)
+        rep = self.check(cover2, fam)
+        assert rep.certificate.tree.nodes == (0,)
+        assert rep.exhibits == (((0, 1, 2, 4, 8), 0, ()), ((0, 2, 3, 4, 8), 0, ()))
+
+    def test_pair_tree(self, cover2):
+        fam = standardize(StarFamily(cover2.universe, [[1], [3]]), cover2)
+        rep = self.check(cover2, fam)
+        assert rep.certificate.tree.edges == ((0, 1),)
+        assert rep.exhibits == (((0, 1, 2, 4, 8), 1, (1,)), ((0, 2, 3, 4, 8), 0, (3,)))
+
+
+class TestCrossCheckInvariants:
+    """Each disagreement with the census raises, for a doctored engine."""
+
+    def doctor(self, monkeypatch, cert):
+        monkeypatch.setattr(oracle, "strong_duality", lambda system, family: cert)
+
+    def test_tangle_missing_from_the_census(self, cover2, monkeypatch):
+        # consistent orientations are (0,1,2,4,8) and (0,2,3,4,8); code 1
+        # picks both 1 and its clashing partner 5
+        fam = standardize(empty_family(cover2), cover2)
+        self.doctor(monkeypatch, Certificate("tangle", picks=(1, 2, 4, 5, 8)))
+        with pytest.raises(InternalInvariant, match="^engine's tangle is missing from the census listing$"):
+            cross_check(cover2, fam)
+        # picks that are no full orientation at all
+        self.doctor(monkeypatch, Certificate("tangle", picks=(0, 2, 4, 8)))
+        with pytest.raises(InternalInvariant, match="^engine's tangle is missing from the census listing$"):
+            cross_check(cover2, fam)
+
+    def test_tangle_when_the_census_has_none(self, cover2, monkeypatch):
+        fam = standardize(StarFamily(cover2.universe, [[0, 1], [0, 3]]), cover2)
+        self.doctor(monkeypatch, Certificate("tangle", picks=(0, 1, 2, 4, 8)))
+        with pytest.raises(InternalInvariant, match="^engine returned a tangle but the census found none$"):
+            cross_check(cover2, fam)
+
+    def test_tree_when_the_census_has_a_tangle(self, cover2, monkeypatch):
+        tree_fam = standardize(StarFamily(cover2.universe, [[0, 1], [0, 3]]), cover2)
+        self.doctor(monkeypatch, strong_duality(cover2, tree_fam))
+        fam = standardize(empty_family(cover2), cover2)
+        with pytest.raises(InternalInvariant, match="^engine returned a tree but the census found a tangle$"):
+            cross_check(cover2, fam)
+
+    def test_tree_with_a_sink_star_outside_the_family(self, cover2, monkeypatch):
+        # the K2 tree's stars {1} and {3} are not stars of this family
+        fam = standardize(StarFamily(cover2.universe, [[0, 1], [0, 3]]), cover2)
+        tree = STree(cover2, [(0, 1)], {(0, 1): 1})
+        self.doctor(monkeypatch, Certificate("stree", tree=tree))
+        with pytest.raises(InternalInvariant, match="^sink star is not a family star$"):
+            cross_check(cover2, fam)

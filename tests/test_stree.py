@@ -25,7 +25,6 @@ from tangleduct import (
 from tangleduct.errors import (
     AlphaImageOutsideS,
     AlphaNotInvolutive,
-    InternalInvariant,
     RootLabelTrivial,
 )
 from tangleduct.stree import _is_star_ids
@@ -320,7 +319,8 @@ class TestGuidedSink:
         assert find_guided_sink(t, [3, 0, 2, 4, 8]) == 0
 
     def test_inconsistent_picks_can_fail(self, cover2):
-        # both orientations of the K2 label missing: the walk oscillates
+        # both orientations of the K2 label missing: a caller's mistake,
+        # named before any walk, not an internal fault
         t = STree(cover2, [(0, 1)], {(0, 1): 1})
-        with pytest.raises(InternalInvariant):
+        with pytest.raises(MalformedInput, match=r"neither label of edge \(0, 1\)"):
             find_guided_sink(t, [0])
