@@ -54,7 +54,7 @@ from .errors import (
     TangleductError,
 )
 from .essential import essential_core, essentialize_stree
-from .oracle import DEFAULT_CENSUS_CAP, _bits, _listing_chunks, _truth_tables
+from .oracle import _bits, _listing_chunks, enumerate_orientations
 from .stree import STree, StarFamily
 
 @dataclass
@@ -292,9 +292,10 @@ def _cmd_strong(config: RunConfig, docs: _Documents) -> int:
 def _cmd_tangles(config: RunConfig, docs: _Documents) -> int:
     system = _require_system(docs)
     family = _require_family(docs)
-    consistent, avoiding = _truth_tables(system, family, DEFAULT_CENSUS_CAP)
-    total = 1 << len(system.nondegenerate_reps)
-    c_bits, a_bits = _bits(consistent, total), _bits(avoiding, total)
+    census = enumerate_orientations(system, family)
+    total = census.total
+    c_bits = _bits(census.consistent_codes, total)
+    a_bits = _bits(census.avoiding_codes, total)
     # every code once, in code order, with its two bits: one chunk of lines
     # is written at a time, so the 2**n lines are never all held at once
     at = 0

@@ -867,6 +867,8 @@ def _set_labels(ground, labels, n: int) -> tuple[list[str], list[tuple[int, int]
         raise MalformedInput("'labels' must list one (A, B) pair per element")
     names = [str(g) for g in ground]
     index = {g: i for i, g in enumerate(names)}
+    if len(index) != len(names):
+        raise MalformedInput("ground set has repeated vertex names")
     masks = []
     for item in labels:
         if not (

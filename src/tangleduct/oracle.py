@@ -8,8 +8,9 @@ classifies all ``2**n`` codes at once on truth tables: bit ``c`` of a
 separation has the column of codes that pick it, each clashing pair of
 picks (``inv(a) < b`` for distinct separations) clears the AND of its two
 columns from the consistent codes, and each star clears the AND of its
-columns from the avoiding codes.  The flagged codes are listed as picks
-tuples in bounded numpy chunks, when a listing is first read.
+columns from the avoiding codes.  A census is these two tables; all else
+is derived from them on demand, and a listing of the flagged codes as
+picks tuples is built in bounded numpy chunks when it is first read.
 
 The census stays independent: it classifies every code, prunes nothing,
 reads only the order and inverse tables and uses no engine logic.  The
@@ -22,8 +23,8 @@ picks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -60,84 +61,50 @@ def orientation_picks(system: SeparationSystem, code: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class _Unlisted:
-    """A census listing not built yet: the codes flagged in ``flags``."""
-
-    system: SeparationSystem
-    flags: int
-
-    def build(self) -> tuple:
-        return tuple(chain.from_iterable(_listing_chunks(self.system, self.flags)))
-
-
-@dataclass(frozen=True)
-class _Unexhibited(_Unlisted):
-    """A tree answer's exhibits not built yet: ``flags`` holds the
-    consistent codes, ``sinks`` the ``(node, codes)`` pairs they sink at."""
-
-    tree: STree
-    sinks: tuple[tuple[int, int], ...]
-
-    def build(self) -> tuple:
-        total = 1 << len(self.system.nondegenerate_reps)
-        sink_of = np.empty(total, dtype=np.int64)
-        stars = {}
-        for t, codes in self.sinks:
-            sink_of[_codes(codes, total)] = t
-            stars[t] = tuple(sorted(self.tree.node_star(t)))
-        sinks = sink_of[_codes(self.flags, total)].tolist()
-        return tuple(
-            (picks, t, stars[t]) for picks, t in zip(super().build(), sinks)
-        )
-
-
-class _Listing:
-    """A field that builds its listing from an :class:`_Unlisted` value on
-    first read, and holds a given tuple as it is.  ``default``, if given,
-    makes the dataclass field optional."""
-
-    def __init__(self, *default):
-        self.default = default
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            if self.default:
-                return self.default[0]
-            # no class-level default, so the dataclass field stays required
-            raise AttributeError(self.slot)
-        value = obj.__dict__[self.slot]
-        if isinstance(value, _Unlisted):
-            value = obj.__dict__[self.slot] = value.build()
-        return value
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.slot] = value
-
-
-@dataclass(frozen=True)
 class OrientationCensus:
     """Complete classification of the orientation space of a system.
 
-    ``total`` counts all full orientations; the three listings hold the
-    picked id tuples (sorted ascending) of the consistent, family-avoiding,
-    and tangle (consistent and avoiding) orientations, in enumeration
-    order.  ``mode`` records which question the census was asked for; it
+    The census holds two ``2**n``-bit truth tables, one bit per code
+    numbered as by :func:`orientation_picks`: ``consistent_codes`` and
+    ``avoiding_codes`` (the codes whose orientation contains no family
+    star).  ``mode`` records which question the census was asked for; it
     changes nothing else, as both modes classify every code alike.
 
-    :func:`enumerate_orientations` leaves each listing to be built from
-    its truth table when it is first read, so a caller that reads one
-    listing builds only that one.  Equality, hashing and ``repr`` read all
-    three.
+    Everything else is derived from the tables: ``total`` counts all full
+    orientations and ``tangle_codes`` is the table of the consistent,
+    avoiding codes.  The listings ``consistent``, ``f_avoiding`` and
+    ``f_tangles`` hold the picked id tuples (sorted ascending) of their
+    codes in code order; each is built on first read and kept.  Equality,
+    hashing and ``repr`` read the system and the tables only, so they list
+    nothing.
     """
 
-    total: int
-    consistent: tuple[tuple[int, ...], ...] = _Listing()
-    f_avoiding: tuple[tuple[int, ...], ...] = _Listing()
-    f_tangles: tuple[tuple[int, ...], ...] = _Listing()
+    # kept out of repr: the system is large, and a 2**n-bit int has more
+    # digits than int-to-str allows once n >= 14
+    system: SeparationSystem = field(repr=False)
+    consistent_codes: int = field(repr=False)
+    avoiding_codes: int = field(repr=False)
     mode: str
+
+    @property
+    def total(self) -> int:
+        return 1 << len(self.system.nondegenerate_reps)
+
+    @property
+    def tangle_codes(self) -> int:
+        return self.consistent_codes & self.avoiding_codes
+
+    @cached_property
+    def consistent(self) -> tuple[tuple[int, ...], ...]:
+        return _listing(self.system, self.consistent_codes)
+
+    @cached_property
+    def f_avoiding(self) -> tuple[tuple[int, ...], ...]:
+        return _listing(self.system, self.avoiding_codes)
+
+    @cached_property
+    def f_tangles(self) -> tuple[tuple[int, ...], ...]:
+        return _listing(self.system, self.tangle_codes)
 
 
 @cache
@@ -262,6 +229,11 @@ def _listing_chunks(
         yield list(map(tuple, picks.tolist()))
 
 
+def _listing(system: SeparationSystem, flags: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted picks tuples of the codes flagged in ``flags``, in code order."""
+    return tuple(chain.from_iterable(_listing_chunks(system, flags)))
+
+
 def enumerate_orientations(
     system: SeparationSystem,
     family: StarFamily,
@@ -272,41 +244,61 @@ def enumerate_orientations(
     """Census every orientation, numbered as by :func:`orientation_picks`.
 
     Each code's consistency and avoidance is one bit of a ``2**n``-bit
-    truth table (see :func:`_truth_tables`); the listings are built from
-    the tables when first read.  Raises :class:`TooLarge`
-    when the system has more than ``cap`` nondegenerate underlying
-    separations.  ``mode`` (``"tangle"`` or ``"avoiding"``) is only
-    recorded in the census: both modes classify and list alike.
+    truth table (see :func:`_truth_tables`); the census holds the two
+    tables.  Raises :class:`TooLarge` when the system has more than ``cap``
+    nondegenerate underlying separations.  ``mode`` (``"tangle"`` or
+    ``"avoiding"``) is only recorded in the census: both modes classify and
+    list alike.
     """
     if mode not in ("avoiding", "tangle"):
         raise MalformedInput(f"unknown census mode {mode!r}")
-    consistent, avoiding = _truth_tables(system, family, cap)
-    return OrientationCensus(
-        1 << len(system.nondegenerate_reps),
-        *(_Unlisted(system, f) for f in (consistent, avoiding, consistent & avoiding)),
-        mode=mode,
-    )
+    return OrientationCensus(system, *_truth_tables(system, family, cap), mode)
 
 
 @dataclass(frozen=True)
 class CrossCheckReport:
     """Outcome of playing the strong engine against the census.
 
-    On a hypothesis failure (no separator at some pair) nothing is
-    asserted and ``agree`` is ``None``.  Otherwise ``agree`` is True — a
-    disagreement raises :class:`InternalInvariant` instead of returning —
-    and for tree answers ``exhibits`` lists, per consistent orientation in
-    code order, the picks, the sink node the orientation walks to and the
-    star it contains there.  :func:`cross_check` decides on the codes'
-    truth tables and leaves ``exhibits`` to be listed when first read.
+    ``kind`` is the strong engine's answer, or ``None`` on a hypothesis
+    failure (no separator at some pair), where nothing is asserted and
+    ``agree`` is ``None``.  Otherwise ``agree`` is True: a disagreement
+    raises :class:`InternalInvariant` instead of returning.
+    ``tangle_count`` counts the census's tangles.  For tree answers
+    ``exhibits`` lists, per consistent orientation in code order, the
+    picks, the sink node the orientation walks to and the star it contains
+    there; it is built from the census tables when first read, and is
+    empty for other answers.
     """
 
     kind: Optional[str]
-    hypothesis_failed: bool
-    tangle_count: int
-    agree: Optional[bool]
-    exhibits: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...] = _Listing(())
-    certificate: Optional[Certificate] = None
+    census: OrientationCensus
+    certificate: Optional[Certificate]
+
+    @property
+    def hypothesis_failed(self) -> bool:
+        return self.kind is None
+
+    @property
+    def agree(self) -> Optional[bool]:
+        return None if self.kind is None else True
+
+    @property
+    def tangle_count(self) -> int:
+        return self.census.tangle_codes.bit_count()
+
+    @cached_property
+    def exhibits(self) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
+        if self.kind != "stree":
+            return ()
+        census, tree = self.census, self.certificate.tree
+        total = census.total
+        sink_of = np.empty(total, dtype=np.int64)
+        stars = {}
+        for t, codes in _sinks(tree, _pick_columns(census.system), census.consistent_codes):
+            sink_of[_codes(codes, total)] = t
+            stars[t] = tuple(sorted(tree.node_star(t)))
+        sinks = sink_of[_codes(census.consistent_codes, total)].tolist()
+        return tuple((picks, t, stars[t]) for picks, t in zip(census.consistent, sinks))
 
 
 def _sinks(tree: STree, cols: dict[int, int], codes: int) -> list[tuple[int, int]]:
@@ -337,11 +329,6 @@ def _sinks(tree: STree, cols: dict[int, int], codes: int) -> list[tuple[int, int
     raise InternalInvariant("guided walk did not reach a sink")
 
 
-def _unlisted_flags(census: OrientationCensus, name: str) -> int:
-    """The truth table of a census listing that has not been built yet."""
-    return census.__dict__["_" + name].flags
-
-
 def cross_check(
     system: SeparationSystem,
     family: StarFamily,
@@ -354,17 +341,11 @@ def cross_check(
     unless the report's ``exhibits`` are read.
     """
     census = enumerate_orientations(system, family, "tangle", cap=cap)
-    consistent = _unlisted_flags(census, "consistent")
-    tangles = _unlisted_flags(census, "f_tangles")
+    tangles = census.tangle_codes
     try:
         cert = strong_duality(system, family)
     except NotFSeparable:
-        return CrossCheckReport(
-            kind=None,
-            hypothesis_failed=True,
-            tangle_count=tangles.bit_count(),
-            agree=None,
-        )
+        return CrossCheckReport(None, census, None)
     if cert.kind == "tangle":
         if not tangles:
             raise InternalInvariant(
@@ -379,21 +360,14 @@ def cross_check(
             raise InternalInvariant(
                 "engine's tangle is missing from the census listing"
             )
-        return CrossCheckReport(
-            kind="tangle",
-            hypothesis_failed=False,
-            tangle_count=tangles.bit_count(),
-            agree=True,
-            certificate=cert,
-        )
+        return CrossCheckReport("tangle", census, cert)
     if tangles:
         raise InternalInvariant(
             "engine returned a tree but the census found a tangle"
         )
     fam = family.restricted_to(system)
     cols = _pick_columns(system)
-    sinks = _sinks(cert.tree, cols, consistent)
-    for t, codes in sinks:
+    for t, codes in _sinks(cert.tree, cols, census.consistent_codes):
         star = cert.tree.node_star(t)
         if any(codes & ~cols.get(label, 0) for label in star):
             raise InternalInvariant(
@@ -401,11 +375,4 @@ def cross_check(
             )
         if star not in fam.stars:
             raise InternalInvariant("sink star is not a family star")
-    return CrossCheckReport(
-        kind="stree",
-        hypothesis_failed=False,
-        tangle_count=0,
-        agree=True,
-        exhibits=_Unexhibited(system, consistent, cert.tree, tuple(sinks)),
-        certificate=cert,
-    )
+    return CrossCheckReport("stree", census, cert)

@@ -205,6 +205,26 @@ def test_labels_not_closed_under_flips_is_one_error_line(tmp_path, capsys):
     assert err == "error: mask pool is not closed under flips\n"
 
 
+def test_repeated_ground_name_is_one_error_line(tmp_path, capsys):
+    # ({a}|{a,b}), ({b}|{a,b}) and their flips, over a ground naming "a" twice
+    doc = {
+        "elements": [0, 1, 2, 3],
+        "inverse": {"0": 2, "1": 3, "2": 0, "3": 1},
+        "ground": ["a", "a", "b"],
+        "labels": [
+            [["a"], ["a", "b"]],
+            [["b"], ["a", "b"]],
+            [["a", "b"], ["a"]],
+            [["a", "b"], ["b"]],
+        ],
+    }
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig("validate", str(path))) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ground set has repeated vertex names\n"
+
+
 def _tangle_envelope() -> dict:
     """cover2 with the empty standardized family and its tangle certificate."""
     from tangleduct import strong_duality

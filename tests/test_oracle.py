@@ -34,6 +34,20 @@ def empty_family(system):
     return StarFamily(system.universe, ())
 
 
+@pytest.fixture()
+def listed(monkeypatch):
+    """The flags of every listing built while the test runs."""
+    flags = []
+    real = oracle._listing_chunks
+
+    def spy(system, f):
+        flags.append(f)
+        return real(system, f)
+
+    monkeypatch.setattr(oracle, "_listing_chunks", spy)
+    return flags
+
+
 class TestOrientationPicks:
     def test_code_zero_is_all_representatives(self, cover2):
         assert orientation_picks(cover2, 0) == (0, 1, 2, 4, 8)
@@ -82,6 +96,18 @@ class TestCensus:
             # both modes classify alike: the censuses differ in ``mode`` only
             t = enumerate_orientations(cover2, fam, "tangle")
             assert dataclasses.replace(c, mode="tangle") == t
+
+    def test_compared_hashed_and_printed_without_listing(self, listed):
+        base = gen.full_cover_system(4)
+        system = gen.subsystem(base, base.nondegenerate_reps[:15])
+        fam = empty_family(system)
+        c = enumerate_orientations(system, fam, "tangle")
+        d = enumerate_orientations(system, fam, "tangle")
+        assert c == d and hash(c) == hash(d)
+        assert len(repr(c)) < 200
+        assert listed == []
+        assert c.total == len(c.f_avoiding) == 2**15
+        assert listed == [c.avoiding_codes]
 
     def test_bad_mode(self, cover2):
         with pytest.raises(MalformedInput):
@@ -133,17 +159,9 @@ class TestCrossCheck:
             assert sink in rep.certificate.tree.nodes
             assert set(star) <= set(picks)
 
-    def test_lists_only_what_it_reads(self, cover2, cover3, monkeypatch):
+    def test_lists_only_what_it_reads(self, cover2, cover3, listed):
         # cross_check decides on the truth tables and lists nothing; reading
         # a tree answer's exhibits lists the consistent codes once
-        listed = []
-        real = oracle._listing_chunks
-
-        def spy(system, flags):
-            listed.append(flags)
-            return real(system, flags)
-
-        monkeypatch.setattr(oracle, "_listing_chunks", spy)
         cases = (
             (cover2, [], "tangle"),
             (cover2, [[0, 1], [0, 3]], "stree"),
@@ -151,7 +169,7 @@ class TestCrossCheck:
         )
         for system, stars, kind in cases:
             fam = standardize(StarFamily(system.universe, stars), system)
-            consistent, _ = oracle._truth_tables(system, fam, 20)
+            consistent = enumerate_orientations(system, fam).consistent_codes
             listed.clear()
             rep = cross_check(system, fam)
             assert rep.kind == kind
