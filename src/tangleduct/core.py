@@ -206,10 +206,16 @@ class Universe:
         self._check_bounds(up, join, meet)
 
     def _store(self, leq: np.ndarray, inv: np.ndarray) -> None:
-        """Keep the order and the involution, and start the bit row caches."""
+        """Keep the order and the involution, and start the bit row caches.
+
+        The involution is kept twice: as a numpy table for the vectorized
+        paths, and as a list of Python ints for the scalar lookups of the
+        engines, where indexing a list is several times faster.
+        """
         n = len(inv)
         self._leq = _readonly(leq)
         self._inv = _readonly(inv)
+        self._inv_list: list[int] = self._inv.tolist()
         self._above: list[Optional[int]] = [None] * n
         self._below: list[Optional[int]] = [None] * n
         self._conflict: list[Optional[int]] = [None] * n
@@ -320,7 +326,7 @@ class Universe:
         return a != b and bool(self._leq[a, b])
 
     def inv_id(self, a: int) -> int:
-        return int(self._inv[a])
+        return self._inv_list[a]
 
     def join_id(self, a: int, b: int) -> int:
         j = int(self.join_column(b)[a])
@@ -329,14 +335,14 @@ class Universe:
         return j
 
     def meet_id(self, a: int, b: int) -> int:
-        inv = self._inv
-        j = int(self.join_column(int(inv[b]))[int(inv[a])])
+        inv = self._inv_list
+        j = int(self.join_column(inv[b])[inv[a]])
         if j < 0:
             raise MalformedInput(f"the meet of {a} and {b} lies outside the universe")
-        return int(inv[j])
+        return inv[j]
 
     def is_degenerate_id(self, a: int) -> bool:
-        return int(self._inv[a]) == a
+        return self._inv_list[a] == a
 
     def above_mask(self, a: int) -> int:
         """Bit row of the ids ``b`` with ``a <= b`` (``a`` itself included)."""
@@ -357,7 +363,7 @@ class Universe:
         its inverse: a pick ``a`` is inconsistent with any pick in it."""
         row = self._conflict[a]
         if row is None:
-            ra = int(self._inv[a])
+            ra = self._inv_list[a]
             row = self._conflict[a] = self.above_mask(ra) & ~((1 << a) | (1 << ra))
         return row
 
@@ -388,7 +394,7 @@ class Universe:
         n = len(self)
         d = {
             "elements": list(range(n)),
-            "inverse": {str(i): int(self._inv[i]) for i in range(n)},
+            "inverse": {str(i): v for i, v in enumerate(self._inv_list)},
             **self._order_json(),
         }
         if members is not None:

@@ -52,10 +52,24 @@ passed both checks.  Either way the least witness of the whole set is
 named.  The root is the caller's family itself when the system drops none
 of its stars (:meth:`StarFamily.restricted_to`), so the family's caches
 and its root scans, kept per system, carry over from call to call.
+
+A repeat :func:`strong_duality` call on the same system and family is
+answered from the memo that the root family keeps for the system, under
+a key holding the family's ``extra`` row, so a
+:meth:`~StarFamily.with_star` child has its own entry.  A certificate is
+held there by a weak reference: its tree holds the system, and a value
+that held its own weak key would keep the system alive as long as the
+family lives.  So the first answer is returned again while its caller
+still holds it, and is worked out afresh once it is dropped.  An unmet
+hypothesis is held as the witness pair and detail of its
+:class:`NotFSeparable`, never as the exception, whose traceback holds
+the system, and a repeat call raises a new one with the same message.
+Nothing else is kept: every other error is raised afresh.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import NoReturn, Optional
 
@@ -373,15 +387,22 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
     )
 
 
+def _root_memo(family: StarFamily, system: SeparationSystem) -> dict:
+    """The dict that the root of ``family`` keeps for the system."""
+    root = family if family.root is None else family.root
+    memo = root.memo.get(system)
+    if memo is None:
+        memo = root.memo[system] = {}
+    return memo
+
+
 def _root_lacks(system: SeparationSystem, root: StarFamily, s0: int, r: int) -> int:
     """The bit row of the ids ``y`` whose singleton ``{y}`` is the shift
     image of a qualifying star that the root family lacks, or -1 when the
     root lacks a larger image, which no child can add.  Kept in
     ``root.memo`` under the system, as it decides which stars qualify, and
     ``(s0, r)``."""
-    memo = root.memo.get(system)
-    if memo is None:
-        memo = root.memo[system] = {}
+    memo = _root_memo(root, system)
     key = (s0, r)
     lacking = memo.get(key)
     if lacking is not None:
@@ -739,7 +760,9 @@ def strong_duality(
     instead of failing.  The certificate is the only output: the tree
     shifts the recursion makes are steps towards it, made through the
     module-level :func:`shift_stree`, so a caller that wants to replay them
-    can wrap that function.
+    can wrap that function.  It must then pass a fresh family or system:
+    a repeat call is answered from the memo while the first certificate
+    is still held (see the module docstring), and makes no shifts.
 
     Raises :class:`NotFSeparable` when the separability hypothesis fails at
     some pair, in which case neither alternative is certified.
@@ -757,11 +780,26 @@ def strong_duality(
         transcript.append(
             f"standardized: forced {len(missing)} trivial orientation(s)"
         )
+    # a repeat call is answered from the memo (see the module docstring)
+    answers = _root_memo(fam, system)
+    key = ("strong", fam.extra)
+    held = answers.get(key)
+    if isinstance(held, tuple):
+        raise NotFSeparable(*held[0], detail=held[1])
+    cert = held() if held is not None else None
+    if cert is not None:
+        return cert
     forced, inv_forced = _forced_rows(system, fam.forced_ids(system))
     # the root checks every forced and degenerate id for a conflict
     new = forced | system.degenerate_mask
-    kind, payload = _strong(system, fam, forced, inv_forced, new, transcript, {}, 0)
-    return _certify("strong", kind, payload, system, fam, transcript)
+    try:
+        kind, payload = _strong(system, fam, forced, inv_forced, new, transcript, {}, 0)
+    except NotFSeparable as exc:
+        answers[key] = (exc.witness, exc.detail)
+        raise
+    cert = _certify("strong", kind, payload, system, fam, transcript)
+    answers[key] = weakref.ref(cert)
+    return cert
 
 
 def _raise_inconsistent(

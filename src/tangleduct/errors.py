@@ -131,6 +131,7 @@ class NotFSeparable(HypothesisFailure):
             f" ({r}, {r_prime}): no separator found{extra}"
         )
         self.witness = (r, r_prime)
+        self.detail = detail
 
 
 class ShiftLeftS(TangleductError):

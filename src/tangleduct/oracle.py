@@ -338,7 +338,10 @@ def cross_check(
     """Run the strong engine and the census; assert they tell the same story.
 
     Every answer is checked on the census truth tables; nothing is listed
-    unless the report's ``exhibits`` are read.
+    unless the report's ``exhibits`` are read.  The engine's answer is
+    reused when the caller still holds the certificate of a
+    :func:`strong_duality` call on this system and family, or when that
+    call raised :class:`NotFSeparable` (see :mod:`tangleduct.duality`).
     """
     census = enumerate_orientations(system, family, "tangle", cap=cap)
     tangles = census.tangle_codes

@@ -91,11 +91,13 @@ class StarFamily:
 
     A family built by the constructor is a *root*: ``root`` is ``None`` and
     it holds its ``stars``, plus a ``memo`` that the engines fill per
-    system and ``(s0, r)``.  The memo holds its systems weakly, so a family
-    used with many systems keeps none of them alive.  :meth:`with_star` adds a singleton star without
-    copying: the child's ``root`` is the root family and ``extra`` is the
-    bit row of the ids whose singleton stars it adds, so ``sigma in child``
-    is ``sigma in root.stars`` or a single id whose bit is in ``extra``.
+    system, with root scans per ``(s0, r)`` and the strong engine's
+    answers per ``extra`` row.  The memo holds its systems weakly, so a
+    family used with many systems keeps none of them alive.
+    :meth:`with_star` adds a singleton star without copying: the child's
+    ``root`` is the root family and ``extra`` is the bit row of the ids
+    whose singleton stars it adds, so ``sigma in child`` is
+    ``sigma in root.stars`` or a single id whose bit is in ``extra``.
     Both engines only ever add singletons; any other star makes a new root
     by copy.  A child's other parts are built from its root's on first use.
     """

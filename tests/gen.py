@@ -358,7 +358,9 @@ def recorded_shifts():
     The engines call ``shift_stree`` through the ``duality`` module global,
     so swapping that global for a recorder sees every shift they make; the
     original is restored on exit.  ``r_id`` is the label of the root's edge,
-    the separation the shift moves across ``s0``.
+    the separation the shift moves across ``s0``.  A strong call answered
+    from the family's memo makes no shifts, so pass a fresh family or
+    system.
     """
     records: list[ShiftRecord] = []
     shift = duality.shift_stree

@@ -168,8 +168,7 @@ class TestEdgeCases:
         leq = np.eye(4, dtype=bool)
         leq[0, 1] = True
         u = object.__new__(Universe)
-        u._leq, u._inv = leq, np.array([0, 1, 3, 2])
-        u._above, u._conflict = [None] * 4, [None] * 4
+        u._store(leq, np.array([0, 1, 3, 2]))
         system = SeparationSystem(u, range(4))
         census = assert_matches_reference(system, StarFamily(u, (), validate=False))
         assert census.total == 2

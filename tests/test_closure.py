@@ -214,3 +214,25 @@ def test_unlabelled_documents_round_trip(pool, offset):
         assert np.array_equal(v.leq_matrix(), u.leq_matrix())
         assert np.array_equal(v.inverse_table(), u.inverse_table())
         assert np.array_equal(gen.join_columns(v), gen.join_columns(u))
+
+
+def assert_scalar_inverse(u):
+    """``inv_id`` and ``is_degenerate_id`` answer in Python ``int`` and
+    ``bool``, equal to the numpy inverse table, on every id."""
+    table = u.inverse_table()
+    for i in range(len(u)):
+        inv, degenerate = u.inv_id(i), u.is_degenerate_id(i)
+        assert type(inv) is int and inv == table[i]
+        assert type(degenerate) is bool and degenerate == (table[i] == i)
+
+
+@pytest.mark.parametrize("name,k", sorted(gen.bench_tk().EXPECTED_KIND))
+def test_scalar_inverse_on_the_ladder(name, k):
+    assert_scalar_inverse(gen.ladder_system(name, k).universe)
+
+
+@given(pool=pools(), offset=st.integers(0, 27))
+def test_scalar_inverse_on_pools(pool, offset):
+    pool = _shifted(pool, offset)
+    assert_scalar_inverse(pool_system(pool).universe)
+    assert_scalar_inverse(closed_universe(pool)[0])

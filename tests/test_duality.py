@@ -7,6 +7,7 @@ table (sides of {1, 2}):
     5=(12|∅)  6=(12|1) 7=(12|2)  8=(12|12)
 """
 
+import gc
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from tangleduct import (
     MalformedInput,
     NotFSeparable,
     STree,
+    SeparationSystem,
     StarFamily,
     avoids,
     emulates,
@@ -37,6 +39,7 @@ from tangleduct import (
     violating_star,
     weak_duality,
 )
+from tangleduct import duality
 from tangleduct.errors import FNotStandard, TargetNotAboveR
 from test_tables import GRID4X4
 
@@ -399,6 +402,111 @@ class TestStrongDuality:
         assert cert.tree.edges == edges
         stars_at = {t: sorted(cert.tree.node_star(t)) for t in cert.tree.nodes}
         assert stars_at == node_stars
+
+
+@pytest.fixture()
+def strong_calls(monkeypatch):
+    """The depth of every ``duality._strong`` call, the recursion included."""
+    depths = []
+    inner = duality._strong
+
+    def spy(*args):
+        depths.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(duality, "_strong", spy)
+    return depths
+
+
+def splice_family(system):
+    """cover2's standard family whose strong answer is a spliced tree."""
+    return standardize(StarFamily(system.universe, [[0, 1], [0, 3]]), system)
+
+
+def unmet_family(system):
+    """A standard family on cover3 with no separator at the pair (1, 11)."""
+    return standardize(StarFamily(system.universe, [[1, 3, 9]]), system)
+
+
+class TestStrongMemo:
+    def test_repeat_call_returns_the_held_certificate(self, cover2, strong_calls):
+        fam = splice_family(cover2)
+        cert = strong_duality(cover2, fam)
+        assert strong_calls[:2] == [0, 1]
+        del strong_calls[:]
+        assert strong_duality(cover2, fam) is cert
+        assert strong_calls == []
+
+    def test_repeat_unmet_call_raises_afresh(self, strong_calls):
+        system = gen.full_cover_system(3)
+        fam = unmet_family(system)
+        with pytest.raises(NotFSeparable) as first:
+            strong_duality(system, fam)
+        del strong_calls[:]
+        with pytest.raises(NotFSeparable) as second:
+            strong_duality(system, fam)
+        assert strong_calls == []
+        assert second.value is not first.value
+        assert second.value.witness == first.value.witness == (1, 11)
+        assert str(second.value) == str(first.value)
+
+    def test_dropped_certificate_is_recomputed(self, cover2, strong_calls):
+        fam = splice_family(cover2)
+        doc = strong_duality(cover2, fam).to_json_dict()
+        gc.collect()
+        del strong_calls[:]
+        again = strong_duality(cover2, fam)
+        assert strong_calls[:1] == [0]
+        assert again.to_json_dict() == doc
+
+    @pytest.mark.parametrize("kind", ["stree", "unmet"])
+    def test_long_lived_family_keeps_no_system_alive(self, kind):
+        base = gen.full_cover_system(2 if kind == "stree" else 3)
+        fam = splice_family(base) if kind == "stree" else unmet_family(base)
+        held = []
+        for _ in range(200):
+            system = SeparationSystem(base.universe, base.members)
+            try:
+                held.append(strong_duality(system, fam))
+            except NotFSeparable:
+                held.append(system)
+        assert len(fam.memo) == 200
+        assert {getattr(h, "kind", "unmet") for h in held} == {kind}
+        del held, system
+        gc.collect()
+        assert len(fam.memo) == 0
+
+    def test_child_family_matches_an_equal_root(self, cover2, strong_calls):
+        root = standardize(StarFamily(cover2.universe, ()), cover2)
+        held = [strong_duality(cover2, root)]
+        for ids in ([1], [1, 3]):
+            child = root
+            for i in ids:
+                child = child.with_star([i])
+            assert child.root is root
+            cert = strong_duality(cover2, child)
+            fresh = StarFamily(cover2.universe, child.stars)
+            assert cert.to_json_dict() == strong_duality(cover2, fresh).to_json_dict()
+            held.append(cert)
+        assert [c.kind for c in held] == ["tangle", "tangle", "stree"]
+        assert held[0].picks != held[1].picks
+        # an equal child made again reads its own entry in the root's memo
+        del strong_calls[:]
+        assert strong_duality(cover2, root.with_star([1])) is held[1]
+        assert strong_duality(cover2, root) is held[0]
+        assert strong_calls == []
+
+    def test_auto_standardize_on_a_non_standard_family(self, cover2):
+        def answer(cert):
+            return {k: v for k, v in cert.to_json_dict().items() if k != "transcript"}
+
+        fam = StarFamily(cover2.universe, [[0, 1], [0, 3]])
+        want = answer(strong_duality(cover2, splice_family(cover2)))
+        for _ in range(2):
+            with pytest.raises(FNotStandard):
+                strong_duality(cover2, fam)
+            cert = strong_duality(cover2, fam, auto_standardize=True)
+            assert cert.kind == "stree" and answer(cert) == want
 
 
 def test_grid4x4_k3_has_a_tangle():
