@@ -402,6 +402,11 @@ def run(config: RunConfig) -> int:
         detail = " ".join(str(exc).split())
         print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return 1
+    except RecursionError as exc:
+        # the engines take one Python frame per level, so a system that
+        # needs more levels than the interpreter allows frames ends here
+        print(f"error: the system is too deep for the engines: {exc}", file=sys.stderr)
+        return 1
 
 
 def main(argv: Optional[list[str]] = None) -> None:

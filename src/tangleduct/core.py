@@ -86,9 +86,9 @@ row per id on first use, from the order matrix through ``np.packbits``, so
 each kind of row costs at most n²/8 bytes.
 A :class:`SeparationSystem` keeps its member set as a bit row too, and
 caches per base ``r`` the members above ``r`` and the members with an
-orientation above ``r``; its ``memo`` dict holds what the duality engines
-derive from the system alone.  All of it lives on the object it describes
-and is dropped with it.
+orientation above ``r``.  All of it lives on the object it describes and is
+dropped with it; what the duality engines derive from a system and a family
+lives on the family (see :mod:`tangleduct.duality`).
 
 All objects are immutable; operations construct new values.  Ties are broken
 by least element id everywhere, so identical inputs give identical outputs.
@@ -512,14 +512,16 @@ class OrientedSep:
         return self.universe.leq_ids(self.id, other.id)
 
     def __lt__(self, other: "OrientedSep") -> bool:
-        return self.id != other.id and self.__le__(other)
+        self._require_same_universe(other, "compare")
+        return self.universe.lt_ids(self.id, other.id)
 
     def __ge__(self, other: "OrientedSep") -> bool:
         self._require_same_universe(other, "compare")
         return self.universe.leq_ids(other.id, self.id)
 
     def __gt__(self, other: "OrientedSep") -> bool:
-        return self.id != other.id and self.__ge__(other)
+        self._require_same_universe(other, "compare")
+        return self.universe.lt_ids(other.id, self.id)
 
     def __eq__(self, other) -> bool:
         return self._cmp_ok(other) and other.id == self.id
@@ -550,9 +552,6 @@ class SeparationSystem:
                 )
         self.universe = universe
         self.member_ids = ids
-        # answers the duality engines derive from this system alone
-        # (emulation, shift images); it holds ids and bit rows only
-        self.memo: dict = {}
         self._above_members: dict[int, int] = {}
         self._domains: dict[int, int] = {}
 
@@ -743,16 +742,35 @@ def is_star(sigma: Iterable[OrientedSep]) -> bool:
     """True iff the set of orientations all point towards each other.
 
     Every element must be nondegenerate and satisfy ``s <= t.inverse`` for
-    each other element ``t``.  The empty set is a star.
+    each other element ``t``.  The empty set is a star; elements of
+    different universes raise :class:`MalformedInput`.
     """
-    elems = list({s.id: s for s in sigma}.values())
-    if any(s.is_degenerate for s in elems):
+    elems = list(sigma)
+    for s in elems[1:]:
+        elems[0]._require_same_universe(s, "compare")
+    return not elems or _is_star_ids(elems[0].universe, [s.id for s in elems])
+
+
+def _is_star_ids(universe: Universe, ids: Iterable[int]) -> bool:
+    """:func:`is_star` on element ids, read off bit rows.
+
+    A star holds no degenerate element, and for any two distinct elements
+    ``s`` and ``t`` the bit of ``inv(t)`` is set in ``above_mask(s)``.  An
+    id outside the universe raises ``IndexError``, as ``Universe.sep`` does.
+    """
+    ids = tuple(ids)
+    n = len(universe)
+    for i in ids:
+        if not 0 <= i < n:
+            raise IndexError(f"element id {i} outside a universe of {n}")
+    flips = [universe.inv_id(i) for i in ids]
+    if any(i == f for i, f in zip(ids, flips)):
         return False
-    for i, s in enumerate(elems):
-        for j, t in enumerate(elems):
-            if i != j and not s <= t.inverse:
-                return False
-    return True
+    if len(ids) < 2:  # the engines' singletons need no bit row
+        return True
+    row = _id_row(flips)
+    # s <= inv(s) is not required, so the bit of inv(s) is let through
+    return not any(row & ~(universe.above_mask(i) | 1 << f) for i, f in zip(ids, flips))
 
 
 def is_nested(r: OrientedSep, s: OrientedSep) -> bool:

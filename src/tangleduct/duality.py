@@ -15,25 +15,25 @@ checked globally up front (that would be exponential); it is witnessed on
 demand, and a failure surfaces as :class:`NotFSeparable` with the offending
 pair.
 
-The separator search is the strong engine's hot path: each candidate is an
-emulation check against every qualifying star of the family.  It works on
-bit rows (see :mod:`tangleduct.core`).  A star qualifies for base ``r``
-when its bit row lies inside the system's domain row for ``r`` and meets
-the members-above-``r`` row, and the family caches that selection per row
-pair.  The family-independent parts are kept in the system's ``memo``: the
-plain emulation answer per ``(s0, r)``, and per ``(r, s0)`` the shift image
-of every id, built from one join column of ``s0``.  Each image is then
-checked by its bit row against the family's set of star rows.
-
-Only a root family's stars are scanned.  Every family the engines recurse
-on is a root plus extra singleton stars (:meth:`StarFamily.with_star`),
-so the root is scanned once per ``(s0, r)``, and its ``memo`` keeps the
-bit row of the ids ``y`` whose singleton image ``{y}`` it lacks, or -1
-when it lacks a larger image, which no child can add.  A child passes iff
-those bits lie in its ``extra`` row and each qualifying extra singleton
-``{x}`` shifts to a singleton that the root or ``extra`` holds.  The
-search still checks every candidate in the same order, so its answers and
-its count of emulation checks are those of a scan from scratch.
+The separator search is the strong engine's hot path: each candidate
+``s0`` for a base ``r`` is an emulation check against every star that
+qualifies for ``r``: its bit row (see :mod:`tangleduct.core`) lies inside
+the system's domain row for ``r``, minus ``inv(r)``, and meets the
+members-above-``r`` row.  Only a root family's stars are scanned, once per
+``(s0, r)``, into one entry of the dict that the root keeps for the system
+in its ``memo``: ``None`` when ``s0`` does not emulate ``r``, else
+``(lacking, image)``.  ``image`` is a read-only ``int32`` array of every
+id's shift across ``s0``, built in the numpy pass over the join column of
+``s0`` that checks emulation, and maps at once the root's qualifying stars
+for ``r``, which the same dict keeps as rows of ids.  ``lacking`` is the bit
+row of the ids ``y`` whose singleton image ``{y}`` the root lacks, or -1
+when it lacks a larger image, which no child can add.  Every family the
+engines recurse on is a root plus extra singletons
+(:meth:`StarFamily.with_star`); a child passes iff ``lacking`` lies in its
+``extra`` row and each qualifying extra ``{x}`` shifts to a singleton that
+the root or ``extra`` holds.  Candidates are checked in the same order, so
+the answers and the count of emulation checks are those of a scan from
+scratch.  Nothing is kept on the system.
 
 The strong engine memoizes its recursion by the family's forced ids, not
 by its star set.  Each step recurses on the family plus one singleton star
@@ -82,6 +82,7 @@ from .core import (
     _first_conflict,
     _id_row,
     _is_id,
+    _readonly,
     is_consistent,
     is_orientation,
 )
@@ -276,85 +277,60 @@ def shift_map(r, s0, target, system: SeparationSystem) -> OrientedSep:
         raise MalformedInput("shift target is not a member of the system")
     if t_id == r_id:
         return u.sep(s0_id)
-    # the image table joins r's inverse with s0 when r is small
-    if t_id == u.inv_id(r_id):
+    inv_t = u.inv_id(t_id)
+    if inv_t == r_id:
         return u.sep(u.inv_id(s0_id))
-    if not system.domain_mask(r_id) >> t_id & 1:
+    above, below = u.leq_ids(r_id, t_id), u.leq_ids(r_id, inv_t)
+    if not (above or below):
         raise TargetNotAboveR(t_id, r_id)
-    image = _shift_image_bits(system, r_id, s0_id)[t_id].bit_length() - 1
+    if above and below:
+        raise InternalInvariant("both orientations of a shift target lie above the base")
+    image = int(u.join_column(s0_id)[t_id if above else inv_t])
     if image < 0:
         raise MalformedInput(f"the shift of {t_id} across {s0_id} lies outside the universe")
-    return u.sep(image)
+    return u.sep(image if above else u.inv_id(image))
 
 
 def emulates(s0, r, system: SeparationSystem) -> bool:
     """Does ``s0 ≥ r`` keep every join with a member above ``r`` inside?
 
     Checks ``s ∨ s0`` for membership, over all members ``s ≥ r`` other than
-    the inverse of ``r``.  The answer depends on the system alone, so it is
-    kept in the system's ``memo``.
+    the inverse of ``r``, in one numpy pass over the join column of ``s0``.
     """
-    return _emulates_ids(_as_id(s0), _as_id(r), system)
+    return _shift_image(system, _as_id(s0), _as_id(r)) is not None
 
 
-def _emulates_ids(s0: int, r: int, system: SeparationSystem) -> bool:
-    key = ("emulates", s0, r)
-    ok = system.memo.get(key)
-    if ok is None:
-        # a pair in the memo has passed these checks on this same system
-        if s0 not in system.member_ids:
-            raise MalformedInput("s0 is not a member of the system")
-        if system.universe.is_degenerate_id(r):
-            raise MalformedInput("emulation base is degenerate")
-        ok = system.memo[key] = _joins_stay_inside(system, s0, r)
-    return ok
-
-
-def _joins_stay_inside(system: SeparationSystem, s0: int, r: int) -> bool:
+def _shift_image(system: SeparationSystem, s0: int, r: int) -> Optional[np.ndarray]:
+    """The shift across ``s0`` of every id for base ``r`` (as
+    :func:`shift_map`, and -1 outside the domain of ``r``), as a read-only
+    ``int32`` array, or ``None`` when ``s0`` does not emulate ``r``; each
+    shift is then a member.  A nontrivial base has no target with both
+    orientations above it, so ``up`` decides which one is joined."""
     u = system.universe
+    if s0 not in system.member_ids:
+        raise MalformedInput("s0 is not a member of the system")
+    if u.is_degenerate_id(r):
+        raise MalformedInput("emulation base is degenerate")
     if not u.leq_ids(r, s0):
-        return False
-    flags = system.member_flags
-    above = flags & u.leq_matrix()[r]
-    above[u.inv_id(r)] = False
-    joins = u.join_column(s0)[above]
-    # -1: the join is not in the universe, so not a member either
-    return bool((joins >= 0).all() and flags[joins].all())
-
-
-def _shift_image_bits(system: SeparationSystem, r: int, s0: int) -> list[int]:
-    """The bit of each member's shift across ``s0`` (as :func:`shift_map`).
-
-    Built from the join column of ``s0`` for every id at once (``r``
-    itself joins to ``s0``, as ``r <= s0``) and cached per pair.  Only the
-    entries read by ``emulates_for_family`` are meaningful: members with an
-    orientation above ``r``, other than ``r``'s inverse, which no qualifying
-    star holds.  Non-members get 0, so a list costs O(members · n/8) bytes,
-    and so does a member whose image is not in the universe: once
-    ``s0`` emulates ``r``, no entry that is read is one of these.
-    """
-    key = ("shift", r, s0)
-    bits = system.memo.get(key)
-    if bits is not None:
-        return bits
-    u = system.universe
+        return None
     inv = u.inverse_table()
+    flags = system.member_flags
     col = u.join_column(s0)
     up = u.leq_matrix()[r]
-    both = up & up[inv] & system.member_flags
-    both[[r, inv[r]]] = False
-    if both.any():
-        raise InternalInvariant(
-            "both orientations of a shift target lie above the base"
-        )
-    back = col[inv]
-    image = np.where(up, col, np.where(back < 0, -1, inv[back])).tolist()
-    bits = [0] * len(image)
-    for t in system.members:
-        if image[t] >= 0:
-            bits[t] = 1 << image[t]
-    system.memo[key] = bits
-    return bits
+    above = flags & up
+    above[inv[r]] = False
+    joins = col[above]
+    # -1: the join is not in the universe, so not a member either
+    if not ((joins >= 0).all() and flags[joins].all()):
+        return None
+    domain = flags & (up | up[inv])
+    image = np.where(domain, np.where(up, col, inv[col[inv]]), -1).astype(np.int32)
+    image[r], image[inv[r]] = s0, inv[s0]
+    return _readonly(image)
+
+
+# the value a key not yet in a root memo reads
+_UNSEEN = object()
 
 
 def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> bool:
@@ -362,28 +338,34 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
 
     A star qualifies when all its elements belong to separations with an
     orientation above ``r``, none of them is the inverse of ``r``, and at
-    least one lies above ``r`` itself.  The root family's stars are scanned
-    once per ``(s0, r)`` (:func:`_root_lacks`); a
+    least one lies above ``r`` itself.  The root family's answer is kept
+    as one entry per ``(s0, r)`` (:func:`_root_entry`); a
     :meth:`~StarFamily.with_star` child then checks only its extra
     singletons.
     """
     _check_same_universe(family, system)
     s0_id, r_id = _as_id(s0), _as_id(r)
     _require_usable_base(r_id, system, "emulation base")
-    if not _emulates_ids(s0_id, r_id, system):
+    root = family if family.root is None else family.root
+    memo = _root_memo(root, system)
+    entry = memo.get((s0_id, r_id), _UNSEEN)
+    if entry is _UNSEEN:
+        # only a miss checks s0: a pair in the memo passed on this system
+        entry = memo[s0_id, r_id] = _root_entry(system, root, memo, s0_id, r_id)
+    if entry is None:
         return False
-    root = family.root if family.root is not None else family
-    lacking, extra = _root_lacks(system, root, s0_id, r_id), family.extra
+    lacking, image = entry
+    extra = family.extra
     if lacking < 0 or lacking & ~extra:
         return False
     allowed = system.domain_mask(r_id) & ~(1 << system.universe.inv_id(r_id))
     qualifying = extra & allowed & system.members_above(r_id)
     if not qualifying:
         return True
-    bits = _shift_image_bits(system, r_id, s0_id)
     present = root.mask_set
     return all(
-        bits[x] & extra or bits[x] in present for x in _bit_ids(qualifying)
+        extra >> y & 1 or 1 << y in present
+        for y in image[_bit_ids(qualifying)].tolist()
     )
 
 
@@ -396,34 +378,48 @@ def _root_memo(family: StarFamily, system: SeparationSystem) -> dict:
     return memo
 
 
-def _root_lacks(system: SeparationSystem, root: StarFamily, s0: int, r: int) -> int:
-    """The bit row of the ids ``y`` whose singleton ``{y}`` is the shift
-    image of a qualifying star that the root family lacks, or -1 when the
-    root lacks a larger image, which no child can add.  Kept in
-    ``root.memo`` under the system, as it decides which stars qualify, and
-    ``(s0, r)``."""
-    memo = _root_memo(root, system)
-    key = (s0, r)
-    lacking = memo.get(key)
-    if lacking is not None:
-        return lacking
-    allowed = system.domain_mask(r) & ~(1 << system.universe.inv_id(r))
-    qualifying = root.stars_inside(allowed, system.members_above(r))
+def _root_entry(
+    system: SeparationSystem, root: StarFamily, memo: dict, s0: int, r: int
+) -> Optional[tuple[int, np.ndarray]]:
+    """``None`` when ``s0`` does not emulate ``r``, else ``(lacking, image)``:
+    the bit row of the ids ``y`` whose singleton ``{y}`` is the shift image
+    of a qualifying star that the root lacks, or -1 when it lacks a larger
+    image, which no child can add; and the :func:`_shift_image` that maps
+    every qualifying star at once."""
+    image = _shift_image(system, s0, r)
+    if image is None:
+        return None
+    rows = _qualifying(system, root, memo, r)
+    shifted = image[rows]
+    # a star that the shift fixes is its own image, which the root holds
+    moved = shifted[(shifted != rows).any(axis=1)]
     lacking = 0
-    if qualifying:
-        bits = _shift_image_bits(system, r, s0)
-        present = root.mask_set
-        for sigma in qualifying:
-            image = 0
-            for t in sigma:
-                image |= bits[t]
-            if image not in present:
-                if image & (image - 1):
-                    lacking = -1
-                    break
-                lacking |= image
-    memo[key] = lacking
-    return lacking
+    stars = root.stars
+    for star in map(frozenset, moved.tolist()):
+        if star not in stars:
+            if len(star) > 1:
+                lacking = -1
+                break
+            (y,) = star
+            lacking |= 1 << y
+    return lacking, image
+
+
+def _qualifying(
+    system: SeparationSystem, root: StarFamily, memo: dict, r: int
+) -> np.ndarray:
+    """The rows of ``root.star_rows`` whose stars qualify for base ``r``,
+    picked by their bit rows and kept in ``memo`` under ``("stars", r)``."""
+    rows = memo.get(("stars", r))
+    if rows is None:
+        outside = ~(system.domain_mask(r) & ~(1 << system.universe.inv_id(r)))
+        touching = system.members_above(r)
+        masks = root.star_masks
+        # the empty star, first when present, qualifies nowhere and has no row
+        masks = masks[1:] if masks and not masks[0] else masks
+        keep = [i for i, mask in enumerate(masks) if mask & touching and not mask & outside]
+        rows = memo["stars", r] = _readonly(root.star_rows[keep])
+    return rows
 
 
 def find_separator(

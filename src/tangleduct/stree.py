@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .core import (
     OrientedSep,
     SeparationSystem,
@@ -30,6 +32,8 @@ from .core import (
     _id_entry,
     _id_row,
     _is_id,
+    _is_star_ids,
+    _readonly,
 )
 from .errors import (
     AlphaImageOutsideS,
@@ -58,41 +62,20 @@ def _bit_ids(mask: int) -> list[int]:
     return out
 
 
-def _is_star_ids(universe: Universe, ids: Iterable[int]) -> bool:
-    """:func:`~tangleduct.core.is_star` on element ids, read off bit rows.
-
-    A star holds no degenerate element, and for any two distinct elements
-    ``s`` and ``t`` the bit of ``inv(t)`` is set in ``above_mask(s)``.  An
-    id outside the universe raises ``IndexError``, as ``Universe.sep`` does.
-    """
-    ids = tuple(ids)
-    n = len(universe)
-    for i in ids:
-        if not 0 <= i < n:
-            raise IndexError(f"element id {i} outside a universe of {n}")
-    flips = [universe.inv_id(i) for i in ids]
-    if any(i == f for i, f in zip(ids, flips)):
-        return False
-    if len(ids) < 2:  # the engines' singletons need no bit row
-        return True
-    row = _id_row(flips)
-    # s <= inv(s) is not required, so the bit of inv(s) is let through
-    return not any(row & ~(universe.above_mask(i) | 1 << f) for i, f in zip(ids, flips))
-
-
 class StarFamily:
     """A canonicalized set of stars, each a set of element ids of one universe.
 
     Besides ``stars`` a family keeps an index for the engines: the stars in
     canonical order (``sorted_stars``), each star's bit row over element ids
-    (``star_masks``, with ``mask_set`` for membership tests), and the ids
-    its singleton stars force.  Each part is built from ``stars`` on first
-    use.
+    (``star_masks``, with ``mask_set`` for membership tests), the nonempty
+    stars as rows of ids (``star_rows``), and the ids its singleton stars
+    force.  Each part is built from ``stars`` on first use.
 
     A family built by the constructor is a *root*: ``root`` is ``None`` and
     it holds its ``stars``, plus a ``memo`` that the engines fill per
-    system, with root scans per ``(s0, r)`` and the strong engine's
-    answers per ``extra`` row.  The memo holds its systems weakly, so a
+    system, with the separator search's answers per ``(s0, r)``, its
+    qualifying stars per base ``r`` and the strong engine's answers per
+    ``extra`` row.  The memo holds its systems weakly, so a
     family used with many systems keeps none of them alive.
     :meth:`with_star` adds a singleton star without copying: the child's
     ``root`` is the root family and ``extra`` is the bit row of the ids
@@ -143,13 +126,19 @@ class StarFamily:
         return self.root.mask_set.union(1 << i for i in _bit_ids(self.extra))
 
     @cached_property
+    def star_rows(self) -> np.ndarray:
+        """The nonempty stars, in canonical order, as the rows of a
+        read-only ``int32`` matrix; a star shorter than the longest repeats
+        its least id, which leaves it the same set."""
+        stars = [sorted(sigma) for sigma in self.sorted_stars if sigma]
+        width = max(map(len, stars), default=0)
+        rows = np.array([s + s[:1] * (width - len(s)) for s in stars], dtype=np.int32)
+        return _readonly(rows.reshape(len(stars), width))
+
+    @cached_property
     def _inverse_singletons(self) -> frozenset[int]:
         inv = self.universe.inv_id
         return frozenset(inv(next(iter(s))) for s in self.stars if len(s) == 1)
-
-    @cached_property
-    def _inside(self) -> dict[tuple[int, int], tuple[frozenset[int], ...]]:
-        return {}
 
     def __iter__(self):
         return iter(self.sorted_stars)
@@ -190,20 +179,6 @@ class StarFamily:
         out.extra = self.extra | 1 << i
         out._inverse_singletons = self._inverse_singletons | {self.universe.inv_id(i)}
         return out
-
-    def stars_inside(self, allowed: int, touching: int) -> tuple[frozenset[int], ...]:
-        """Stars, in canonical order, with every element's bit in ``allowed``
-        and some element's bit in ``touching`` (cached per argument pair)."""
-        key = (allowed, touching)
-        hit = self._inside.get(key)
-        if hit is None:
-            outside = ~allowed
-            hit = self._inside[key] = tuple([
-                sigma
-                for sigma, mask in zip(self.sorted_stars, self.star_masks)
-                if mask & touching and not mask & outside
-            ])
-        return hit
 
     def restricted_to(self, system: SeparationSystem) -> "StarFamily":
         """The sub-family of stars lying entirely inside the system; the

@@ -15,6 +15,7 @@ import pytest
 import gen
 from tangleduct import (
     StarFamily,
+    build_set_universe,
     is_consistent,
     orientation_picks,
     standardize,
@@ -260,6 +261,27 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+def test_recursion_too_deep_is_one_error_line(tmp_path, capsys):
+    """The engines take one frame per level: on the system of every
+    bipartition of 11 points (2,048 members) both end in one error line."""
+    ground = [str(i) for i in range(11)]
+    pairs = [
+        (gen._names(ground, a), gen._names(ground, (1 << 11) - 1 & ~a))
+        for a in range(1 << 11)
+    ]
+    system = build_set_universe(ground, pairs)
+    family = standardize(StarFamily(system.universe, []), system)
+    path = tmp_path / "deep.json"
+    path.write_text(
+        json.dumps({"system": system_to_json_dict(system), "family": family.to_json_dict()})
+    )
+    for command in ("weak", "strong"):
+        assert run(RunConfig(command, str(path))) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and "recursion" in err
 
 
 MALFORMED_PICKS = {

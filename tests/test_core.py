@@ -1,6 +1,7 @@
 """Universe axioms, triviality, consistency predicates, and JSON round trips."""
 
 import gc
+import operator
 import weakref
 
 import numpy as np
@@ -180,6 +181,15 @@ class TestOrientedSep:
             a <= b
         with pytest.raises(MalformedInput):
             a >= b
+        # the strict orders check the universe before the ids
+        with pytest.raises(MalformedInput):
+            a < b
+        with pytest.raises(MalformedInput):
+            a > b
+        # and so does every order against a value that is no separation
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(MalformedInput):
+                op(a, 3)
         with pytest.raises(MalformedInput):
             a.join(b)
         with pytest.raises(MalformedInput):
@@ -294,6 +304,13 @@ class TestStars:
         # {s, s*} is formally a star; two different corners are not
         assert is_star([u.sep(1), u.sep(3)])
         assert not is_star([u.sep(1), u.sep(2)])
+
+    def test_star_of_mixed_universes_rejected(self, cover2, cover3):
+        with pytest.raises(MalformedInput):
+            is_star([cover2.universe.sep(0), cover3.universe.sep(0)])
+        # even when an element is degenerate, which alone ends the check
+        with pytest.raises(MalformedInput):
+            is_star([cover2.universe.sep(8), cover3.universe.sep(1)])
 
     def test_star_collapses_repeats(self, cover2):
         u = cover2.universe

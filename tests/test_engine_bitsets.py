@@ -22,6 +22,7 @@ import random
 import re
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,16 +37,18 @@ from tangleduct import (
     StarFamily,
     TargetNotAboveR,
     avoids,
+    emulates,
     emulates_for_family,
     find_inconsistency,
     graph_separations,
     is_order_respecting,
+    shift_map,
     star_sort_key,
     strong_duality,
     violating_star,
     weak_duality,
 )
-from tangleduct.duality import _least_minimal_below
+from tangleduct.duality import _least_minimal_below, _root_memo
 
 
 tk = gen.bench_tk()
@@ -497,9 +500,9 @@ def assert_chain_agrees(system, chain, bases):
     """
     u = system.universe
     # the family-independent parts of the reference, computed once
-    emulating = [
+    emulating = {
         (cand, r) for r in bases for cand in system.members if ref_emulates(cand, r, system)
-    ]
+    }
     images = {}
     for fam, want_stars in [chain[-1], *chain]:
         dense = StarFamily(u, want_stars, validate=False)
@@ -509,7 +512,6 @@ def assert_chain_agrees(system, chain, bases):
             touching = system.members_above(r)
             qualifying[r] = ref_qualifying(r, system, dense)
             assert ref_stars_inside(dense, allowed, touching) == tuple(qualifying[r])
-            assert fam.stars_inside(allowed, touching) == tuple(qualifying[r])
         want = dict.fromkeys(((c, r) for r in bases for c in system.members), False)
         for cand, r in emulating:
             want[cand, r] = True
@@ -524,6 +526,18 @@ def assert_chain_agrees(system, chain, bases):
                     break
         for (cand, r), ok in want.items():
             assert emulates_for_family(cand, r, system, fam) == ok, (cand, r)
+        # the root's memo: one entry per pair, None iff s0 does not emulate
+        # r, and the qualifying stars of the root as rows of ids
+        root = fam if fam.root is None else fam.root
+        root_dense = StarFamily(u, root.stars, validate=False)
+        memo = _root_memo(fam, system)
+        for r in bases:
+            for cand in system.members:
+                assert (memo[cand, r] is None) == ((cand, r) not in emulating)
+            rows = memo.get(("stars", r))
+            if rows is not None:
+                shown = [frozenset(row) for row in rows.tolist()]
+                assert shown == ref_qualifying(r, system, root_dense)
 
 
 def random_chain(rng, system, family, steps):
@@ -587,7 +601,7 @@ def test_child_adding_the_singleton_images_its_root_lacks(rng):
                 singles = [y for image in missing if len(image) == 1 for y in image]
                 row = sum(1 << y for y in singles)
                 larger = len(singles) < len(missing)
-                assert family.memo[system][cand, r] == (-1 if larger else row)
+                assert family.memo[system][cand, r][0] == (-1 if larger else row)
                 if not singles:
                     continue
                 child = family
@@ -601,6 +615,38 @@ def test_child_adding_the_singleton_images_its_root_lacks(rng):
                 assert got == ref_emulates_for_family(cand, r, system, dense) == (not larger)
                 answers.append(got)
     assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("name, k", sorted(tk.EXPECTED_KIND))
+def test_shift_map_reads_the_cached_image(name, k):
+    """On every ladder system, ``shift_map`` of each target in the domain
+    of ``r``, read from one join column, equals the image array of the
+    root memo's ``(s0, r)`` entry for every emulating pair; the array holds
+    -1 at every other id, and the entry is ``None`` iff ``s0`` does not
+    emulate ``r``."""
+    graph = GraphInput.parse(tk.GRAPHS[name])
+    system = graph_separations(graph, k)
+    family = tk.tk_family(system, graph)
+    u = system.universe
+    memo = _root_memo(family, system)
+    pairs = 0
+    for r in usable_bases(system):
+        domain = system.domain_mask(r)
+        for s0 in system.members:
+            emulates_for_family(s0, r, system, family)
+            entry = memo[s0, r]
+            assert (entry is None) == (not emulates(s0, r, system))
+            if entry is None:
+                continue
+            image = entry[1]
+            assert image.dtype == np.int32 and not image.flags.writeable
+            for t in range(len(u)):
+                if domain >> t & 1:
+                    assert shift_map(r, s0, t, system).id == image[t], (s0, r, t)
+                else:
+                    assert image[t] == -1
+            pairs += 1
+    assert pairs
 
 
 # --- pool scans on bit rows ------------------------------------------------------------
