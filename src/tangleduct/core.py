@@ -198,7 +198,7 @@ class Universe:
         self._check_involution()
 
         if join is None:
-            self._join = self._derive_join(up)  # the supremum by construction
+            self._join = self._derive_join()  # the supremum by construction
         else:
             join = self._join = _id_table(join, n, "join")
         if meet is not None:
@@ -271,22 +271,40 @@ class Universe:
                 a, b = (int(x) for x in np.argwhere(mismatch)[0])
                 raise InvolutionNotOrderReversing(lo + a, b)
 
-    def _derive_join(self, up: np.ndarray) -> np.ndarray:
-        """The join table from the order alone: ``join(r, s)`` is the id whose
-        packed up-row is ``up[r] & up[s]``, their common upper bounds.
+    def _derive_join(self) -> np.ndarray:
+        """The join table from the order alone: ``join(r, s)`` is the id
+        whose up-row is the common up-row of ``r`` and ``s``.
 
-        Antisymmetry makes up-rows distinct, so one dict maps each to its id.
+        Sorted by the size of their up-rows, largest first, the ids follow
+        the order, so such an id is the first of the common row.  Each row
+        ``r`` of the table takes, for every ``s`` at once, the first id of
+        the common row as packed words (the first nonzero word and its
+        lowest bit) and keeps it when that id's up-row is the whole common
+        row; else no id has it, and the first such pair in row-major order
+        raises.
         """
-        n = len(up)
-        width = up.shape[1] * 8  # bytes a packed row
-        ids = {row.tobytes(): i for i, row in enumerate(up)}
+        leq = self._leq
+        n = len(leq)
+        order = np.argsort(-leq.sum(axis=1), kind="stable")
+        words = -(-n // 64)
+        bits = np.zeros((n, words * 64), dtype=bool)
+        bits[:, :n] = leq[:, order]
+        # bit j of the packed row of r: whether r <= order[j]
+        up = np.packbits(bits, axis=1, bitorder="little").view("<u8")
         table = np.empty((n, n), dtype=np.int32)
-        for r in range(n):
-            common = (up[r] & up).tobytes()
-            row = [ids.get(common[i : i + width], -1) for i in range(0, n * width, width)]
-            if -1 in row:
-                raise JoinNotSupremum(r, row.index(-1), -1)
-            table[r] = row
+        rows = _chunk_rows(n * words)
+        for lo in range(0, n, rows):
+            common = up[lo : lo + rows, None, :] & up
+            word = (common != 0).argmax(axis=2)
+            v = np.take_along_axis(common, word[..., None], axis=2)[..., 0]
+            # the lowest bit of each first nonzero word; 0 for an empty row
+            low = np.log2(v & (~v + np.uint64(1)), where=v != 0, out=np.zeros(v.shape))
+            first = order[word * 64 + low.astype(np.int64)]
+            bad = ~(up[first] == common).all(axis=2)
+            if bad.any():
+                r, s = (int(x) for x in np.argwhere(bad)[0])
+                raise JoinNotSupremum(lo + r, s, -1)
+            table[lo : lo + rows] = first
         return _readonly(table)
 
     def _check_bounds(

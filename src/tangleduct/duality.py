@@ -19,21 +19,25 @@ The separator search is the strong engine's hot path: each candidate
 ``s0`` for a base ``r`` is an emulation check against every star that
 qualifies for ``r``: its bit row (see :mod:`tangleduct.core`) lies inside
 the system's domain row for ``r``, minus ``inv(r)``, and meets the
-members-above-``r`` row.  Only a root family's stars are scanned, once per
+members-above-``r`` row.  Emulation itself is read off bit rows: ``s0``
+must lie in the up-row of ``r``, and its join with each member above
+``r`` but ``inv(r)``, read from the join column of ``s0`` as a list, must
+be a member.  Only a root family's stars are scanned, once per
 ``(s0, r)``, into one entry of the dict that the root keeps for the system
 in its ``memo``: ``None`` when ``s0`` does not emulate ``r``, else
-``(lacking, image)``.  ``image`` is a read-only ``int32`` array of every
-id's shift across ``s0``, built in the numpy pass over the join column of
-``s0`` that checks emulation, and maps at once the root's qualifying stars
-for ``r``, which the same dict keeps as rows of ids.  ``lacking`` is the bit
-row of the ids ``y`` whose singleton image ``{y}`` the root lacks, or -1
-when it lacks a larger image, which no child can add.  Every family the
-engines recurse on is a root plus extra singletons
+``lacking``, the bit row of the ids ``y`` whose singleton image ``{y}``
+the root lacks, or -1 when it lacks a larger image, which no child can
+add.  The same dict keeps, per base ``r``, the indices of the root's
+qualifying stars in its canonical order.  A scan of a few stars shifts
+them one id at a time in Python; a long one shifts every id at once with
+numpy and maps the stars' rows (:attr:`StarFamily.star_rows`) with one
+gather, so the small systems pay no numpy call per pair.  Every family
+the engines recurse on is a root plus extra singletons
 (:meth:`StarFamily.with_star`); a child passes iff ``lacking`` lies in its
-``extra`` row and each qualifying extra ``{x}`` shifts to a singleton that
-the root or ``extra`` holds.  Candidates are checked in the same order, so
-the answers and the count of emulation checks are those of a scan from
-scratch.  Nothing is kept on the system.
+``extra`` row and each qualifying extra ``{x}``, which lies above ``r``,
+joins ``s0`` to a singleton that the root or ``extra`` holds.  Candidates
+are checked in the same order, so the answers and the count of emulation
+checks are those of a scan from scratch.  Nothing is kept on the system.
 
 The strong engine memoizes its recursion by the family's forced ids, not
 by its star set.  Each step recurses on the family plus one singleton star
@@ -70,6 +74,7 @@ Nothing else is kept: every other error is raised afresh.
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass, replace
 from typing import NoReturn, Optional
 
@@ -78,11 +83,11 @@ import numpy as np
 from .core import (
     OrientedSep,
     SeparationSystem,
+    Universe,
     _as_id,
     _first_conflict,
     _id_row,
     _is_id,
-    _readonly,
     is_consistent,
     is_orientation,
 )
@@ -295,42 +300,70 @@ def emulates(s0, r, system: SeparationSystem) -> bool:
     """Does ``s0 ≥ r`` keep every join with a member above ``r`` inside?
 
     Checks ``s ∨ s0`` for membership, over all members ``s ≥ r`` other than
-    the inverse of ``r``, in one numpy pass over the join column of ``s0``.
+    the inverse of ``r``, reading the join column of ``s0`` once.
     """
-    return _shift_image(system, _as_id(s0), _as_id(r)) is not None
+    return _emulating_column(system, _as_id(s0), _as_id(r)) is not None
 
 
-def _shift_image(system: SeparationSystem, s0: int, r: int) -> Optional[np.ndarray]:
-    """The shift across ``s0`` of every id for base ``r`` (as
-    :func:`shift_map`, and -1 outside the domain of ``r``), as a read-only
-    ``int32`` array, or ``None`` when ``s0`` does not emulate ``r``; each
-    shift is then a member.  A nontrivial base has no target with both
-    orientations above it, so ``up`` decides which one is joined."""
+def _emulating_column(system: SeparationSystem, s0: int, r: int) -> Optional[list[int]]:
+    """The join column of ``s0`` as a list when ``s0`` emulates ``r``, else
+    ``None``: the joins of ``s0`` with the members above ``r`` but its
+    inverse, read off the bits of their row, must all be members (-1, a
+    join outside the universe, is not)."""
     u = system.universe
-    if s0 not in system.member_ids:
+    members = system.member_ids
+    if s0 not in members:
         raise MalformedInput("s0 is not a member of the system")
     if u.is_degenerate_id(r):
         raise MalformedInput("emulation base is degenerate")
-    if not u.leq_ids(r, s0):
+    if not u.above_mask(r) >> s0 & 1:
         return None
+    col = u.join_column(s0).tolist()
+    rest = system.members_above(r) & ~(1 << u.inv_id(r))
+    while rest:
+        low = rest & -rest
+        if col[low.bit_length() - 1] not in members:
+            return None
+        rest ^= low
+    return col
+
+
+def _shift_id(u: Universe, r: int, s0: int, col: list[int], y: int) -> int:
+    """The shift of ``y`` across ``s0`` for base ``r``, as :func:`shift_map`
+    gives it, from the join column ``col`` of ``s0``: ``y`` must lie in the
+    domain of ``r`` and ``s0`` emulate ``r``, so every join read is a member."""
+    inv = u.inv_id
+    if y == r:
+        return s0
+    inv_y = inv(y)
+    if inv_y == r:
+        return inv(s0)
+    if u.above_mask(r) >> y & 1:
+        return col[y]
+    return inv(col[inv_y])
+
+
+def _shift_all(u: Universe, r: int, s0: int) -> np.ndarray:
+    """:func:`_shift_id` of every id in the domain of ``r`` at once, as an
+    array; its entries at other ids mean nothing."""
     inv = u.inverse_table()
-    flags = system.member_flags
     col = u.join_column(s0)
-    up = u.leq_matrix()[r]
-    above = flags & up
-    above[inv[r]] = False
-    joins = col[above]
-    # -1: the join is not in the universe, so not a member either
-    if not ((joins >= 0).all() and flags[joins].all()):
-        return None
-    domain = flags & (up | up[inv])
-    image = np.where(domain, np.where(up, col, inv[col[inv]]), -1).astype(np.int32)
+    image = np.where(u.leq_matrix()[r], col, inv[col[inv]])
     image[r], image[inv[r]] = s0, inv[s0]
-    return _readonly(image)
+    return image
 
 
 # the value a key not yet in a root memo reads
 _UNSEEN = object()
+
+# Root scans of at most this many qualifying stars shift each star in
+# Python; longer ones shift every id with numpy and map the stars with one
+# gather.  Per pass at seed 1 of the benchmark, random-census runs 7,771
+# scans, none of more than 10 stars (median 2), rs-engine 210, 208 of them
+# above 16 (median 167), and graph-build 69, all above (median 224).
+# Shifting rs-engine's long scans in Python made its pass about 30% slower,
+# and the gather on every random-census scan made its pass about 5% slower.
+_SHORT_SCAN = 16
 
 
 def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> bool:
@@ -341,32 +374,33 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
     least one lies above ``r`` itself.  The root family's answer is kept
     as one entry per ``(s0, r)`` (:func:`_root_entry`); a
     :meth:`~StarFamily.with_star` child then checks only its extra
-    singletons.
+    singletons, shifting each by one join lookup.
     """
     _check_same_universe(family, system)
     s0_id, r_id = _as_id(s0), _as_id(r)
     _require_usable_base(r_id, system, "emulation base")
     root = family if family.root is None else family.root
     memo = _root_memo(root, system)
-    entry = memo.get((s0_id, r_id), _UNSEEN)
-    if entry is _UNSEEN:
+    lacking = memo.get((s0_id, r_id), _UNSEEN)
+    if lacking is _UNSEEN:
         # only a miss checks s0: a pair in the memo passed on this system
-        entry = memo[s0_id, r_id] = _root_entry(system, root, memo, s0_id, r_id)
-    if entry is None:
-        return False
-    lacking, image = entry
+        lacking = memo[s0_id, r_id] = _root_entry(system, root, memo, s0_id, r_id)
     extra = family.extra
-    if lacking < 0 or lacking & ~extra:
+    if lacking is None or lacking < 0 or lacking & ~extra:
         return False
-    allowed = system.domain_mask(r_id) & ~(1 << system.universe.inv_id(r_id))
+    u = system.universe
+    allowed = system.domain_mask(r_id) & ~(1 << u.inv_id(r_id))
     qualifying = extra & allowed & system.members_above(r_id)
     if not qualifying:
         return True
+    # each qualifying id lies above r, so its shift is its join with s0
+    col = u.join_column(s0_id)
     present = root.mask_set
-    return all(
-        extra >> y & 1 or 1 << y in present
-        for y in image[_bit_ids(qualifying)].tolist()
-    )
+    for x in _bit_ids(qualifying):
+        y = int(col[x])
+        if not (extra >> y & 1 or 1 << y in present):
+            return False
+    return True
 
 
 def _root_memo(family: StarFamily, system: SeparationSystem) -> dict:
@@ -380,46 +414,56 @@ def _root_memo(family: StarFamily, system: SeparationSystem) -> dict:
 
 def _root_entry(
     system: SeparationSystem, root: StarFamily, memo: dict, s0: int, r: int
-) -> Optional[tuple[int, np.ndarray]]:
-    """``None`` when ``s0`` does not emulate ``r``, else ``(lacking, image)``:
-    the bit row of the ids ``y`` whose singleton ``{y}`` is the shift image
-    of a qualifying star that the root lacks, or -1 when it lacks a larger
-    image, which no child can add; and the :func:`_shift_image` that maps
-    every qualifying star at once."""
-    image = _shift_image(system, s0, r)
-    if image is None:
+) -> Optional[int]:
+    """``None`` when ``s0`` does not emulate ``r``, else the bit row of the
+    ids ``y`` whose singleton ``{y}`` is the shift image of a qualifying
+    star that the root lacks, or -1 when it lacks a larger image, which no
+    child can add.  A short scan shifts star by star (:data:`_SHORT_SCAN`),
+    a long one maps all its stars with one gather."""
+    col = _emulating_column(system, s0, r)
+    if col is None:
         return None
-    rows = _qualifying(system, root, memo, r)
-    shifted = image[rows]
-    # a star that the shift fixes is its own image, which the root holds
-    moved = shifted[(shifted != rows).any(axis=1)]
+    picked = _qualifying(system, root, memo, r)
+    u = system.universe
+    if len(picked) <= _SHORT_SCAN:
+        sorted_stars, present = root.sorted_stars, root.mask_set
+        images = (
+            _id_row(_shift_id(u, r, s0, col, y) for y in sorted_stars[i])
+            for i in picked
+        )
+        missing = [image for image in images if image not in present]
+    else:
+        # star_rows skips the empty star, which leads sorted_stars when present
+        rows = root.star_rows[np.asarray(picked) - (not root.star_masks[0])]
+        shifted = _shift_all(u, r, s0)[rows]
+        # a star that the shift fixes is its own image, which the root holds
+        moved = shifted[(shifted != rows).any(axis=1)].tolist()
+        stars = root.stars
+        missing = [_id_row(star) for star in map(frozenset, moved) if star not in stars]
     lacking = 0
-    stars = root.stars
-    for star in map(frozenset, moved.tolist()):
-        if star not in stars:
-            if len(star) > 1:
-                lacking = -1
-                break
-            (y,) = star
-            lacking |= 1 << y
-    return lacking, image
+    for image in missing:
+        if image & (image - 1):
+            return -1
+        lacking |= image
+    return lacking
 
 
 def _qualifying(
     system: SeparationSystem, root: StarFamily, memo: dict, r: int
-) -> np.ndarray:
-    """The rows of ``root.star_rows`` whose stars qualify for base ``r``,
-    picked by their bit rows and kept in ``memo`` under ``("stars", r)``."""
-    rows = memo.get(("stars", r))
-    if rows is None:
+) -> array:
+    """The indices into ``root.sorted_stars`` of the stars that qualify for
+    base ``r``, picked by their bit rows and kept in ``memo`` under
+    ``("stars", r)`` as a C ``int`` array: four bytes an index, read as
+    Python ints by a short scan and as numpy by a long one."""
+    picked = memo.get(("stars", r))
+    if picked is None:
         outside = ~(system.domain_mask(r) & ~(1 << system.universe.inv_id(r)))
         touching = system.members_above(r)
         masks = root.star_masks
-        # the empty star, first when present, qualifies nowhere and has no row
-        masks = masks[1:] if masks and not masks[0] else masks
-        keep = [i for i, mask in enumerate(masks) if mask & touching and not mask & outside]
-        rows = memo["stars", r] = _readonly(root.star_rows[keep])
-    return rows
+        picked = memo["stars", r] = array(
+            "i", [i for i, mask in enumerate(masks) if mask & touching and not mask & outside]
+        )
+    return picked
 
 
 def find_separator(

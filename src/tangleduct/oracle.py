@@ -8,7 +8,9 @@ classifies all ``2**n`` codes at once on truth tables: bit ``c`` of a
 separation has the column of codes that pick it, each clashing pair of
 picks (``inv(a) < b`` for distinct separations) clears the AND of its two
 columns from the consistent codes, and each star clears the AND of its
-columns from the avoiding codes.  A census is these two tables; all else
+columns from the avoiding codes.  The consistent table is grown one
+separation at a time, so each clashing pair is applied once, at the
+width of its later separation.  A census is these two tables; all else
 is derived from them on demand, and a listing of the flagged codes as
 picks tuples is built in bounded numpy chunks when it is first read.
 
@@ -30,7 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import SeparationSystem, _bit_row, _id_row
+from .core import SeparationSystem, _bit_row
 from .duality import Certificate, strong_duality
 from .errors import InternalInvariant, MalformedInput, NotFSeparable, TooLarge
 from .stree import StarFamily, STree, _check_same_universe
@@ -167,35 +169,18 @@ def _truth_tables(
     """Classify every code: the ``2**n``-bit ints of the consistent codes
     and of the codes avoiding the family.
 
-    Every clashing pair of picks clears the AND of its two code columns,
-    every star the AND of its columns.  Raises :class:`TooLarge` when the
-    system has more than ``cap`` nondegenerate underlying separations.
+    The consistent codes are built by :func:`_consistent_codes`; every
+    star clears the AND of its columns from the avoiding codes.  Raises
+    :class:`TooLarge` when the system has more than ``cap`` nondegenerate
+    underlying separations.
     """
     _check_same_universe(family, system)
-    u = system.universe
     n = len(system.nondegenerate_reps)
     if n > cap:
         raise TooLarge(n, cap)
     full = (1 << (1 << n)) - 1
     cols = _pick_columns(system)
-    picked = _id_row(cols)
-
-    # picks a, b clash when inv(a) <= b and b is neither a nor inv(a); the
-    # codes making both picks are inconsistent.  Each pick clears them with
-    # every partner its row of the order names, so a pair is cleared when
-    # it clashes in either direction
-    inv = u.inverse_table().tolist()
-    consistent = full
-    for a, col in cols.items():
-        ra = inv[a]
-        row = u.above_mask(ra) & picked & ~((1 << a) | (1 << ra))
-        hit = 0
-        while row:
-            low = row & -row
-            hit |= cols[low.bit_length() - 1]
-            row ^= low
-        consistent &= ~(col & hit)
-
+    consistent = _consistent_codes(system)
     avoiding = full
     deg = system.degenerate_ids
     for sigma in family.sorted_stars:
@@ -208,6 +193,52 @@ def _truth_tables(
         else:
             avoiding &= ~inside
     return consistent, avoiding
+
+
+def _consistent_codes(system: SeparationSystem) -> int:
+    """The ``2**n``-bit table of the consistent codes, one bit at a time.
+
+    Picks ``a`` and ``b`` clash when ``inv(a) <= b`` and ``b`` is neither
+    ``a`` nor ``inv(a)``; the relation is symmetric, as the involution
+    reverses the order.  The table of the first ``k`` bits, over ``2**k``
+    codes, grows to ``k + 1`` bits by doubling: a code keeps bit ``k`` at
+    0 or sets it, and is dropped when that orientation of the ``k``-th
+    separation clashes with one of its earlier picks, degenerate members
+    included.  So each clashing pair is applied once, at the width of its
+    later separation, from that separation's row of the order.
+    """
+    u = system.universe
+    reps = system.nondegenerate_reps
+    deg = system.degenerate_mask
+    # two clashing degenerate members, which every code picks
+    if any(u.conflict_mask(d) & deg for d in system.degenerate_ids):
+        return 0
+    # the earlier picks: degenerate members, then both orientations of each
+    # separation added so far, by their bit and side
+    where: dict[int, tuple[int, int]] = {}
+    earlier = deg
+    table = 1
+    for k, r in enumerate(reps):
+        cols = _columns(k)
+        pair = (r, u.inv_id(r))
+        halves = []
+        for x in pair:
+            row = u.conflict_mask(x) & earlier
+            if row & deg:  # a degenerate partner, which every code picks
+                halves.append(0)
+                continue
+            hit = 0
+            while row:
+                low = row & -row
+                i, side = where[low.bit_length() - 1]
+                hit |= cols[i][side]
+                row ^= low
+            halves.append(table & ~hit)
+        table = halves[0] | halves[1] << (1 << k)
+        for side, x in enumerate(pair):
+            where[x] = (k, side)
+            earlier |= 1 << x
+    return table
 
 
 def _listing_chunks(

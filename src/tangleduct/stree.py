@@ -69,13 +69,14 @@ class StarFamily:
     canonical order (``sorted_stars``), each star's bit row over element ids
     (``star_masks``, with ``mask_set`` for membership tests), the nonempty
     stars as rows of ids (``star_rows``), and the ids its singleton stars
-    force.  Each part is built from ``stars`` on first use.
+    force.  Each part is built from ``stars`` on first use; ``star_rows``
+    only when a long root scan of the separator search needs it.
 
     A family built by the constructor is a *root*: ``root`` is ``None`` and
     it holds its ``stars``, plus a ``memo`` that the engines fill per
-    system, with the separator search's answers per ``(s0, r)``, its
-    qualifying stars per base ``r`` and the strong engine's answers per
-    ``extra`` row.  The memo holds its systems weakly, so a
+    system, with the separator search's answers per ``(s0, r)``, the
+    indices of its qualifying stars per base ``r`` and the strong engine's
+    answers per ``extra`` row.  The memo holds its systems weakly, so a
     family used with many systems keeps none of them alive.
     :meth:`with_star` adds a singleton star without copying: the child's
     ``root`` is the root family and ``extra`` is the bit row of the ids

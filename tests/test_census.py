@@ -3,7 +3,9 @@
 The reference numbers orientations with ``orientation_picks`` and decides
 each one with ``is_consistent`` and plain star containment, one code at a
 time.  ``enumerate_orientations`` must return the same census field by
-field: the total, all three listings, in code order, and the mode.
+field: the total, all three listings, in code order, and the mode.  Its
+consistency table, grown one bit at a time, must also equal the table of
+the full-width clash loop it replaced, on systems up to 16 pairs.
 """
 
 from functools import cache
@@ -26,6 +28,7 @@ from tangleduct import (
     orientation_picks,
     standardize,
 )
+from tangleduct.oracle import _pick_columns
 
 
 def reference_census(system, family, mode="tangle") -> SimpleNamespace:
@@ -50,6 +53,27 @@ def reference_census(system, family, mode="tangle") -> SimpleNamespace:
     )
 
 
+def clash_loop_codes(system) -> int:
+    """The consistent codes as a full-width clash loop finds them: every
+    pick clears the AND of its code column with the column of each partner
+    above its inverse, so each clashing pair is applied from both ends."""
+    u = system.universe
+    full = (1 << (1 << len(system.nondegenerate_reps))) - 1
+    cols = _pick_columns(system)
+    picked = sum(1 << a for a in cols)
+    consistent = full
+    for a, col in cols.items():
+        ra = u.inv_id(a)
+        row = u.above_mask(ra) & picked & ~((1 << a) | (1 << ra))
+        hit = 0
+        while row:
+            low = row & -row
+            hit |= cols[low.bit_length() - 1]
+            row ^= low
+        consistent &= ~(col & hit)
+    return consistent
+
+
 def code_of(system, picks) -> int:
     """The census code whose orientation is ``picks``."""
     inv = system.universe.inv_id
@@ -69,6 +93,7 @@ def assert_same_census(got, want):
 def assert_matches_reference(system, family, mode="tangle"):
     got = enumerate_orientations(system, family, mode)
     assert_same_census(got, reference_census(system, family, mode))
+    assert got.consistent_codes == clash_loop_codes(system)
     for listing in (got.consistent, got.f_avoiding, got.f_tangles):
         for picks in listing:
             assert picks == orientation_picks(system, code_of(system, picks))
@@ -126,6 +151,20 @@ def test_random_systems_and_families_match_reference(rng):
         rng, system, max_stars=6, standard=rng.random() < 0.5, allow_empty_star=True
     )
     assert_matches_reference(system, family)
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_consistent_table_matches_the_clash_loop_up_to_16_pairs(rng):
+    """Subsystems of cover3 and cover4 as the benchmark's census draws
+    them: up to 16 pairs, each degenerate member with chance 0.3."""
+    base = cover(rng.choice((3, 4)))
+    reps = list(base.nondegenerate_reps)
+    chosen = rng.sample(reps, rng.randint(1, min(16, len(reps))))
+    chosen += [d for d in sorted(base.degenerate_ids) if rng.random() < 0.3]
+    system = gen.subsystem(base, chosen)
+    census = enumerate_orientations(system, StarFamily(base.universe, ()))
+    assert census.consistent_codes == clash_loop_codes(system)
 
 
 def test_star_outside_the_system_is_never_contained(cover3):

@@ -48,7 +48,15 @@ from tangleduct import (
     violating_star,
     weak_duality,
 )
-from tangleduct.duality import _least_minimal_below, _root_memo
+from tangleduct import duality
+from tangleduct.stree import _bit_ids
+from tangleduct.duality import (
+    _emulating_column,
+    _least_minimal_below,
+    _root_memo,
+    _shift_all,
+    _shift_id,
+)
 
 
 tk = gen.bench_tk()
@@ -122,6 +130,20 @@ def ref_emulates_for_family(s0, r, system, family):
         if image not in family.stars:
             return False
     return True
+
+
+def ref_root_entry(s0, r, system, family, qualifying):
+    """The root memo's entry for ``(s0, r)``: ``None`` when ``s0`` does not
+    emulate ``r``, else the bit row of the singleton images of the
+    ``qualifying`` stars (:func:`ref_qualifying`) that the family lacks,
+    or -1 when it lacks a larger image."""
+    if not ref_emulates(s0, r, system):
+        return None
+    shift = {t: ref_shift_target_id(system, r, s0, t) for t in set().union(*qualifying)}
+    missing = {frozenset(map(shift.get, sigma)) for sigma in qualifying} - family.stars
+    if any(len(image) > 1 for image in missing):
+        return -1
+    return sum(1 << y for (y,) in missing)
 
 
 def ref_stars_inside(family, allowed, touching):
@@ -527,16 +549,17 @@ def assert_chain_agrees(system, chain, bases):
         for (cand, r), ok in want.items():
             assert emulates_for_family(cand, r, system, fam) == ok, (cand, r)
         # the root's memo: one entry per pair, None iff s0 does not emulate
-        # r, and the qualifying stars of the root as rows of ids
+        # r, and the qualifying stars of the root as indices into its
+        # canonical order
         root = fam if fam.root is None else fam.root
         root_dense = StarFamily(u, root.stars, validate=False)
         memo = _root_memo(fam, system)
         for r in bases:
             for cand in system.members:
                 assert (memo[cand, r] is None) == ((cand, r) not in emulating)
-            rows = memo.get(("stars", r))
-            if rows is not None:
-                shown = [frozenset(row) for row in rows.tolist()]
+            picked = memo.get(("stars", r))
+            if picked is not None:
+                shown = [root.sorted_stars[i] for i in picked]
                 assert shown == ref_qualifying(r, system, root_dense)
 
 
@@ -601,7 +624,7 @@ def test_child_adding_the_singleton_images_its_root_lacks(rng):
                 singles = [y for image in missing if len(image) == 1 for y in image]
                 row = sum(1 << y for y in singles)
                 larger = len(singles) < len(missing)
-                assert family.memo[system][cand, r][0] == (-1 if larger else row)
+                assert family.memo[system][cand, r] == (-1 if larger else row)
                 if not singles:
                     continue
                 child = family
@@ -619,11 +642,11 @@ def test_child_adding_the_singleton_images_its_root_lacks(rng):
 
 @pytest.mark.parametrize("name, k", sorted(tk.EXPECTED_KIND))
 def test_shift_map_reads_the_cached_image(name, k):
-    """On every ladder system, ``shift_map`` of each target in the domain
-    of ``r``, read from one join column, equals the image array of the
-    root memo's ``(s0, r)`` entry for every emulating pair; the array holds
-    -1 at every other id, and the entry is ``None`` iff ``s0`` does not
-    emulate ``r``."""
+    """On every ladder system, the root memo's entry for ``(s0, r)`` is
+    ``None`` iff ``s0`` does not emulate ``r``; for every emulating pair
+    the engine's shift of each id in the domain of ``r``, one at a time
+    from the join column (the short scan) and as the full-width image (the
+    long scan), equals ``shift_map``."""
     graph = GraphInput.parse(tk.GRAPHS[name])
     system = graph_separations(graph, k)
     family = tk.tk_family(system, graph)
@@ -631,22 +654,95 @@ def test_shift_map_reads_the_cached_image(name, k):
     memo = _root_memo(family, system)
     pairs = 0
     for r in usable_bases(system):
-        domain = system.domain_mask(r)
+        domain = _bit_ids(system.domain_mask(r))
         for s0 in system.members:
             emulates_for_family(s0, r, system, family)
             entry = memo[s0, r]
             assert (entry is None) == (not emulates(s0, r, system))
             if entry is None:
                 continue
-            image = entry[1]
-            assert image.dtype == np.int32 and not image.flags.writeable
-            for t in range(len(u)):
-                if domain >> t & 1:
-                    assert shift_map(r, s0, t, system).id == image[t], (s0, r, t)
-                else:
-                    assert image[t] == -1
+            col = _emulating_column(system, s0, r)
+            image = _shift_all(u, r, s0)
+            for t in domain:
+                want = shift_map(r, s0, t, system).id
+                assert _shift_id(u, r, s0, col, t) == image[t] == want, (s0, r, t)
             pairs += 1
     assert pairs
+
+
+def scan_entries(monkeypatch, cutoff, make):
+    """The root memo entries of every ``(s0, r)`` pair on each system and
+    family that ``make()`` yields, fresh, with root scans above ``cutoff``
+    stars taken by the gather."""
+    monkeypatch.setattr(duality, "_SHORT_SCAN", cutoff)
+    entries = []
+    for system, family in make():
+        memo = _root_memo(family, system)
+        for r in usable_bases(system):
+            for s0 in system.members:
+                emulates_for_family(s0, r, system, family)
+        entries.append({key: value for key, value in memo.items() if key[0] != "stars"})
+    return entries
+
+
+def assert_scan_paths_agree(monkeypatch, make, answers):
+    """Both scan paths give every pair the entry of the dense references,
+    and shift every id of the domain of ``r`` alike: no qualifying star
+    holds ``inv(r)``, and ``r`` joins ``s0`` to ``s0``, so the entries
+    alone would not show a wrong shift of either.  With ``answers``, a
+    root's answer, an entry of 0, is also checked against
+    ``ref_emulates_for_family``, which redoes the reference scan."""
+    short = scan_entries(monkeypatch, 1 << 30, make)
+    long = scan_entries(monkeypatch, 0, make)
+    assert short == long
+    for (system, family), got in zip(make(), short):
+        u = system.universe
+        for r in usable_bases(system):
+            qualifying = ref_qualifying(r, system, family)
+            domain = _bit_ids(system.domain_mask(r))
+            for s0 in system.members:
+                want = ref_root_entry(s0, r, system, family, qualifying)
+                assert got[s0, r] == want, (s0, r)
+                if want is not None:
+                    col = _emulating_column(system, s0, r)
+                    one_by_one = [_shift_id(u, r, s0, col, t) for t in domain]
+                    assert one_by_one == _shift_all(u, r, s0)[domain].tolist(), (s0, r)
+                if answers:
+                    ok = ref_emulates_for_family(s0, r, system, family)
+                    assert (want == 0) == ok, (s0, r)
+
+
+def test_scan_paths_agree_on_the_ladder(monkeypatch):
+    def make():
+        for name, k in sorted(tk.EXPECTED_KIND):
+            graph = GraphInput.parse(tk.GRAPHS[name])
+            system = gen.ladder_system(name, k)
+            yield system, tk.tk_family(system, graph)
+
+    assert_scan_paths_agree(monkeypatch, make, answers=False)
+
+
+def test_scan_paths_agree_on_random_chains(monkeypatch):
+    """Every family of a ``with_star`` chain that is a root (children are
+    answered from their root's entries), some holding the empty star,
+    which has no row of ``star_rows``."""
+
+    def make():
+        rng = random.Random(7)
+        for _ in range(40):
+            system = gen.random_system(rng, max_pairs=5)
+            family = gen.random_family(
+                rng,
+                system,
+                max_stars=6,
+                standard=rng.random() < 0.5,
+                allow_empty_star=rng.random() < 0.5,
+            )
+            for fam, want in random_chain(rng, system, family, rng.randint(1, 5)):
+                if fam.root is None:
+                    yield system, StarFamily(system.universe, want, validate=False)
+
+    assert_scan_paths_agree(monkeypatch, make, answers=True)
 
 
 # --- pool scans on bit rows ------------------------------------------------------------

@@ -4,7 +4,9 @@
 from outside, the join and meet bound laws on rows of the order matrix
 packed into 64-bit words, every row in full.  The dense versions below are
 the reference.  On every corrupted table both must pass, or raise the same
-error class with the same message and witness.
+error class with the same message and witness.  A join derived from the
+order alone must equal a pair-by-pair lookup of each common up-row, or
+fail at the same first pair.
 """
 
 import numpy as np
@@ -243,3 +245,65 @@ def test_one_symmetric_join_corruption(name, data):
     join[a, b] = join[b, a] = v
     outcome = assert_same(leq, join, None)
     assert assert_same(leq, join, meet) == outcome
+
+
+def dict_derived_join(leq: np.ndarray) -> np.ndarray:
+    """The join from the order, pair by pair: the id whose up-row is the
+    common up-row, found in a dict of the up-rows; the first pair in
+    row-major order without one raises."""
+    n = len(leq)
+    ids = {row.tobytes(): i for i, row in enumerate(leq)}
+    table = np.empty((n, n), dtype=np.int32)
+    for r in range(n):
+        for s in range(n):
+            j = ids.get((leq[r] & leq[s]).tobytes(), -1)
+            if j < 0:
+                raise JoinNotSupremum(r, s, -1)
+            table[r, s] = j
+    return table
+
+
+def derived_outcome(leq, inverse):
+    def check():
+        return gen.join_columns(Universe(leq, inverse))
+
+    return _outcome(check)
+
+
+@pytest.mark.parametrize("name", sorted(UNIVERSES))
+def test_derived_join_of_closed_universes(name):
+    leq, join, _ = tables(name)
+    u = Universe(leq, UNIVERSES[name]().inverse_table())
+    assert np.array_equal(gen.join_columns(u), join)
+    assert np.array_equal(dict_derived_join(leq), join)
+
+
+@given(st.randoms(use_true_random=False))
+def test_derived_join_on_random_orders(rng):
+    """A random poset P, its opposite P* and a bottom and top: the
+    involution swaps each element of P with its copy in P* and the bottom
+    with the top, reversing the order, so the universe is valid, and has a
+    join exactly when every pair of P has a least upper bound in P or at
+    the top."""
+    m = rng.randint(1, 7)
+    p = np.eye(m, dtype=bool)
+    for a in range(m):
+        for b in range(a + 1, m):
+            p[a, b] = rng.random() < 0.35
+    for c in range(m):  # transitive closure
+        p |= p[:, [c]] & p[[c], :]
+    n = 2 * m + 2
+    bottom, top = 2 * m, 2 * m + 1
+    leq = np.eye(n, dtype=bool)
+    leq[:m, :m] = p
+    leq[m : 2 * m, m : 2 * m] = p.T
+    leq[bottom, :] = True
+    leq[:, top] = True
+    inverse = [*range(m, 2 * m), *range(m), top, bottom]
+    want = _outcome(lambda: dict_derived_join(leq))
+    got = derived_outcome(leq, inverse)
+    if want is None:
+        assert got is None
+        assert np.array_equal(gen.join_columns(Universe(leq, inverse)), dict_derived_join(leq))
+    else:
+        assert got == want
