@@ -107,6 +107,7 @@ from .stree import (
     _check_same_universe,
     _inverse_pair_triple,
     _redundant_triple,
+    _structure_problem,
     is_order_respecting,
     is_over,
     prune_to_irredundant,
@@ -222,7 +223,12 @@ def _picks_from_json(items, n: int) -> tuple[int, ...]:
 def verify_certificate(
     cert: Certificate, system: SeparationSystem, family: StarFamily
 ) -> tuple[bool, tuple[str, ...]]:
-    """Re-check a certificate from scratch; returns (ok, problems)."""
+    """Re-check a certificate from scratch; returns (ok, problems).
+
+    A tree must be an S-tree of ``system``, checked from first principles
+    as the public :class:`STree` constructor checks it, with every node
+    star in ``family``.
+    """
     problems: list[str] = []
     if cert.kind in ("tangle", "orientation"):
         if cert.picks is None:
@@ -239,6 +245,8 @@ def verify_certificate(
             return False, ("certificate has no tree",)
         if cert.tree.system is not system:
             problems.append("tree belongs to a different system")
+        elif (problem := _structure_problem(cert.tree)) is not None:
+            problems.append(problem)
         elif not is_over(cert.tree, family):
             # the full report only to name the problems
             problems.extend(validate_stree(cert.tree, family).problems)
@@ -527,7 +535,7 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
     if _redundant_triple(tree) is not None or _inverse_pair_triple(tree) is not None:
         raise MalformedInput("tree must be irredundant and tight before shifting")
     for t in tree.nodes:
-        if t != root and tree.node_star(t) not in family:
+        if t != root and not family._has(tree.node_star(t)):
             raise MalformedInput(f"star at node {t} is not in the family")
 
     parent = tree._parents(root)
@@ -539,7 +547,7 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
             raise ShiftLeftS(away, shifted)
         alpha[away] = shifted
         alpha[(away[1], away[0])] = u.inv_id(shifted)
-    out = STree(system, tree.edges, alpha, nodes=tree.nodes, root_leaf=root)
+    out = STree._derived(system, tree.edges, alpha, tree.nodes, root, tree.adj)
 
     inv_s0 = frozenset((u.inv_id(s0_id),))
     if out.node_star(root) != inv_s0:
@@ -551,7 +559,7 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
             raise InternalInvariant(
                 f"shifted star of s0's inverse appears at leaf {t} besides the root"
             )
-        if out.node_star(t) not in family:
+        if not family._has(out.node_star(t)):
             raise InternalInvariant(
                 f"shifted star at node {t} left the family"
             )
@@ -564,12 +572,14 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
 
 
 def _star_tree(system: SeparationSystem, sigma: frozenset[int]) -> STree:
-    if not sigma:
-        return STree(system, [], {}, nodes=[0])
+    """Node 0 with one leaf per element of the family star ``sigma``."""
+    inv = system.universe.inv_id
     alpha = {}
     for i, s in enumerate(sorted(sigma), start=1):
         alpha[(i, 0)] = s
-    return STree(system, alpha.keys(), alpha)
+        alpha[(0, i)] = inv(s)
+    leaves = range(1, len(sigma) + 1)
+    return STree._derived(system, [(0, i) for i in leaves], alpha, [0, *leaves])
 
 
 def _splice(
@@ -613,10 +623,10 @@ def _splice(
             edges.append((copy_map[a], copy_map[b]))
             alpha[(copy_map[a], copy_map[b])] = donor.alpha[(a, b)]
             alpha[(copy_map[b], copy_map[a])] = donor.alpha[(b, a)]
-        edges.append((copy_map[donor_nb], relabel[nb]))
+        edges.append((relabel[nb], copy_map[donor_nb]))
         alpha[(copy_map[donor_nb], relabel[nb])] = into_host_side
         alpha[(relabel[nb], copy_map[donor_nb])] = into_donor_side
-    return STree(system, edges, alpha, nodes=nodes)
+    return STree._derived(system, edges, alpha, nodes)
 
 
 def _leaves_with_star(tree: STree, star: frozenset[int]) -> list[int]:
@@ -687,7 +697,9 @@ def _pair_tree(
     if not both:
         return None
     transcript.append(f"[{depth}] family forces both orientations: 2-node tree")
-    return "tree", STree(system, [(0, 1)], {(0, 1): (both & -both).bit_length() - 1})
+    label = (both & -both).bit_length() - 1
+    alpha = {(0, 1): label, (1, 0): system.universe.inv_id(label)}
+    return "tree", STree._derived(system, [(0, 1)], alpha, [0, 1])
 
 
 def _settled(
@@ -957,7 +969,7 @@ def _strong(
             raise InternalInvariant("branch tree lost the leaf of its added star")
         tight = tighten_rooted(t, leaves[0])
         out = shift_stree(tight, leaves[0], s, fam)
-        if frozenset((u.inv_id(s),)) in fam:
+        if fam._has(frozenset((u.inv_id(s),))):
             transcript.append(f"[{depth}] shifted {side} branch is over the family")
             return "tree", out
         shifted.append(out)

@@ -64,7 +64,7 @@ def essentialize_stree(tree: STree) -> STree:
             break
         if len(out.nodes) == 1:
             raise InternalInvariant("essentialization tried to delete the last node")
-        out = out.without_nodes({doomed})
+        out = out._without({doomed})
     for a, b in out.oriented_edges():
         if out.alpha[(a, b)] in trivial:
             raise InternalInvariant(

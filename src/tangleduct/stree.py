@@ -10,6 +10,12 @@ The *star at a node* ``t`` is the label set of its incoming edges.  A tree is
 *over* a family when every node's star belongs to it.  Surgery operations
 (pruning to irredundancy, contracting to tightness, deleting leaves) return
 new trees and never mutate.
+
+The public :class:`STree` constructor checks its input from first
+principles.  A tree that surgery derives from a checked tree is built on a
+trusted path that checks nothing again; ``verify_certificate`` checks the
+structure of every tree certificate, so an engine's answer is still checked
+once, in full.
 """
 
 from __future__ import annotations
@@ -148,7 +154,10 @@ class StarFamily:
         return len(self.stars)
 
     def __contains__(self, sigma) -> bool:
-        ids = frozenset(map(_as_id, sigma))
+        return self._has(frozenset(map(_as_id, sigma)))
+
+    def _has(self, ids: frozenset[int]) -> bool:
+        """``ids in self`` for a star already given as a set of element ids."""
         if self.root is None:
             return ids in self.stars
         if len(ids) == 1 and self.extra >> next(iter(ids)) & 1:
@@ -169,7 +178,7 @@ class StarFamily:
         ids = frozenset(map(_as_id, sigma))
         if not _is_star_ids(self.universe, ids):
             raise FNotStars(ids)
-        if ids in self:
+        if self._has(ids):
             return self
         if len(ids) != 1:
             return StarFamily(self.universe, self.stars | {ids}, validate=False)
@@ -191,7 +200,7 @@ class StarFamily:
 
     def forces(self, sep: OrientedSep) -> bool:
         """True iff the family contains the singleton star of ``sep``'s inverse."""
-        return frozenset((sep.universe.inv_id(sep.id),)) in self
+        return self._has(frozenset((sep.universe.inv_id(sep.id),)))
 
     def forced_ids(self, system: SeparationSystem) -> frozenset[int]:
         """All member orientations whose inverse forms a singleton star here."""
@@ -203,7 +212,7 @@ class StarFamily:
         return tuple(
             r
             for r in sorted(system.trivial_ids)
-            if frozenset((u.inv_id(r),)) not in self
+            if not self._has(frozenset((u.inv_id(r),)))
         )
 
     def is_standard_for(self, system: SeparationSystem) -> bool:
@@ -237,8 +246,32 @@ def _check_same_universe(family: StarFamily, system: SeparationSystem) -> None:
         raise MalformedInput("family and system live in different universes")
 
 
+def _filled_alpha(
+    system: SeparationSystem, edges: Iterable[tuple[int, int]], alpha: dict
+) -> dict[tuple[int, int], int]:
+    """``alpha`` keyed by pairs of node ids with labels as ids, each member
+    label's inverse added on the other orientation of its edge where that
+    has no label.  :meth:`STree._check` reports what is wrong or missing."""
+    out = {(int(u), int(v)): _as_id(val) for (u, v), val in alpha.items()}
+    members, u_inv = system.member_ids, system.universe.inv_id
+    for u, v in edges:
+        fwd, bwd = out.get((u, v)), out.get((v, u))
+        if bwd is None and fwd in members:
+            out[(v, u)] = u_inv(fwd)
+        elif fwd is None and bwd in members:
+            out[(u, v)] = u_inv(bwd)
+    return out
+
+
 class STree:
-    """An immutable tree with separation-labeled oriented edges."""
+    """An immutable tree with separation-labeled oriented edges.
+
+    The constructor normalizes its input (edges as ``(min, max)`` pairs,
+    the missing orientation of an edge labelled by its inverse) and runs
+    :meth:`_check`.  Trees the engines derive from checked trees are built
+    by :meth:`_derived`, which trusts its parts; ``verify_certificate``
+    runs :meth:`_check` on every tree certificate, which covers them.
+    """
 
     def __init__(
         self,
@@ -255,36 +288,57 @@ class STree:
                 raise MalformedInput(f"self-loop at node {u}")
             edge_set.discard((max(u, v), min(u, v)))
             edge_set.add((min(u, v), max(u, v)))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
-
         node_set = {int(n) for n in nodes} if nodes is not None else set()
-        for u, v in self.edges:
+        for u, v in edge_set:
             node_set.update((u, v))
-        if not node_set:
-            raise MalformedInput("a tree needs at least one node")
-        self.nodes: tuple[int, ...] = tuple(sorted(node_set))
+        labels = _filled_alpha(system, edge_set, alpha)
+        root = int(root_leaf) if root_leaf is not None else None
+        self._assemble(system, edge_set, labels, node_set, root, None)
+        self._check()
 
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj: dict[int, tuple[int, ...]] = {
-            n: tuple(sorted(ws)) for n, ws in adj.items()
-        }
-        self._check_is_tree()
+    @classmethod
+    def _derived(
+        cls,
+        system: SeparationSystem,
+        edges: Iterable[tuple[int, int]],
+        alpha: dict[tuple[int, int], int],
+        nodes: Iterable[int],
+        root_leaf: Optional[int] = None,
+        adj: Optional[dict[int, tuple[int, ...]]] = None,
+    ) -> "STree":
+        """A tree from trusted parts: distinct ``(min, max)`` edges forming a
+        tree on ``nodes``, and both orientations of every edge labelled by
+        members, each the other's inverse.  Nothing is checked; ``adj``, when
+        given, is the adjacency of the same nodes and edges."""
+        out = cls.__new__(cls)
+        out._assemble(system, edges, alpha, nodes, root_leaf, adj)
+        return out
 
+    def _assemble(self, system, edges, alpha, nodes, root_leaf, adj) -> None:
         self.system = system
-        self.alpha: dict[tuple[int, int], int] = self._normalize_alpha(alpha)
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
+        self.nodes: tuple[int, ...] = tuple(sorted(nodes))
+        self.alpha: dict[tuple[int, int], int] = alpha
+        self.root_leaf: Optional[int] = root_leaf
         self._stars: dict[int, frozenset[int]] = {}
+        if adj is None:
+            # sorted (min, max) edges list each node's smaller neighbours,
+            # then its larger ones, each in increasing order
+            lists: dict[int, list[int]] = {n: [] for n in self.nodes}
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            adj = {n: tuple(ws) for n, ws in lists.items()}
+        self.adj: dict[int, tuple[int, ...]] = adj
 
-        self.root_leaf = int(root_leaf) if root_leaf is not None else None
-        if self.root_leaf is not None:
-            if self.root_leaf not in self.adj:
-                raise MalformedInput(f"root leaf {self.root_leaf} is not a node")
-            if len(self.adj[self.root_leaf]) > 1:
-                raise MalformedInput(f"root {self.root_leaf} is not a leaf")
-
-    def _check_is_tree(self) -> None:
+    def _check(self) -> None:
+        """Check the tree from first principles: at least one node, the
+        edges form a tree on the nodes, every label is a member, both
+        orientations of every edge are labelled, each by the other's
+        inverse, no label sits off an edge, and the root leaf, if any, is a
+        leaf.  Raises on the first failure."""
+        if not self.nodes:
+            raise MalformedInput("a tree needs at least one node")
         if len(self.edges) != len(self.nodes) - 1:
             raise MalformedInput(
                 f"{len(self.nodes)} nodes need {len(self.nodes) - 1} edges to"
@@ -292,33 +346,31 @@ class STree:
             )
         if len(self._parents(self.nodes[0])) != len(self.nodes):
             raise MalformedInput("edge set is not connected")
-
-    def _normalize_alpha(self, alpha: dict) -> dict[tuple[int, int], int]:
-        u_inv = self.system.universe.inv_id
-        out: dict[tuple[int, int], int] = {}
-        for key, val in alpha.items():
-            u, v = (int(x) for x in key)
-            out[(u, v)] = _as_id(val)
-        # members only: the system is closed under the involution, so the
-        # inverses filled in below are members too
-        for (u, v), label in sorted(out.items()):
-            if label not in self.system.member_ids:
+        members = self.system.member_ids
+        for (u, v), label in sorted(self.alpha.items()):
+            if label not in members:
                 raise AlphaImageOutsideS((u, v), label)
+        u_inv = self.system.universe.inv_id
         for u, v in self.edges:
-            fwd, bwd = out.get((u, v)), out.get((v, u))
+            fwd, bwd = self.alpha.get((u, v)), self.alpha.get((v, u))
             if fwd is None and bwd is None:
                 raise MalformedInput(f"edge ({u}, {v}) has no label")
-            if fwd is None:
-                out[(u, v)] = u_inv(bwd)
-            elif bwd is None:
-                out[(v, u)] = u_inv(fwd)
-            elif u_inv(fwd) != bwd:
+            if fwd is None or bwd is None:
+                a, b = (u, v) if fwd is None else (v, u)
+                raise MalformedInput(f"oriented edge ({a}, {b}) has no label")
+            if u_inv(fwd) != bwd:
                 raise AlphaNotInvolutive((u, v), fwd, bwd)
-        edge_set = set(self.edges)
-        for u, v in sorted(out):
-            if (min(u, v), max(u, v)) not in edge_set:
-                raise MalformedInput(f"label on ({u}, {v}), which is not an edge")
-        return out
+        # every edge holds two labels, so only a surplus can sit off an edge
+        if len(self.alpha) != 2 * len(self.edges):
+            edge_set = set(self.edges)
+            for u, v in sorted(self.alpha):
+                if (min(u, v), max(u, v)) not in edge_set:
+                    raise MalformedInput(f"label on ({u}, {v}), which is not an edge")
+        if self.root_leaf is not None:
+            if self.root_leaf not in self.adj:
+                raise MalformedInput(f"root leaf {self.root_leaf} is not a node")
+            if len(self.adj[self.root_leaf]) > 1:
+                raise MalformedInput(f"root {self.root_leaf} is not a leaf")
 
     # -- basic queries ---------------------------------------------------
 
@@ -383,7 +435,15 @@ class STree:
         return out
 
     def without_nodes(self, drop: Iterable[int]) -> "STree":
-        dropped = set(drop)
+        """This tree minus the ``drop`` nodes; raises as the constructor
+        does when what is left is not a tree."""
+        out = self._without(set(drop))
+        out._check()
+        return out
+
+    def _without(self, dropped: set[int]) -> "STree":
+        """This tree minus nodes whose deletion leaves a tree, such as a
+        branch or a leaf, on the trusted path."""
         kept = [n for n in self.nodes if n not in dropped]
         edges = [(u, v) for u, v in self.edges if u not in dropped and v not in dropped]
         alpha = {
@@ -392,7 +452,7 @@ class STree:
             if u not in dropped and v not in dropped
         }
         keep_root = None if self.root_leaf in dropped else self.root_leaf
-        return STree(self.system, edges, alpha, nodes=kept, root_leaf=keep_root)
+        return STree._derived(self.system, edges, alpha, kept, keep_root)
 
     def _key(self) -> tuple:
         return (
@@ -521,14 +581,30 @@ def is_order_respecting(tree: STree) -> bool:
     return True
 
 
+def _structure_problem(tree: STree) -> Optional[str]:
+    """The failure :meth:`STree._check` raises on ``tree``, as a problem
+    line, or ``None`` when the tree passes."""
+    try:
+        tree._check()
+    except (MalformedInput, AlphaImageOutsideS, AlphaNotInvolutive) as exc:
+        return f"not an S-tree: {exc}"
+    return None
+
+
 def validate_stree(tree: STree, family: Optional[StarFamily] = None) -> STreeReport:
     """Structural report for a labeled tree.
 
-    Construction already guarantees treeness and an involutive labeling into
-    the system, so ``is_stree`` holds for every :class:`STree` instance; the
-    remaining flags classify it further.  ``over_family`` is ``None`` when no
-    family is supplied.
+    ``is_stree`` is :meth:`STree._check`'s verdict: a tree whose oriented
+    edges are all labelled, involutively, by members of the system, with a
+    leaf as its root leaf.  A tree that fails it gets every other flag
+    false and the check's message as its one problem.  The remaining flags
+    classify an S-tree further.  ``over_family`` is ``None`` when no family
+    is supplied.
     """
+    problem = _structure_problem(tree)
+    if problem is not None:
+        over = None if family is None else False
+        return STreeReport(False, False, False, False, False, False, over, (problem,))
     problems = []
     system = tree.system
     u = system.universe
@@ -557,10 +633,10 @@ def validate_stree(tree: STree, family: Optional[StarFamily] = None) -> STreeRep
 
     over_family: Optional[bool] = None
     if family is not None:
-        over_family = all(tree.node_star(t) in family for t in tree.nodes)
+        over_family = is_over(tree, family)
         if not over_family:
             bad = next(
-                t for t in tree.nodes if tree.node_star(t) not in family
+                t for t in tree.nodes if not family._has(tree.node_star(t))
             )
             problems.append(f"star at node {bad} is outside the family")
 
@@ -577,7 +653,7 @@ def validate_stree(tree: STree, family: Optional[StarFamily] = None) -> STreeRep
 
 
 def is_over(tree: STree, family: StarFamily) -> bool:
-    return all(tree.node_star(t) in family for t in tree.nodes)
+    return all(family._has(tree.node_star(t)) for t in tree.nodes)
 
 
 # --- surgery -------------------------------------------------------------------
@@ -606,7 +682,7 @@ def prune_to_irredundant(tree: STree, root: Optional[int] = None) -> STree:
             drop = branch2
         if root is not None and root in drop:
             raise InternalInvariant("pruning would delete the protected root")
-        t = t.without_nodes(drop)
+        t = t._without(drop)
 
 
 def contract_to_tight(tree: STree) -> STree:
@@ -627,7 +703,7 @@ def contract_to_tight(tree: STree) -> STree:
         fwd = t.alpha[(n1, node)]
         edges = [
             (u, v) for u, v in t.edges if u not in mid and v not in mid
-        ] + [(n1, n2)]
+        ] + [(min(n1, n2), max(n1, n2))]
         alpha = {
             k: v
             for k, v in t.alpha.items()
@@ -637,7 +713,7 @@ def contract_to_tight(tree: STree) -> STree:
         alpha[(n2, n1)] = t.system.universe.inv_id(fwd)
         keep_root = t.root_leaf if t.root_leaf not in mid else None
         kept = [n for n in t.nodes if n not in mid]
-        t = STree(t.system, edges, alpha, nodes=kept, root_leaf=keep_root)
+        t = STree._derived(t.system, edges, alpha, kept, keep_root)
 
 
 def tighten_rooted(tree: STree, root: int) -> STree:

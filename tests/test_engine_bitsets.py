@@ -21,6 +21,7 @@ import json
 import random
 import re
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -884,3 +885,75 @@ def test_engine_runs_leave_no_reference_cycles():
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+# --- trusted trees ------------------------------------------------------------------
+
+
+@contextmanager
+def checked_trusted_trees():
+    """Yield a list that counts the trees built by ``STree._derived`` while
+    the block runs, each checked equal, adjacency too, to the tree the
+    public constructor builds from its parts."""
+    derived = STree.__dict__["_derived"]
+    built = []
+
+    def checked(cls, *args, **kwargs):
+        t = derived.__func__(cls, *args, **kwargs)
+        public = STree(t.system, t.edges, t.alpha, nodes=t.nodes, root_leaf=t.root_leaf)
+        assert t == public and t.adj == public.adj
+        built.append(t)
+        return t
+
+    STree._derived = classmethod(checked)
+    try:
+        yield built
+    finally:
+        STree._derived = derived
+
+
+def run_both_engines(system, family):
+    weak_duality(system, family)
+    try:
+        strong_duality(system, family)
+    except NotFSeparable:
+        pass
+
+
+@pytest.mark.parametrize("pairs", [sorted(tk.EXPECTED_KIND), [("grid3x3", 4)]])
+def test_trusted_trees_equal_checked_ones_on_tk_systems(pairs):
+    with checked_trusted_trees() as built:
+        for name, k in pairs:
+            graph = GraphInput.parse(tk.GRAPHS[name])
+            system = graph_separations(graph, k)
+            run_both_engines(system, tk.tk_family(system, graph))
+    assert built
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_trusted_trees_equal_checked_ones_on_random_systems(seed):
+    rng = random.Random(seed)
+    system = gen.random_system(rng, max_pairs=5)
+    family = gen.random_family(rng, system, max_stars=6)
+    with checked_trusted_trees():
+        run_both_engines(system, family)
+
+
+def test_a_doctored_shift_fails_the_certificate_check(monkeypatch):
+    """A shift that returns its tree with one label flipped, unchecked, is
+    caught by the check of the final certificate (P3 at k=3 has one shift,
+    whose tree is the answer)."""
+    shift = duality.shift_stree
+
+    def flipped(tree, root, s0, family):
+        out = shift(tree, root, s0, family)
+        alpha = dict(out.alpha)
+        a, b = out.edges[-1]
+        alpha[(a, b)] = out.system.universe.inv_id(alpha[(a, b)])
+        return STree._derived(out.system, out.edges, alpha, out.nodes, out.root_leaf)
+
+    monkeypatch.setattr(duality, "shift_stree", flipped)
+    graph = GraphInput.parse(tk.GRAPHS["P3"])
+    system = graph_separations(graph, 3)
+    with pytest.raises(InternalInvariant, match="not an S-tree: edge labels do not commute"):
+        strong_duality(system, tk.tk_family(system, graph))

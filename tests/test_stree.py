@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gen
 from tangleduct import (
+    Certificate,
     FNotStars,
     MalformedInput,
     STree,
@@ -21,6 +22,7 @@ from tangleduct import (
     star_sort_key,
     tighten_rooted,
     validate_stree,
+    verify_certificate,
 )
 from tangleduct.errors import (
     AlphaImageOutsideS,
@@ -245,6 +247,58 @@ class TestValidation:
         rep = validate_stree(chain)
         assert rep.is_irredundant
         assert not rep.is_tight
+
+
+def doctored_trees(cover2):
+    """Trees the trusted path builds without a check, each with one fault,
+    and the message the structural check names it by."""
+    derived = STree._derived
+    path = {(0, 1): 1, (1, 0): 3, (1, 2): 0, (2, 1): 5}
+    triangle = {**path, (0, 2): 2, (2, 0): 6}
+    return [
+        (derived(cover2, [(0, 1), (0, 2), (1, 2)], triangle, [0, 1, 2, 3]),
+         "edge set is not connected"),
+        (derived(cover2, [(0, 1), (2, 3)], {(0, 1): 1, (1, 0): 3, (2, 3): 0, (3, 2): 5},
+                 [0, 1, 2, 3]),
+         "4 nodes need 3 edges to form a tree, got 2"),
+        (derived(cover2, [(0, 1), (1, 2)], {(0, 1): 1, (1, 0): 3, (1, 2): 0}, [0, 1, 2]),
+         "oriented edge (2, 1) has no label"),
+        (derived(cover2, [(0, 1), (1, 2)], {**path, (2, 1): 0}, [0, 1, 2]),
+         "edge labels do not commute with the involution on (1, 2): label 0 reversed is not 0"),
+        (derived(gen.subsystem(cover2, [0]), [(0, 1)], {(0, 1): 1, (1, 0): 3}, [0, 1]),
+         "edge (0, 1) is labeled 1, not a member of the system"),
+        (derived(cover2, [(0, 1)], {(0, 1): 1, (1, 0): 3, (0, 2): 0}, [0, 1]),
+         "label on (0, 2), which is not an edge"),
+        (derived(cover2, [(0, 1), (1, 2)], path, [0, 1, 2], 1), "root 1 is not a leaf"),
+    ]
+
+
+class TestStructureCheck:
+    def test_verify_names_each_fault_of_a_trusted_tree(self, cover2):
+        for tree, message in doctored_trees(cover2):
+            family = StarFamily(tree.system.universe, [])
+            cert = Certificate(kind="stree", tree=tree)
+            assert verify_certificate(cert, tree.system, family) == (
+                False,
+                (f"not an S-tree: {message}",),
+            )
+
+    def test_validate_reports_is_stree_from_the_check(self, cover2):
+        for tree, message in doctored_trees(cover2):
+            rep = validate_stree(tree, StarFamily(tree.system.universe, []))
+            assert not rep.is_stree and rep.over_family is False
+            assert rep.problems == (f"not an S-tree: {message}",)
+        t = STree(cover2, [(0, 1)], {(0, 1): 1})
+        assert validate_stree(t).is_stree
+
+    def test_public_constructor_raises_the_same_messages(self, cover2):
+        for tree, message in doctored_trees(cover2):
+            if message.startswith("oriented edge"):
+                continue  # the constructor labels it with the inverse
+            with pytest.raises((MalformedInput, AlphaImageOutsideS, AlphaNotInvolutive)) as exc:
+                STree(tree.system, tree.edges, tree.alpha, nodes=tree.nodes,
+                      root_leaf=tree.root_leaf)
+            assert str(exc.value) == message
 
 
 class TestSurgery:
