@@ -117,6 +117,8 @@ def _read_json(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInput(f"{path!r} nests its JSON too deeply to decode") from exc
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path!r} must hold a JSON object")
     return doc
@@ -401,11 +403,6 @@ def run(config: RunConfig) -> int:
         # a small document can ask for tables far larger than the memory
         detail = " ".join(str(exc).split())
         print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
-        return 1
-    except RecursionError as exc:
-        # the engines take one Python frame per level, so a system that
-        # needs more levels than the interpreter allows frames ends here
-        print(f"error: the system is too deep for the engines: {exc}", file=sys.stderr)
         return 1
 
 

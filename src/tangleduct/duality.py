@@ -7,6 +7,16 @@ tree over the family whose node stars certify that no such orientation can
 exist.  Both engines construct their answer recursively and re-verify it
 before returning.
 
+Each engine follows the paper's induction: a level orients one more
+separation, runs a child level on each orientation and combines their
+answers.  A level is a generator, and one loop, :func:`_run`, runs the
+levels of a call on an explicit stack: a level yields the generator of a
+child, which is run on top of the stack and whose answer is sent back, or
+a transcript line, which the loop writes under the level's depth.  So a
+level holds no Python frame while its child runs, the interpreter's
+recursion limit does not bound the depth, and the loop holds the one
+depth guard.
+
 The strong engine needs the family to be *standard* (it forces every trivial
 member) and relies on *separability*: for suitable pairs ``r ≤ r'`` some
 member ``s0`` must sit between them whose orientations keep joins inside the
@@ -653,7 +663,7 @@ def weak_duality(system: SeparationSystem, family: StarFamily) -> Certificate:
         f"restricted family to the system: {len(fam)} of {len(family)} stars kept"
     ]
     rows = _forced_rows(system, fam.forced_ids(system))
-    kind, payload = _weak(system, fam, *rows, transcript, depth=0)
+    kind, payload = _run("weak", _weak(system, fam, *rows), system, transcript)
     return _certify("weak", kind, payload, system, family, transcript)
 
 
@@ -685,92 +695,93 @@ def _forced_rows(system: SeparationSystem, forced: frozenset[int]) -> tuple[int,
     return _id_row(forced), _id_row(map(inv, forced))
 
 
+def _run(engine: str, level, system: SeparationSystem, transcript: list[str]):
+    """Run an engine's root ``level`` to its answer (see the module docstring)."""
+    stack, answer = [level], None
+    while stack:
+        try:
+            step = stack[-1].send(answer)
+        except StopIteration as done:
+            stack.pop()
+            answer = done.value
+            continue
+        answer = None
+        if isinstance(step, str):
+            transcript.append(f"[{len(stack) - 1}] {step}")
+        else:
+            stack.append(step)
+            if len(stack) > len(system.members) + 2:
+                raise InternalInvariant(f"{engine} recursion exceeded its depth bound")
+    return answer
+
+
 def _pair_tree(
-    system: SeparationSystem, forced: int, inv_forced: int, transcript: list[str], depth: int
-) -> Optional[tuple[str, object]]:
-    """The 2-node tree when the family forces both orientations of a
-    separation, labelled by the least forced id whose inverse is forced
-    too: the least bit of ``forced & inv_forced``.  Below the root a level
-    forces its parent's ids, which hold no pair, plus one id, so the only
-    possible pair is that id and its inverse."""
+    system: SeparationSystem, forced: int, inv_forced: int
+) -> Optional[tuple[str, tuple[str, object]]]:
+    """The transcript line and the 2-node tree when the family forces both
+    orientations of a separation, labelled by the least forced id whose
+    inverse is forced too: the least bit of ``forced & inv_forced``.  Below
+    the root a level forces its parent's ids, which hold no pair, plus one
+    id, so the only possible pair is that id and its inverse."""
     both = forced & inv_forced
     if not both:
         return None
-    transcript.append(f"[{depth}] family forces both orientations: 2-node tree")
     label = (both & -both).bit_length() - 1
     alpha = {(0, 1): label, (1, 0): system.universe.inv_id(label)}
-    return "tree", STree._derived(system, [(0, 1)], alpha, [0, 1])
+    tree = STree._derived(system, [(0, 1)], alpha, [0, 1])
+    return "family forces both orientations: 2-node tree", ("tree", tree)
 
 
 def _settled(
-    system: SeparationSystem,
-    fam: StarFamily,
-    forced: int,
-    transcript: list[str],
-    depth: int,
-    kind: str,
-) -> tuple[str, object]:
-    """Every separation is forced: the forced and degenerate picks as ``kind``
-    if they avoid the family, else the tree of the least star inside them."""
+    system: SeparationSystem, fam: StarFamily, forced: int, kind: str
+) -> tuple[str, tuple[str, object]]:
+    """Every separation is forced: the transcript line, and the forced and
+    degenerate picks as ``kind`` if they avoid the family, else the tree of
+    the least star inside them."""
     picks = forced | system.degenerate_mask
     sigma = _violating_row(picks, fam)
     if sigma is None:
         found = "avoid the family" if kind == "orientation" else "form a tangle"
-        transcript.append(f"[{depth}] forced picks {found}")
-        return kind, _bit_ids(picks)
+        return f"forced picks {found}", (kind, _bit_ids(picks))
     if len(sigma) == 1:
         raise InternalInvariant("violating star is a singleton of a forced pick")
-    transcript.append(
-        f"[{depth}] forced picks contain star {sorted(sigma)}: star tree"
-    )
-    return "tree", _star_tree(system, sigma)
+    line = f"forced picks contain star {sorted(sigma)}: star tree"
+    return line, ("tree", _star_tree(system, sigma))
 
 
-def _weak(
-    system: SeparationSystem,
-    fam: StarFamily,
-    forced: int,
-    inv_forced: int,
-    transcript: list[str],
-    depth: int,
-) -> tuple[str, object]:
-    """One level on the bit rows of the forced ids and of their inverses.
+def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: int):
+    """One level on the bit rows of the forced ids and of their inverses,
+    run by :func:`_run`.
 
     Each branch forces one orientation of a separation with neither
     forced, so only the root can force a pair of inverses.
     """
-    if depth > len(system.members) + 2:
-        raise InternalInvariant("weak recursion exceeded its depth bound")
-    pair = _pair_tree(system, forced, inv_forced, transcript, depth)
+    pair = _pair_tree(system, forced, inv_forced)
     if pair is not None:
-        return pair
+        yield pair[0]
+        return pair[1]
     u = system.universe
     # the least nondegenerate member with neither orientation forced
     free = system.member_mask & ~(system.degenerate_mask | forced | inv_forced)
     if not free:
-        return _settled(system, fam, forced, transcript, depth, "orientation")
+        line, answer = _settled(system, fam, forced, "orientation")
+        yield line
+        return answer
     s0 = (free & -free).bit_length() - 1
 
     inv_s0 = u.inv_id(s0)
-    transcript.append(f"[{depth}] splitting on undecided separation {s0}")
+    yield f"splitting on undecided separation {s0}"
     trees = []
     # the star {pick} forces its inverse
     for side, pick, other in (("first", s0, inv_s0), ("second", inv_s0, s0)):
-        kind, res = _weak(
-            system,
-            fam.with_star([pick]),
-            forced | 1 << other,
-            inv_forced | 1 << pick,
-            transcript,
-            depth + 1,
+        kind, res = yield _weak(
+            system, fam.with_star([pick]), forced | 1 << other, inv_forced | 1 << pick
         )
         if kind == "orientation":
             return kind, res
         t = prune_to_irredundant(res)
         if is_over(t, fam):
-            transcript.append(
-                f"[{depth}] {side} branch tree is already over the family"
-            )
+            yield f"{side} branch tree is already over the family"
             return "tree", t
         trees.append(t)
     t1, t2 = trees
@@ -790,9 +801,7 @@ def _weak(
         raise InternalInvariant("donor tree has several splice leaves")
     if len(host_leaves) > 1 and s0 not in system.trivial_ids:
         raise InternalInvariant("multiple splice leaves for a nontrivial separation")
-    transcript.append(
-        f"[{depth}] splicing {len(host_leaves)} branch copy(ies) at separation {s0}"
-    )
+    yield f"splicing {len(host_leaves)} branch copy(ies) at separation {s0}"
     return "tree", _splice(host, host_leaves, donor, donor_leaves[0])
 
 
@@ -845,7 +854,8 @@ def strong_duality(
     # the root checks every forced and degenerate id for a conflict
     new = forced | system.degenerate_mask
     try:
-        kind, payload = _strong(system, fam, forced, inv_forced, new, transcript, {}, 0)
+        level = _strong(system, fam, forced, inv_forced, new, {})
+        kind, payload = _run("strong", level, system, transcript)
     except NotFSeparable as exc:
         answers[key] = (exc.witness, exc.detail)
         raise
@@ -891,17 +901,10 @@ def _least_minimal_below(system: SeparationSystem, pool: int, bound: int) -> int
 
 
 def _strong(
-    system: SeparationSystem,
-    fam: StarFamily,
-    forced: int,
-    inv_forced: int,
-    new: int,
-    transcript: list[str],
-    memo: dict,
-    depth: int,
-) -> tuple[str, object]:
-    """One recursion level: settle the family, or split an undecided
-    separation at a separator.
+    system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: int, new: int, memo
+):
+    """One level, run by :func:`_run`: settle the family, or split an
+    undecided separation at a separator.
 
     ``forced`` and ``inv_forced`` are the bit rows of the forced ids and of
     their inverses, and ``new`` the row of the picks not yet checked for a
@@ -913,18 +916,19 @@ def _strong(
     a shifted tree whose root singleton ``{inv(s)}`` is a family star
     answers the level; else both are spliced.
     """
-    if depth > len(system.members) + 2:
-        raise InternalInvariant("strong recursion exceeded its depth bound")
-    pair = _pair_tree(system, forced, inv_forced, transcript, depth)
+    pair = _pair_tree(system, forced, inv_forced)
     if pair is not None:
-        return pair
+        yield pair[0]
+        return pair[1]
     u = system.universe
     hit = _first_conflict(u, forced | system.degenerate_mask, new)
     if hit is not None:
         _raise_inconsistent(system, fam, *hit)
     undecided = system.rep_mask & ~(forced | inv_forced)
     if not undecided:
-        return _settled(system, fam, forced, transcript, depth, "tangle")
+        line, answer = _settled(system, fam, forced, "tangle")
+        yield line
+        return answer
 
     r0 = (undecided & -undecided).bit_length() - 1
     # the members neither forced nor degenerate
@@ -939,9 +943,7 @@ def _strong(
         )
     s0_id = s0.id
     inv_s0 = u.inv_id(s0_id)
-    transcript.append(
-        f"[{depth}] undecided {r0}: separating {r1} from {r2_fwd} at {s0_id}"
-    )
+    yield f"undecided {r0}: separating {r1} from {r2_fwd} at {s0_id}"
 
     shifted: list[STree] = []
     for side, r_min, s in (("first", r1, s0_id), ("second", r2_back, inv_s0)):
@@ -954,15 +956,13 @@ def _strong(
         result = memo.get(row)
         if result is None:
             sub, inv_row = fam.with_star([inv_r]), inv_forced | 1 << inv_r
-            result = memo[row] = _strong(
-                system, sub, row, inv_row, 1 << r_min, transcript, memo, depth + 1
-            )
+            result = memo[row] = yield _strong(system, sub, row, inv_row, 1 << r_min, memo)
         kind, payload = result
         if kind == "tangle":
             return kind, payload
         t = prune_to_irredundant(payload)
         if is_over(t, fam):
-            transcript.append(f"[{depth}] {side} branch tree is over the family")
+            yield f"{side} branch tree is over the family"
             return "tree", t
         leaves = _leaves_with_star(t, frozenset((inv_r,)))
         if not leaves:
@@ -970,16 +970,14 @@ def _strong(
         tight = tighten_rooted(t, leaves[0])
         out = shift_stree(tight, leaves[0], s, fam)
         if fam._has(frozenset((u.inv_id(s),))):
-            transcript.append(f"[{depth}] shifted {side} branch is over the family")
+            yield f"shifted {side} branch is over the family"
             return "tree", out
         shifted.append(out)
     # a skipped side's separator inverse is forced, so the other side's root
     # singleton is a family star and that side has returned above
     if len(shifted) != 2:
-        raise InternalInvariant(
-            "forced inverse of the separator lacks its singleton star"
-        )
+        raise InternalInvariant("forced inverse of the separator lacks its singleton star")
     t1, t2 = shifted
     spliced = _splice(t1, [t1.root_leaf], t2, t2.root_leaf)
-    transcript.append(f"[{depth}] spliced both branches at {s0_id}")
+    yield f"spliced both branches at {s0_id}"
     return "tree", spliced

@@ -434,13 +434,6 @@ class STree:
         out.root_leaf = root
         return out
 
-    def without_nodes(self, drop: Iterable[int]) -> "STree":
-        """This tree minus the ``drop`` nodes; raises as the constructor
-        does when what is left is not a tree."""
-        out = self._without(set(drop))
-        out._check()
-        return out
-
     def _without(self, dropped: set[int]) -> "STree":
         """This tree minus nodes whose deletion leaves a tree, such as a
         branch or a leaf, on the trusted path."""

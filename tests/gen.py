@@ -60,6 +60,21 @@ def full_cover_system(n: int) -> SeparationSystem:
     return build_set_universe(ground, pairs, max_closure=3 ** n + 8)
 
 
+def bipartition_system(n: int) -> tuple[SeparationSystem, StarFamily]:
+    """Every bipartition (A, B) of {0..n-1}, all of them members, and the
+    standard family of no other stars.
+
+    The engines answer it on a chain of levels as long as the system has
+    nondegenerate separations: at ``n=11``, 2,048 members and over a
+    thousand levels, more than the interpreter's default recursion limit.
+    """
+    ground = [str(i) for i in range(n)]
+    full = (1 << n) - 1
+    pairs = [(_names(ground, a), _names(ground, full & ~a)) for a in range(full + 1)]
+    system = build_set_universe(ground, pairs)
+    return system, standardize(StarFamily(system.universe, []), system)
+
+
 def subsystem(base: SeparationSystem, ids) -> SeparationSystem:
     """A system on the same universe holding ``ids`` plus their inverses."""
     u = base.universe
@@ -131,6 +146,24 @@ def random_system(rng: random.Random, max_pairs: int = 5) -> SeparationSystem:
     name = rng.choice(sorted(_GRAPHS))
     k = rng.randint(1, 3)
     return random_subsystem(rng, graph_system(name, k), max_pairs)
+
+
+def random_tk_system(rng: random.Random) -> tuple[SeparationSystem, StarFamily]:
+    """A random graph on 3 to 5 vertices, none isolated, its system S_k at
+    k in 1..3 and the T_k family of ``bench/tk.py``.
+
+    S_k is separable for T_k, so the strong engine answers, and both
+    engines cut and splice trees on about a third of the draws, shifting
+    them too: the tree surgery that :func:`random_system` seldom reaches.
+    """
+    n = rng.randint(3, 5)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+    for v in range(1, n):
+        if not any(v in e for e in edges):
+            edges.append((rng.randrange(v), v))
+    graph = GraphInput.parse("".join(f"{a} {b}\n" for a, b in edges))
+    system = graph_separations(graph, rng.randint(1, 3))
+    return system, bench_tk().tk_family(system, graph)
 
 
 def add_leq(doc: dict) -> dict:

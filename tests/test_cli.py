@@ -14,13 +14,14 @@ import pytest
 
 import gen
 from tangleduct import (
+    Certificate,
     StarFamily,
-    build_set_universe,
     is_consistent,
     orientation_picks,
     standardize,
     system_from_json_dict,
     system_to_json_dict,
+    verify_certificate,
 )
 from tangleduct.cli import RunConfig, demo_family, main, parse_args, run
 
@@ -263,25 +264,35 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_recursion_too_deep_is_one_error_line(tmp_path, capsys):
-    """The engines take one frame per level: on the system of every
-    bipartition of 11 points (2,048 members) both end in one error line."""
-    ground = [str(i) for i in range(11)]
-    pairs = [
-        (gen._names(ground, a), gen._names(ground, (1 << 11) - 1 & ~a))
-        for a in range(1 << 11)
-    ]
-    system = build_set_universe(ground, pairs)
-    family = standardize(StarFamily(system.universe, []), system)
+def test_deep_system_is_answered(tmp_path):
+    """The engines run their levels on an explicit stack: the system of
+    every bipartition of 11 points (2,048 members, over a thousand levels)
+    is answered by both, at the default recursion limit."""
+    system, family = gen.bipartition_system(11)
     path = tmp_path / "deep.json"
     path.write_text(
         json.dumps({"system": system_to_json_dict(system), "family": family.to_json_dict()})
     )
-    for command in ("weak", "strong"):
-        assert run(RunConfig(command, str(path))) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "Traceback" not in err and "recursion" in err
+    for command, kind in (("weak", "orientation"), ("strong", "tangle")):
+        out = tmp_path / f"{command}.json"
+        assert run(RunConfig(command, str(path), output_path=str(out))) == 0
+        cert = Certificate.from_json_dict(system, read_json(out))
+        assert cert.kind == kind
+        assert verify_certificate(cert, system, family) == (True, ())
+
+
+def test_deeply_nested_json_is_one_error_line(tmp_path):
+    """A document nested deeper than the JSON decoder can recurse is
+    malformed input, not a traceback."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tangleduct", "validate", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert err == [f"error: {str(path)!r} nests its JSON too deeply to decode"]
 
 
 MALFORMED_PICKS = {

@@ -406,13 +406,15 @@ class TestStrongDuality:
 
 @pytest.fixture()
 def strong_calls(monkeypatch):
-    """The depth of every ``duality._strong`` call, the recursion included."""
+    """The depth of every ``duality._strong`` level, the root's included,
+    as the count of extra singleton stars of its family: each level adds
+    one to its parent's, and these tests start from a root family."""
     depths = []
     inner = duality._strong
 
-    def spy(*args):
-        depths.append(args[-1])
-        return inner(*args)
+    def spy(system, fam, *args):
+        depths.append(fam.extra.bit_count())
+        return inner(system, fam, *args)
 
     monkeypatch.setattr(duality, "_strong", spy)
     return depths

@@ -44,6 +44,7 @@ from tangleduct import (
     graph_separations,
     is_order_respecting,
     shift_map,
+    standardize,
     star_sort_key,
     strong_duality,
     violating_star,
@@ -871,8 +872,10 @@ def test_grid_k4_certificates_are_unchanged():
 
 def test_engine_runs_leave_no_reference_cycles():
     """Reference counting alone frees the universe, the system and the
-    family of both engine runs: no family refers to itself, directly or
-    through a child's root or a root's memo."""
+    family of both engine runs and of an unmet strong run: no family refers
+    to itself, directly or through a child's root or a root's memo, and the
+    levels that a raising level leaves on the driver's stack go with the
+    exception."""
     graph = GraphInput.parse(tk.GRAPHS["P5"])
     gc.disable()
     try:
@@ -880,6 +883,18 @@ def test_engine_runs_leave_no_reference_cycles():
         family = tk.tk_family(system, graph)
         strong_duality(system, family)
         weak_duality(system, family)
+        refs = [weakref.ref(x) for x in (system.universe, system, family)]
+        del system, family
+        assert [ref() for ref in refs] == [None, None, None]
+        # cover3 with a family that has no separator at the pair (1, 11)
+        system = gen.full_cover_system.__wrapped__(3)
+        family = standardize(StarFamily(system.universe, [[1, 3, 9]]), system)
+        try:
+            strong_duality(system, family)
+        except NotFSeparable:
+            pass
+        else:
+            raise AssertionError("cover3 with the star {1, 3, 9} is not unmet")
         refs = [weakref.ref(x) for x in (system.universe, system, family)]
         del system, family
         assert [ref() for ref in refs] == [None, None, None]
@@ -932,11 +947,14 @@ def test_trusted_trees_equal_checked_ones_on_tk_systems(pairs):
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_trusted_trees_equal_checked_ones_on_random_systems(seed):
+    """A random system and family, then a random graph's S_k with T_k,
+    which reaches splices and shifts."""
     rng = random.Random(seed)
     system = gen.random_system(rng, max_pairs=5)
     family = gen.random_family(rng, system, max_stars=6)
     with checked_trusted_trees():
         run_both_engines(system, family)
+        run_both_engines(*gen.random_tk_system(rng))
 
 
 def test_a_doctored_shift_fails_the_certificate_check(monkeypatch):

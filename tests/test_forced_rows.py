@@ -5,7 +5,8 @@ included: ``_pair_tree`` names the least forced id whose inverse is forced
 too, and ``core._first_conflict`` scans the ids not yet checked for a
 conflict, all forced and degenerate ids at the root and the one added id
 at a child.  Both must name what a dense scan of the whole set names,
-and the strong engine must spend one Python frame per level.  Also here:
+and a level of either engine must never hold a Python frame while a
+child level runs.  Also here:
 ``SeparationSystem.trivial_ids`` against its per-member definition, and
 the caller's family as the engines' root (``restricted_to`` returns it
 unchanged, and its root-scan memo holds systems only weakly).
@@ -69,8 +70,8 @@ def consistent_forced(rng, system):
 
 def pair_label(system, forced, inv_forced):
     """The label of ``_pair_tree``'s 2-node tree on the rows, or None."""
-    pair = _pair_tree(system, forced, inv_forced, [], 0)
-    return None if pair is None else pair[1].alpha[(0, 1)]
+    pair = _pair_tree(system, forced, inv_forced)
+    return None if pair is None else pair[1][1].alpha[(0, 1)]
 
 
 def ref_least_pair(system, ids):
@@ -126,17 +127,19 @@ def test_rules_on_any_pick_set_match_dense_scans(seed, which):
         assert pair_label(system, *_forced_rows(system, ids)) == ref_least_pair(system, ids)
 
 
-# --- one frame per strong level ------------------------------------------------------------
+# --- one level frame at a time ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["P6", "grid2x4"])
-def test_strong_engine_takes_one_frame_per_level(name, monkeypatch):
-    """At every separator search, the frames of the engine's module on the
-    stack are ``strong_duality`` and one ``_strong`` per level."""
+@pytest.mark.parametrize("engine", [strong_duality, weak_duality])
+def test_engine_levels_hold_no_frame_below_the_running_one(engine, name, monkeypatch):
+    """Every level of either engine starts with ``_pair_tree``.  There the
+    frames of the engine's module on the stack are the engine call, its
+    driver and the one running level, however deep that level is."""
     graph = GraphInput.parse(tk.GRAPHS[name])
     system = graph_separations(graph, 3)
     family = tk.tk_family(system, graph)
-    search = duality.find_separator
+    pair_tree = duality._pair_tree
     stacks = []
 
     def recorder(*args):
@@ -146,15 +149,15 @@ def test_strong_engine_takes_one_frame_per_level(name, monkeypatch):
                 names.append(frame.f_code.co_name)
             frame = frame.f_back
         stacks.append(names)
-        return search(*args)
+        return pair_tree(*args)
 
-    monkeypatch.setattr(duality, "find_separator", recorder)
-    strong_duality(system, family)
+    monkeypatch.setattr(duality, "_pair_tree", recorder)
+    cert = engine(system, family)
+    level = "_strong" if engine is strong_duality else "_weak"
     assert stacks
-    for names in stacks:
-        assert names[-1] == "strong_duality"
-        assert set(names[:-1]) == {"_strong"}
-    assert max(map(len, stacks)) > 2
+    assert all(names == [level, "_run", engine.__name__] for names in stacks)
+    depths = [int(line[1 : line.index("]")]) for line in cert.transcript if line[0] == "["]
+    assert max(depths) > 2
 
 
 # --- trivial ids ------------------------------------------------------------------------
