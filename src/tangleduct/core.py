@@ -98,7 +98,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -769,26 +769,32 @@ def is_star(sigma: Iterable[OrientedSep]) -> bool:
     return not elems or _is_star_ids(elems[0].universe, [s.id for s in elems])
 
 
-def _is_star_ids(universe: Universe, ids: Iterable[int]) -> bool:
+def _is_star_ids(universe: Universe, ids: Collection[int]) -> bool:
     """:func:`is_star` on element ids, read off bit rows.
 
     A star holds no degenerate element, and for any two distinct elements
     ``s`` and ``t`` the bit of ``inv(t)`` is set in ``above_mask(s)``.  An
     id outside the universe raises ``IndexError``, as ``Universe.sep`` does.
+    The ids are walked in place, with no copy of them or of their inverses.
     """
-    ids = tuple(ids)
     n = len(universe)
+    if ids and not (0 <= min(ids) and max(ids) < n):
+        bad = next(i for i in ids if not 0 <= i < n)
+        raise IndexError(f"element id {bad} outside a universe of {n}")
+    inv = universe._inv_list
+    row = 0
     for i in ids:
-        if not 0 <= i < n:
-            raise IndexError(f"element id {i} outside a universe of {n}")
-    flips = [universe.inv_id(i) for i in ids]
-    if any(i == f for i, f in zip(ids, flips)):
-        return False
-    if len(ids) < 2:  # the engines' singletons need no bit row
-        return True
-    row = _id_row(flips)
-    # s <= inv(s) is not required, so the bit of inv(s) is let through
-    return not any(row & ~(universe.above_mask(i) | 1 << f) for i, f in zip(ids, flips))
+        f = inv[i]
+        if f == i:
+            return False
+        row |= 1 << f
+    if len(ids) > 1:
+        above = universe.above_mask
+        for i in ids:
+            # s <= inv(s) is not required, so the bit of inv(s) is let through
+            if row & ~(above(i) | 1 << inv[i]):
+                return False
+    return True
 
 
 def is_nested(r: OrientedSep, s: OrientedSep) -> bool:

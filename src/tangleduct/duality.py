@@ -45,9 +45,13 @@ gather, so the small systems pay no numpy call per pair.  Every family
 the engines recurse on is a root plus extra singletons
 (:meth:`StarFamily.with_star`); a child passes iff ``lacking`` lies in its
 ``extra`` row and each qualifying extra ``{x}``, which lies above ``r``,
-joins ``s0`` to a singleton that the root or ``extra`` holds.  Candidates
-are checked in the same order, so the answers and the count of emulation
-checks are those of a scan from scratch.  Nothing is kept on the system.
+joins ``s0`` to a singleton that the root or ``extra`` holds.  A child
+check walks only the qualifying extras not above ``s0``: an extra above
+``s0`` is its own join with ``s0``, which ``extra`` holds.  The base
+``r`` and ``s0`` are checked only on a memo miss, since a key in the memo
+passed those checks on the same system.  Candidates are checked in the
+same order, so the answers and the count of emulation checks are those of
+a scan from scratch.  Nothing is kept on the system.
 
 The strong engine memoizes its recursion by the family's forced ids, not
 by its star set.  Each step recurses on the family plus one singleton star
@@ -116,6 +120,7 @@ from .stree import (
     _bit_ids,
     _check_same_universe,
     _inverse_pair_triple,
+    _lacked_stars,
     _redundant_triple,
     _structure_problem,
     is_order_respecting,
@@ -390,34 +395,40 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
     A star qualifies when all its elements belong to separations with an
     orientation above ``r``, none of them is the inverse of ``r``, and at
     least one lies above ``r`` itself.  The root family's answer is kept
-    as one entry per ``(s0, r)`` (:func:`_root_entry`); a
-    :meth:`~StarFamily.with_star` child then checks only its extra
-    singletons, shifting each by one join lookup.
+    as one entry per ``(s0, r)`` (:func:`_root_entry`), and the base and
+    ``s0`` are checked only when the entry is made; a
+    :meth:`~StarFamily.with_star` child then checks only its qualifying
+    extra singletons not above ``s0``, shifting each by one join lookup.
     """
     _check_same_universe(family, system)
     s0_id, r_id = _as_id(s0), _as_id(r)
-    _require_usable_base(r_id, system, "emulation base")
     root = family if family.root is None else family.root
     memo = _root_memo(root, system)
     lacking = memo.get((s0_id, r_id), _UNSEEN)
     if lacking is _UNSEEN:
-        # only a miss checks s0: a pair in the memo passed on this system
+        # only a miss checks the base and s0: a key in the memo passed on
+        # this system
+        _require_usable_base(r_id, system, "emulation base")
         lacking = memo[s0_id, r_id] = _root_entry(system, root, memo, s0_id, r_id)
     extra = family.extra
     if lacking is None or lacking < 0 or lacking & ~extra:
         return False
     u = system.universe
-    allowed = system.domain_mask(r_id) & ~(1 << u.inv_id(r_id))
-    qualifying = extra & allowed & system.members_above(r_id)
+    # an extra id qualifies when it lies above r and is not inv(r); one
+    # above s0 is its own join with s0, which extra holds
+    skip = 1 << u.inv_id(r_id) | u.above_mask(s0_id)
+    qualifying = extra & system.members_above(r_id) & ~skip
     if not qualifying:
         return True
     # each qualifying id lies above r, so its shift is its join with s0
     col = u.join_column(s0_id)
     present = root.mask_set
-    for x in _bit_ids(qualifying):
-        y = int(col[x])
+    while qualifying:
+        low = qualifying & -qualifying
+        y = int(col[low.bit_length() - 1])
         if not (extra >> y & 1 or 1 << y in present):
             return False
+        qualifying ^= low
     return True
 
 
@@ -500,12 +511,12 @@ def find_separator(
     r_id, rp_id = _as_id(r), _as_id(r_prime)
     if r_id not in system.member_ids or rp_id not in system.member_ids:
         raise MalformedInput("separator endpoints must be members of the system")
-    if not u.leq_ids(r_id, rp_id):
+    if not u.above_mask(r_id) >> rp_id & 1:
         raise MalformedInput("separator endpoints are not ordered r <= r_prime")
     rp_inv = u.inv_id(rp_id)
     for val, what in ((r_id, "r"), (rp_inv, "inverse of r_prime")):
         _require_usable_base(val, system, what)
-        if val in family._inverse_singletons:
+        if family._has(frozenset((u.inv_id(val),))):
             raise MalformedInput(f"{what} is forced by the family")
     # a candidate passing both checks lies between r and r_prime, so only
     # those members are tried, least id first
@@ -540,39 +551,40 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
     r_id = tree.alpha[(root, tree.adj[root][0])]
     if u.is_degenerate_id(r_id) or _is_trivial_id(system, r_id):
         raise RootLabelTrivial(root, r_id)
-    if s0_id not in system.member_ids or not u.leq_ids(r_id, s0_id):
+    if s0_id not in system.member_ids or not u.above_mask(r_id) >> s0_id & 1:
         raise MalformedInput("s0 must be a member above the root label")
     if _redundant_triple(tree) is not None or _inverse_pair_triple(tree) is not None:
         raise MalformedInput("tree must be irredundant and tight before shifting")
-    for t in tree.nodes:
-        if t != root and not family._has(tree.node_star(t)):
+    extra = family.extra
+    for t, need in _lacked_stars(tree, family)[1]:
+        if t != root and need & ~extra:
             raise MalformedInput(f"star at node {t} is not in the family")
 
     parent = tree._parents(root)
+    col, members, inv = u.join_column(s0_id), system.member_ids, u.inv_id
     alpha: dict[tuple[int, int], int] = {}
     for u_, v_ in tree.edges:
         away = (u_, v_) if parent[v_] == u_ else (v_, u_)
-        shifted = u.join_id(tree.alpha[away], s0_id)
-        if shifted not in system.member_ids:
+        label = tree.alpha[away]
+        shifted = int(col[label])
+        if shifted not in members:
+            u.join_id(label, s0_id)  # raises for a join outside the universe
             raise ShiftLeftS(away, shifted)
         alpha[away] = shifted
-        alpha[(away[1], away[0])] = u.inv_id(shifted)
+        alpha[(away[1], away[0])] = inv(shifted)
     out = STree._derived(system, tree.edges, alpha, tree.nodes, root, tree.adj)
 
     inv_s0 = frozenset((u.inv_id(s0_id),))
     if out.node_star(root) != inv_s0:
         raise InternalInvariant("shifted root star is not the inverse of s0")
     for t in out.nodes:
-        if t == root:
-            continue
-        if out.node_star(t) == inv_s0 and len(out.adj[t]) == 1:
+        if t != root and len(out.adj[t]) == 1 and out.node_star(t) == inv_s0:
             raise InternalInvariant(
                 f"shifted star of s0's inverse appears at leaf {t} besides the root"
             )
-        if not family._has(out.node_star(t)):
-            raise InternalInvariant(
-                f"shifted star at node {t} left the family"
-            )
+    for t, need in _lacked_stars(out, family)[1]:
+        if t != root and need & ~extra:
+            raise InternalInvariant(f"shifted star at node {t} left the family")
     if not is_order_respecting(out):
         raise InternalInvariant("shifted tree does not respect the edge order")
     return out
@@ -775,7 +787,7 @@ def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: in
     # the star {pick} forces its inverse
     for side, pick, other in (("first", s0, inv_s0), ("second", inv_s0, s0)):
         kind, res = yield _weak(
-            system, fam.with_star([pick]), forced | 1 << other, inv_forced | 1 << pick
+            system, fam._child(pick), forced | 1 << other, inv_forced | 1 << pick
         )
         if kind == "orientation":
             return kind, res
@@ -955,7 +967,7 @@ def _strong(
         row = forced | 1 << r_min
         result = memo.get(row)
         if result is None:
-            sub, inv_row = fam.with_star([inv_r]), inv_forced | 1 << inv_r
+            sub, inv_row = fam._child(inv_r), inv_forced | 1 << inv_r
             result = memo[row] = yield _strong(system, sub, row, inv_row, 1 << r_min, memo)
         kind, payload = result
         if kind == "tangle":

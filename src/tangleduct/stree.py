@@ -15,7 +15,13 @@ The public :class:`STree` constructor checks its input from first
 principles.  A tree that surgery derives from a checked tree is built on a
 trusted path that checks nothing again; ``verify_certificate`` checks the
 structure of every tree certificate, so an engine's answer is still checked
-once, in full.
+once, in full.  As a tree never changes, it keeps its verdicts (redundant
+and inverse pairs, and which node stars a root family lacks), so a tree
+that the engines pass up their levels is scanned once.
+
+A :class:`StarFamily` child adds singleton stars to a root family as a bit
+row and derives everything else, its forced inverses included, from the
+root on demand.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import re
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -84,17 +91,24 @@ class StarFamily:
     indices of its qualifying stars per base ``r`` and the strong engine's
     answers per ``extra`` row.  The memo holds its systems weakly, so a
     family used with many systems keeps none of them alive.
-    :meth:`with_star` adds a singleton star without copying: the child's
-    ``root`` is the root family and ``extra`` is the bit row of the ids
-    whose singleton stars it adds, so ``sigma in child`` is
-    ``sigma in root.stars`` or a single id whose bit is in ``extra``.
-    Both engines only ever add singletons; any other star makes a new root
-    by copy.  A child's other parts are built from its root's on first use.
+    :meth:`with_star` adds a singleton star without copying, through
+    :meth:`_child`, which both engines call directly: the child's ``root``
+    is the root family and ``extra`` is the bit row of the ids whose
+    singleton stars it adds, so ``sigma in child`` is ``sigma in
+    root.stars`` or a single id whose bit is in ``extra``.  Both engines
+    only ever add singletons; any other star makes a new root by copy.  A
+    child holds only its root and its ``extra`` row: every other part, the
+    inverses of its singleton stars included, is built from its root's on
+    first use, so a level of the engines copies nothing.
     """
 
     def __init__(self, universe: Universe, stars: Iterable, *, validate: bool = True):
         self.universe = universe
-        self.stars = frozenset(frozenset(map(_as_id, sigma)) for sigma in stars)
+        sets = [frozenset(sigma) for sigma in stars]
+        if not set(map(type, chain.from_iterable(sets))) <= {int}:
+            # handles, or ids of another type, read one by one
+            sets = [frozenset(map(_as_id, sigma)) for sigma in sets]
+        self.stars = frozenset(sets)
         self.root: Optional[StarFamily] = None
         self.extra = 0
         self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -145,6 +159,8 @@ class StarFamily:
     @cached_property
     def _inverse_singletons(self) -> frozenset[int]:
         inv = self.universe.inv_id
+        if self.root is not None:
+            return self.root._inverse_singletons.union(map(inv, _bit_ids(self.extra)))
         return frozenset(inv(next(iter(s))) for s in self.stars if len(s) == 1)
 
     def __iter__(self):
@@ -176,18 +192,32 @@ class StarFamily:
 
     def with_star(self, sigma) -> "StarFamily":
         ids = frozenset(map(_as_id, sigma))
+        if len(ids) == 1:
+            return self._child(next(iter(ids)))
         if not _is_star_ids(self.universe, ids):
             raise FNotStars(ids)
         if self._has(ids):
             return self
-        if len(ids) != 1:
-            return StarFamily(self.universe, self.stars | {ids}, validate=False)
-        (i,) = ids
+        return StarFamily(self.universe, self.stars | {ids}, validate=False)
+
+    def _child(self, i: int) -> "StarFamily":
+        """This family plus the singleton star ``{i}``: ``self`` when it
+        holds it, else a child of the root.  A singleton is a star unless
+        ``i`` is degenerate; an id outside the universe raises
+        ``IndexError``."""
+        u = self.universe
+        n = len(u)
+        if not 0 <= i < n:
+            raise IndexError(f"element id {i} outside a universe of {n}")
+        if u.inv_id(i) == i:
+            raise FNotStars((i,))
+        root = self if self.root is None else self.root
+        if self.extra >> i & 1 or frozenset((i,)) in root.stars:
+            return self
         out = object.__new__(StarFamily)
-        out.universe = self.universe
-        out.root = self.root if self.root is not None else self
+        out.universe = u
+        out.root = root
         out.extra = self.extra | 1 << i
-        out._inverse_singletons = self._inverse_singletons | {self.universe.inv_id(i)}
         return out
 
     def restricted_to(self, system: SeparationSystem) -> "StarFamily":
@@ -223,22 +253,33 @@ class StarFamily:
 
     @classmethod
     def from_json_dict(cls, universe: Universe, d: dict) -> "StarFamily":
+        """Read a family document.  Its ids are checked in bulk; only a
+        document that fails is walked, to name its first bad entry."""
         if not isinstance(d, dict) or not isinstance(d.get("stars"), list):
             raise MalformedInput("family JSON needs a 'stars' list")
-        stars = []
-        for sigma in d["stars"]:
-            if not isinstance(sigma, list):
-                raise MalformedInput(f"a star must be a list of element ids, got {sigma!r}")
-            for i in sigma:
-                if not _is_id(i):
-                    raise MalformedInput(f"star {sigma!r} holds a non-integer element {i!r}")
-                if not 0 <= i < len(universe):
-                    raise MalformedInput(f"star element {i} outside the universe")
-            stars.append(sigma)
+        stars, n = d["stars"], len(universe)
+        if not _plain_id_lists(stars, n):
+            for sigma in stars:
+                if not isinstance(sigma, list):
+                    raise MalformedInput(f"a star must be a list of element ids, got {sigma!r}")
+                for i in sigma:
+                    if not _is_id(i):
+                        raise MalformedInput(f"star {sigma!r} holds a non-integer element {i!r}")
+                    if not 0 <= i < n:
+                        raise MalformedInput(f"star element {i} outside the universe")
         return cls(universe, stars)
 
     def __repr__(self) -> str:
         return f"<family of {len(self)} stars>"
+
+
+def _plain_id_lists(stars: list, n: int) -> bool:
+    """True when every star is a ``list`` of ``int`` ids in ``0 .. n-1``,
+    checked with no Python step per id."""
+    if not set(map(type, stars)) <= {list}:
+        return False
+    ids = list(chain.from_iterable(stars))
+    return set(map(type, ids)) <= {int} and (not ids or 0 <= min(ids) and max(ids) < n)
 
 
 def _check_same_universe(family: StarFamily, system: SeparationSystem) -> None:
@@ -271,6 +312,13 @@ class STree:
     :meth:`_check`.  Trees the engines derive from checked trees are built
     by :meth:`_derived`, which trusts its parts; ``verify_certificate``
     runs :meth:`_check` on every tree certificate, which covers them.
+
+    A tree is never mutated, so it keeps what is read off it: its node
+    stars, and in ``_verdicts`` the answers of :func:`_redundant_triple`
+    and :func:`_inverse_pair_triple` and, for the last root family it was
+    checked against (held weakly), the nodes whose stars that root lacks
+    (:func:`_lacked_stars`).  A :meth:`_with_root_leaf` copy shares them,
+    so a tree passed up the engines' levels is scanned once.
     """
 
     def __init__(
@@ -321,6 +369,7 @@ class STree:
         self.alpha: dict[tuple[int, int], int] = alpha
         self.root_leaf: Optional[int] = root_leaf
         self._stars: dict[int, frozenset[int]] = {}
+        self._verdicts: dict[str, object] = {}
         if adj is None:
             # sorted (min, max) edges list each node's smaller neighbours,
             # then its larger ones, each in increasing order
@@ -427,7 +476,8 @@ class STree:
     # -- derived trees -----------------------------------------------------
 
     def _with_root_leaf(self, root: int) -> "STree":
-        """This tree with ``root`` as its root leaf, sharing its checked parts."""
+        """This tree with ``root`` as its root leaf, sharing its checked
+        parts, its node stars and its verdicts."""
         if len(self.adj[root]) > 1:
             raise MalformedInput(f"root {root} is not a leaf")
         out = copy.copy(self)
@@ -529,6 +579,21 @@ class STreeReport:
     problems: tuple[str, ...]
 
 
+def _kept(scan):
+    """``scan(tree)``, kept on the tree from its first call."""
+    name = scan.__name__
+
+    @wraps(scan)
+    def kept(tree: STree):
+        verdicts = tree._verdicts
+        if name not in verdicts:
+            verdicts[name] = scan(tree)
+        return verdicts[name]
+
+    return kept
+
+
+@_kept
 def _redundant_triple(tree: STree) -> Optional[tuple[int, int, int]]:
     """Least (node, n1, n2) with two incoming edges sharing a label."""
     for t in tree.nodes:
@@ -540,6 +605,7 @@ def _redundant_triple(tree: STree) -> Optional[tuple[int, int, int]]:
     return None
 
 
+@_kept
 def _inverse_pair_triple(tree: STree) -> Optional[tuple[int, int, int]]:
     """Least (node, n1, n2) whose incoming labels are nondegenerate inverses."""
     inv = tree.system.universe.inv_id
@@ -547,10 +613,11 @@ def _inverse_pair_triple(tree: STree) -> Optional[tuple[int, int, int]]:
         ws = tree.adj[t]
         for i, n1 in enumerate(ws):
             a = tree.alpha[(n1, t)]
-            if inv(a) == a:
+            b = inv(a)
+            if b == a:
                 continue
             for n2 in ws[i + 1:]:
-                if tree.alpha[(n2, t)] == inv(a):
+                if tree.alpha[(n2, t)] == b:
                     return t, n1, n2
     return None
 
@@ -646,7 +713,37 @@ def validate_stree(tree: STree, family: Optional[StarFamily] = None) -> STreeRep
 
 
 def is_over(tree: STree, family: StarFamily) -> bool:
-    return all(family._has(tree.node_star(t)) for t in tree.nodes)
+    """True iff every node star is a star of the family: one AND of the
+    row of singletons the tree needs beyond the family's root
+    (:func:`_lacked_stars`) against the family's ``extra`` row."""
+    need, _ = _lacked_stars(tree, family)
+    return not need & ~family.extra
+
+
+def _lacked_stars(
+    tree: STree, family: StarFamily
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The nodes, in order, whose stars the root of ``family`` lacks, each
+    with the bit row that a family's ``extra`` must cover to hold its star
+    (the bit of its id for a singleton, -1, which no row covers, for any
+    other star), and the OR of those rows.  Kept on the tree for the last
+    root asked, which it holds weakly."""
+    root = family if family.root is None else family.root
+    kept = tree._verdicts.get("_lacked_stars")
+    if kept is not None and kept[0]() is root:
+        return kept[1], kept[2]
+    stars = root.stars
+    lacked = []
+    need = 0
+    for t in tree.nodes:
+        star = tree.node_star(t)
+        if star not in stars:
+            bit = 1 << next(iter(star)) if len(star) == 1 else -1
+            lacked.append((t, bit))
+            need |= bit
+    out = tuple(lacked)
+    tree._verdicts["_lacked_stars"] = (weakref.ref(root), need, out)
+    return need, out
 
 
 # --- surgery -------------------------------------------------------------------
@@ -684,7 +781,8 @@ def contract_to_tight(tree: STree) -> STree:
     If edges (n1, t) and (n2, t) carry a separation and its inverse, the part
     of the tree between n1 and n2 (containing t) is deleted and n1, n2 are
     joined by an edge inheriting those labels.  Stars at surviving nodes are
-    unchanged.  Nodes are resolved in increasing id order.
+    unchanged, each label kept as often as before.  Nodes are resolved in
+    increasing id order.
     """
     t = tree
     while True:
@@ -706,7 +804,12 @@ def contract_to_tight(tree: STree) -> STree:
         alpha[(n2, n1)] = t.system.universe.inv_id(fwd)
         keep_root = t.root_leaf if t.root_leaf not in mid else None
         kept = [n for n in t.nodes if n not in mid]
+        # every surviving node keeps the labels of its incoming edges, so
+        # a tree known to be irredundant stays irredundant
+        irredundant = "_redundant_triple" in t._verdicts and _redundant_triple(t) is None
         t = STree._derived(t.system, edges, alpha, kept, keep_root)
+        if irredundant:
+            t._verdicts["_redundant_triple"] = None
 
 
 def tighten_rooted(tree: STree, root: int) -> STree:

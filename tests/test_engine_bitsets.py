@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 import gen
 from tangleduct import (
+    FNotStars,
     GraphInput,
     InternalInvariant,
     MalformedInput,
@@ -43,6 +44,7 @@ from tangleduct import (
     find_inconsistency,
     graph_separations,
     is_order_respecting,
+    is_over,
     shift_map,
     standardize,
     star_sort_key,
@@ -51,7 +53,7 @@ from tangleduct import (
     weak_duality,
 )
 from tangleduct import duality
-from tangleduct.stree import _bit_ids
+from tangleduct.stree import _bit_ids, _inverse_pair_triple, _redundant_triple
 from tangleduct.duality import (
     _emulating_column,
     _least_minimal_below,
@@ -370,6 +372,54 @@ def test_with_star_chain_matches_a_rebuilt_family(seed):
         assert fam.star_masks == fresh.star_masks
         assert fam.mask_set == fresh.mask_set
         assert fam.forced_ids(system) == fresh.forced_ids(system)
+
+
+def assert_same_index(fam, copy, system):
+    assert fam.stars == copy.stars
+    assert fam.sorted_stars == copy.sorted_stars
+    assert fam.mask_set == copy.mask_set
+    assert fam.forced_ids(system) == copy.forced_ids(system)
+    assert fam._inverse_singletons == copy._inverse_singletons
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_singleton_children_match_a_copy_built_root(seed):
+    """``_child(i)`` and ``with_star([i])`` along a chain of singletons,
+    some already held, against a root built by copy from the dense star
+    set; a child's forced inverses are read before and after its other
+    parts."""
+    rng = random.Random(seed)
+    system = gen.random_system(rng, max_pairs=5)
+    fam = gen.random_family(rng, system, max_stars=4, standard=rng.random() < 0.5)
+    u = system.universe
+    pool = [m for m in system.members if not u.is_degenerate_id(m)]
+    for _ in range(rng.randint(1, 8) if pool else 0):
+        i = rng.choice(pool)
+        held = frozenset((i,)) in fam.stars
+        copy = StarFamily(u, fam.stars | {frozenset((i,))})
+        children = [fam._child(i), fam.with_star([i])]
+        if held:
+            assert children == [fam, fam] and all(c is fam for c in children)
+        for child in rng.sample(children, 2):
+            if rng.random() < 0.5:
+                assert child._inverse_singletons == copy._inverse_singletons
+            assert_same_index(child, copy, system)
+        fam = children[0]
+    assert fam.root is None or fam.root.root is None
+
+
+def test_singleton_child_errors():
+    system = gen.full_cover_system(2)
+    u = system.universe
+    fam = StarFamily(u, [[1]])._child(3)
+    (degenerate, *_) = sorted(u.degenerate_ids)
+    for grow in (fam._child, lambda i: fam.with_star([i])):
+        with pytest.raises(FNotStars):
+            grow(degenerate)
+        for bad in (-1, len(u)):
+            with pytest.raises(IndexError, match=f"element id {bad} outside"):
+                grow(bad)
+        assert grow(1) is fam and grow(3) is fam
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -870,6 +920,48 @@ def test_grid_k4_certificates_are_unchanged():
     )
 
 
+# sha256 over the answers of both engines on RANDOM_ANSWER_DRAWS draws from
+# random.Random(RANDOM_ANSWER_SEED), alternating a gen.random_system with a
+# random_family and a gen.random_tk_system: per draw one line for the
+# strong answer (its labelled certificate and transcript, or the witness
+# and detail of its NotFSeparable) and one for the weak certificate
+RANDOM_ANSWER_SEED = 0x5EED25
+RANDOM_ANSWER_DRAWS = 160
+RANDOM_ANSWER_SHA256 = "da13d5529ce65e4e9bafb1892c2048e57e843ae2084a6e220e41e751d0884fbc"
+
+
+def answer_line(cert, universe) -> str:
+    doc = labelled(cert.to_json_dict(), universe)
+    doc["transcript"] = labelled_transcript(cert.transcript, universe)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def random_answer_digest() -> str:
+    rng = random.Random(RANDOM_ANSWER_SEED)
+    out = hashlib.sha256()
+    for draw in range(RANDOM_ANSWER_DRAWS):
+        if draw % 2:
+            system, family = gen.random_tk_system(rng)
+        else:
+            system = gen.random_system(rng, max_pairs=5)
+            family = gen.random_family(rng, system, max_stars=6)
+        u = system.universe
+        try:
+            strong = answer_line(strong_duality(system, family), u)
+        except NotFSeparable as exc:
+            witness = [u.set_labels[i] for i in exc.witness]
+            strong = json.dumps({"unmet": witness, "detail": exc.detail})
+        weak = answer_line(weak_duality(system, family), u)
+        out.update(f"{strong}\n{weak}\n".encode())
+    return out.hexdigest()
+
+
+def test_random_answers_are_unchanged():
+    """The census regime's answers, pinned: the small random systems and
+    T_k draws whose engine answers every change to the engines must keep."""
+    assert random_answer_digest() == RANDOM_ANSWER_SHA256
+
+
 def test_engine_runs_leave_no_reference_cycles():
     """Reference counting alone frees the universe, the system and the
     family of both engine runs and of an unmet strong run: no family refers
@@ -955,6 +1047,77 @@ def test_trusted_trees_equal_checked_ones_on_random_systems(seed):
     with checked_trusted_trees():
         run_both_engines(system, family)
         run_both_engines(*gen.random_tk_system(rng))
+
+
+# --- verdicts kept on trees -----------------------------------------------------------
+
+
+@contextmanager
+def recorded_trees():
+    """Yield a list of the trees built by ``STree._derived`` and
+    ``STree._with_root_leaf`` while the block runs."""
+    derived, rooted = STree.__dict__["_derived"], STree._with_root_leaf
+    built = []
+
+    def record_derived(cls, *args, **kwargs):
+        built.append(derived.__func__(cls, *args, **kwargs))
+        return built[-1]
+
+    def record_rooted(self, root):
+        built.append(rooted(self, root))
+        return built[-1]
+
+    STree._derived, STree._with_root_leaf = classmethod(record_derived), record_rooted
+    try:
+        yield built
+    finally:
+        STree._derived, STree._with_root_leaf = derived, rooted
+
+
+def assert_kept_verdicts_hold(system, family, rng):
+    """Run both engines, then ask every tree they built, with the verdicts
+    the run left on it, and a ``_with_root_leaf`` copy of it, what a fresh
+    scan of its public-constructor copy answers: for the engine's family, a
+    child of it with some of the singletons the tree needs, and a root
+    built by copy from that child."""
+    fam = family.restricted_to(system)
+    with recorded_trees() as built:
+        run_both_engines(system, family)
+    u = system.universe
+    for t in built:
+        public = STree(t.system, t.edges, t.alpha, nodes=t.nodes, root_leaf=t.root_leaf)
+        stars = [public.node_star(n) for n in public.nodes]
+        child = fam
+        for star in stars:
+            if len(star) == 1 and rng.random() < 0.7:
+                (x,) = star
+                if not u.is_degenerate_id(x):
+                    child = child._child(x)
+        families = [fam, child, StarFamily(u, child.stars, validate=False)]
+        copies = [t] + [t._with_root_leaf(leaf) for leaf in t.leaves()[:2]]
+        for tree in rng.sample(copies, len(copies)):
+            assert _redundant_triple(tree) == _redundant_triple(public)
+            assert _inverse_pair_triple(tree) == _inverse_pair_triple(public)
+            for f in rng.sample(families, len(families)):
+                want = all(star in f.stars for star in stars)
+                assert is_over(tree, f) == is_over(public, f) == want
+    return len(built)
+
+
+def test_kept_tree_verdicts_on_the_ladder():
+    rng = random.Random(3)
+    trees = 0
+    for name, k in sorted(tk.EXPECTED_KIND):
+        graph = GraphInput.parse(tk.GRAPHS[name])
+        system = graph_separations(graph, k)
+        trees += assert_kept_verdicts_hold(system, tk.tk_family(system, graph), rng)
+    assert trees
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_kept_tree_verdicts_on_random_tk_systems(seed):
+    rng = random.Random(seed)
+    assert_kept_verdicts_hold(*gen.random_tk_system(rng), rng)
 
 
 def test_a_doctored_shift_fails_the_certificate_check(monkeypatch):

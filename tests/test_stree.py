@@ -30,6 +30,7 @@ from tangleduct.errors import (
     RootLabelTrivial,
 )
 from tangleduct.core import _is_star_ids
+from tangleduct.stree import _redundant_triple
 
 
 def ref_is_star(universe, ids) -> bool:
@@ -336,6 +337,21 @@ class TestSurgery:
         assert set(tight.nodes) == {0, 2}
         assert tight.alpha[(0, 2)] == tree.alpha[(0, 1)]
         assert validate_stree(tight).is_tight
+
+    def test_contracted_trees_keep_true_verdicts(self, rng):
+        """A contracted tree's redundancy verdict, whether the input's was
+        kept before the contraction or not, is what a fresh scan of its
+        public-constructor copy says."""
+        contracted = 0
+        for _ in range(60):
+            t = gen.random_partition_stree(rng, 3, max_nodes=8, redundant=rng.random() < 0.5)
+            if rng.random() < 0.5:
+                _redundant_triple(t)
+            tight = contract_to_tight(t)
+            contracted += tight is not t
+            public = STree(tight.system, tight.edges, tight.alpha, nodes=tight.nodes)
+            assert _redundant_triple(tight) == _redundant_triple(public)
+        assert contracted
 
     def test_tighten_rooted_keeps_root_label_unique(self, cover3):
         tree = gen.partition_stree(
