@@ -122,6 +122,7 @@ from .stree import (
     _inverse_pair_triple,
     _lacked_stars,
     _redundant_triple,
+    _star_outside,
     _structure_problem,
     is_order_respecting,
     is_over,
@@ -242,7 +243,7 @@ def verify_certificate(
 
     A tree must be an S-tree of ``system``, checked from first principles
     as the public :class:`STree` constructor checks it, with every node
-    star in ``family``.
+    star in ``family``; neither check reads the verdicts the tree keeps.
     """
     problems: list[str] = []
     if cert.kind in ("tangle", "orientation"):
@@ -262,7 +263,7 @@ def verify_certificate(
             problems.append("tree belongs to a different system")
         elif (problem := _structure_problem(cert.tree)) is not None:
             problems.append(problem)
-        elif not is_over(cert.tree, family):
+        elif _star_outside(cert.tree, family) is not None:
             # the full report only to name the problems
             problems.extend(validate_stree(cert.tree, family).problems)
     else:

@@ -32,7 +32,6 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -104,11 +103,7 @@ class StarFamily:
 
     def __init__(self, universe: Universe, stars: Iterable, *, validate: bool = True):
         self.universe = universe
-        sets = [frozenset(sigma) for sigma in stars]
-        if not set(map(type, chain.from_iterable(sets))) <= {int}:
-            # handles, or ids of another type, read one by one
-            sets = [frozenset(map(_as_id, sigma)) for sigma in sets]
-        self.stars = frozenset(sets)
+        self.stars = frozenset(frozenset(map(_as_id, sigma)) for sigma in stars)
         self.root: Optional[StarFamily] = None
         self.extra = 0
         self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -253,33 +248,22 @@ class StarFamily:
 
     @classmethod
     def from_json_dict(cls, universe: Universe, d: dict) -> "StarFamily":
-        """Read a family document.  Its ids are checked in bulk; only a
-        document that fails is walked, to name its first bad entry."""
         if not isinstance(d, dict) or not isinstance(d.get("stars"), list):
             raise MalformedInput("family JSON needs a 'stars' list")
-        stars, n = d["stars"], len(universe)
-        if not _plain_id_lists(stars, n):
-            for sigma in stars:
-                if not isinstance(sigma, list):
-                    raise MalformedInput(f"a star must be a list of element ids, got {sigma!r}")
-                for i in sigma:
-                    if not _is_id(i):
-                        raise MalformedInput(f"star {sigma!r} holds a non-integer element {i!r}")
-                    if not 0 <= i < n:
-                        raise MalformedInput(f"star element {i} outside the universe")
+        stars = []
+        for sigma in d["stars"]:
+            if not isinstance(sigma, list):
+                raise MalformedInput(f"a star must be a list of element ids, got {sigma!r}")
+            for i in sigma:
+                if not _is_id(i):
+                    raise MalformedInput(f"star {sigma!r} holds a non-integer element {i!r}")
+                if not 0 <= i < len(universe):
+                    raise MalformedInput(f"star element {i} outside the universe")
+            stars.append(sigma)
         return cls(universe, stars)
 
     def __repr__(self) -> str:
         return f"<family of {len(self)} stars>"
-
-
-def _plain_id_lists(stars: list, n: int) -> bool:
-    """True when every star is a ``list`` of ``int`` ids in ``0 .. n-1``,
-    checked with no Python step per id."""
-    if not set(map(type, stars)) <= {list}:
-        return False
-    ids = list(chain.from_iterable(stars))
-    return set(map(type, ids)) <= {int} and (not ids or 0 <= min(ids) and max(ids) < n)
 
 
 def _check_same_universe(family: StarFamily, system: SeparationSystem) -> None:
@@ -317,8 +301,10 @@ class STree:
     stars, and in ``_verdicts`` the answers of :func:`_redundant_triple`
     and :func:`_inverse_pair_triple` and, for the last root family it was
     checked against (held weakly), the nodes whose stars that root lacks
-    (:func:`_lacked_stars`).  A :meth:`_with_root_leaf` copy shares them,
-    so a tree passed up the engines' levels is scanned once.
+    (:func:`_lacked_stars`), each under the function that computes it.
+    A :meth:`_with_root_leaf` copy shares them, so a tree passed up the
+    engines' levels is scanned once.  :func:`validate_stree` and
+    ``verify_certificate`` read none of them.
     """
 
     def __init__(
@@ -369,7 +355,7 @@ class STree:
         self.alpha: dict[tuple[int, int], int] = alpha
         self.root_leaf: Optional[int] = root_leaf
         self._stars: dict[int, frozenset[int]] = {}
-        self._verdicts: dict[str, object] = {}
+        self._verdicts: dict[object, object] = {}
         if adj is None:
             # sorted (min, max) edges list each node's smaller neighbours,
             # then its larger ones, each in increasing order
@@ -580,15 +566,15 @@ class STreeReport:
 
 
 def _kept(scan):
-    """``scan(tree)``, kept on the tree from its first call."""
-    name = scan.__name__
+    """``scan(tree)``, kept on the tree from its first call under the
+    returned function itself as key; its ``__wrapped__`` scans afresh."""
 
     @wraps(scan)
     def kept(tree: STree):
         verdicts = tree._verdicts
-        if name not in verdicts:
-            verdicts[name] = scan(tree)
-        return verdicts[name]
+        if kept not in verdicts:
+            verdicts[kept] = scan(tree)
+        return verdicts[kept]
 
     return kept
 
@@ -676,13 +662,16 @@ def validate_stree(tree: STree, family: Optional[StarFamily] = None) -> STreeRep
             problems.append(f"star at node {t} is not a star")
             break
 
-    irredundant = _redundant_triple(tree) is None
+    # scanned afresh, not read from the verdicts the tree keeps
+    redundant = _redundant_triple.__wrapped__(tree)
+    irredundant = redundant is None
     if not irredundant:
-        problems.append(f"redundant at {_redundant_triple(tree)}")
+        problems.append(f"redundant at {redundant}")
 
-    tight = _inverse_pair_triple(tree) is None
+    inverse_pair = _inverse_pair_triple.__wrapped__(tree)
+    tight = inverse_pair is None
     if not tight:
-        problems.append(f"non-antisymmetric star at {_inverse_pair_triple(tree)}")
+        problems.append(f"non-antisymmetric star at {inverse_pair}")
 
     order_ok = is_order_respecting(tree)
     if not order_ok:
@@ -693,11 +682,9 @@ def validate_stree(tree: STree, family: Optional[StarFamily] = None) -> STreeRep
 
     over_family: Optional[bool] = None
     if family is not None:
-        over_family = is_over(tree, family)
+        bad = _star_outside(tree, family)
+        over_family = bad is None
         if not over_family:
-            bad = next(
-                t for t in tree.nodes if not family._has(tree.node_star(t))
-            )
             problems.append(f"star at node {bad} is outside the family")
 
     return STreeReport(
@@ -720,6 +707,11 @@ def is_over(tree: STree, family: StarFamily) -> bool:
     return not need & ~family.extra
 
 
+def _star_outside(tree: STree, family: StarFamily) -> Optional[int]:
+    """The first node whose star is not in ``family``, scanned afresh."""
+    return next((t for t in tree.nodes if not family._has(tree.node_star(t))), None)
+
+
 def _lacked_stars(
     tree: STree, family: StarFamily
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -729,7 +721,7 @@ def _lacked_stars(
     other star), and the OR of those rows.  Kept on the tree for the last
     root asked, which it holds weakly."""
     root = family if family.root is None else family.root
-    kept = tree._verdicts.get("_lacked_stars")
+    kept = tree._verdicts.get(_lacked_stars)
     if kept is not None and kept[0]() is root:
         return kept[1], kept[2]
     stars = root.stars
@@ -742,7 +734,7 @@ def _lacked_stars(
             lacked.append((t, bit))
             need |= bit
     out = tuple(lacked)
-    tree._verdicts["_lacked_stars"] = (weakref.ref(root), need, out)
+    tree._verdicts[_lacked_stars] = (weakref.ref(root), need, out)
     return need, out
 
 
@@ -806,10 +798,10 @@ def contract_to_tight(tree: STree) -> STree:
         kept = [n for n in t.nodes if n not in mid]
         # every surviving node keeps the labels of its incoming edges, so
         # a tree known to be irredundant stays irredundant
-        irredundant = "_redundant_triple" in t._verdicts and _redundant_triple(t) is None
+        irredundant = t._verdicts.get(_redundant_triple, ()) is None
         t = STree._derived(t.system, edges, alpha, kept, keep_root)
         if irredundant:
-            t._verdicts["_redundant_triple"] = None
+            t._verdicts[_redundant_triple] = None
 
 
 def tighten_rooted(tree: STree, root: int) -> STree:

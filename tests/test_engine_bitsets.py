@@ -49,11 +49,13 @@ from tangleduct import (
     standardize,
     star_sort_key,
     strong_duality,
+    validate_stree,
+    verify_certificate,
     violating_star,
     weak_duality,
 )
 from tangleduct import duality
-from tangleduct.stree import _bit_ids, _inverse_pair_triple, _redundant_triple
+from tangleduct.stree import _bit_ids, _inverse_pair_triple, _lacked_stars, _redundant_triple
 from tangleduct.duality import (
     _emulating_column,
     _least_minimal_below,
@@ -1118,6 +1120,32 @@ def test_kept_tree_verdicts_on_the_ladder():
 def test_kept_tree_verdicts_on_random_tk_systems(seed):
     rng = random.Random(seed)
     assert_kept_verdicts_hold(*gen.random_tk_system(rng), rng)
+
+
+def test_wrong_kept_verdicts_do_not_pass_the_full_checks():
+    """``verify_certificate`` and ``validate_stree`` scan the tree afresh:
+    wrong verdicts planted on a certificate tree change what the engines'
+    cached tests answer, but not what the full checks report."""
+    graph = GraphInput.parse(tk.GRAPHS["P3"])
+    system = graph_separations(graph, 3)
+    family = tk.tk_family(system, graph)
+    cert = strong_duality(system, family)
+    tree = cert.tree
+    assert cert.kind == "stree" and verify_certificate(cert, system, family)[0]
+    star = tree.node_star(tree.nodes[0])
+    smaller = StarFamily(system.universe, family.stars - {star}, validate=False)
+    assert not is_over(tree, smaller)
+    # a kept row claiming the smaller family's root lacks no node star
+    tree._verdicts[_lacked_stars] = (weakref.ref(smaller), 0, ())
+    assert is_over(tree, smaller)
+    ok, problems = verify_certificate(cert, system, smaller)
+    assert not ok
+    assert problems == (f"star at node {tree.nodes[0]} is outside the family",)
+    tree._verdicts[_redundant_triple] = tree._verdicts[_inverse_pair_triple] = (0, 0, 0)
+    assert _redundant_triple(tree) == _inverse_pair_triple(tree) == (0, 0, 0)
+    report = validate_stree(tree, family)
+    assert report.is_irredundant and report.is_tight and report.over_family
+    assert report.problems == ()
 
 
 def test_a_doctored_shift_fails_the_certificate_check(monkeypatch):
