@@ -102,13 +102,15 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path!r} is not UTF-8 text: {exc}") from exc
 
 
 def _read_json(path: str) -> dict:
@@ -219,7 +221,11 @@ def _output(config: RunConfig) -> Iterator[TextIO]:
     if config.output_path is None or config.output_path == "-":
         yield sys.stdout
     else:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(config.output_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {config.output_path!r}: {exc}") from exc
+        with fh:
             yield fh
 
 

@@ -85,10 +85,13 @@ set when id ``b`` belongs to the row.  :meth:`Universe.above_mask`,
 row per id on first use, from the order matrix through ``np.packbits``, so
 each kind of row costs at most n²/8 bytes.
 A :class:`SeparationSystem` keeps its member set as a bit row too, and
-caches per base ``r`` the members above ``r`` and the members with an
-orientation above ``r``.  All of it lives on the object it describes and is
-dropped with it; what the duality engines derive from a system and a family
-lives on the family (see :mod:`tangleduct.duality`).
+caches per base ``r`` the members above ``r``.  Its other set questions
+are a few ANDs of the universe's rows and its member row: the members
+with an orientation above ``r`` (its domain), and the members strictly
+between ``r`` and ``inv(r)``, which witness that ``r`` is trivial.  All of
+it lives on the object it describes and is dropped with it; what the
+duality engines derive from a system and a family lives on the family (see
+:mod:`tangleduct.duality`).
 
 All objects are immutable; operations construct new values.  Ties are broken
 by least element id everywhere, so identical inputs give identical outputs.
@@ -385,10 +388,6 @@ class Universe:
             row = self._conflict[a] = self.above_mask(ra) & ~((1 << a) | (1 << ra))
         return row
 
-    @cached_property
-    def degenerate_ids(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.flatnonzero(self._inv == np.arange(len(self))))
-
     def leq_matrix(self) -> np.ndarray:
         return self._leq
 
@@ -571,23 +570,15 @@ class SeparationSystem:
         self.universe = universe
         self.member_ids = ids
         self._above_members: dict[int, int] = {}
-        self._domains: dict[int, int] = {}
 
     @cached_property
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self.member_ids))
 
     @cached_property
-    def member_flags(self) -> np.ndarray:
-        """Boolean vector over universe ids, true at the members."""
-        flags = np.zeros(len(self.universe), dtype=bool)
-        flags[list(self.member_ids)] = True
-        return _readonly(flags)
-
-    @cached_property
     def member_mask(self) -> int:
         """Bit row of the members."""
-        return _bit_row(self.member_flags)
+        return _id_row(self.member_ids)
 
     def members_above(self, r: int) -> int:
         """Bit row of the members ``m`` with ``r <= m`` (cached per ``r``)."""
@@ -597,13 +588,10 @@ class SeparationSystem:
         return row
 
     def domain_mask(self, r: int) -> int:
-        """Bit row of the members with an orientation above ``r`` (cached per ``r``)."""
-        row = self._domains.get(r)
-        if row is None:
-            u = self.universe
-            up = u.leq_matrix()[r]
-            row = self._domains[r] = _bit_row(up | up[u.inverse_table()]) & self.member_mask
-        return row
+        """Bit row of the members with an orientation above ``r``: those
+        above ``r`` or, as the involution reverses the order, below ``inv(r)``."""
+        u = self.universe
+        return (u.above_mask(r) | u.below_mask(u.inv_id(r))) & self.member_mask
 
     @cached_property
     def seps(self) -> tuple[OrientedSep, ...]:
@@ -643,37 +631,29 @@ class SeparationSystem:
     def nondegenerate_reps(self) -> tuple[int, ...]:
         return tuple(i for i in self.underlying_reps if not self.universe.is_degenerate_id(i))
 
+    def _witness_row(self, r: int) -> int:
+        """Bit row of the members ``s`` with ``r < s`` and ``r < inv(s)``: as
+        the involution reverses the order, those strictly between ``r`` and
+        ``inv(r)``."""
+        u = self.universe
+        ri = u.inv_id(r)
+        return u.above_mask(r) & u.below_mask(ri) & self.member_mask & ~(1 << r | 1 << ri)
+
     def triviality_witness(self, r: OrientedSep) -> Optional[OrientedSep]:
         """Least-id member strictly above both orientations of which ``r`` sits.
 
         Returns an orientation of the witnessing underlying separation, or
         ``None`` when ``r`` is nontrivial in this system.
         """
-        u = self.universe
-        for i in self.members:
-            j = u.inv_id(i)
-            if u.lt_ids(r.id, i) and u.lt_ids(r.id, j):
-                return u.sep(i)
-        return None
+        row = self._witness_row(r.id)
+        return self.universe.sep((row & -row).bit_length() - 1) if row else None
 
     @cached_property
     def trivial_ids(self) -> frozenset[int]:
         """Ids of all orientations that are trivial in this system: the
         members ``r`` with some member ``s`` such that ``r < s`` and
         ``r < inv(s)``."""
-        u = self.universe
-        members = np.array(self.members, dtype=np.intp)
-        m = len(members)
-        # column j of a row holds the member members[j]; column twin[j] its inverse
-        twin = np.searchsorted(members, u.inverse_table()[members])
-        out: list[int] = []
-        rows = _chunk_rows(m)
-        for lo in range(0, m, rows):
-            # the members strictly above each member r of the chunk
-            up = u.leq_matrix()[np.ix_(members[lo : lo + rows], members)]
-            up[np.arange(len(up)), np.arange(lo, lo + len(up))] = False
-            out.extend(members[lo : lo + rows][(up & up[:, twin]).any(axis=1)].tolist())
-        return frozenset(out)
+        return frozenset(r for r in self.member_ids if self._witness_row(r))
 
     def __repr__(self) -> str:
         return f"<system of {len(self)} orientations in {self.universe!r}>"

@@ -275,9 +275,7 @@ def verify_certificate(
 
 
 def _is_trivial_id(system: SeparationSystem, i: int) -> bool:
-    if i in system.member_ids:
-        return i in system.trivial_ids
-    return system.triviality_witness(system.universe.sep(i)) is not None
+    return system._witness_row(i) != 0
 
 
 def _require_usable_base(r: int, system: SeparationSystem, what: str) -> None:
@@ -423,11 +421,11 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
         return True
     # each qualifying id lies above r, so its shift is its join with s0
     col = u.join_column(s0_id)
-    present = root.mask_set
+    singles = extra | root.singles
     while qualifying:
         low = qualifying & -qualifying
         y = int(col[low.bit_length() - 1])
-        if not (extra >> y & 1 or 1 << y in present):
+        if not singles >> y & 1:
             return False
         qualifying ^= low
     return True
@@ -456,25 +454,25 @@ def _root_entry(
     picked = _qualifying(system, root, memo, r)
     u = system.universe
     if len(picked) <= _SHORT_SCAN:
-        sorted_stars, present = root.sorted_stars, root.mask_set
+        sorted_stars = root.sorted_stars
         images = (
-            _id_row(_shift_id(u, r, s0, col, y) for y in sorted_stars[i])
+            frozenset([_shift_id(u, r, s0, col, y) for y in sorted_stars[i]])
             for i in picked
         )
-        missing = [image for image in images if image not in present]
     else:
         # star_rows skips the empty star, which leads sorted_stars when present
         rows = root.star_rows[np.asarray(picked) - (not root.star_masks[0])]
         shifted = _shift_all(u, r, s0)[rows]
         # a star that the shift fixes is its own image, which the root holds
         moved = shifted[(shifted != rows).any(axis=1)].tolist()
-        stars = root.stars
-        missing = [_id_row(star) for star in map(frozenset, moved) if star not in stars]
+        images = map(frozenset, moved)
+    stars = root.stars
     lacking = 0
-    for image in missing:
-        if image & (image - 1):
-            return -1
-        lacking |= image
+    for image in images:
+        if image not in stars:
+            if len(image) > 1:
+                return -1
+            lacking |= _id_row(image)
     return lacking
 
 

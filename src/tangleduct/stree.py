@@ -29,7 +29,6 @@ from __future__ import annotations
 import copy
 import re
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Iterable, Optional
@@ -79,10 +78,11 @@ class StarFamily:
 
     Besides ``stars`` a family keeps an index for the engines: the stars in
     canonical order (``sorted_stars``), each star's bit row over element ids
-    (``star_masks``, with ``mask_set`` for membership tests), the nonempty
-    stars as rows of ids (``star_rows``), and the ids its singleton stars
-    force.  Each part is built from ``stars`` on first use; ``star_rows``
-    only when a long root scan of the separator search needs it.
+    (``star_masks``), the nonempty stars as rows of ids (``star_rows``), and
+    the bit row of the ids of its singleton stars (``singles``), which
+    answers which ids a singleton holds and which it forces.  Each part is
+    built from ``stars`` on first use; ``star_rows`` only when a long root
+    scan of the separator search needs it.
 
     A family built by the constructor is a *root*: ``root`` is ``None`` and
     it holds its ``stars``, plus a ``memo`` that the engines fill per
@@ -96,9 +96,10 @@ class StarFamily:
     singleton stars it adds, so ``sigma in child`` is ``sigma in
     root.stars`` or a single id whose bit is in ``extra``.  Both engines
     only ever add singletons; any other star makes a new root by copy.  A
-    child holds only its root and its ``extra`` row: every other part, the
-    inverses of its singleton stars included, is built from its root's on
-    first use, so a level of the engines copies nothing.
+    child holds only its root and its ``extra`` row, so a level of the
+    engines copies nothing: its ``singles`` is its root's OR ``extra``, and
+    every other part is built on first use, as a root's is.  The engines'
+    levels read only a child's ``extra`` and its root's parts.
     """
 
     def __init__(self, universe: Universe, stars: Iterable, *, validate: bool = True):
@@ -112,34 +113,19 @@ class StarFamily:
                 if not _is_star_ids(universe, sigma):
                     raise FNotStars(sigma)
 
-    def _extra_stars(self) -> list[frozenset[int]]:
-        return [frozenset((i,)) for i in _bit_ids(self.extra)]
-
     @cached_property
     def stars(self) -> frozenset[frozenset[int]]:
         # only a child gets here: ``__init__`` sets a root's stars
-        return self.root.stars.union(self._extra_stars())
+        return self.root.stars.union(frozenset((i,)) for i in _bit_ids(self.extra))
 
     @cached_property
     def sorted_stars(self) -> tuple[frozenset[int], ...]:
-        if self.root is None:
-            return tuple(sorted(self.stars, key=star_sort_key))
-        # singletons sort first, so the extra ones merge into the root's
-        base = self.root.sorted_stars
-        cut = bisect_left(base, 2, key=len)
-        ones = sorted(base[:cut] + tuple(self._extra_stars()), key=star_sort_key)
-        return tuple(ones) + base[cut:]
+        return tuple(sorted(self.stars, key=star_sort_key))
 
     @cached_property
     def star_masks(self) -> tuple[int, ...]:
         """Bit row of each star, in ``sorted_stars`` order."""
         return tuple(_id_row(sigma) for sigma in self.sorted_stars)
-
-    @cached_property
-    def mask_set(self) -> frozenset[int]:
-        if self.root is None:
-            return frozenset(self.star_masks)
-        return self.root.mask_set.union(1 << i for i in _bit_ids(self.extra))
 
     @cached_property
     def star_rows(self) -> np.ndarray:
@@ -152,11 +138,11 @@ class StarFamily:
         return _readonly(rows.reshape(len(stars), width))
 
     @cached_property
-    def _inverse_singletons(self) -> frozenset[int]:
-        inv = self.universe.inv_id
+    def singles(self) -> int:
+        """Bit row of the ids whose singleton stars the family holds."""
         if self.root is not None:
-            return self.root._inverse_singletons.union(map(inv, _bit_ids(self.extra)))
-        return frozenset(inv(next(iter(s))) for s in self.stars if len(s) == 1)
+            return self.root.singles | self.extra
+        return _id_row(i for sigma in self.stars if len(sigma) == 1 for i in sigma)
 
     def __iter__(self):
         return iter(self.sorted_stars)
@@ -229,7 +215,7 @@ class StarFamily:
 
     def forced_ids(self, system: SeparationSystem) -> frozenset[int]:
         """All member orientations whose inverse forms a singleton star here."""
-        return self._inverse_singletons & system.member_ids
+        return frozenset(map(self.universe.inv_id, _bit_ids(self.singles))) & system.member_ids
 
     def missing_standard(self, system: SeparationSystem) -> tuple[int, ...]:
         """Trivial orientations of the system that the family fails to force."""

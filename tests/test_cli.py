@@ -295,6 +295,36 @@ def test_deeply_nested_json_is_one_error_line(tmp_path):
     assert err == [f"error: {str(path)!r} nests its JSON too deeply to decode"]
 
 
+FILE_ERRORS = (
+    "output is a directory",
+    "output directory missing",
+    "validate non-UTF-8",
+    "graph-sk non-UTF-8",
+)
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_errors_are_one_error_line(case, tmp_path, capsys):
+    """An output file that cannot be opened, or an input that is not UTF-8
+    text, ends in one error line."""
+    graph = tmp_path / "p3.txt"
+    graph.write_text(P3)
+    binary = tmp_path / "bad.bin"
+    binary.write_bytes(b"a b\n\xff\xfe\x80\n")
+    config = {
+        "output is a directory": RunConfig(
+            "graph-sk", str(graph), k=2, output_path=str(tmp_path)
+        ),
+        "output directory missing": RunConfig(
+            "graph-sk", str(graph), k=2, output_path=str(tmp_path / "missing" / "x.json")
+        ),
+        "validate non-UTF-8": RunConfig("validate", str(binary)),
+        "graph-sk non-UTF-8": RunConfig("graph-sk", str(binary), k=2),
+    }[case]
+    assert run(config) == 1
+    _one_error_line(capsys)
+
+
 MALFORMED_PICKS = {
     "past the end": [1000000000],
     "negative": [-1],

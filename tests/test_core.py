@@ -63,7 +63,7 @@ class TestUniverseAxioms:
     def test_singleton_is_degenerate(self):
         u = singleton_universe()
         assert u.is_degenerate_id(0)
-        assert u.degenerate_ids == frozenset({0})
+        assert SeparationSystem(u, [0]).degenerate_ids == frozenset({0})
 
     def test_chain_universe_orders(self):
         u = chain_universe()

@@ -1,9 +1,10 @@
 """The strong engine's bit-row paths against dense set-based references.
 
 ``emulates_for_family``, ``find_inconsistency``, ``is_order_respecting``,
-the strong engine's ``_least_minimal_below`` and
-``SeparationSystem.trivial_ids`` answer set questions with Python-int bit
-rows or numpy rows, cached per universe, system and family;
+the strong engine's ``_least_minimal_below`` and the
+``SeparationSystem`` rows (``trivial_ids``, ``triviality_witness`` and
+``domain_mask``) answer set questions with Python-int bit rows, cached per
+universe, system and family;
 ``StarFamily.with_star`` makes a child that is its root family plus extra
 singleton stars, and emulation checks scan only the root's stars, once per
 pair.  The reference versions below are the plain loops over ids, stars
@@ -372,23 +373,22 @@ def test_with_star_chain_matches_a_rebuilt_family(seed):
         fresh = StarFamily(system.universe, fam.stars)
         assert fam.sorted_stars == fresh.sorted_stars
         assert fam.star_masks == fresh.star_masks
-        assert fam.mask_set == fresh.mask_set
+        assert fam.singles == fresh.singles
         assert fam.forced_ids(system) == fresh.forced_ids(system)
 
 
 def assert_same_index(fam, copy, system):
     assert fam.stars == copy.stars
     assert fam.sorted_stars == copy.sorted_stars
-    assert fam.mask_set == copy.mask_set
+    assert fam.singles == copy.singles
     assert fam.forced_ids(system) == copy.forced_ids(system)
-    assert fam._inverse_singletons == copy._inverse_singletons
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_singleton_children_match_a_copy_built_root(seed):
     """``_child(i)`` and ``with_star([i])`` along a chain of singletons,
     some already held, against a root built by copy from the dense star
-    set; a child's forced inverses are read before and after its other
+    set; a child's singleton row is read before and after its other
     parts."""
     rng = random.Random(seed)
     system = gen.random_system(rng, max_pairs=5)
@@ -404,7 +404,7 @@ def test_singleton_children_match_a_copy_built_root(seed):
             assert children == [fam, fam] and all(c is fam for c in children)
         for child in rng.sample(children, 2):
             if rng.random() < 0.5:
-                assert child._inverse_singletons == copy._inverse_singletons
+                assert child.singles == copy.singles
             assert_same_index(child, copy, system)
         fam = children[0]
     assert fam.root is None or fam.root.root is None
@@ -414,7 +414,7 @@ def test_singleton_child_errors():
     system = gen.full_cover_system(2)
     u = system.universe
     fam = StarFamily(u, [[1]])._child(3)
-    (degenerate, *_) = sorted(u.degenerate_ids)
+    (degenerate, *_) = sorted(system.degenerate_ids)
     for grow in (fam._child, lambda i: fam.with_star([i])):
         with pytest.raises(FNotStars):
             grow(degenerate)
@@ -436,15 +436,16 @@ def test_children_build_their_sets_from_their_root(seed):
     probes = {gen.random_star_ids(rng, system) for _ in range(12)} - {None}
     for fam, want in rng.sample(chain, len(chain)):
         for sigma in sorted(want | probes, key=star_sort_key):
-            mask = sum(1 << t for t in sigma)
-            assert (sigma in fam) == (mask in fam.mask_set) == (sigma in want)
-        attrs = ["sorted_stars", "mask_set", "stars", "forced_ids"]
+            assert (sigma in fam) == (sigma in want)
+            if len(sigma) == 1:
+                assert fam.singles >> min(sigma) & 1 == (sigma in want)
+        attrs = ["sorted_stars", "singles", "stars", "forced_ids"]
         rng.shuffle(attrs)
         for attr in attrs:
             if attr == "sorted_stars":
                 assert fam.sorted_stars == tuple(sorted(want, key=star_sort_key))
-            elif attr == "mask_set":
-                assert fam.mask_set == {sum(1 << t for t in sigma) for sigma in want}
+            elif attr == "singles":
+                assert fam.singles == sum(1 << min(sigma) for sigma in want if len(sigma) == 1)
             elif attr == "forced_ids":
                 assert fam.forced_ids(system) == ref_forced_ids(system, want)
             else:
@@ -817,9 +818,25 @@ def assert_least_minimal_agrees(system, rng, pools=6):
                 assert _least_minimal_below(system, mask, bound) == want
 
 
+def assert_system_rows_agree(system):
+    """``triviality_witness`` on every universe id, members and others, and
+    ``domain_mask`` on every member, against dense ``leq_ids`` loops."""
+    u = system.universe
+    for r in range(len(u)):
+        want = next(
+            (s for s in system.members if u.lt_ids(r, s) and u.lt_ids(r, u.inv_id(s))), None
+        )
+        got = system.triviality_witness(u.sep(r))
+        assert (None if got is None else got.id) == want
+    for r in system.members:
+        domain = [s for s in system.members if u.leq_ids(r, s) or u.leq_ids(r, u.inv_id(s))]
+        assert system.domain_mask(r) == sum(1 << s for s in domain)
+
+
 def test_pool_scans_on_tk_systems(tk_instance):
     system, _ = tk_instance
     assert system.trivial_ids == ref_trivial_ids(system)
+    assert_system_rows_agree(system)
     assert_least_minimal_agrees(system, random.Random(len(system)))
 
 
@@ -828,6 +845,7 @@ def test_pool_scans_on_random_systems(seed):
     rng = random.Random(seed)
     system = gen.random_system(rng, max_pairs=6)
     assert system.trivial_ids == ref_trivial_ids(system)
+    assert_system_rows_agree(system)
     assert_least_minimal_agrees(system, rng)
 
 
