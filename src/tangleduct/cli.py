@@ -55,7 +55,7 @@ from .errors import (
 )
 from .essential import essential_core, essentialize_stree
 from .oracle import _bits, _listing_chunks, enumerate_orientations
-from .stree import STree, StarFamily
+from .stree import StarFamily
 
 @dataclass
 class RunConfig:

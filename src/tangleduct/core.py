@@ -17,11 +17,12 @@ construction time:
 
 A join table that is not supplied is derived from the order:
 ``join(r, s)`` is the id whose up-set is the set of common upper bounds of
-``r`` and ``s``.  That id lies in its own up-set, so it is an upper bound,
-and its up-set holds every upper bound, so it is the least one.  A derived
-join is thus the supremum by construction and is not re-checked; the
-derivation fails when some pair has no such id.  A supplied join table is
-checked to be the least upper bound.
+``r`` and ``s``, found by looking up the AND of their up-rows among the
+up-rows of all ids.  That id lies in its own up-set, so it is an upper
+bound, and its up-set holds every upper bound, so it is the least one.  A
+derived join is thus the supremum by construction and is not re-checked;
+the derivation fails when some pair has no such id.  A supplied join table
+is checked to be the least upper bound.
 
 The meet is not stored but derived by De Morgan,
 ``meet(r, s) = join(r*, s*)*``, and these laws make it the greatest lower
@@ -83,7 +84,8 @@ For these, a universe hands out *bit rows*: Python ints whose bit ``b`` is
 set when id ``b`` belongs to the row.  :meth:`Universe.above_mask`,
 :meth:`Universe.below_mask` and :meth:`Universe.conflict_mask` build one
 row per id on first use, from the order matrix through ``np.packbits``, so
-each kind of row costs at most n²/8 bytes.
+each kind of row costs at most n²/8 bytes; a universe that derives its join
+builds every up-row.
 A :class:`SeparationSystem` keeps its member set as a bit row too, and
 caches per base ``r`` the members above ``r``.  Its other set questions
 are a few ANDs of the universe's rows and its member row: the members
@@ -101,7 +103,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -278,36 +280,23 @@ class Universe:
         """The join table from the order alone: ``join(r, s)`` is the id
         whose up-row is the common up-row of ``r`` and ``s``.
 
-        Sorted by the size of their up-rows, largest first, the ids follow
-        the order, so such an id is the first of the common row.  Each row
-        ``r`` of the table takes, for every ``s`` at once, the first id of
-        the common row as packed words (the first nonzero word and its
-        lowest bit) and keeps it when that id's up-row is the whole common
-        row; else no id has it, and the first such pair in row-major order
-        raises.
+        Each id's ``above_mask`` row is mapped to the id, so a join is one
+        lookup of ``above_mask(r) & above_mask(s)``.  The table is
+        symmetric: row ``r`` looks up only the ``s >= r`` and is mirrored
+        into column ``r``.  A pair without a join raises at the first miss,
+        which is the first such pair in row-major order, as that pair has
+        ``r <= s``.
         """
-        leq = self._leq
-        n = len(leq)
-        order = np.argsort(-leq.sum(axis=1), kind="stable")
-        words = -(-n // 64)
-        bits = np.zeros((n, words * 64), dtype=bool)
-        bits[:, :n] = leq[:, order]
-        # bit j of the packed row of r: whether r <= order[j]
-        up = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        n = len(self._leq)
+        up = [self.above_mask(r) for r in range(n)]
+        of_row = {row: i for i, row in enumerate(up)}
         table = np.empty((n, n), dtype=np.int32)
-        rows = _chunk_rows(n * words)
-        for lo in range(0, n, rows):
-            common = up[lo : lo + rows, None, :] & up
-            word = (common != 0).argmax(axis=2)
-            v = np.take_along_axis(common, word[..., None], axis=2)[..., 0]
-            # the lowest bit of each first nonzero word; 0 for an empty row
-            low = np.log2(v & (~v + np.uint64(1)), where=v != 0, out=np.zeros(v.shape))
-            first = order[word * 64 + low.astype(np.int64)]
-            bad = ~(up[first] == common).all(axis=2)
-            if bad.any():
-                r, s = (int(x) for x in np.argwhere(bad)[0])
-                raise JoinNotSupremum(lo + r, s, -1)
-            table[lo : lo + rows] = first
+        for r, row in enumerate(up):
+            joins = [of_row.get(row & t, -1) for t in up[r:]]
+            if -1 in joins:
+                raise JoinNotSupremum(r, r + joins.index(-1), -1)
+            table[r, r:] = joins
+            table[r:, r] = joins
         return _readonly(table)
 
     def _check_bounds(
@@ -560,10 +549,11 @@ class SeparationSystem:
 
     def __init__(self, universe: Universe, member_ids: Iterable[int]):
         ids = frozenset(int(i) for i in member_ids)
+        n, inv = len(universe), universe._inv_list
         for i in ids:
-            if not 0 <= i < len(universe):
+            if not 0 <= i < n:
                 raise MalformedInput(f"member id {i} outside the universe")
-            if universe.inv_id(i) not in ids:
+            if inv[i] not in ids:
                 raise MalformedInput(
                     f"members not closed under the involution: {i} lacks its inverse"
                 )
@@ -602,9 +592,6 @@ class SeparationSystem:
 
     def __contains__(self, sep) -> bool:
         return _as_id(sep) in self.member_ids
-
-    def sep(self, i: int) -> OrientedSep:
-        return self.universe.sep(i)
 
     @cached_property
     def degenerate_ids(self) -> frozenset[int]:

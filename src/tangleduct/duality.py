@@ -515,7 +515,7 @@ def find_separator(
     rp_inv = u.inv_id(rp_id)
     for val, what in ((r_id, "r"), (rp_inv, "inverse of r_prime")):
         _require_usable_base(val, system, what)
-        if family._has(frozenset((u.inv_id(val),))):
+        if family.singles >> u.inv_id(val) & 1:
             raise MalformedInput(f"{what} is forced by the family")
     # a candidate passing both checks lies between r and r_prime, so only
     # those members are tried, least id first
@@ -980,7 +980,7 @@ def _strong(
             raise InternalInvariant("branch tree lost the leaf of its added star")
         tight = tighten_rooted(t, leaves[0])
         out = shift_stree(tight, leaves[0], s, fam)
-        if fam._has(frozenset((u.inv_id(s),))):
+        if fam.singles >> u.inv_id(s) & 1:
             yield f"shifted {side} branch is over the family"
             return "tree", out
         shifted.append(out)

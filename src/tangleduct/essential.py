@@ -22,7 +22,6 @@ from .stree import (
     is_order_respecting,
     prune_to_irredundant,
     star_sort_key,
-    validate_stree,
 )
 
 

@@ -79,10 +79,10 @@ class StarFamily:
     Besides ``stars`` a family keeps an index for the engines: the stars in
     canonical order (``sorted_stars``), each star's bit row over element ids
     (``star_masks``), the nonempty stars as rows of ids (``star_rows``), and
-    the bit row of the ids of its singleton stars (``singles``), which
-    answers which ids a singleton holds and which it forces.  Each part is
-    built from ``stars`` on first use; ``star_rows`` only when a long root
-    scan of the separator search needs it.
+    the bit row of the ids of its singleton stars (``singles``).  Each part
+    is built from ``stars`` on first use; ``star_rows`` only when a long
+    root scan of the separator search needs it.  Whether the family holds
+    ``{i}``, and so forces ``i``'s inverse, is one bit of ``singles``.
 
     A family built by the constructor is a *root*: ``root`` is ``None`` and
     it holds its ``stars``, plus a ``memo`` that the engines fill per
@@ -193,7 +193,7 @@ class StarFamily:
         if u.inv_id(i) == i:
             raise FNotStars((i,))
         root = self if self.root is None else self.root
-        if self.extra >> i & 1 or frozenset((i,)) in root.stars:
+        if self.extra >> i & 1 or root.singles >> i & 1:
             return self
         out = object.__new__(StarFamily)
         out.universe = u
@@ -211,7 +211,7 @@ class StarFamily:
 
     def forces(self, sep: OrientedSep) -> bool:
         """True iff the family contains the singleton star of ``sep``'s inverse."""
-        return self._has(frozenset((sep.universe.inv_id(sep.id),)))
+        return bool(self.singles >> sep.universe.inv_id(sep.id) & 1)
 
     def forced_ids(self, system: SeparationSystem) -> frozenset[int]:
         """All member orientations whose inverse forms a singleton star here."""
@@ -223,7 +223,7 @@ class StarFamily:
         return tuple(
             r
             for r in sorted(system.trivial_ids)
-            if not self._has(frozenset((u.inv_id(r),)))
+            if not self.singles >> u.inv_id(r) & 1
         )
 
     def is_standard_for(self, system: SeparationSystem) -> bool:

@@ -9,7 +9,9 @@ table (sides of {1, 2}):
 
 import gc
 import random
+import re
 
+import numpy as np
 import pytest
 
 import gen
@@ -21,6 +23,7 @@ from tangleduct import (
     STree,
     SeparationSystem,
     StarFamily,
+    Universe,
     avoids,
     emulates,
     emulates_for_family,
@@ -290,6 +293,31 @@ class TestWeakDuality:
             assert_certificate_checks(cert, system, fam)
         # the random mix must actually exercise both outcomes
         assert trees > 10 and orientations > 10
+
+    def test_splice_hosted_by_the_first_branch(self, cover2):
+        # the first branch hosts the splice only when the inverse of the
+        # least undecided member is trivial; no generated system labels its
+        # ids so, but cover2 relabelled old -> new by this permutation does
+        perm = [4, 3, 8, 1, 5, 6, 7, 2, 0]
+        base = cover2.universe
+        leq = np.zeros((len(perm), len(perm)), dtype=bool)
+        leq[np.ix_(perm, perm)] = base.leq_matrix()
+        inverse = [0] * len(perm)
+        for old, new in enumerate(perm):
+            inverse[new] = perm[base.inv_id(old)]
+        u = Universe(leq, inverse)
+        system = SeparationSystem(u, range(len(u)))
+        fam = StarFamily(u, [[1, 8], [2], [3], [4, 7], [4, 8], [6]])
+        cert = weak_duality(system, fam)
+        assert_certificate_checks(cert, system, fam)
+        assert cert.kind == "stree"
+        assert not enumerate_orientations(system, fam, "avoiding").f_avoiding
+        (s0,) = (
+            int(m.group(1))
+            for line in cert.transcript
+            if (m := re.search(r"splicing \d+ branch copy\(ies\) at separation (\d+)", line))
+        )
+        assert u.inv_id(s0) in system.trivial_ids
 
 
 class TestStrongDuality:
