@@ -127,7 +127,6 @@ class GraphInput:
                 continue
             seen.add((min(u, v), max(u, v)))
         self.edges = tuple(sorted(seen))
-        self._index = index
         # neighbor bitmasks, indexed by vertex position
         nbr = [0] * len(self.vertices)
         for u, v in self.edges:

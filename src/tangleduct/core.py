@@ -95,6 +95,12 @@ it lives on the object it describes and is dropped with it; what the
 duality engines derive from a system and a family lives on the family (see
 :mod:`tangleduct.duality`).
 
+:func:`system_from_json_dict` reads a document's ``leq`` pairs one entry
+at a time, checking that each holds two JSON integers inside the element
+range and naming the first entry that does not.  That loop is linear in
+the pairs; on a table document the law checks of :class:`Universe` cost
+far more, and a set-labelled document needs no pairs at all.
+
 All objects are immutable; operations construct new values.  Ties are broken
 by least element id everywhere, so identical inputs give identical outputs.
 """
@@ -102,7 +108,6 @@ by least element id everywhere, so identical inputs give identical outputs.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
@@ -583,10 +588,6 @@ class SeparationSystem:
         u = self.universe
         return (u.above_mask(r) | u.below_mask(u.inv_id(r))) & self.member_mask
 
-    @cached_property
-    def seps(self) -> tuple[OrientedSep, ...]:
-        return tuple(self.universe.sep(i) for i in self.members)
-
     def __len__(self) -> int:
         return len(self.member_ids)
 
@@ -647,11 +648,6 @@ class SeparationSystem:
 
 
 # --- predicates ------------------------------------------------------------
-
-
-def is_small(s: OrientedSep) -> bool:
-    """True iff the separation is below its own inverse."""
-    return s.is_small
 
 
 def find_inconsistency(
@@ -836,21 +832,6 @@ def _leq_from_pairs(n: int, items) -> np.ndarray:
     if not isinstance(items, (list, tuple)):
         raise MalformedInput("'leq' must be a list of [a, b] pairs")
     leq = np.zeros((n, n), dtype=bool)
-    # the whole list at once when every entry is a list of two JSON integers
-    # (``type(x) is int`` rules out ``true``/``false``) and every id is in
-    # range; anything else takes the loop, which names the first bad entry
-    if (
-        set(map(type, items)) <= {list}
-        and set(map(len, items)) <= {2}
-        and set(map(type, chain.from_iterable(items))) <= {int}
-    ):
-        try:
-            flat = np.fromiter(chain.from_iterable(items), np.int64, count=2 * len(items))
-        except OverflowError:  # an id past int64 is out of range anyway
-            flat = None
-        if flat is not None and (not len(flat) or (flat.min() >= 0 and flat.max() < n)):
-            leq[flat[0::2], flat[1::2]] = True
-            return leq
     for item in items:
         a, b = _id_entry(item, 2, "'leq'", "[a, b] pairs")
         if not (0 <= a < n and 0 <= b < n):

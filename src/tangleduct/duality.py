@@ -163,11 +163,6 @@ def _violating_row(picked: int, family: StarFamily) -> Optional[frozenset[int]]:
     return frozenset((least.bit_length() - 1,)) if least else None
 
 
-def avoids(picks, family: StarFamily) -> bool:
-    """True iff no star of the family is a subset of the picks."""
-    return violating_star(picks, family) is None
-
-
 def standardize(family: StarFamily, system: SeparationSystem) -> StarFamily:
     """Add the singleton star of the inverse of every trivial member."""
     _check_same_universe(family, system)
@@ -274,14 +269,10 @@ def verify_certificate(
 # --- shifting ---------------------------------------------------------------
 
 
-def _is_trivial_id(system: SeparationSystem, i: int) -> bool:
-    return system._witness_row(i) != 0
-
-
 def _require_usable_base(r: int, system: SeparationSystem, what: str) -> None:
     if system.universe.is_degenerate_id(r):
         raise MalformedInput(f"{what} is degenerate")
-    if _is_trivial_id(system, r):
+    if system._witness_row(r):
         raise MalformedInput(f"{what} is trivial in the system")
 
 
@@ -548,7 +539,7 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
     if root not in tree.adj or len(tree.adj[root]) != 1:
         raise MalformedInput(f"node {root} is not a leaf")
     r_id = tree.alpha[(root, tree.adj[root][0])]
-    if u.is_degenerate_id(r_id) or _is_trivial_id(system, r_id):
+    if u.is_degenerate_id(r_id) or system._witness_row(r_id):
         raise RootLabelTrivial(root, r_id)
     if s0_id not in system.member_ids or not u.above_mask(r_id) >> s0_id & 1:
         raise MalformedInput("s0 must be a member above the root label")
@@ -686,11 +677,12 @@ def _certify(
     family: StarFamily,
     transcript: list[str],
 ) -> Certificate:
-    """Prune a tree answer (or sort picks), re-verify it, mark it verified."""
+    """Prune a tree answer, re-verify it, mark it verified.  Picks arrive
+    in ascending order, as :func:`_settled` lists them."""
     if kind == "tree":
         cert = Certificate(kind="stree", tree=prune_to_irredundant(payload))
     else:
-        cert = Certificate(kind=kind, picks=tuple(sorted(payload)))
+        cert = Certificate(kind=kind, picks=tuple(payload))
     ok, problems = verify_certificate(cert, system, family)
     if not ok:
         raise InternalInvariant(
@@ -844,8 +836,8 @@ def strong_duality(
     transcript = [
         f"restricted family to the system: {len(fam)} of {len(family)} stars kept"
     ]
-    if not fam.is_standard_for(system):
-        missing = fam.missing_standard(system)
+    missing = fam.missing_standard(system)
+    if missing:
         if not auto_standardize:
             raise FNotStandard(missing)
         fam = standardize(fam, system)

@@ -137,7 +137,8 @@ class NotFSeparable(HypothesisFailure):
 class ShiftLeftS(TangleductError):
     def __init__(self, edge, label: int):
         super().__init__(
-            f"internal: shifting edge {edge} produced label {label} outside the system"
+            f"shifting edge {edge} produced label {label} outside the system:"
+            " the shift needs s0 to emulate the root label"
         )
         self.witness = (edge, label)
 

@@ -162,6 +162,7 @@ MALFORMED = {
     "label side null": (False, _recode("labels", lambda e: True, lambda e: [None, e[1]])),
     "ground not a list": (False, _set("ground", None)),
     "labels swapped beside a join": (False, _swap_labels_beside_join),
+    "inverse off the labels": (False, _recode("inverse", lambda v: True, lambda v: 3)),
     "inverse past the end": (True, _recode("inverse", lambda v: True, lambda v: 10**20)),
     "join negative id": (
         True, _recode("join", lambda e: True, lambda e: [e[0] - N2, e[1], e[2]])),
@@ -171,6 +172,7 @@ MALFORMED = {
         True, _recode("join", lambda e: True, lambda e: [e[0], N2, e[2]])),
     "meet bool": (True, _recode("meet", lambda e: e[1] == 1, lambda e: [e[0], True, e[2]])),
     "meet float": (True, _recode("meet", lambda e: True, lambda e: [e[0], e[1], e[2] + 0.5])),
+    "join missing a pair": (True, lambda d: d["join"].pop()),
 }
 
 

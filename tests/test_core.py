@@ -22,7 +22,6 @@ from tangleduct import (
     is_consistent,
     is_nested,
     is_orientation,
-    is_small,
     is_star,
     system_from_json_dict,
     system_to_json_dict,
@@ -166,7 +165,6 @@ class TestOrientedSep:
         assert (~top) == bot
         assert bot.join(top) == top and bot.meet(top) == bot
         assert bot.is_small and not top.is_small
-        assert is_small(bot)
 
     def test_degenerate_flag(self, cover2):
         u = cover2.universe
@@ -215,7 +213,7 @@ class TestOrientedSep:
             system = graph_separations(GraphInput.parse("a b\nb c\n"), 2)
             u = system.universe
             s = u.sep(3)
-            assert s <= s.join(~s) and system.seps and system.trivial_ids
+            assert s <= s.join(~s) and system.members and system.trivial_ids
             ref = weakref.ref(u)
             del system, u, s
             assert ref() is None

@@ -24,7 +24,6 @@ from tangleduct import (
     SeparationSystem,
     StarFamily,
     Universe,
-    avoids,
     emulates,
     emulates_for_family,
     enumerate_orientations,
@@ -43,7 +42,7 @@ from tangleduct import (
     weak_duality,
 )
 from tangleduct import duality
-from tangleduct.errors import FNotStandard, TargetNotAboveR
+from tangleduct.errors import FNotStandard, ShiftLeftS, TargetNotAboveR
 from test_tables import GRID4X4
 
 
@@ -70,8 +69,7 @@ class TestFamilyBasics:
         fam = StarFamily(u, [[0, 1], [1]])
         picks = (0, 1, 2, 4, 8)
         assert violating_star(picks, fam) == frozenset({1})
-        assert not avoids(picks, fam)
-        assert avoids((0, 3, 2, 4, 8), fam)
+        assert violating_star((0, 3, 2, 4, 8), fam) is None
 
 
 class TestShiftMap:
@@ -235,6 +233,25 @@ class TestShiftStree:
             old = tree.alpha[(0, t)]
             assert shifted.alpha[(0, t)] == shift_map(1, s0, old, system).id
         assert validate_stree(shifted, fam).is_order_respecting
+
+    def test_label_leaving_the_system_raises_shift_left_s(self):
+        # 23 lies above the root label 1 but does not emulate it: its join
+        # with 21, the inverse of 4 and the label of the away edge (0, 2),
+        # is 19, which the subsystem lacks
+        base = gen.full_cover_system(3)
+        system = gen.subsystem(base, [1, 4, 7, 10, 14, 15, 16, 21, 23, 24, 26])
+        u = system.universe
+        tree = STree(system, [(1, 0), (2, 0), (3, 0)], {(1, 0): 1, (2, 0): 4, (3, 0): 10},
+                     root_leaf=1)
+        family = StarFamily(u, [[1, 4, 10], [u.inv_id(4)], [u.inv_id(10)]])
+        assert not emulates(23, 1, system)
+        with pytest.raises(ShiftLeftS) as exc:
+            shift_stree(tree, 1, 23, family)
+        assert exc.value.witness == ((0, 2), 19)
+        assert str(exc.value) == (
+            "shifting edge (0, 2) produced label 19 outside the system:"
+            " the shift needs s0 to emulate the root label"
+        )
 
     def test_root_label_must_be_usable(self, std2):
         system, fam = std2
@@ -577,6 +594,27 @@ class TestCertificates:
     def test_unknown_kind_rejected(self, cover2):
         with pytest.raises(MalformedInput):
             Certificate.from_json_dict(cover2, {"kind": "wat"})
+
+    @pytest.mark.parametrize(
+        "cert, problem",
+        [
+            (Certificate(kind="tangle"), "certificate has no picks"),
+            (Certificate(kind="stree"), "certificate has no tree"),
+            (
+                # a copy of cover2's system: same universe and members
+                Certificate(kind="stree", tree=STree(
+                    SeparationSystem(gen.full_cover_system(2).universe, range(9)),
+                    [(0, 1)], {(0, 1): 1})),
+                "tree belongs to a different system",
+            ),
+            (Certificate(kind="wat", picks=(0,)), "unknown certificate kind 'wat'"),
+        ],
+        ids=["tangle-without-picks", "stree-without-tree", "tree-of-another-system",
+             "unknown-kind"],
+    )
+    def test_verify_rejects_a_malformed_certificate(self, cover2, cert, problem):
+        family = StarFamily(cover2.universe, ())
+        assert verify_certificate(cert, cover2, family) == (False, (problem,))
 
     def test_verify_rejects_wrong_picks(self, std2):
         system, fam = std2

@@ -249,6 +249,20 @@ class TestValidation:
         assert rep.is_irredundant
         assert not rep.is_tight
 
+    def test_star_flag_names_the_node(self, cover2):
+        # 8 = (12|12) is degenerate, so no star holds it
+        rep = validate_stree(STree(cover2, [(0, 1)], {(0, 1): 8}))
+        assert rep.is_stree and not rep.is_over_stars
+        assert rep.problems == ("star at node 0 is not a star",)
+
+    def test_order_flag_on_a_repeated_label(self, cover2):
+        # both leaves send 5 = (12|∅) into node 0, so the edge (1, 0) comes
+        # before (0, 2), labelled 0 = (∅|12), which is not above 5; node 0's
+        # star {5} is a star, as every leaf's {0} is
+        rep = validate_stree(STree(cover2, [(0, 1), (0, 2)], {(1, 0): 5, (2, 0): 5}))
+        assert rep.is_over_stars and not rep.is_order_respecting
+        assert "labeling does not respect the edge order" in rep.problems
+
 
 def doctored_trees(cover2):
     """Trees the trusted path builds without a check, each with one fault,
