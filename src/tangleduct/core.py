@@ -7,22 +7,21 @@ join that is a genuine supremum wherever the universe holds it.  A
 elements.
 
 Elements are integer ids ``0 .. n-1``.  The order lives in a full boolean
-matrix, the involution in an id table.  A :class:`Universe` built from
-tables, as every JSON document without set labels is, stores its join as
-an id table too.  It checks the order and the involution exhaustively at
-construction time:
+matrix, the involution in an id table.  A :class:`Universe` is built from
+these two tables alone, as every JSON document without set labels is, and
+stores its join as an id table.  It checks the order and the involution
+exhaustively at construction time:
 
  * partial order (reflexive, antisymmetric, transitive),
  * order reversal:  ``r <= s``  iff  ``s.inverse <= r.inverse``.
 
-A join table that is not supplied is derived from the order:
-``join(r, s)`` is the id whose up-set is the set of common upper bounds of
-``r`` and ``s``, found by looking up the AND of their up-rows among the
-up-rows of all ids.  That id lies in its own up-set, so it is an upper
-bound, and its up-set holds every upper bound, so it is the least one.  A
-derived join is thus the supremum by construction and is not re-checked;
-the derivation fails when some pair has no such id.  A supplied join table
-is checked to be the least upper bound.
+The join is derived from the order: ``join(r, s)`` is the id whose up-set
+is the set of common upper bounds of ``r`` and ``s``, found by looking up
+the AND of their up-rows among the up-rows of all ids.  That id lies in
+its own up-set, so it is an upper bound, and its up-set holds every upper
+bound, so it is the least one.  The derived join is thus the supremum by
+construction and is not re-checked; the derivation fails when some pair
+has no such id.
 
 The meet is not stored but derived by De Morgan,
 ``meet(r, s) = join(r*, s*)*``, and these laws make it the greatest lower
@@ -30,11 +29,15 @@ bound.  As ``*`` reverses the order and is its own inverse, ``t <= r`` iff
 ``r* <= t*``.  So ``t`` lies below ``r`` and ``s`` iff ``t*`` lies above
 ``r*`` and ``s*``, iff ``join(r*, s*) <= t*`` (the join is the least upper
 bound), iff ``t <= join(r*, s*)*``.  The lower bounds of ``r`` and ``s`` are
-thus the elements below ``join(r*, s*)*``, which is one of them.  A meet
-table supplied from outside is still checked to be the infimum, then
-dropped: an infimum is unique, so it equals the derived one.  So the
-document such a universe writes carries its order and flips, and no join
-or meet table.
+thus the elements below ``join(r*, s*)*``, which is one of them.
+
+So the order and the involution fix the join and the meet, and a join or
+meet table in a document only repeats them.  :func:`system_from_json_dict`
+compares such a table, entry by entry, with the join of the universe it
+built and its De Morgan meet, then drops it.  Suprema and infima are
+unique, so a table passes exactly when it holds the least upper (greatest
+lower) bounds.  The document a universe writes carries its order and flips,
+and no join or meet table.
 
 A :class:`MaskUniverse` is built from a pool L of side pairs ``(A, B)`` of
 bitmasks, sorted and closed under flips, as the set and graph backends'
@@ -63,19 +66,18 @@ is not in L.  The engines read -1 as "not a member".
 or meet outside the universe, and a flip missing from the pool raises it
 too.
 
-Transitivity and the bound laws of supplied tables compare rows of the
-order matrix packed into 64-bit words, so each costs O(n²·⌈n/64⌉) word
-operations rather than O(n³) boolean ones.  Where a packed check finds a
-violation, the dense check reruns on that row alone to name the same
-witness.
+Transitivity compares rows of the order matrix packed into 64-bit words,
+so it costs O(n²·⌈n/64⌉) word operations rather than O(n³) boolean ones.
+Where the packed check finds a violation, the dense check reruns on that
+row alone to name the same witness.
 
 Memory: a universe of n elements keeps n² bytes for the order; one built
 from tables adds 4n² for the ``int32`` join table, and a mask universe 4n
 bytes per join column it was asked for.  The order of a mask universe and
 the checks of antisymmetry and order reversal work in row chunks of about
 ``_CHUNK`` cells, so their temporaries stay bounded per chunk whatever n
-is; the packed checks hold the packed order (n²/8 bytes a direction) plus
-the packed words one row of a check compares.  Chunked checks scan rows in
+is; the transitivity check holds the packed order (n²/8 bytes) plus the
+packed words one row of it compares.  Chunked checks scan rows in
 ascending order and name the same least witness as a one-shot check.
 
 The engines' hot path asks set questions ("which picks lie strictly above
@@ -84,8 +86,8 @@ For these, a universe hands out *bit rows*: Python ints whose bit ``b`` is
 set when id ``b`` belongs to the row.  :meth:`Universe.above_mask`,
 :meth:`Universe.below_mask` and :meth:`Universe.conflict_mask` build one
 row per id on first use, from the order matrix through ``np.packbits``, so
-each kind of row costs at most n²/8 bytes; a universe that derives its join
-builds every up-row.
+each kind of row costs at most n²/8 bytes; a universe built from tables
+builds every up-row as it derives its join.
 A :class:`SeparationSystem` keeps its member set as a bit row too, and
 caches per base ``r`` the members above ``r``.  Its other set questions
 are a few ANDs of the universe's rows and its member row: the members
@@ -116,7 +118,6 @@ from .errors import (
     InvolutionNotOrderReversing,
     JoinNotSupremum,
     MalformedInput,
-    MeetNotInfimum,
     NotAPartialOrder,
     NotInvolution,
 )
@@ -160,40 +161,18 @@ def _pack_rows(m: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _id_table(table, n: int, what: str) -> np.ndarray:
-    """A join or meet table as a read-only ``int32`` n-by-n array of ids.
-
-    The range is checked before the cast: a negative entry would index from
-    the end of a row, and a cast would wrap values of 2^31 and more.
-    """
-    t = np.asarray(table)
-    if t.shape != (n, n):
-        raise MalformedInput("join/meet tables must be n-by-n")
-    if n and (t.min() < 0 or t.max() >= n):
-        bad = (t < 0) | (t >= n)
-        r, s = (int(x) for x in np.argwhere(bad)[0])
-        raise MalformedInput(f"{what} table maps ({r}, {s}) to {t[r, s]}, not an id")
-    return _readonly(t.astype(np.int32, copy=False))
-
-
 class Universe:
     """A finite lattice of oriented separations with an order-reversing involution.
 
-    ``join`` is derived from the order when omitted, and checked when
-    supplied.  A supplied ``meet`` is range-checked and checked to be the
-    infimum, then dropped.
+    The order and the involution are law-checked in full, and the join is
+    derived from the order; the meet follows by De Morgan.  An order in
+    which some pair has no least upper bound raises :class:`JoinNotSupremum`.
     """
 
     set_labels: Optional[tuple[tuple[int, int], ...]] = None  # side pairs, if any
     ground: Optional[tuple[str, ...]] = None  # their vertex names
 
-    def __init__(
-        self,
-        leq: np.ndarray,
-        inverse: Sequence[int],
-        join: Optional[np.ndarray] = None,
-        meet: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, leq: np.ndarray, inverse: Sequence[int]):
         leq = np.asarray(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise MalformedInput("leq must be a square matrix")
@@ -203,17 +182,9 @@ class Universe:
             raise MalformedInput("inverse table must map ids to ids")
 
         self._store(leq, inv)
-        up = _pack_rows(leq)  # up[a]: the ids above a
-        self._check_order(up)
+        self._check_order(_pack_rows(leq))  # packed up[a]: the ids above a
         self._check_involution()
-
-        if join is None:
-            self._join = self._derive_join()  # the supremum by construction
-        else:
-            join = self._join = _id_table(join, n, "join")
-        if meet is not None:
-            meet = _id_table(meet, n, "meet")
-        self._check_bounds(up, join, meet)
+        self._join = self._derive_join()  # the supremum by construction
 
     def _store(self, leq: np.ndarray, inv: np.ndarray) -> None:
         """Keep the order and the involution, and start the bit row caches.
@@ -303,24 +274,6 @@ class Universe:
             table[r, r:] = joins
             table[r:, r] = joins
         return _readonly(table)
-
-    def _check_bounds(
-        self, up: np.ndarray, join: Optional[np.ndarray], meet: Optional[np.ndarray]
-    ) -> None:
-        # a supplied join(r, s) is the supremum iff its up-row equals the
-        # common up-row of r and s; a supplied meet likewise with down-rows.
-        # Packed rows find the failing r; the dense rows name the witness.
-        rel = self._leq
-        down = None if meet is None else _pack_rows(rel.T)
-        for r in range(len(rel)):
-            if join is not None and not np.array_equal(up[r] & up, up[join[r]]):
-                bad = (rel[r][None, :] & rel) != rel[join[r]]
-                s, t = (int(x) for x in np.argwhere(bad)[0])
-                raise JoinNotSupremum(r, s, t)
-            if down is not None and not np.array_equal(down[r] & down, down[meet[r]]):
-                bad = (rel[:, r][:, None] & rel) != rel[:, meet[r]]
-                t, s = (int(x) for x in np.argwhere(bad)[0])
-                raise MeetNotInfimum(r, s, t)
 
     # -- element access -------------------------------------------------
 
@@ -885,19 +838,34 @@ def _set_labels(ground, labels, n: int) -> tuple[list[str], list[tuple[int, int]
     return names, masks
 
 
-def _check_label_tables(
-    universe: MaskUniverse, join: Optional[np.ndarray], meet: Optional[np.ndarray]
+def _check_tables(
+    universe: Universe,
+    join: Optional[np.ndarray],
+    meet: Optional[np.ndarray],
+    source: str,
 ) -> None:
-    """A given join or meet table must equal the labels' at every pair, and
-    so hold no pair whose join or meet lies outside the universe."""
+    """A given join or meet table must equal the universe's join, or its De
+    Morgan meet ``meet(t, s) = join(t*, s*)*``, at every pair, and so hold
+    no pair whose join or meet lies outside the universe.
+
+    Column ``s`` of the join table is compared, then of the meet table, for
+    ascending ``s``; the first differing row ``t`` names the pair ``(t, s)``.
+    ``source`` names what fixed the universe's tables.
+    """
     inv = universe.inverse_table()
+
+    def require(what: str, given: np.ndarray, want: np.ndarray, s: int) -> None:
+        bad = given != want
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise MalformedInput(f"'{what}' disagrees with the {source} at ({t}, {s})")
+
     for s in range(len(universe)):
-        if join is not None and not np.array_equal(join[:, s], universe.join_column(s)):
-            raise MalformedInput("'join' disagrees with the set labels")
+        if join is not None:
+            require("join", join[:, s], universe.join_column(s), s)
         if meet is not None:
             col = universe.join_column(int(inv[s]))[inv]
-            if not np.array_equal(meet[:, s], np.where(col < 0, -1, inv[col])):
-                raise MalformedInput("'meet' disagrees with the set labels")
+            require("meet", meet[:, s], np.where(col < 0, -1, inv[col]), s)
 
 
 def system_from_json_dict(d: dict) -> SeparationSystem:
@@ -914,10 +882,13 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     flips and the joins, so ``leq`` is optional, and the document loads as
     a :class:`MaskUniverse` with no law check.  The labels must be distinct,
     sorted by their ``(A, B)`` masks and closed under flips; ``inverse``
-    must equal their flips, and a ``leq``, ``join`` or ``meet`` that is
-    given must equal what they give.  Any such pool is valid, so documents
-    listing more elements than their members load too.  Without labels the
-    tables are law-checked in full by :class:`Universe`.
+    and a ``leq`` that is given must equal what they give.  Any such pool is
+    valid, so documents listing more elements than their members load too.
+    Without labels the order and the flips are law-checked in full by
+    :class:`Universe`, which derives the join; ``ground`` without
+    ``labels``, or ``labels`` without ``ground``, is refused.  Either way a
+    ``join`` or ``meet`` that is given must equal the universe's join and
+    its De Morgan meet at every pair.
     """
     try:
         elements = list(d["elements"])
@@ -942,18 +913,21 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     join = _table_from_triples(n, d["join"], "join") if "join" in d else None
     meet = _table_from_triples(n, d["meet"], "meet") if "meet" in d else None
 
-    if "labels" in d and "ground" in d:
+    labelled = "labels" in d
+    if labelled != ("ground" in d):
+        raise MalformedInput("'ground' and 'labels' must be given together")
+    if labelled:
         ground, set_labels = _set_labels(d["ground"], d["labels"], n)
         universe = MaskUniverse(set_labels, ground)
         if leq is not None and not np.array_equal(universe.leq_matrix(), leq):
             raise MalformedInput("'leq' disagrees with the set labels")
         if not np.array_equal(universe.inverse_table(), np.asarray(inverse)):
             raise MalformedInput("'inverse' disagrees with the set labels")
-        _check_label_tables(universe, join, meet)
     elif leq is None:
         raise MalformedInput("'leq' is required without 'ground' and 'labels'")
     else:
-        universe = Universe(leq, inverse, join, meet)
+        universe = Universe(leq, inverse)
+    _check_tables(universe, join, meet, "set labels" if labelled else "order")
     members = d.get("members")
     if members is None:
         members = range(n)

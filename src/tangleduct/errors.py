@@ -56,14 +56,6 @@ class JoinNotSupremum(TangleductError):
         self.witness = (r, s, t)
 
 
-class MeetNotInfimum(TangleductError):
-    def __init__(self, r: int, s: int, t: int):
-        super().__init__(
-            f"meet({r}, {s}) is not the greatest lower bound (checked against {t})"
-        )
-        self.witness = (r, s, t)
-
-
 # --- set / graph backends --------------------------------------------------
 
 class ClosureTooLarge(TangleductError):

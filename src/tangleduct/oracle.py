@@ -360,12 +360,7 @@ def _sinks(tree: STree, cols: dict[int, int], codes: int) -> list[tuple[int, int
     raise InternalInvariant("guided walk did not reach a sink")
 
 
-def cross_check(
-    system: SeparationSystem,
-    family: StarFamily,
-    *,
-    cap: int = DEFAULT_CENSUS_CAP,
-) -> CrossCheckReport:
+def cross_check(system: SeparationSystem, family: StarFamily) -> CrossCheckReport:
     """Run the strong engine and the census; assert they tell the same story.
 
     Every answer is checked on the census truth tables; nothing is listed
@@ -374,7 +369,7 @@ def cross_check(
     :func:`strong_duality` call on this system and family, or when that
     call raised :class:`NotFSeparable` (see :mod:`tangleduct.duality`).
     """
-    census = enumerate_orientations(system, family, "tangle", cap=cap)
+    census = enumerate_orientations(system, family, "tangle")
     tangles = census.tangle_codes
     try:
         cert = strong_duality(system, family)

@@ -194,6 +194,16 @@ def test_malformed_system_is_one_error_line(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_wrong_join_triple_is_one_error_line(tmp_path, capsys):
+    doc = _abstract_system_doc()
+    r, s, v = doc["join"][1]
+    doc["join"][1] = [r, s, (v + 1) % N2]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig("validate", str(path))) == 1
+    assert capsys.readouterr().err == "error: 'join' disagrees with the order at (0, 1)\n"
+
+
 def test_labels_not_closed_under_flips_is_one_error_line(tmp_path, capsys):
     # ({x}|{x,y}) and ({x,y}|{y}), without their flips
     doc = {

@@ -2,10 +2,11 @@
 
 The set and graph backends build a system's universe from its members and
 their flips alone (``backends._universe_from_masks``).  The universe of a
-pool's join/meet closure, built from dense tables and law-checked in full
-by ``Universe``, is the reference: the pool universe's order, flips and
-join columns must be its tables restricted to the pool, with -1 exactly
-where the closed join is not a pool element.
+pool's join/meet closure, built from its dense order and flips and
+law-checked in full by ``Universe``, is the reference; its derived join
+and De Morgan meet must equal the dense mask join and meet.  The pool
+universe's order, flips and join columns must be its tables restricted to
+the pool, with -1 exactly where the closed join is not a pool element.
 """
 
 import copy
@@ -104,11 +105,18 @@ def pool_system(pool, cap=10**6):
 
 def closed_universe(pool):
     """The law-checked universe of a pool's reference closure, built from
-    tables and labelled by its side masks, and the closure."""
+    its order and flips and labelled by its side masks, and the closure.
+
+    Its join, derived from the order, and its De Morgan meet must equal the
+    dense mask join and meet, so the closure tests still compare against
+    mask arithmetic.
+    """
     closed = reference_closure(pool, 10**6)
     leq, inverse, join, meet = dense_tables(closed)
     assert (join >= 0).all() and (meet >= 0).all()
-    u = Universe(leq, inverse, join, meet)
+    u = Universe(leq, inverse)
+    assert np.array_equal(gen.join_columns(u), join)
+    assert np.array_equal(gen.meet_table(u), meet)
     u.set_labels, u.ground = tuple(closed), tuple(ground_of(closed))
     return u, closed
 

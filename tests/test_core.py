@@ -39,13 +39,14 @@ from tangleduct.errors import (
 def singleton_universe():
     """One self-inverse element: the smallest valid universe."""
     leq = np.array([[True]])
-    return Universe(leq, [0], np.array([[0]]), np.array([[0]]))
+    return Universe(leq, [0])
 
 
 def chain_universe():
     """A bounded chain pair: ⊥ < a < b < ⊤ alongside ⊥ < b* < a* < ⊤.
 
-    Join and meet tables are derived from the order by the constructor.
+    The constructor derives the join from the order; the meet follows by
+    De Morgan.
     """
     # ids: 0=⊥, 1=a, 2=b, 3=b*, 4=a*, 5=⊤; inv swaps 0↔5, 1↔4, 2↔3
     leq = np.zeros((6, 6), dtype=bool)
@@ -55,7 +56,7 @@ def chain_universe():
         leq[i, 5] = True
     leq[1, 2] = True
     leq[3, 4] = True
-    return Universe(leq, [5, 4, 3, 2, 1, 0], None, None)
+    return Universe(leq, [5, 4, 3, 2, 1, 0])
 
 
 class TestUniverseAxioms:
@@ -79,17 +80,17 @@ class TestUniverseAxioms:
         leq[0, 1] = True
         leq[2, 3] = True  # wrong direction for the inverses
         with pytest.raises(InvolutionNotOrderReversing):
-            Universe(leq, [2, 3, 0, 1], None, None)
+            Universe(leq, [2, 3, 0, 1])
 
     def test_non_involution_rejected(self):
         leq = np.eye(3, dtype=bool)
         with pytest.raises(NotInvolution):
-            Universe(leq, [1, 2, 0], None, None)
+            Universe(leq, [1, 2, 0])
 
     def test_order_must_be_antisymmetric(self):
         leq = np.ones((2, 2), dtype=bool)
         with pytest.raises(NotAPartialOrder):
-            Universe(leq, [1, 0], None, None)
+            Universe(leq, [1, 0])
 
     def test_non_lattice_order_without_join_rejected(self):
         # a, b < c, d: a and b have two least upper bounds, so no join;
@@ -97,7 +98,7 @@ class TestUniverseAxioms:
         leq = np.eye(4, dtype=bool)
         leq[np.ix_([0, 1], [2, 3])] = True
         with pytest.raises(JoinNotSupremum) as info:
-            Universe(leq, [2, 3, 0, 1], None, None)
+            Universe(leq, [2, 3, 0, 1])
         assert info.value.witness == (0, 1, -1)
         assert str(info.value) == "join(0, 1) is not the least upper bound (checked against -1)"
 
@@ -110,22 +111,23 @@ class TestUniverseAxioms:
         assert np.array_equal(gen.meet_table(derived), meet)
 
     def test_join_table_checked_against_order(self):
-        u = chain_universe()
-        bad_join = gen.join_columns(u)
-        bad_join[1, 2] = 1  # a ∨ b must be b
-        with pytest.raises(JoinNotSupremum):
-            Universe(u.leq_matrix(), [5, 4, 3, 2, 1, 0], bad_join, gen.meet_table(u))
+        doc = gen.add_tables(chain_universe().to_json_dict())
+        system_from_json_dict(doc)
+        # a ∨ b must be b
+        doc["join"] = [[r, s, 1 if (r, s) == (1, 2) else v] for r, s, v in doc["join"]]
+        with pytest.raises(MalformedInput) as info:
+            system_from_json_dict(doc)
+        assert str(info.value) == "'join' disagrees with the order at (1, 2)"
 
     def test_join_meet_ids_outside_the_universe_rejected(self):
-        leq = np.array([[True]])
-        # -1 would index the last row and pass every law check
-        with pytest.raises(MalformedInput, match="join table maps"):
-            Universe(leq, [0], np.array([[-1]]), np.array([[0]]))
-        with pytest.raises(MalformedInput, match="meet table maps"):
-            Universe(leq, [0], np.array([[0]]), np.array([[1]]))
-        # an int32 cast would wrap 2^32 to 0 without a word
-        with pytest.raises(MalformedInput, match="join table maps"):
-            Universe(leq, [0], np.array([[2**32]]), np.array([[0]]))
+        # -1 would index the last row of a table; an int32 cast would wrap
+        # 2^32 to 0
+        for key, value in [("join", -1), ("meet", 1), ("join", 2**32)]:
+            doc = gen.add_tables(singleton_universe().to_json_dict())
+            doc[key] = [[0, 0, value]]
+            with pytest.raises(MalformedInput) as info:
+                system_from_json_dict(doc)
+            assert str(info.value) == f"{key} triple (0, 0, {value}) outside element range"
 
     def test_tables_kept_as_int32(self, cover2):
         u = cover2.universe
@@ -384,14 +386,23 @@ class TestJson:
         with pytest.raises(MalformedInput):
             system_from_json_dict(d)
 
-    def test_order_required_without_labels(self, cover2):
+    def test_order_required_without_labels(self):
         d = chain_universe().to_json_dict()
         del d["leq"]
-        labelled = system_to_json_dict(cover2)
-        del labelled["labels"]
-        for doc in (d, labelled):
-            with pytest.raises(MalformedInput, match="'leq' is required"):
+        with pytest.raises(MalformedInput, match="'leq' is required"):
+            system_from_json_dict(d)
+
+    @pytest.mark.parametrize("drop,keep", [("ground", "labels"), ("labels", "ground")])
+    def test_half_labelled_documents_rejected(self, cover2, drop, keep):
+        # the order pairs alone could load the document; the stray key is
+        # refused whatever it holds, and so it is without the pairs
+        d = gen.add_leq(system_to_json_dict(cover2))
+        del d[drop]
+        unordered = {k: v for k, v in d.items() if k != "leq"}
+        for doc in (d, {**d, keep: "not even a list"}, unordered):
+            with pytest.raises(MalformedInput) as info:
                 system_from_json_dict(doc)
+            assert str(info.value) == "'ground' and 'labels' must be given together"
 
     def test_labels_disagreeing_with_order_rejected(self, cover2):
         d = gen.add_leq(system_to_json_dict(cover2))
@@ -418,8 +429,9 @@ class TestJson:
             good = [[r, s, int(v)] for (r, s), v in np.ndenumerate(table)]
             system_from_json_dict({**d, key: good})
             bad = [[r, s, (v + 1) % n if (r, s) == (0, 1) else v] for r, s, v in good]
-            with pytest.raises(MalformedInput, match=f"'{key}' disagrees with the set labels"):
+            with pytest.raises(MalformedInput) as info:
                 system_from_json_dict({**d, key: bad})
+            assert str(info.value) == f"'{key}' disagrees with the set labels at (0, 1)"
         # a join table can only name ids, so any for p3 disagrees with its
         # labels where a join of members is not a member
         d = system_to_json_dict(p3_s2)

@@ -1,12 +1,18 @@
-"""The packed-row universe law checks against the dense reference checks.
+"""The universe's packed transitivity check against the dense reference,
+and the reader's join and meet comparison against the dense bound laws.
 
-``Universe`` checks transitivity and, for join and meet tables supplied
-from outside, the join and meet bound laws on rows of the order matrix
-packed into 64-bit words, every row in full.  The dense versions below are
-the reference.  On every corrupted table both must pass, or raise the same
-error class with the same message and witness.  A join derived from the
-order alone must equal a pair-by-pair lookup of each common up-row, or
-fail at the same first pair.
+``Universe`` checks transitivity on rows of the order matrix packed into
+64-bit words, every row in full.  The dense version below is the
+reference: on every corrupted order both must pass, or raise the same
+error class with the same message and witness.
+
+The reader compares a join or meet table a document supplies with the
+universe's derived join and its De Morgan meet.  The dense bound laws
+below are the reference: a document with corrupted join or meet triples
+must be rejected exactly when they find a join that is not the least
+upper bound or a meet that is not the greatest lower bound, at the same
+pair.  A join derived from the order alone must equal a pair-by-pair
+lookup of each common up-row, or fail at the same first pair.
 """
 
 import numpy as np
@@ -15,11 +21,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gen
-from tangleduct import Universe
+from tangleduct import Universe, system_from_json_dict
 from tangleduct.core import _pack_rows
 from tangleduct.errors import (
     JoinNotSupremum,
-    MeetNotInfimum,
+    MalformedInput,
     NotAPartialOrder,
     TangleductError,
 )
@@ -50,23 +56,24 @@ def dense_check_order(rel: np.ndarray) -> None:
         )
 
 
-def dense_check_bounds(rel: np.ndarray, join: np.ndarray, meet: np.ndarray) -> None:
-    n = len(rel)
-    for r in range(n):
-        expect = rel[r][None, :] & rel
-        got = rel[join[r]]
-        bad = expect != got
+def dense_check_bounds(rel: np.ndarray, join: np.ndarray, meet) -> object:
+    """The first failing pair of the dense bound laws, or None.
+
+    Rows ``r`` are scanned in ascending order, the join row before the meet
+    row.  ``join(r, s)`` is the least upper bound iff its up-row is the
+    common up-row of ``r`` and ``s``, and ``meet(r, s)`` the greatest lower
+    bound iff its down-row is their common down-row.  A failure is
+    ``("join", r, s)`` or ``("meet", r, s)``; ``meet`` may be None.
+    """
+    for r in range(len(rel)):
+        bad = (rel[r][None, :] & rel) != rel[join[r]]  # [s, t]
         if bad.any():
-            s, t = (int(x) for x in np.argwhere(bad)[0])
-            raise JoinNotSupremum(r, s, t)
-        if meet is None:
-            continue
-        expect = rel[:, r][:, None] & rel
-        got = rel[:, meet[r]]
-        bad = expect != got
-        if bad.any():
-            t, s = (int(x) for x in np.argwhere(bad)[0])
-            raise MeetNotInfimum(r, s, t)
+            return "join", r, int(np.argwhere(bad)[0][0])
+        if meet is not None:
+            bad = (rel[:, r][:, None] & rel) != rel[:, meet[r]]  # [t, s]
+            if bad.any():
+                return "meet", r, int(np.argwhere(bad)[0][1])
+    return None
 
 
 def _outcome(check) -> object:
@@ -77,24 +84,14 @@ def _outcome(check) -> object:
     return None
 
 
-def packed_outcome(leq, join, meet):
+def packed_outcome(leq):
     u = Universe.__new__(Universe)
     u._leq = leq
-    up = _pack_rows(leq)
-
-    def check():
-        u._check_order(up)
-        u._check_bounds(up, join, meet)
-
-    return _outcome(check)
+    return _outcome(lambda: u._check_order(_pack_rows(leq)))
 
 
-def dense_outcome(leq, join, meet):
-    def check():
-        dense_check_order(leq)
-        dense_check_bounds(leq, join, meet)
-
-    return _outcome(check)
+def dense_outcome(leq):
+    return _outcome(lambda: dense_check_order(leq))
 
 
 def _closed(system) -> Universe:
@@ -112,12 +109,48 @@ UNIVERSES = {
 
 def tables(name: str):
     u = UNIVERSES[name]()
-    return u.leq_matrix().copy(), gen.join_columns(u), gen.meet_table(u)
+    return u.leq_matrix().copy(), u.inverse_table(), gen.join_columns(u), gen.meet_table(u)
 
 
-def assert_same(leq, join, meet):
-    expect = dense_outcome(leq, join, meet)
-    assert packed_outcome(leq, join, meet) == expect
+def assert_same(leq):
+    expect = dense_outcome(leq)
+    assert packed_outcome(leq) == expect
+    return expect
+
+
+def _triples(table) -> list:
+    return [[r, s, int(v)] for (r, s), v in np.ndenumerate(table)]
+
+
+def read_tables(leq, inverse, join, meet):
+    """The reader's verdict on the older-format document of these tables:
+    None when it loads, else its error message.  ``meet`` may be None."""
+    doc = {
+        "elements": list(range(len(leq))),
+        "inverse": {str(i): int(v) for i, v in enumerate(inverse)},
+        "leq": np.argwhere(leq).tolist(),
+        "join": _triples(join),
+    }
+    if meet is not None:
+        doc["meet"] = _triples(meet)
+    try:
+        system_from_json_dict(doc)
+    except MalformedInput as exc:
+        return str(exc)
+    return None
+
+
+def assert_one_entry(leq, inverse, join, meet, what, a, b):
+    """With entry ``(a, b)`` of the join or meet alone moved, the reader
+    rejects the document exactly when the dense bound laws do, and both
+    name the pair ``(a, b)``; returns the dense verdict."""
+    expect = dense_check_bounds(leq, join, meet)
+    got = read_tables(leq, inverse, join, meet)
+    if expect is None:
+        assert got is None
+    else:
+        assert expect == (what, a, b)
+        assert got == f"'{what}' disagrees with the order at ({a}, {b})"
     return expect
 
 
@@ -133,11 +166,14 @@ def test_pack_rows_round_trips(name):
 
 @pytest.mark.parametrize("name", sorted(UNIVERSES))
 def test_intact_tables_pass(name):
-    assert assert_same(*tables(name)) is None
+    leq, inverse, join, meet = tables(name)
+    assert assert_same(leq) is None
+    assert dense_check_bounds(leq, join, meet) is None
+    assert read_tables(leq, inverse, join, meet) is None
 
 
 def test_every_single_corruption_of_cover2():
-    leq, join, meet = tables("cover2")
+    leq, inverse, join, meet = tables("cover2")
     n = len(leq)
     kinds = set()
 
@@ -150,30 +186,31 @@ def test_every_single_corruption_of_cover2():
         for b in range(n):
             bad = leq.copy()
             bad[a, b] = not bad[a, b]
-            record(assert_same(bad, join, meet))
+            record(assert_same(bad))
             for v in range(n):
                 if v != join[a, b]:
                     wrong = join.copy()
                     wrong[a, b] = v
-                    record(assert_same(leq, wrong, meet))
+                    kinds.add(assert_one_entry(leq, inverse, wrong, meet, "join", a, b)[0])
                 if v != meet[a, b]:
                     wrong = meet.copy()
                     wrong[a, b] = v
-                    record(assert_same(leq, join, wrong))
-    # reflexivity, antisymmetry, transitivity, join and meet all fail somewhere
-    assert kinds >= {
+                    kinds.add(assert_one_entry(leq, inverse, join, wrong, "meet", a, b)[0])
+    # reflexivity, antisymmetry and transitivity fail somewhere, and every
+    # moved join or meet entry is rejected
+    assert kinds == {
         (NotAPartialOrder, 1),
         (NotAPartialOrder, 2),
         (NotAPartialOrder, 3),
-        (JoinNotSupremum, 3),
-        (MeetNotInfimum, 3),
+        "join",
+        "meet",
     }
 
 
 def test_transitivity_gap_in_second_word():
     # dropping a <= c while some a < b < c remains leaves exactly one gap,
     # at column c >= 64, which only the second packed word holds
-    leq, join, meet = tables("cover4")
+    leq = tables("cover4")[0]
     n = len(leq)
     gaps = [
         (a, c)
@@ -185,7 +222,7 @@ def test_transitivity_gap_in_second_word():
     for a, c in gaps[:10]:
         bad = leq.copy()
         bad[a, c] = False
-        cls, _, witness = assert_same(bad, join, meet)
+        cls, _, witness = assert_same(bad)
         assert cls is NotAPartialOrder and (witness[0], witness[2]) == (a, c)
 
 
@@ -195,24 +232,25 @@ def test_transitivity_gap_in_second_word():
     data=st.data(),
 )
 def test_one_corrupted_entry(name, table, data):
-    leq, join, meet = tables(name)
+    leq, inverse, join, meet = tables(name)
     n = len(leq)
     a = data.draw(st.integers(0, n - 1), label="a")
     b = data.draw(st.integers(0, n - 1), label="b")
     if table == "leq":
         leq[a, b] = not leq[a, b]
-    else:
-        target = join if table == "join" else meet
-        target[a, b] = data.draw(st.integers(0, n - 1), label="value")
-    assert_same(leq, join, meet)
+        assert_same(leq)
+        return
+    target = join if table == "join" else meet
+    target[a, b] = data.draw(st.integers(0, n - 1), label="value")
+    assert_one_entry(leq, inverse, join, meet, table, a, b)
     # and with the join alone
-    assert_same(leq, join, None)
+    assert_one_entry(leq, inverse, join, None, table, a, b)
 
 
 def symmetric_corruptions(join, a, b):
     """The join with ``join[a, b]`` and ``join[b, a]`` both moved to each
-    other value: still symmetric, so the first failing row is the lesser
-    of ``a`` and ``b``."""
+    other value: still symmetric, so the dense laws fail first in row
+    ``min(a, b)`` and the reader first in column ``min(a, b)``."""
     for v in range(len(join)):
         if v != join[a, b]:
             wrong = join.copy()
@@ -220,31 +258,44 @@ def symmetric_corruptions(join, a, b):
             yield wrong
 
 
+def assert_symmetric_pair(leq, inverse, join, meet, a, b):
+    """A symmetric join corrupted at ``a <= b``: the dense laws name
+    ``(a, b)``, the reader, which scans columns, ``(b, a)``, with the meet
+    or without it; returns the dense verdict."""
+    expect = dense_check_bounds(leq, join, meet)
+    got = read_tables(leq, inverse, join, meet)
+    if expect is None:
+        assert got is None
+    else:
+        assert expect == ("join", a, b)
+        assert got == f"'join' disagrees with the order at ({b}, {a})"
+    assert dense_check_bounds(leq, join, None) == expect
+    assert read_tables(leq, inverse, join, None) == got
+    return expect
+
+
 def test_every_symmetric_join_corruption_of_cover2():
-    leq, join, meet = tables("cover2")
+    leq, inverse, join, meet = tables("cover2")
     n = len(leq)
     failures = 0
     for a in range(n):
         for b in range(a, n):
             for wrong in symmetric_corruptions(join, a, b):
                 assert np.array_equal(wrong, wrong.T)
-                outcome = assert_same(leq, wrong, None)
-                assert outcome is not None and outcome[0] is JoinNotSupremum
-                assert assert_same(leq, wrong, meet) == outcome
+                assert assert_symmetric_pair(leq, inverse, wrong, meet, a, b) is not None
                 failures += 1
     assert failures == n * (n + 1) // 2 * (n - 1)
 
 
 @given(name=st.sampled_from(sorted(UNIVERSES)), data=st.data())
 def test_one_symmetric_join_corruption(name, data):
-    leq, join, meet = tables(name)
+    leq, inverse, join, meet = tables(name)
     n = len(leq)
     a = data.draw(st.integers(0, n - 1), label="a")
-    b = data.draw(st.integers(0, n - 1), label="b")
+    b = data.draw(st.integers(a, n - 1), label="b")
     v = data.draw(st.integers(0, n - 1), label="value")
     join[a, b] = join[b, a] = v
-    outcome = assert_same(leq, join, None)
-    assert assert_same(leq, join, meet) == outcome
+    assert_symmetric_pair(leq, inverse, join, meet, a, b)
 
 
 def dict_derived_join(leq: np.ndarray) -> np.ndarray:
@@ -272,8 +323,8 @@ def derived_outcome(leq, inverse):
 
 @pytest.mark.parametrize("name", sorted(UNIVERSES))
 def test_derived_join_of_closed_universes(name):
-    leq, join, _ = tables(name)
-    u = Universe(leq, UNIVERSES[name]().inverse_table())
+    leq, inverse, join, _ = tables(name)
+    u = Universe(leq, inverse)
     assert np.array_equal(gen.join_columns(u), join)
     assert np.array_equal(dict_derived_join(leq), join)
 
