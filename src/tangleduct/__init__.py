@@ -17,15 +17,13 @@ from .backends import (
     is_improper,
     side_masks,
 )
-from .cli import RunConfig, demo_family, main, run
+from .cli import RunConfig, main, run
 from .core import (
     OrientedSep,
     SeparationSystem,
     Universe,
     find_inconsistency,
-    is_antisymmetric,
     is_consistent,
-    is_nested,
     is_orientation,
     is_star,
     system_from_json_dict,
@@ -33,15 +31,12 @@ from .core import (
 )
 from .duality import (
     Certificate,
-    emulates,
     emulates_for_family,
     find_separator,
-    shift_map,
     shift_stree,
     standardize,
     strong_duality,
     verify_certificate,
-    violating_star,
     weak_duality,
 )
 from .errors import (
@@ -64,7 +59,6 @@ from .essential import (
     expand_to_family,
 )
 from .oracle import (
-    DEFAULT_CENSUS_CAP,
     CrossCheckReport,
     OrientationCensus,
     cross_check,
@@ -73,7 +67,6 @@ from .oracle import (
 )
 from .stree import (
     STree,
-    STreeReport,
     StarFamily,
     contract_to_tight,
     find_guided_sink,
@@ -90,7 +83,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "CrossCheckReport",
-    "DEFAULT_CENSUS_CAP",
     "DEFAULT_CLOSURE_CAP",
     "FNotStandard",
     "FNotStars",
@@ -106,7 +98,6 @@ __all__ = [
     "RootLabelTrivial",
     "RunConfig",
     "STree",
-    "STreeReport",
     "SeparationSystem",
     "ShiftLeftS",
     "StarFamily",
@@ -117,8 +108,6 @@ __all__ = [
     "build_set_universe",
     "contract_to_tight",
     "cross_check",
-    "demo_family",
-    "emulates",
     "emulates_for_family",
     "enumerate_orientations",
     "essential_core",
@@ -128,10 +117,8 @@ __all__ = [
     "find_inconsistency",
     "find_separator",
     "graph_separations",
-    "is_antisymmetric",
     "is_consistent",
     "is_improper",
-    "is_nested",
     "is_order_respecting",
     "is_orientation",
     "is_over",
@@ -140,7 +127,6 @@ __all__ = [
     "orientation_picks",
     "prune_to_irredundant",
     "run",
-    "shift_map",
     "shift_stree",
     "side_masks",
     "standardize",
@@ -151,6 +137,5 @@ __all__ = [
     "tighten_rooted",
     "validate_stree",
     "verify_certificate",
-    "violating_star",
     "weak_duality",
 ]

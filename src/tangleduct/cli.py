@@ -246,7 +246,7 @@ def _emit_certificate(config: RunConfig, cert: Certificate) -> None:
         _emit(config, _dumps(cert.to_json_dict()))
 
 
-def demo_family(system: SeparationSystem) -> StarFamily:
+def _demo_family(system: SeparationSystem) -> StarFamily:
     """Bundled demo family: improper-separation singletons, standardized.
 
     Purely a source of end-to-end fixtures for graph systems; it makes no
@@ -368,7 +368,7 @@ def _cmd_graph_sk(config: RunConfig) -> int:
     system = graph_separations(graph, config.k, max_closure=cap)
     doc = {"system": system_to_json_dict(system)}
     if config.demo_family:
-        fam = demo_family(system)
+        fam = _demo_family(system)
         fam_dict = fam.to_json_dict()
         fam_dict["label"] = "demo"
         doc["family"] = fam_dict

@@ -270,7 +270,7 @@ class Universe:
         for r, row in enumerate(up):
             joins = [of_row.get(row & t, -1) for t in up[r:]]
             if -1 in joins:
-                raise JoinNotSupremum(r, r + joins.index(-1), -1)
+                raise JoinNotSupremum(r, r + joins.index(-1))
             table[r, r:] = joins
             table[r:, r] = joins
         return _readonly(table)
@@ -647,15 +647,6 @@ def is_consistent(picks, system: SeparationSystem) -> bool:
     return find_inconsistency(picks, system) is None
 
 
-def is_antisymmetric(picks, system: SeparationSystem) -> bool:
-    """True iff the set holds no nondegenerate element together with its inverse."""
-    u = system.universe
-    ids = set(map(_as_id, picks))
-    return not any(
-        u.inv_id(i) in ids and not u.is_degenerate_id(i) for i in ids
-    )
-
-
 def is_orientation(picks, system: SeparationSystem) -> bool:
     """True iff exactly one orientation of every member separation is picked."""
     ids = set(map(_as_id, picks))
@@ -711,15 +702,6 @@ def _is_star_ids(universe: Universe, ids: Collection[int]) -> bool:
             if row & ~(above(i) | 1 << inv[i]):
                 return False
     return True
-
-
-def is_nested(r: OrientedSep, s: OrientedSep) -> bool:
-    """True iff some orientations of the two separations are comparable."""
-    for a in (r, r.inverse):
-        for b in (s, s.inverse):
-            if a <= b or b <= a:
-                return True
-    return False
 
 
 # --- JSON ------------------------------------------------------------------

@@ -135,7 +135,7 @@ from .stree import (
 # --- orientations vs. families --------------------------------------------------
 
 
-def violating_star(picks, family: StarFamily) -> Optional[frozenset[int]]:
+def _violating_star(picks, family: StarFamily) -> Optional[frozenset[int]]:
     """The canonically least family star inside the picks, if any.
 
     A star lies inside the picks when its bit row has no bit outside the
@@ -150,7 +150,7 @@ def violating_star(picks, family: StarFamily) -> Optional[frozenset[int]]:
 
 
 def _violating_row(picked: int, family: StarFamily) -> Optional[frozenset[int]]:
-    """:func:`violating_star` of the picks with bit row ``picked``."""
+    """:func:`_violating_star` of the picks with bit row ``picked``."""
     outside = ~picked
     root = family if family.root is None else family.root
     extra = family.extra & picked
@@ -248,7 +248,7 @@ def verify_certificate(
             problems.append("picks are not a full orientation of the system")
         if cert.kind == "tangle" and not is_consistent(cert.picks, system):
             problems.append("picks are not consistent")
-        sigma = violating_star(cert.picks, family)
+        sigma = _violating_star(cert.picks, family)
         if sigma is not None:
             problems.append(f"picks contain the family star {sorted(sigma)}")
     elif cert.kind == "stree":
@@ -276,13 +276,15 @@ def _require_usable_base(r: int, system: SeparationSystem, what: str) -> None:
         raise MalformedInput(f"{what} is trivial in the system")
 
 
-def shift_map(r, s0, target, system: SeparationSystem) -> OrientedSep:
+def _shift_map(r, s0, target, system: SeparationSystem) -> OrientedSep:
     """Shift one separation across ``s0``.
 
     ``r`` (nontrivial, nondegenerate) is the base; ``s0 ≥ r`` a member.  The
     base maps to ``s0`` and its inverse to the inverse of ``s0``; any other
     target is joined with ``s0`` on whichever of its orientations lies above
     ``r`` (unique, since ``r`` is nontrivial), inverses going to inverses.
+    The engines shift with :func:`_shift_id` and :func:`_shift_all`; this
+    checked form, one target at a time, is their reference.
     """
     u = system.universe
     r_id, s0_id, t_id = _as_id(r), _as_id(s0), _as_id(target)
@@ -309,26 +311,17 @@ def shift_map(r, s0, target, system: SeparationSystem) -> OrientedSep:
     return u.sep(image if above else u.inv_id(image))
 
 
-def emulates(s0, r, system: SeparationSystem) -> bool:
-    """Does ``s0 ≥ r`` keep every join with a member above ``r`` inside?
-
-    Checks ``s ∨ s0`` for membership, over all members ``s ≥ r`` other than
-    the inverse of ``r``, reading the join column of ``s0`` once.
-    """
-    return _emulating_column(system, _as_id(s0), _as_id(r)) is not None
-
-
 def _emulating_column(system: SeparationSystem, s0: int, r: int) -> Optional[list[int]]:
     """The join column of ``s0`` as a list when ``s0`` emulates ``r``, else
     ``None``: the joins of ``s0`` with the members above ``r`` but its
     inverse, read off the bits of their row, must all be members (-1, a
-    join outside the universe, is not)."""
+    join outside the universe, is not).  The base ``r`` must be
+    nondegenerate: :func:`emulates_for_family` checks it before the root
+    entry that calls here is made."""
     u = system.universe
     members = system.member_ids
     if s0 not in members:
         raise MalformedInput("s0 is not a member of the system")
-    if u.is_degenerate_id(r):
-        raise MalformedInput("emulation base is degenerate")
     if not u.above_mask(r) >> s0 & 1:
         return None
     col = u.join_column(s0).tolist()
@@ -342,7 +335,7 @@ def _emulating_column(system: SeparationSystem, s0: int, r: int) -> Optional[lis
 
 
 def _shift_id(u: Universe, r: int, s0: int, col: list[int], y: int) -> int:
-    """The shift of ``y`` across ``s0`` for base ``r``, as :func:`shift_map`
+    """The shift of ``y`` across ``s0`` for base ``r``, as :func:`_shift_map`
     gives it, from the join column ``col`` of ``s0``: ``y`` must lie in the
     domain of ``r`` and ``s0`` emulate ``r``, so every join read is a member."""
     inv = u.inv_id
@@ -380,7 +373,8 @@ _SHORT_SCAN = 16
 
 
 def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> bool:
-    """Emulation plus: qualifying family stars shift back into the family.
+    """Does ``s0`` emulate ``r`` (:func:`_emulating_column`), with every
+    qualifying family star shifting back into the family?
 
     A star qualifies when all its elements belong to separations with an
     orientation above ``r``, none of them is the inverse of ``r``, and at

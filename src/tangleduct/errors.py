@@ -49,11 +49,9 @@ class InvolutionNotOrderReversing(TangleductError):
 
 
 class JoinNotSupremum(TangleductError):
-    def __init__(self, r: int, s: int, t: int):
-        super().__init__(
-            f"join({r}, {s}) is not the least upper bound (checked against {t})"
-        )
-        self.witness = (r, s, t)
+    def __init__(self, r: int, s: int):
+        super().__init__(f"{r} and {s} have no least upper bound")
+        self.witness = (r, s)
 
 
 # --- set / graph backends --------------------------------------------------

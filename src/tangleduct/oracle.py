@@ -37,7 +37,7 @@ from .duality import Certificate, strong_duality
 from .errors import InternalInvariant, MalformedInput, NotFSeparable, TooLarge
 from .stree import StarFamily, STree, _check_same_universe
 
-DEFAULT_CENSUS_CAP = 20
+_CENSUS_CAP = 20
 # codes listed per numpy pass: bounds the temporary picks matrix
 _CHUNK = 4096
 
@@ -270,7 +270,7 @@ def enumerate_orientations(
     family: StarFamily,
     mode: str = "tangle",
     *,
-    cap: int = DEFAULT_CENSUS_CAP,
+    cap: int = _CENSUS_CAP,
 ) -> OrientationCensus:
     """Census every orientation, numbered as by :func:`orientation_picks`.
 

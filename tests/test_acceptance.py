@@ -32,7 +32,6 @@ from tangleduct import (
     graph_separations,
     is_over,
     prune_to_irredundant,
-    shift_map,
     shift_stree,
     side_masks,
     strong_duality,
@@ -41,6 +40,7 @@ from tangleduct import (
     verify_certificate,
     weak_duality,
 )
+from tangleduct.duality import _shift_map
 
 GRID_3X3 = "\n".join(
     f"{a} {b}"
@@ -227,7 +227,7 @@ def _check_shift(before, after, root, r_id, s0_id, system, tag, failures):
                         f"expected {{{u.inv_id(s0_id)}}}")
         return
     for a, b in before.oriented_edges():
-        want = shift_map(r_id, s0_id, before.alpha[(a, b)], system).id
+        want = _shift_map(r_id, s0_id, before.alpha[(a, b)], system).id
         got = after.alpha.get((a, b))
         if got != want:
             failures.append(f"{tag} edge ({a},{b}) relabelled {got}, expected {want}")
@@ -290,7 +290,7 @@ def test_acceptance_4_shifting(corpus, capsys):
         )
         stars = [list(sigma)] + [[u.inv_id(s)] for s in order[1:]]
         images = [
-            [shift_map(r, s0, t, system).id for t in star] for star in stars
+            [_shift_map(r, s0, t, system).id for t in star] for star in stars
         ]
         fam = StarFamily(u, stars + images)
         shifted = shift_stree(tree, 1, s0, fam)

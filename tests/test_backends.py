@@ -100,6 +100,14 @@ class TestBuildSetUniverse:
         with pytest.raises(MalformedInput):
             build_set_universe(["x", "x"], [(["x"], ["x"])])
 
+    def test_unknown_vertex_rejected(self):
+        with pytest.raises(MalformedInput, match="^vertex 'z' not in the ground set$"):
+            build_set_universe(["x", "y"], [(["x", "z"], ["y"])])
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(MalformedInput, match="^empty separation pool$"):
+            build_set_universe(["x", "y"], [])
+
     def test_closure_cap_enforced(self):
         # the cap bounds the 16 pairs and flips, not their closure of 256
         ground = [str(i) for i in range(8)]

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import gen
 from tangleduct import (
-    DEFAULT_CENSUS_CAP,
     SeparationSystem,
     StarFamily,
     TooLarge,
@@ -28,7 +27,7 @@ from tangleduct import (
     orientation_picks,
     standardize,
 )
-from tangleduct.oracle import _pick_columns
+from tangleduct.oracle import _CENSUS_CAP, _pick_columns
 
 
 def reference_census(system, family, mode="tangle") -> SimpleNamespace:
@@ -226,7 +225,7 @@ class TestEdgeCases:
 
     def test_n_equal_to_the_default_cap(self):
         base = cover(4)
-        n = DEFAULT_CENSUS_CAP
+        n = _CENSUS_CAP
         system = gen.subsystem(base, base.nondegenerate_reps[-n:])
         r = system.nondegenerate_reps[0]
         # {r} and {r*} leave no orientation avoiding the family

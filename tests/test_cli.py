@@ -23,7 +23,7 @@ from tangleduct import (
     system_to_json_dict,
     verify_certificate,
 )
-from tangleduct.cli import RunConfig, demo_family, main, parse_args, run
+from tangleduct.cli import RunConfig, _demo_family, main, parse_args, run
 
 P3 = "a b\nb c\n"
 
@@ -560,6 +560,53 @@ class TestStrongAndCheckTree:
         assert out["kind"] == "stree"
 
 
+class TestInputKindsAndDot:
+    def test_strong_tree_as_dot(self, p3_setup, capsys):
+        _, env = p3_setup
+        assert run(RunConfig("strong", str(env), fmt="dot")) == 0
+        assert capsys.readouterr().out.startswith("graph stree {")
+
+    def test_weak_orientation_as_dot_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_tangle_envelope()))
+        assert run(RunConfig("weak", str(path), fmt="dot")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: dot output needs a tree certificate; this one is 'orientation'\n"
+
+    def test_check_tree_without_certificate_is_exit_1(self, p3_setup, capsys):
+        _, env = p3_setup
+        assert run(RunConfig("check-tree", str(env))) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no certificate given (bundle one or pass it as input)\n"
+
+    def test_bare_stars_input_is_the_family(self, p3_setup, capsys):
+        tmp_path, env = p3_setup
+        doc = read_json(env)
+        sys_path = tmp_path / "sys.json"
+        fam_path = tmp_path / "fam.json"
+        sys_path.write_text(json.dumps(doc["system"]))
+        fam_path.write_text(json.dumps(doc["family"]))
+        assert "stars" in doc["family"] and "elements" not in doc["family"]
+        assert run(RunConfig("strong", str(env))) == 0
+        want = capsys.readouterr().out
+        assert run(RunConfig("strong", str(fam_path), system_path=str(sys_path))) == 0
+        assert capsys.readouterr().out == want
+
+    def test_object_of_no_known_kind_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"nodes": [0, 1]}))
+        assert run(RunConfig("validate", str(path))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot tell what this JSON object is: expected a system")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_top_level_array_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text("[1, 2]")
+        assert run(RunConfig("validate", str(path))) == 1
+        assert capsys.readouterr().err == f"error: {str(path)!r} must hold a JSON object\n"
+
+
 class TestWeak:
     def test_weak_on_empty_family(self, p3_setup, tmp_path, capsys):
         _, env = p3_setup
@@ -683,7 +730,7 @@ class TestEssentialCommands:
 
 class TestDemoFamily:
     def test_demo_is_standard_and_improper(self, p3_s2):
-        fam = demo_family(p3_s2)
+        fam = _demo_family(p3_s2)
         assert fam.is_standard_for(p3_s2)
         from tangleduct.backends import is_improper
 

@@ -24,24 +24,22 @@ from tangleduct import (
     SeparationSystem,
     StarFamily,
     Universe,
-    emulates,
     emulates_for_family,
     enumerate_orientations,
     find_guided_sink,
     find_separator,
     is_consistent,
     is_orientation,
-    shift_map,
     shift_stree,
     standardize,
     strong_duality,
     validate_stree,
     verify_certificate,
     graph_separations,
-    violating_star,
     weak_duality,
 )
 from tangleduct import duality
+from tangleduct.duality import _emulating_column, _shift_map, _violating_star
 from tangleduct.errors import FNotStandard, ShiftLeftS, TargetNotAboveR
 from test_tables import GRID4X4
 
@@ -68,34 +66,34 @@ class TestFamilyBasics:
         u = cover2.universe
         fam = StarFamily(u, [[0, 1], [1]])
         picks = (0, 1, 2, 4, 8)
-        assert violating_star(picks, fam) == frozenset({1})
-        assert violating_star((0, 3, 2, 4, 8), fam) is None
+        assert _violating_star(picks, fam) == frozenset({1})
+        assert _violating_star((0, 3, 2, 4, 8), fam) is None
 
 
 class TestShiftMap:
     def test_base_and_inverse_move_to_s0(self, cover2):
         # r=1=(1|2), s0=7=(12|2) ≥ r
-        assert shift_map(1, 7, 1, cover2).id == 7
-        assert shift_map(1, 7, 3, cover2).id == 4  # r* ↦ s0* = (2|12)
+        assert _shift_map(1, 7, 1, cover2).id == 7
+        assert _shift_map(1, 7, 3, cover2).id == 4  # r* ↦ s0* = (2|12)
 
     def test_targets_join_on_the_orientation_above(self, cover2):
         u = cover2.universe
         # 5=(12|∅) ≥ 1: plain join
-        assert shift_map(1, 7, 5, cover2).id == u.join_id(5, 7)
+        assert _shift_map(1, 7, 5, cover2).id == u.join_id(5, 7)
         # 0=(∅|12) is not above 1, its inverse 5 is: image is inverted back
-        assert shift_map(1, 7, 0, cover2).id == u.inv_id(u.join_id(5, 7))
+        assert _shift_map(1, 7, 0, cover2).id == u.inv_id(u.join_id(5, 7))
 
     def test_unrelated_target_rejected(self, cover2):
         with pytest.raises(TargetNotAboveR):
-            shift_map(1, 7, 8, cover2)
+            _shift_map(1, 7, 8, cover2)
 
     def test_preconditions(self, cover2):
         with pytest.raises(MalformedInput):
-            shift_map(0, 5, 1, cover2)  # trivial base
+            _shift_map(0, 5, 1, cover2)  # trivial base
         with pytest.raises(MalformedInput):
-            shift_map(8, 8, 1, cover2)  # degenerate base
+            _shift_map(8, 8, 1, cover2)  # degenerate base
         with pytest.raises(MalformedInput):
-            shift_map(1, 6, 1, cover2)  # s0 not above r
+            _shift_map(1, 6, 1, cover2)  # s0 not above r
 
 
 class TestEmulation:
@@ -104,7 +102,7 @@ class TestEmulation:
         u = cover2.universe
         for r in (1, 3):
             for s0 in cover2.members:
-                assert emulates(s0, r, cover2) == u.leq_ids(r, s0)
+                assert (_emulating_column(cover2, s0, r) is not None) == u.leq_ids(r, s0)
 
     def test_emulation_fails_when_a_join_escapes(self, cover2):
         # members {0,2,4} ∪ inverses: the degenerate join (2|12) ∨ (1|12)
@@ -112,9 +110,9 @@ class TestEmulation:
         sub = gen.subsystem(cover2, [0, 2, 4])
         u = sub.universe
         assert u.join_id(4, 2) == 8 and 8 not in sub.member_ids
-        assert not emulates(2, 0, sub)
+        assert _emulating_column(sub, 2, 0) is None
         # the same base works fine when the join stays inside
-        assert emulates(6, 0, sub) == all(
+        assert (_emulating_column(sub, 6, 0) is not None) == all(
             u.join_id(m, 6) in sub.member_ids
             for m in sub.members
             if m != u.inv_id(0) and u.leq_ids(0, m)
@@ -139,7 +137,7 @@ class TestEmulation:
             above = [m for m in system.members if m != u.inv_id(r) and u.leq_ids(r, m)]
             for s0 in system.members:
                 want = u.leq_ids(r, s0) and all(join(m, s0) is not None for m in above)
-                assert emulates(s0, r, system) == want, (s0, r)
+                assert (_emulating_column(system, s0, r) is not None) == want, (s0, r)
                 if r in system.trivial_ids or not u.leq_ids(r, s0):
                     continue
                 for t in system.members:
@@ -154,10 +152,10 @@ class TestEmulation:
                     if image is None:
                         outside += 1
                         with pytest.raises(MalformedInput, match="outside the universe"):
-                            shift_map(r, s0, t, system)
+                            _shift_map(r, s0, t, system)
                     else:
                         want = u.inv_id(image) if flip else image
-                        assert shift_map(r, s0, t, system).id == want
+                        assert _shift_map(r, s0, t, system).id == want
         assert outside
 
     def test_family_emulation_checks_star_images(self, std2):
@@ -196,6 +194,21 @@ class TestFindSeparator:
         fam = standardize(StarFamily(system.universe, [[1, 3, 9]]), system)
         assert find_separator(1, 11, system, fam) is None
 
+    def test_endpoint_outside_the_system_rejected(self, std2):
+        system, fam = std2
+        sub = gen.subsystem(system, [1])
+        with pytest.raises(MalformedInput) as info:
+            find_separator(1, 7, sub, fam)
+        assert str(info.value) == "separator endpoints must be members of the system"
+
+    def test_end_forced_by_the_family_rejected(self, std2):
+        # 1 and its inverse 3 are nontrivial; {3} forces 1, {1} forces 3
+        system, fam = std2
+        with pytest.raises(MalformedInput, match="^r is forced by the family$"):
+            find_separator(1, 1, system, fam.with_star([3]))
+        with pytest.raises(MalformedInput, match="^inverse of r_prime is forced by the family$"):
+            find_separator(1, 1, system, fam.with_star([1]))
+
 
 class TestShiftStree:
     def test_identity_shift_fixes_the_tree(self, std2):
@@ -206,6 +219,24 @@ class TestShiftStree:
         assert shifted.alpha == tree.alpha
         assert shifted.node_star(2) == frozenset({3})
 
+    def test_refusals(self, std2):
+        system, fam = std2
+        with_star = fam.with_star([0, 1])
+        tree = STree(system, [(0, 1), (0, 2)], {(1, 0): 0, (2, 0): 1})
+        with pytest.raises(MalformedInput, match="^node 0 is not a leaf$"):
+            shift_stree(tree, 0, 1, with_star)
+        # 6 = (12|1) does not lie above the root label 1 = (1|2)
+        with pytest.raises(MalformedInput, match="^s0 must be a member above the root label$"):
+            shift_stree(tree, 2, 6, with_star)
+        with pytest.raises(MalformedInput, match="^star at node 0 is not in the family$"):
+            shift_stree(tree, 2, 1, fam)
+        # node 0 carries 1 and its inverse 3: the tree is not tight
+        loose = STree(system, [(0, 1), (0, 2)], {(1, 0): 1, (2, 0): 3})
+        with pytest.raises(
+            MalformedInput, match="^tree must be irredundant and tight before shifting$"
+        ):
+            shift_stree(loose, 1, 7, fam.with_star([1, 3]))
+
     def test_shift_relabels_away_edges_by_joins(self):
         system = gen.full_cover_system(3)
         u = system.universe
@@ -215,7 +246,7 @@ class TestShiftStree:
         assert u.leq_ids(1, s0)
         stars = [[1, 3, 9], [u.inv_id(3)], [u.inv_id(9)]]
         images = [
-            frozenset(shift_map(1, s0, t, system).id for t in sigma)
+            frozenset(_shift_map(1, s0, t, system).id for t in sigma)
             for sigma in stars
         ]
         fam = StarFamily(u, stars + images)
@@ -231,7 +262,7 @@ class TestShiftStree:
         # every away edge carries the join of its old label with s0
         for t in (2, 3):
             old = tree.alpha[(0, t)]
-            assert shifted.alpha[(0, t)] == shift_map(1, s0, old, system).id
+            assert shifted.alpha[(0, t)] == _shift_map(1, s0, old, system).id
         assert validate_stree(shifted, fam).is_order_respecting
 
     def test_label_leaving_the_system_raises_shift_left_s(self):
@@ -244,7 +275,7 @@ class TestShiftStree:
         tree = STree(system, [(1, 0), (2, 0), (3, 0)], {(1, 0): 1, (2, 0): 4, (3, 0): 10},
                      root_leaf=1)
         family = StarFamily(u, [[1, 4, 10], [u.inv_id(4)], [u.inv_id(10)]])
-        assert not emulates(23, 1, system)
+        assert _emulating_column(system, 23, 1) is None
         with pytest.raises(ShiftLeftS) as exc:
             shift_stree(tree, 1, 23, family)
         assert exc.value.witness == ((0, 2), 19)

@@ -39,19 +39,16 @@ from tangleduct import (
     STree,
     StarFamily,
     TargetNotAboveR,
-    emulates,
     emulates_for_family,
     find_inconsistency,
     graph_separations,
     is_order_respecting,
     is_over,
-    shift_map,
     standardize,
     star_sort_key,
     strong_duality,
     validate_stree,
     verify_certificate,
-    violating_star,
     weak_duality,
 )
 from tangleduct import duality
@@ -62,6 +59,8 @@ from tangleduct.duality import (
     _root_memo,
     _shift_all,
     _shift_id,
+    _shift_map,
+    _violating_star,
 )
 
 
@@ -479,12 +478,12 @@ def random_picks(rng, system, stars):
 def assert_violating_star_agrees(rng, system, family, want):
     for picks in random_picks(rng, system, want):
         expect = ref_violating_star(picks, want)
-        assert violating_star(picks, family) == expect
+        assert _violating_star(picks, family) == expect
         seps = [system.universe.sep(i) for i in picks]
-        assert violating_star(seps, family) == expect
+        assert _violating_star(seps, family) == expect
         # ids outside the universe lie in no star
         outside = picks | {-1, len(system.universe), 10**9}
-        assert violating_star(outside, family) == expect
+        assert _violating_star(outside, family) == expect
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -699,7 +698,7 @@ def test_shift_map_reads_the_cached_image(name, k):
     ``None`` iff ``s0`` does not emulate ``r``; for every emulating pair
     the engine's shift of each id in the domain of ``r``, one at a time
     from the join column (the short scan) and as the full-width image (the
-    long scan), equals ``shift_map``."""
+    long scan), equals ``_shift_map``."""
     graph = GraphInput.parse(tk.GRAPHS[name])
     system = graph_separations(graph, k)
     family = tk.tk_family(system, graph)
@@ -711,13 +710,13 @@ def test_shift_map_reads_the_cached_image(name, k):
         for s0 in system.members:
             emulates_for_family(s0, r, system, family)
             entry = memo[s0, r]
-            assert (entry is None) == (not emulates(s0, r, system))
+            assert (entry is None) == (_emulating_column(system, s0, r) is None)
             if entry is None:
                 continue
             col = _emulating_column(system, s0, r)
             image = _shift_all(u, r, s0)
             for t in domain:
-                want = shift_map(r, s0, t, system).id
+                want = _shift_map(r, s0, t, system).id
                 assert _shift_id(u, r, s0, col, t) == image[t] == want, (s0, r, t)
             pairs += 1
     assert pairs

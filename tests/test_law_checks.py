@@ -309,7 +309,7 @@ def dict_derived_join(leq: np.ndarray) -> np.ndarray:
         for s in range(n):
             j = ids.get((leq[r] & leq[s]).tobytes(), -1)
             if j < 0:
-                raise JoinNotSupremum(r, s, -1)
+                raise JoinNotSupremum(r, s)
             table[r, s] = j
     return table
 

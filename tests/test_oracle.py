@@ -80,9 +80,9 @@ class TestCensus:
         assert set(c.f_tangles) == {(0, 1, 2, 4, 8), (0, 2, 3, 4, 8)}
 
     def test_p3_demo_family_has_no_tangles(self, p3_s2):
-        from tangleduct.cli import demo_family
+        from tangleduct.cli import _demo_family
 
-        fam = demo_family(p3_s2)
+        fam = _demo_family(p3_s2)
         c = enumerate_orientations(p3_s2, fam, "tangle")
         assert (c.total, len(c.consistent)) == (32, 4)
         assert c.f_avoiding == () and c.f_tangles == ()

@@ -194,6 +194,14 @@ class TestSTreeConstruction:
         assert t.nodes == (4,)
         assert t.node_star(4) == frozenset()
 
+    def test_no_nodes_rejected(self, cover2):
+        with pytest.raises(MalformedInput, match="^a tree needs at least one node$"):
+            STree(cover2, [], {})
+
+    def test_root_leaf_must_be_a_node(self, cover2):
+        with pytest.raises(MalformedInput, match="^root leaf 5 is not a node$"):
+            STree(cover2, [], {}, nodes=[0], root_leaf=5)
+
     def test_path_and_edge_order(self, cover2):
         t = STree(
             cover2,
