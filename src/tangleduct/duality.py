@@ -83,6 +83,25 @@ hypothesis is held as the witness pair and detail of its
 :class:`NotFSeparable`, never as the exception, whose traceback holds
 the system, and a repeat call raises a new one with the same message.
 Nothing else is kept: every other error is raised afresh.
+
+The level memo hands equal branch answers up as one tree object, so the
+strong engine's levels repeat the same tree surgery on the same input.
+Each surgery keeps its result on its input tree (see
+:class:`~tangleduct.stree.STree`): :func:`shift_stree` per ``(root,
+s0)``, after every check of its input, and on a kept result it checks
+again the one conclusion that depends on the family.  Within one
+:func:`strong_duality` call, the star tree of each family star, the
+2-node tree of each forced pair and the splice of each pair of shifted
+trees are built once, in the dict that the call passes to its levels
+with the level memo.  A splice is keyed by the identities of both inputs
+and its entry holds both, so no id is reused while it lives.  None of
+these goes on a tree or in the family's memo: an entry on a tree may
+only point to a tree built from that tree, never to itself or to a
+copy sharing its verdicts, so no entry makes a reference cycle, and the
+family's memo must not hold the system.  The engines still call
+:func:`shift_stree` and :func:`~tangleduct.stree.tighten_rooted` at
+every level, through this module's globals, so a wrapper sees every
+call.
 """
 
 from __future__ import annotations
@@ -525,6 +544,9 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
     non-root stars in the family, the result is order-respecting, carries
     the star of ``s0``'s inverse at the root and at no other leaf, and all
     its other stars stay in the family; these conclusions are asserted.
+    The result is kept on the input tree per ``(root, s0)``, after every
+    check on the input; a kept result is checked again only for the one
+    conclusion that depends on the family.
     """
     system = tree.system
     u = system.universe
@@ -544,21 +566,36 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
         if t != root and need & ~extra:
             raise MalformedInput(f"star at node {t} is not in the family")
 
+    key = ("shift", root, s0_id)
+    out = tree._verdicts.get(key)
+    if out is None:
+        out = tree._verdicts[key] = _shifted(tree, root, s0_id)
+    for t, need in _lacked_stars(out, family)[1]:
+        if t != root and need & ~extra:
+            raise InternalInvariant(f"shifted star at node {t} left the family")
+    return out
+
+
+def _shifted(tree: STree, root: int, s0: int) -> STree:
+    """The labels of :func:`shift_stree`, with the conclusions that depend
+    only on the tree, ``root`` and ``s0`` asserted."""
+    system = tree.system
+    u = system.universe
     parent = tree._parents(root)
-    col, members, inv = u.join_column(s0_id), system.member_ids, u.inv_id
+    col, members, inv = u.join_column(s0), system.member_ids, u.inv_id
     alpha: dict[tuple[int, int], int] = {}
     for u_, v_ in tree.edges:
         away = (u_, v_) if parent[v_] == u_ else (v_, u_)
         label = tree.alpha[away]
         shifted = int(col[label])
         if shifted not in members:
-            u.join_id(label, s0_id)  # raises for a join outside the universe
+            u.join_id(label, s0)  # raises for a join outside the universe
             raise ShiftLeftS(away, shifted)
         alpha[away] = shifted
         alpha[(away[1], away[0])] = inv(shifted)
     out = STree._derived(system, tree.edges, alpha, tree.nodes, root, tree.adj)
 
-    inv_s0 = frozenset((u.inv_id(s0_id),))
+    inv_s0 = frozenset((inv(s0),))
     if out.node_star(root) != inv_s0:
         raise InternalInvariant("shifted root star is not the inverse of s0")
     for t in out.nodes:
@@ -566,9 +603,6 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
             raise InternalInvariant(
                 f"shifted star of s0's inverse appears at leaf {t} besides the root"
             )
-    for t, need in _lacked_stars(out, family)[1]:
-        if t != root and need & ~extra:
-            raise InternalInvariant(f"shifted star at node {t} left the family")
     if not is_order_respecting(out):
         raise InternalInvariant("shifted tree does not respect the edge order")
     return out
@@ -712,29 +746,46 @@ def _run(engine: str, level, system: SeparationSystem, transcript: list[str]):
     return answer
 
 
+def _once(trees: Optional[dict], key: tuple, build) -> STree:
+    """``build()``, or, when ``trees`` is the dict of a strong call, the
+    tree built under ``key`` earlier in that call."""
+    if trees is None:
+        return build()
+    tree = trees.get(key)
+    if tree is None:
+        tree = trees[key] = build()
+    return tree
+
+
 def _pair_tree(
-    system: SeparationSystem, forced: int, inv_forced: int
+    system: SeparationSystem, forced: int, inv_forced: int, trees: Optional[dict] = None
 ) -> Optional[tuple[str, tuple[str, object]]]:
     """The transcript line and the 2-node tree when the family forces both
     orientations of a separation, labelled by the least forced id whose
     inverse is forced too: the least bit of ``forced & inv_forced``.  Below
     the root a level forces its parent's ids, which hold no pair, plus one
-    id, so the only possible pair is that id and its inverse."""
+    id, so the only possible pair is that id and its inverse.  The tree is
+    built once per label in ``trees`` (see :func:`_once`)."""
     both = forced & inv_forced
     if not both:
         return None
     label = (both & -both).bit_length() - 1
     alpha = {(0, 1): label, (1, 0): system.universe.inv_id(label)}
-    tree = STree._derived(system, [(0, 1)], alpha, [0, 1])
+    tree = _once(trees, ("pair", label), lambda: STree._derived(system, [(0, 1)], alpha, [0, 1]))
     return "family forces both orientations: 2-node tree", ("tree", tree)
 
 
 def _settled(
-    system: SeparationSystem, fam: StarFamily, forced: int, kind: str
+    system: SeparationSystem,
+    fam: StarFamily,
+    forced: int,
+    kind: str,
+    trees: Optional[dict] = None,
 ) -> tuple[str, tuple[str, object]]:
     """Every separation is forced: the transcript line, and the forced and
     degenerate picks as ``kind`` if they avoid the family, else the tree of
-    the least star inside them."""
+    the least star inside them, built once per star in ``trees`` (see
+    :func:`_once`)."""
     picks = forced | system.degenerate_mask
     sigma = _violating_row(picks, fam)
     if sigma is None:
@@ -743,7 +794,7 @@ def _settled(
     if len(sigma) == 1:
         raise InternalInvariant("violating star is a singleton of a forced pick")
     line = f"forced picks contain star {sorted(sigma)}: star tree"
-    return line, ("tree", _star_tree(system, sigma))
+    return line, ("tree", _once(trees, ("star", sigma), lambda: _star_tree(system, sigma)))
 
 
 def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: int):
@@ -911,9 +962,11 @@ def _strong(
     recurses with ``r_min`` forced, then prunes, tightens at the added leaf
     and shifts across ``s``.  A tangle, a tree already over the family, or
     a shifted tree whose root singleton ``{inv(s)}`` is a family star
-    answers the level; else both are spliced.
+    answers the level; else both are spliced.  ``memo`` is the call's
+    dict: the answers per forced row, and the trees built once per call
+    (see the module docstring).
     """
-    pair = _pair_tree(system, forced, inv_forced)
+    pair = _pair_tree(system, forced, inv_forced, memo)
     if pair is not None:
         yield pair[0]
         return pair[1]
@@ -923,7 +976,7 @@ def _strong(
         _raise_inconsistent(system, fam, *hit)
     undecided = system.rep_mask & ~(forced | inv_forced)
     if not undecided:
-        line, answer = _settled(system, fam, forced, "tangle")
+        line, answer = _settled(system, fam, forced, "tangle", memo)
         yield line
         return answer
 
@@ -975,6 +1028,9 @@ def _strong(
     if len(shifted) != 2:
         raise InternalInvariant("forced inverse of the separator lacks its singleton star")
     t1, t2 = shifted
-    spliced = _splice(t1, [t1.root_leaf], t2, t2.root_leaf)
+    # keyed by identity; the entry holds both inputs, so no id is reused
+    key = ("splice", id(t1), id(t2))
+    if key not in memo:
+        memo[key] = (t1, t2, _splice(t1, [t1.root_leaf], t2, t2.root_leaf))
     yield f"spliced both branches at {s0_id}"
-    return "tree", spliced
+    return "tree", memo[key][2]

@@ -17,7 +17,8 @@ trusted path that checks nothing again; ``verify_certificate`` checks the
 structure of every tree certificate, so an engine's answer is still checked
 once, in full.  As a tree never changes, it keeps its verdicts (redundant
 and inverse pairs, and which node stars a root family lacks), so a tree
-that the engines pass up their levels is scanned once.
+that the engines pass up their levels is scanned once, and a surgery
+made on it again returns the tree it built the first time.
 
 A :class:`StarFamily` child adds singleton stars to a root family as a bit
 row and derives everything else, its forced inverses included, from the
@@ -288,7 +289,13 @@ class STree:
     and :func:`_inverse_pair_triple` and, for the last root family it was
     checked against (held weakly), the nodes whose stars that root lacks
     (:func:`_lacked_stars`), each under the function that computes it.
-    A :meth:`_with_root_leaf` copy shares them, so a tree passed up the
+    The verdicts also keep the results of the surgery made on the tree:
+    :func:`prune_to_irredundant` per protected root and root leaf,
+    :func:`tighten_rooted` per root and ``duality.shift_stree`` per
+    ``(root, s0)``, each after the checks of its input.  An entry may only
+    point to a tree built from this one, never to the tree itself or to a
+    copy sharing its verdicts, so no entry makes a reference cycle.  A
+    :meth:`_with_root_leaf` copy shares them, so a tree passed up the
     engines' levels is scanned once.  :func:`validate_stree` and
     ``verify_certificate`` read none of them.
     """
@@ -727,21 +734,38 @@ def _lacked_stars(
 # --- surgery -------------------------------------------------------------------
 
 
+def _keep(tree: STree, key: tuple, out: STree) -> STree:
+    """Keep ``out``, built from ``tree``, in ``tree``'s verdicts under
+    ``key``, and return it.  Not when ``out`` shares those verdicts (it is
+    ``tree`` or a :meth:`~STree._with_root_leaf` copy): the entry would
+    make a reference cycle."""
+    if out._verdicts is not tree._verdicts:
+        tree._verdicts[key] = out
+    return out
+
+
 def prune_to_irredundant(tree: STree, root: Optional[int] = None) -> STree:
     """Drop duplicate branches until every node's incoming labels are distinct.
 
     When two edges into a node carry the same label, the branch hanging off
     one of them is deleted; node stars are unchanged as sets, so the result
     is over every family the input was over.  A ``root`` leaf (default: the
-    tree's own root leaf) is never deleted, nor is its edge.
+    tree's own root leaf) is never deleted, nor is its edge.  A new result
+    is kept on ``tree``.
     """
     if root is None:
         root = tree.root_leaf
+    # a _with_root_leaf copy shares the verdicts, and the result keeps the
+    # tree's own root leaf, so that is part of the key
+    key = ("prune", root, tree.root_leaf)
+    kept = tree._verdicts.get(key)
+    if kept is not None:
+        return kept
     t = tree
     while True:
         hit = _redundant_triple(t)
         if hit is None:
-            return t
+            return _keep(tree, key, t)
         node, n1, n2 = hit
         branch2 = t.component_nodes(n2, cut=[(node, n2)])
         if root is not None and root in branch2:
@@ -795,7 +819,8 @@ def tighten_rooted(tree: STree, root: int) -> STree:
 
     Requires the label pointing away from the root to be nontrivial and
     nondegenerate; the result is irredundant, tight, and carries that label
-    on exactly one oriented edge (the root's own).
+    on exactly one oriented edge (the root's own).  It is kept on ``tree``
+    per ``root``, unless it is a copy sharing ``tree``'s verdicts.
     """
     if root not in tree.adj or len(tree.adj[root]) != 1:
         raise MalformedInput(f"node {root} is not a leaf")
@@ -804,6 +829,10 @@ def tighten_rooted(tree: STree, root: int) -> STree:
     system = tree.system
     if r_id in system.trivial_ids or system.universe.is_degenerate_id(r_id):
         raise RootLabelTrivial(root, r_id)
+    key = ("tighten", root)
+    kept = tree._verdicts.get(key)
+    if kept is not None:
+        return kept
 
     t = prune_to_irredundant(tree, root)
     t = contract_to_tight(t)
@@ -814,7 +843,7 @@ def tighten_rooted(tree: STree, root: int) -> STree:
         raise InternalInvariant(
             f"root label appears on {count} oriented edges after tightening"
         )
-    return t._with_root_leaf(root)
+    return _keep(tree, key, t._with_root_leaf(root))
 
 
 def find_guided_sink(tree: STree, picks) -> int:

@@ -18,6 +18,7 @@ import gen
 from tangleduct import (
     Certificate,
     GraphInput,
+    InternalInvariant,
     MalformedInput,
     NotFSeparable,
     STree,
@@ -264,6 +265,38 @@ class TestShiftStree:
             old = tree.alpha[(0, t)]
             assert shifted.alpha[(0, t)] == _shift_map(1, s0, old, system).id
         assert validate_stree(shifted, fam).is_order_respecting
+
+    def test_a_kept_shift_still_checks_the_family(self):
+        """A shift is kept on its input tree per (root, s0), but a call with
+        another family checks it again, on the input's stars and on the
+        kept output's, and raises as a call on a fresh tree does."""
+        system = gen.full_cover_system(3)
+        u = system.universe
+        s0 = 11
+        stars = [[1, 3, 9], [u.inv_id(3)], [u.inv_id(9)]]
+        images = [
+            frozenset(_shift_map(1, s0, t, system).id for t in sigma)
+            for sigma in stars
+        ]
+        fam = StarFamily(u, stars + images)
+        tree = STree(system, [(1, 0), (2, 0), (3, 0)], {(1, 0): 1, (2, 0): 3, (3, 0): 9})
+        shifted = shift_stree(tree, 1, s0, fam)
+        assert shift_stree(tree, 1, s0, fam) is shifted
+        # the input's non-root stars are {1, 3, 9}, {11} and {5}; the
+        # shifted ones {0, 3, 11}, {11} and {19}
+        cases = [
+            ({5}, MalformedInput, "star at node 3 is not in the family"),
+            ({0, 3, 11}, InternalInvariant, "shifted star at node 0 left the family"),
+            ({19}, InternalInvariant, "shifted star at node 3 left the family"),
+        ]
+        for dropped, error, message in cases:
+            lacking = StarFamily(u, fam.stars - {frozenset(dropped)})
+            fresh = STree(system, tree.edges, tree.alpha)
+            for t in (tree, fresh):
+                with pytest.raises(error) as exc:
+                    shift_stree(t, 1, s0, lacking)
+                assert str(exc.value) == message
+        assert shift_stree(tree, 1, s0, fam) is shifted
 
     def test_label_leaving_the_system_raises_shift_left_s(self):
         # 23 lies above the root label 1 but does not emulate it: its join

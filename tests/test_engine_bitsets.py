@@ -22,6 +22,7 @@ import json
 import random
 import re
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -44,9 +45,11 @@ from tangleduct import (
     graph_separations,
     is_order_respecting,
     is_over,
+    prune_to_irredundant,
     standardize,
     star_sort_key,
     strong_duality,
+    tighten_rooted,
     validate_stree,
     verify_certificate,
     weak_duality,
@@ -1007,6 +1010,18 @@ def test_engine_runs_leave_no_reference_cycles():
         refs = [weakref.ref(x) for x in (system.universe, system, family)]
         del system, family
         assert [ref() for ref in refs] == [None, None, None]
+        # P6 at k=3, where the kept surgery results are hit: a shift output
+        # returned more than once is kept on its input tree
+        graph = GraphInput.parse(tk.GRAPHS["P6"])
+        system = graph_separations(graph, 3)
+        family = tk.tk_family(system, graph)
+        with gen.recorded_shifts() as shifts:
+            strong_duality(system, family)
+        seen = Counter(id(rec.after) for rec in shifts)
+        kept = next(rec.after for rec in shifts if seen[id(rec.after)] > 1)
+        refs = [weakref.ref(x) for x in (kept, system.universe, system, family)]
+        del system, family, shifts, kept
+        assert [ref() for ref in refs] == [None, None, None, None]
     finally:
         gc.enable()
 
@@ -1135,6 +1150,42 @@ def test_kept_tree_verdicts_on_the_ladder():
 def test_kept_tree_verdicts_on_random_tk_systems(seed):
     rng = random.Random(seed)
     assert_kept_verdicts_hold(*gen.random_tk_system(rng), rng)
+
+
+def fresh_copy(tree):
+    """``tree`` rebuilt on the trusted path, with no verdicts kept."""
+    return STree._derived(tree.system, tree.edges, dict(tree.alpha), tree.nodes, tree.root_leaf)
+
+
+def test_kept_surgery_equals_fresh_surgery(monkeypatch):
+    """Every prune, tighten and shift of a strong run, read from the
+    results kept on its input or not, equals the same operation on a fresh
+    copy of the input.  On P6 at k=3 the 307 shifts give at most 62
+    distinct trees: the repeats are kept results."""
+    calls = []
+    for name in ("prune_to_irredundant", "tighten_rooted"):
+
+        def recorder(tree, *args, op=getattr(duality, name)):
+            out = op(tree, *args)
+            calls.append((op, tree, args, out))
+            return out
+
+        monkeypatch.setattr(duality, name, recorder)
+    shift = duality.shift_stree
+    for name, k in sorted(tk.EXPECTED_KIND):
+        graph = GraphInput.parse(tk.GRAPHS[name])
+        system = graph_separations(graph, k)
+        with gen.recorded_shifts() as shifts:
+            strong_duality(system, tk.tk_family(system, graph))
+        for rec in shifts:
+            calls.append((shift, rec.before, (rec.root, rec.s0_id, rec.family), rec.after))
+        if (name, k) == ("P6", 3):
+            assert len(shifts) == 307
+            assert len({id(rec.after) for rec in shifts}) <= 62
+    assert {op for op, *_ in calls} == {prune_to_irredundant, tighten_rooted, shift}
+    for op, tree, args, out in calls:
+        want = op(fresh_copy(tree), *args)
+        assert out._key() == want._key() and out.adj == want.adj
 
 
 def test_wrong_kept_verdicts_do_not_pass_the_full_checks():
