@@ -763,27 +763,46 @@ def _id_entry(item, size: int, what: str, shape: str) -> tuple[int, ...]:
     return tuple(item)
 
 
-def _leq_from_pairs(n: int, items) -> np.ndarray:
+def _id_entries(n: int, items, what: str, size: int) -> np.ndarray:
+    """The ``[a, b]`` pairs or ``[a, b, value]`` triples of ``items`` as
+    the rows of an ``(m, size)`` array.  The first bad entry is named: one
+    of the wrong shape, holding a non-integer id, or holding an id outside
+    ``range(n)``."""
+    kind, shape = ("pair", "[a, b] pairs") if size == 2 else ("triple", "[a, b, value] triples")
     if not isinstance(items, (list, tuple)):
-        raise MalformedInput("'leq' must be a list of [a, b] pairs")
-    leq = np.zeros((n, n), dtype=bool)
+        raise MalformedInput(f"{what} must be a list of {shape}")
+    flat: list[int] = []
+
+    def require_range() -> None:
+        if flat and (min(flat) < 0 or max(flat) >= n):
+            i = next(i for i, x in enumerate(flat) if not 0 <= x < n) // size * size
+            entry = tuple(flat[i : i + size])
+            raise MalformedInput(f"{what} {kind} {entry} outside element range")
+
+    # the ids are range-checked at once, at the end or before naming a
+    # malformed entry, so an earlier entry out of range is named first
     for item in items:
-        a, b = _id_entry(item, 2, "'leq'", "[a, b] pairs")
-        if not (0 <= a < n and 0 <= b < n):
-            raise MalformedInput(f"'leq' pair ({a}, {b}) outside element range")
-        leq[a, b] = True
+        try:
+            flat.extend(_id_entry(item, size, what, shape))
+        except MalformedInput:
+            require_range()
+            raise
+    require_range()
+    return np.array(flat, dtype=np.int64).reshape(-1, size)
+
+
+def _leq_from_pairs(n: int, items) -> np.ndarray:
+    a, b = _id_entries(n, items, "'leq'", 2).T
+    leq = np.zeros((n, n), dtype=bool)
+    leq[a, b] = True
     return leq
 
 
 def _table_from_triples(n: int, triples, what: str) -> np.ndarray:
-    if not isinstance(triples, (list, tuple)):
-        raise MalformedInput(f"{what} must be a list of [a, b, value] triples")
+    a, b, v = _id_entries(n, triples, what, 3).T
     table = np.full((n, n), -1, dtype=np.int32)
-    for item in triples:
-        a, b, v = _id_entry(item, 3, what, "[a, b, value] triples")
-        if not (0 <= a < n and 0 <= b < n and 0 <= v < n):
-            raise MalformedInput(f"{what} triple ({a}, {b}, {v}) outside element range")
-        table[a, b] = v
+    # a pair listed twice keeps its last value
+    table[a, b] = v
     if (table < 0).any():
         a, b = (int(x) for x in np.argwhere(table < 0)[0])
         raise MalformedInput(f"{what} table is missing the pair ({a}, {b})")

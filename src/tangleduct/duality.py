@@ -86,21 +86,22 @@ Nothing else is kept: every other error is raised afresh.
 
 The level memo hands equal branch answers up as one tree object, so the
 strong engine's levels repeat the same tree surgery on the same input.
-Each surgery keeps its result on its input tree (see
-:class:`~tangleduct.stree.STree`): :func:`shift_stree` per ``(root,
-s0)``, after every check of its input, and on a kept result it checks
-again the one conclusion that depends on the family.  Within one
-:func:`strong_duality` call, the star tree of each family star, the
-2-node tree of each forced pair and the splice of each pair of shifted
-trees are built once, in the dict that the call passes to its levels
-with the level memo.  A splice is keyed by the identities of both inputs
-and its entry holds both, so no id is reused while it lives.  None of
-these goes on a tree or in the family's memo: an entry on a tree may
-only point to a tree built from that tree, never to itself or to a
-copy sharing its verdicts, so no entry makes a reference cycle, and the
-family's memo must not hold the system.  The engines still call
-:func:`shift_stree` and :func:`~tangleduct.stree.tighten_rooted` at
-every level, through this module's globals, so a wrapper sees every
+Tightening and shifting keep their results in the input tree's
+``_results`` (see :class:`~tangleduct.stree.STree`), which only ever
+point from a tree to one built after it, so no entry closes a reference
+cycle: :func:`~tangleduct.stree.tighten_rooted` per root and
+:func:`shift_stree` per ``(root, s0)``, after every check of its input,
+and on a kept shift it checks again the one conclusion that depends on
+the family.  Within one :func:`strong_duality` call, the dict that the
+call passes to its levels holds the level answers, the star tree of each
+family star and the splice of each pair of shifted trees, each built
+once.  A splice stays there, not on a tree: one input can descend from
+the other through its results, so an entry from one to the other could
+close a cycle.  It is keyed by the identities of both inputs and its
+entry holds both, so no id is reused while it lives.  None of these goes
+in the family's memo, which must not hold the system.  The engines still
+call :func:`shift_stree` and :func:`~tangleduct.stree.tighten_rooted`
+at every level, through this module's globals, so a wrapper sees every
 call.
 """
 
@@ -567,9 +568,9 @@ def shift_stree(tree: STree, root: int, s0, family: StarFamily) -> STree:
             raise MalformedInput(f"star at node {t} is not in the family")
 
     key = ("shift", root, s0_id)
-    out = tree._verdicts.get(key)
+    out = tree._results.get(key)
     if out is None:
-        out = tree._verdicts[key] = _shifted(tree, root, s0_id)
+        out = tree._results[key] = _shifted(tree, root, s0_id)
     for t, need in _lacked_stars(out, family)[1]:
         if t != root and need & ~extra:
             raise InternalInvariant(f"shifted star at node {t} left the family")
@@ -746,32 +747,20 @@ def _run(engine: str, level, system: SeparationSystem, transcript: list[str]):
     return answer
 
 
-def _once(trees: Optional[dict], key: tuple, build) -> STree:
-    """``build()``, or, when ``trees`` is the dict of a strong call, the
-    tree built under ``key`` earlier in that call."""
-    if trees is None:
-        return build()
-    tree = trees.get(key)
-    if tree is None:
-        tree = trees[key] = build()
-    return tree
-
-
 def _pair_tree(
-    system: SeparationSystem, forced: int, inv_forced: int, trees: Optional[dict] = None
+    system: SeparationSystem, forced: int, inv_forced: int
 ) -> Optional[tuple[str, tuple[str, object]]]:
     """The transcript line and the 2-node tree when the family forces both
     orientations of a separation, labelled by the least forced id whose
     inverse is forced too: the least bit of ``forced & inv_forced``.  Below
     the root a level forces its parent's ids, which hold no pair, plus one
-    id, so the only possible pair is that id and its inverse.  The tree is
-    built once per label in ``trees`` (see :func:`_once`)."""
+    id, so the only possible pair is that id and its inverse."""
     both = forced & inv_forced
     if not both:
         return None
     label = (both & -both).bit_length() - 1
     alpha = {(0, 1): label, (1, 0): system.universe.inv_id(label)}
-    tree = _once(trees, ("pair", label), lambda: STree._derived(system, [(0, 1)], alpha, [0, 1]))
+    tree = STree._derived(system, [(0, 1)], alpha, [0, 1])
     return "family forces both orientations: 2-node tree", ("tree", tree)
 
 
@@ -784,8 +773,8 @@ def _settled(
 ) -> tuple[str, tuple[str, object]]:
     """Every separation is forced: the transcript line, and the forced and
     degenerate picks as ``kind`` if they avoid the family, else the tree of
-    the least star inside them, built once per star in ``trees`` (see
-    :func:`_once`)."""
+    the least star inside them, built once per star in ``trees`` when
+    that is the dict of a strong call."""
     picks = forced | system.degenerate_mask
     sigma = _violating_row(picks, fam)
     if sigma is None:
@@ -794,7 +783,12 @@ def _settled(
     if len(sigma) == 1:
         raise InternalInvariant("violating star is a singleton of a forced pick")
     line = f"forced picks contain star {sorted(sigma)}: star tree"
-    return line, ("tree", _once(trees, ("star", sigma), lambda: _star_tree(system, sigma)))
+    if trees is None:
+        return line, ("tree", _star_tree(system, sigma))
+    key = ("star", sigma)
+    if key not in trees:
+        trees[key] = _star_tree(system, sigma)
+    return line, ("tree", trees[key])
 
 
 def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: int):
@@ -963,10 +957,10 @@ def _strong(
     and shifts across ``s``.  A tangle, a tree already over the family, or
     a shifted tree whose root singleton ``{inv(s)}`` is a family star
     answers the level; else both are spliced.  ``memo`` is the call's
-    dict: the answers per forced row, and the trees built once per call
-    (see the module docstring).
+    dict: the level answers per forced row, the star tree per family star
+    and the splice per pair of shifted trees (see the module docstring).
     """
-    pair = _pair_tree(system, forced, inv_forced, memo)
+    pair = _pair_tree(system, forced, inv_forced)
     if pair is not None:
         yield pair[0]
         return pair[1]

@@ -17,8 +17,9 @@ trusted path that checks nothing again; ``verify_certificate`` checks the
 structure of every tree certificate, so an engine's answer is still checked
 once, in full.  As a tree never changes, it keeps its verdicts (redundant
 and inverse pairs, and which node stars a root family lacks), so a tree
-that the engines pass up their levels is scanned once, and a surgery
-made on it again returns the tree it built the first time.
+that the engines pass up their levels is scanned once.  Apart from them
+it keeps the trees that tightening and shifting built from it, so a
+surgery made on it again returns the tree it built the first time.
 
 A :class:`StarFamily` child adds singleton stars to a root family as a bit
 row and derives everything else, its forced inverses included, from the
@@ -37,7 +38,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import (
-    OrientedSep,
     SeparationSystem,
     Universe,
     _as_id,
@@ -210,10 +210,6 @@ class StarFamily:
             return self
         return StarFamily(self.universe, kept, validate=False)
 
-    def forces(self, sep: OrientedSep) -> bool:
-        """True iff the family contains the singleton star of ``sep``'s inverse."""
-        return bool(self.singles >> sep.universe.inv_id(sep.id) & 1)
-
     def forced_ids(self, system: SeparationSystem) -> frozenset[int]:
         """All member orientations whose inverse forms a singleton star here."""
         return frozenset(map(self.universe.inv_id, _bit_ids(self.singles))) & system.member_ids
@@ -284,20 +280,20 @@ class STree:
     by :meth:`_derived`, which trusts its parts; ``verify_certificate``
     runs :meth:`_check` on every tree certificate, which covers them.
 
-    A tree is never mutated, so it keeps what is read off it: its node
-    stars, and in ``_verdicts`` the answers of :func:`_redundant_triple`
-    and :func:`_inverse_pair_triple` and, for the last root family it was
-    checked against (held weakly), the nodes whose stars that root lacks
-    (:func:`_lacked_stars`), each under the function that computes it.
-    The verdicts also keep the results of the surgery made on the tree:
-    :func:`prune_to_irredundant` per protected root and root leaf,
-    :func:`tighten_rooted` per root and ``duality.shift_stree`` per
-    ``(root, s0)``, each after the checks of its input.  An entry may only
-    point to a tree built from this one, never to the tree itself or to a
-    copy sharing its verdicts, so no entry makes a reference cycle.  A
-    :meth:`_with_root_leaf` copy shares them, so a tree passed up the
-    engines' levels is scanned once.  :func:`validate_stree` and
-    ``verify_certificate`` read none of them.
+    A tree is never mutated, so it keeps what is read off it in two
+    dicts, each with one rule.  ``_verdicts`` holds scan answers only,
+    each under the function that computes it: :func:`_redundant_triple`,
+    :func:`_inverse_pair_triple` and, for the last root family the tree
+    was checked against (held weakly), :func:`_lacked_stars`.  It never
+    holds a tree, so a :meth:`_with_root_leaf` copy shares it, as it
+    shares the node stars, and a tree passed up the engines' levels is
+    scanned once.  ``_results`` holds the trees that surgery built from
+    this one: :func:`tighten_rooted` per root and ``duality.shift_stree``
+    per ``(root, s0)``, each stored after the checks of its input.  Each
+    is built after its owner, so an entry only points from an older tree
+    to a newer one and no entry closes a reference cycle; a copy starts
+    with its own empty ``_results``.  :func:`validate_stree` and
+    ``verify_certificate`` read neither dict.
     """
 
     def __init__(
@@ -349,6 +345,7 @@ class STree:
         self.root_leaf: Optional[int] = root_leaf
         self._stars: dict[int, frozenset[int]] = {}
         self._verdicts: dict[object, object] = {}
+        self._results: dict[tuple, STree] = {}
         if adj is None:
             # sorted (min, max) edges list each node's smaller neighbours,
             # then its larger ones, each in increasing order
@@ -456,11 +453,12 @@ class STree:
 
     def _with_root_leaf(self, root: int) -> "STree":
         """This tree with ``root`` as its root leaf, sharing its checked
-        parts, its node stars and its verdicts."""
+        parts, its node stars and its verdicts, with no results kept."""
         if len(self.adj[root]) > 1:
             raise MalformedInput(f"root {root} is not a leaf")
         out = copy.copy(self)
         out.root_leaf = root
+        out._results = {}
         return out
 
     def _without(self, dropped: set[int]) -> "STree":
@@ -734,38 +732,22 @@ def _lacked_stars(
 # --- surgery -------------------------------------------------------------------
 
 
-def _keep(tree: STree, key: tuple, out: STree) -> STree:
-    """Keep ``out``, built from ``tree``, in ``tree``'s verdicts under
-    ``key``, and return it.  Not when ``out`` shares those verdicts (it is
-    ``tree`` or a :meth:`~STree._with_root_leaf` copy): the entry would
-    make a reference cycle."""
-    if out._verdicts is not tree._verdicts:
-        tree._verdicts[key] = out
-    return out
-
-
 def prune_to_irredundant(tree: STree, root: Optional[int] = None) -> STree:
     """Drop duplicate branches until every node's incoming labels are distinct.
 
     When two edges into a node carry the same label, the branch hanging off
     one of them is deleted; node stars are unchanged as sets, so the result
     is over every family the input was over.  A ``root`` leaf (default: the
-    tree's own root leaf) is never deleted, nor is its edge.  A new result
-    is kept on ``tree``.
+    tree's own root leaf) is never deleted, nor is its edge.  An
+    irredundant tree is returned as it is, after one kept scan.
     """
     if root is None:
         root = tree.root_leaf
-    # a _with_root_leaf copy shares the verdicts, and the result keeps the
-    # tree's own root leaf, so that is part of the key
-    key = ("prune", root, tree.root_leaf)
-    kept = tree._verdicts.get(key)
-    if kept is not None:
-        return kept
     t = tree
     while True:
         hit = _redundant_triple(t)
         if hit is None:
-            return _keep(tree, key, t)
+            return t
         node, n1, n2 = hit
         branch2 = t.component_nodes(n2, cut=[(node, n2)])
         if root is not None and root in branch2:
@@ -819,8 +801,10 @@ def tighten_rooted(tree: STree, root: int) -> STree:
 
     Requires the label pointing away from the root to be nontrivial and
     nondegenerate; the result is irredundant, tight, and carries that label
-    on exactly one oriented edge (the root's own).  It is kept on ``tree``
-    per ``root``, unless it is a copy sharing ``tree``'s verdicts.
+    on exactly one oriented edge (the root's own).  It is a new tree with
+    ``root`` as its root leaf, a :meth:`~STree._with_root_leaf` copy when
+    ``tree`` is already irredundant and tight, and is kept in ``tree``'s
+    results per ``root``, looked up after the leaf and label checks.
     """
     if root not in tree.adj or len(tree.adj[root]) != 1:
         raise MalformedInput(f"node {root} is not a leaf")
@@ -830,7 +814,7 @@ def tighten_rooted(tree: STree, root: int) -> STree:
     if r_id in system.trivial_ids or system.universe.is_degenerate_id(r_id):
         raise RootLabelTrivial(root, r_id)
     key = ("tighten", root)
-    kept = tree._verdicts.get(key)
+    kept = tree._results.get(key)
     if kept is not None:
         return kept
 
@@ -843,7 +827,8 @@ def tighten_rooted(tree: STree, root: int) -> STree:
         raise InternalInvariant(
             f"root label appears on {count} oriented edges after tightening"
         )
-    return _keep(tree, key, t._with_root_leaf(root))
+    out = tree._results[key] = t._with_root_leaf(root)
+    return out
 
 
 def find_guided_sink(tree: STree, picks) -> int:

@@ -126,6 +126,27 @@ class TestUniverseAxioms:
             system_from_json_dict(doc)
         assert str(info.value) == "'join' disagrees with the order at (1, 2)"
 
+    def test_a_pair_listed_twice_keeps_its_last_value(self):
+        doc = gen.add_tables(chain_universe().to_json_dict())
+        # a ∨ b is b; a wrong value listed first is overwritten
+        doc["join"] = [[1, 2, 1]] + doc["join"]
+        system_from_json_dict(doc)
+        doc["join"].append([1, 2, 1])
+        with pytest.raises(MalformedInput) as info:
+            system_from_json_dict(doc)
+        assert str(info.value) == "'join' disagrees with the order at (1, 2)"
+
+    def test_the_first_bad_entry_is_named(self):
+        doc = singleton_universe().to_json_dict()
+        for leq, want in [
+            ([[0, 0], [0, 1], [0]], "'leq' pair (0, 1) outside element range"),
+            ([[0, 0], [0], [0, 1]], "'leq' entries must be [a, b] pairs"),
+            ([[0, 0], [0, 1.0], [0, 1]], "'leq' entry [0, 1.0] holds a non-integer id 1.0"),
+        ]:
+            with pytest.raises(MalformedInput) as info:
+                system_from_json_dict({**doc, "leq": leq})
+            assert str(info.value) == want
+
     def test_join_meet_ids_outside_the_universe_rejected(self):
         # -1 would index the last row of a table; an int32 cast would wrap
         # 2^32 to 0

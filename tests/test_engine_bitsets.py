@@ -518,7 +518,7 @@ def test_violating_star_on_tk_children(tk_instance):
     rng = random.Random(len(system))
     fam, want = family, set(family.stars)
     assert_violating_star_agrees(rng, system, fam, want)
-    unforced = [m for m in system.nondegenerate_reps if not family.forces(u.sep(m))]
+    unforced = [m for m in system.nondegenerate_reps if not family.singles >> u.inv_id(m) & 1]
     for m in unforced[:6]:
         fam = fam.with_star([u.inv_id(m)])
         want = want | {frozenset((u.inv_id(m),))}
@@ -982,12 +982,12 @@ def test_random_answers_are_unchanged():
     assert random_answer_digest() == RANDOM_ANSWER_SHA256
 
 
-def test_engine_runs_leave_no_reference_cycles():
+def test_engine_runs_leave_no_reference_cycles(monkeypatch):
     """Reference counting alone frees the universe, the system and the
     family of both engine runs and of an unmet strong run: no family refers
-    to itself, directly or through a child's root or a root's memo, and the
-    levels that a raising level leaves on the driver's stack go with the
-    exception."""
+    to itself, directly or through a child's root or a root's memo, no
+    tree's verdicts hold a tree, and the levels that a raising level leaves
+    on the driver's stack go with the exception."""
     graph = GraphInput.parse(tk.GRAPHS["P5"])
     gc.disable()
     try:
@@ -1010,18 +1010,29 @@ def test_engine_runs_leave_no_reference_cycles():
         refs = [weakref.ref(x) for x in (system.universe, system, family)]
         del system, family
         assert [ref() for ref in refs] == [None, None, None]
-        # P6 at k=3, where the kept surgery results are hit: a shift output
-        # returned more than once is kept on its input tree
+        # P6 at k=3, where the kept surgery results are hit: a tighten and
+        # a shift output returned more than once are kept on their inputs
         graph = GraphInput.parse(tk.GRAPHS["P6"])
         system = graph_separations(graph, 3)
         family = tk.tk_family(system, graph)
-        with gen.recorded_shifts() as shifts:
-            strong_duality(system, family)
+        tightened = []
+
+        def recorder(tree, root, op=duality.tighten_rooted):
+            tightened.append(op(tree, root))
+            return tightened[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(duality, "tighten_rooted", recorder)
+            with recorded_trees() as built, gen.recorded_shifts() as shifts:
+                strong_duality(system, family)
+        assert not [v for t in built for v in t._verdicts.values() if isinstance(v, STree)]
         seen = Counter(id(rec.after) for rec in shifts)
         kept = next(rec.after for rec in shifts if seen[id(rec.after)] > 1)
-        refs = [weakref.ref(x) for x in (kept, system.universe, system, family)]
-        del system, family, shifts, kept
-        assert [ref() for ref in refs] == [None, None, None, None]
+        seen = Counter(map(id, tightened))
+        tight = next(t for t in tightened if seen[id(t)] > 1)
+        refs = [weakref.ref(x) for x in (kept, tight, system.universe, system, family)]
+        del system, family, shifts, kept, tightened, tight, built
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
 
@@ -1186,6 +1197,30 @@ def test_kept_surgery_equals_fresh_surgery(monkeypatch):
     for op, tree, args, out in calls:
         want = op(fresh_copy(tree), *args)
         assert out._key() == want._key() and out.adj == want.adj
+
+
+@pytest.mark.parametrize("name, k", [("P6", 3), ("grid3x3", 4)])
+def test_one_root_leaf_copy_per_tighten_input(monkeypatch, name, k):
+    """A strong call makes one ``_with_root_leaf`` copy per distinct
+    ``(input tree, root)`` that ``tighten_rooted`` receives: its result is
+    kept on its input, the copy of an already tight tree too.  A copy
+    shares its source's verdicts and a trusted tree has its own, so the
+    copies are the recorded trees that do not bring a new verdicts dict."""
+    inputs = []
+
+    def recorder(tree, root, op=duality.tighten_rooted):
+        inputs.append((tree, root))
+        return op(tree, root)
+
+    monkeypatch.setattr(duality, "tighten_rooted", recorder)
+    graph = GraphInput.parse(tk.GRAPHS[name])
+    system = graph_separations(graph, k)
+    family = tk.tk_family(system, graph)
+    with recorded_trees() as built:
+        strong_duality(system, family)
+    copies = len(built) - len({id(t._verdicts) for t in built})
+    assert copies == len({(id(tree), root) for tree, root in inputs})
+    assert len(inputs) > copies
 
 
 def test_wrong_kept_verdicts_do_not_pass_the_full_checks():

@@ -107,8 +107,8 @@ class TestStarFamily:
     def test_forces_and_forced_ids(self, cover2):
         u = cover2.universe
         fam = StarFamily(u, [[5], [1, 3]])
-        assert fam.forces(u.sep(0))  # inv(0) = 5 is a singleton star
-        assert not fam.forces(u.sep(1))
+        assert fam.singles >> u.inv_id(0) & 1  # inv(0) = 5 is a singleton star
+        assert not fam.singles >> u.inv_id(1) & 1
         assert fam.forced_ids(cover2) == frozenset({0})
 
     def test_forced_ids_respect_membership(self, cover2):
@@ -385,6 +385,19 @@ class TestSurgery:
         assert t.root_leaf == 0
         assert t.alpha[(0, t.adj[0][0])] == root_label
         assert sum(1 for lab in t.alpha.values() if lab == root_label) == 1
+
+    def test_tighten_rooted_keeps_its_copy_of_a_tight_tree(self, cover3):
+        """An irredundant, tight tree tightens to a copy rooted at the
+        leaf, which shares the tree's verdicts and node stars, starts with
+        no results of its own, and is kept: a second call returns it."""
+        tree = gen.partition_stree(cover3, [(0, 1), (1, 2)], {0: 0, 1: 1, 2: 2}, 3)
+        report = validate_stree(tree)
+        assert report.is_irredundant and report.is_tight
+        t = tighten_rooted(tree, 0)
+        assert tighten_rooted(tree, 0) is t
+        assert t is not tree and t.root_leaf == 0
+        assert t._verdicts is tree._verdicts and t._stars is tree._stars
+        assert t._results == {}
 
     def test_tighten_rejects_trivial_root_label(self, cover3):
         # assign nothing to the root's side: its outgoing label (∅, V) is
