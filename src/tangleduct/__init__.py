@@ -69,7 +69,6 @@ from .stree import (
     STree,
     StarFamily,
     contract_to_tight,
-    find_guided_sink,
     is_order_respecting,
     is_over,
     prune_to_irredundant,
@@ -113,7 +112,6 @@ __all__ = [
     "essential_core",
     "essentialize_stree",
     "expand_to_family",
-    "find_guided_sink",
     "find_inconsistency",
     "find_separator",
     "graph_separations",

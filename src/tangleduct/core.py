@@ -71,31 +71,34 @@ so it costs O(n²·⌈n/64⌉) word operations rather than O(n³) boolean ones.
 Where the packed check finds a violation, the dense check reruns on that
 row alone to name the same witness.
 
-Memory: a universe of n elements keeps n² bytes for the order; one built
-from tables adds 4n² for the ``int32`` join table, and a mask universe 4n
-bytes per join column it was asked for.  The order of a mask universe and
-the checks of antisymmetry and order reversal work in row chunks of about
-``_CHUNK`` cells, so their temporaries stay bounded per chunk whatever n
-is; the transitivity check holds the packed order (n²/8 bytes) plus the
-packed words one row of it compares.  Chunked checks scan rows in
-ascending order and name the same least witness as a one-shot check.
+Memory: a universe of n elements keeps n² bytes for the order and
+3·n²/8 bytes of bit rows (below); one built from tables adds 4n² for the
+``int32`` join table, and a mask universe 4n bytes per join column it was
+asked for.  The order of a mask universe and the checks of antisymmetry
+and order reversal work in row chunks of about ``_CHUNK`` cells, so their
+temporaries stay bounded per chunk whatever n is; the transitivity
+check holds the packed order (n²/8 bytes) plus the packed words one row
+of it compares.  Chunked checks scan rows in ascending order and name the
+same least witness as a one-shot check.
 
 The engines' hot path asks set questions ("which picks lie strictly above
 this one's inverse?", "do all elements of this star lie in that domain?").
 For these, a universe hands out *bit rows*: Python ints whose bit ``b`` is
-set when id ``b`` belongs to the row.  :meth:`Universe.above_mask`,
-:meth:`Universe.below_mask` and :meth:`Universe.conflict_mask` build one
-row per id on first use, from the order matrix through ``np.packbits``, so
-each kind of row costs at most n²/8 bytes; a universe built from tables
-builds every up-row as it derives its join.
-A :class:`SeparationSystem` keeps its member set as a bit row too, and
-caches per base ``r`` the members above ``r``.  Its other set questions
-are a few ANDs of the universe's rows and its member row: the members
-with an orientation above ``r`` (its domain), and the members strictly
-between ``r`` and ``inv(r)``, which witness that ``r`` is trivial.  All of
-it lives on the object it describes and is dropped with it; what the
-duality engines derive from a system and a family lives on the family (see
-:mod:`tangleduct.duality`).
+set when id ``b`` belongs to the row.  Every universe builds all its rows
+once, at construction, and :meth:`Universe.above_mask`,
+:meth:`Universe.below_mask` and :meth:`Universe.conflict_mask` read them
+from lists.  The up-rows come from the order matrix and the down-rows
+from its transpose, one ``np.packbits`` call each, and each conflict row
+is one up-row with two bits cleared; each kind of row costs n²/8 bytes.
+A universe built from tables builds them only once its order and
+involution pass their checks, and derives its join from the up-rows.
+A :class:`SeparationSystem` keeps its member set as a bit row too.  Its
+set questions are a few ANDs of the universe's rows and its member row:
+the members above ``r``, the members with an orientation above ``r``
+(its domain), and the members strictly between ``r`` and ``inv(r)``,
+which witness that ``r`` is trivial.  All of it lives on the object it
+describes and is dropped with it; what the duality engines derive from a
+system and a family lives on the family (see :mod:`tangleduct.duality`).
 
 :func:`system_from_json_dict` reads a document's ``leq`` pairs one entry
 at a time, checking that each holds two JSON integers inside the element
@@ -153,6 +156,13 @@ def _bit_row(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
+def _bit_rows(m: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a bit row, with one ``np.packbits``."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    data, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * w : i * w + w], "little") for i in range(len(packed))]
+
+
 def _pack_rows(m: np.ndarray) -> np.ndarray:
     """Each row of a boolean matrix as zero-padded ``uint64`` bit words."""
     rows, cols = m.shape
@@ -181,30 +191,33 @@ class Universe:
         if inv.shape != (n,) or (n and (inv.min() < 0 or inv.max() >= n)):
             raise MalformedInput("inverse table must map ids to ids")
 
+        # no row is built before the laws hold
+        self._check_order(leq, _pack_rows(leq))  # packed up[a]: the ids above a
+        self._check_involution(leq, inv)
         self._store(leq, inv)
-        self._check_order(_pack_rows(leq))  # packed up[a]: the ids above a
-        self._check_involution()
         self._join = self._derive_join()  # the supremum by construction
 
     def _store(self, leq: np.ndarray, inv: np.ndarray) -> None:
-        """Keep the order and the involution, and start the bit row caches.
+        """Keep the order and the involution, and build every bit row.
 
         The involution is kept twice: as a numpy table for the vectorized
         paths, and as a list of Python ints for the scalar lookups of the
-        engines, where indexing a list is several times faster.
+        engines, where indexing a list is several times faster.  The
+        up-rows are packed from the order matrix and the down-rows from its
+        transpose, one ``np.packbits`` each, and the conflict rows are read
+        off the up-rows, so each kind of row is built once, for every id.
         """
-        n = len(inv)
         self._leq = _readonly(leq)
         self._inv = _readonly(inv)
         self._inv_list: list[int] = self._inv.tolist()
-        self._above: list[Optional[int]] = [None] * n
-        self._below: list[Optional[int]] = [None] * n
-        self._conflict: list[Optional[int]] = [None] * n
+        self._above = up = _bit_rows(leq)
+        self._below = _bit_rows(leq.T)
+        self._conflict = [up[f] & ~(1 << a | 1 << f) for a, f in enumerate(self._inv_list)]
 
     # -- law checks, all vectorized ------------------------------------
 
-    def _check_order(self, up: np.ndarray) -> None:
-        rel = self._leq
+    @staticmethod
+    def _check_order(rel: np.ndarray, up: np.ndarray) -> None:
         n = len(rel)
         if n == 0:
             return
@@ -232,8 +245,8 @@ class Universe:
                     witness=(a, b, c),
                 )
 
-    def _check_involution(self) -> None:
-        inv = self._inv
+    @staticmethod
+    def _check_involution(rel: np.ndarray, inv: np.ndarray) -> None:
         n = len(inv)
         if n == 0:
             return
@@ -243,7 +256,6 @@ class Universe:
             i = int(np.flatnonzero(bad)[0])
             raise NotInvolution(i, int(inv[i]), int(round_trip[i]))
         # r <= s  iff  inverse(s) <= inverse(r)
-        rel = self._leq
         rows = _chunk_rows(n)
         for lo in range(0, n, rows):
             reversed_rel = rel[np.ix_(inv, inv[lo : lo + rows])].T
@@ -256,15 +268,13 @@ class Universe:
         """The join table from the order alone: ``join(r, s)`` is the id
         whose up-row is the common up-row of ``r`` and ``s``.
 
-        Each id's ``above_mask`` row is mapped to the id, so a join is one
-        lookup of ``above_mask(r) & above_mask(s)``.  The table is
-        symmetric: row ``r`` looks up only the ``s >= r`` and is mirrored
-        into column ``r``.  A pair without a join raises at the first miss,
-        which is the first such pair in row-major order, as that pair has
-        ``r <= s``.
+        Each id's up-row is mapped to the id, so a join is one lookup of
+        ``above_mask(r) & above_mask(s)``.  The table is symmetric: row
+        ``r`` looks up only the ``s >= r`` and is mirrored into column
+        ``r``.  A pair without a join raises at the first miss, which is
+        the first such pair in row-major order, as that pair has ``r <= s``.
         """
-        n = len(self._leq)
-        up = [self.above_mask(r) for r in range(n)]
+        n, up = len(self._leq), self._above
         of_row = {row: i for i, row in enumerate(up)}
         table = np.empty((n, n), dtype=np.int32)
         for r, row in enumerate(up):
@@ -314,26 +324,16 @@ class Universe:
 
     def above_mask(self, a: int) -> int:
         """Bit row of the ids ``b`` with ``a <= b`` (``a`` itself included)."""
-        row = self._above[a]
-        if row is None:
-            row = self._above[a] = _bit_row(self._leq[a])
-        return row
+        return self._above[a]
 
     def below_mask(self, a: int) -> int:
         """Bit row of the ids ``b`` with ``b <= a`` (``a`` itself included)."""
-        row = self._below[a]
-        if row is None:
-            row = self._below[a] = _bit_row(self._leq[:, a])
-        return row
+        return self._below[a]
 
     def conflict_mask(self, a: int) -> int:
         """Bit row of the ids strictly above ``a``'s inverse, minus ``a`` and
         its inverse: a pick ``a`` is inconsistent with any pick in it."""
-        row = self._conflict[a]
-        if row is None:
-            ra = self._inv_list[a]
-            row = self._conflict[a] = self.above_mask(ra) & ~((1 << a) | (1 << ra))
-        return row
+        return self._conflict[a]
 
     def leq_matrix(self) -> np.ndarray:
         return self._leq
@@ -377,8 +377,7 @@ class MaskUniverse(Universe):
     Ids are positions in the pool.  The laws hold by construction (the
     module docstring proves them), so none is checked, and no join table is
     kept: each join column is looked up in the sorted pair keys on first
-    use and cached per id, like the bit rows, with -1 where the join is not
-    in the pool.
+    use and cached per id, with -1 where the join is not in the pool.
     """
 
     def __init__(self, masks: Sequence[tuple[int, int]], ground: Sequence[str]):
@@ -517,7 +516,6 @@ class SeparationSystem:
                 )
         self.universe = universe
         self.member_ids = ids
-        self._above_members: dict[int, int] = {}
 
     @cached_property
     def members(self) -> tuple[int, ...]:
@@ -529,11 +527,8 @@ class SeparationSystem:
         return _id_row(self.member_ids)
 
     def members_above(self, r: int) -> int:
-        """Bit row of the members ``m`` with ``r <= m`` (cached per ``r``)."""
-        row = self._above_members.get(r)
-        if row is None:
-            row = self._above_members[r] = self.universe.above_mask(r) & self.member_mask
-        return row
+        """Bit row of the members ``m`` with ``r <= m``."""
+        return self.universe.above_mask(r) & self.member_mask
 
     def domain_mask(self, r: int) -> int:
         """Bit row of the members with an orientation above ``r``: those

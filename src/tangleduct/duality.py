@@ -95,11 +95,13 @@ and on a kept shift it checks again the one conclusion that depends on
 the family.  Within one :func:`strong_duality` call, the dict that the
 call passes to its levels holds the level answers, the star tree of each
 family star and the splice of each pair of shifted trees, each built
-once.  A splice stays there, not on a tree: one input can descend from
-the other through its results, so an entry from one to the other could
-close a cycle.  It is keyed by the identities of both inputs and its
-entry holds both, so no id is reused while it lives.  None of these goes
-in the family's memo, which must not hold the system.  The engines still
+once; a :func:`weak_duality` call passes its levels a dict that holds
+the star tree of each family star.  A splice stays in the strong call's
+dict, not on a tree: one input can descend from the other through its
+results, so an entry from one to the other could close a cycle.  It is
+keyed by the identities of both inputs and its entry holds both, so no
+id is reused while it lives.  None of these goes in the family's memo,
+which must not hold the system.  The engines still
 call :func:`shift_stree` and :func:`~tangleduct.stree.tighten_rooted`
 at every level, through this module's globals, so a wrapper sees every
 call.
@@ -148,7 +150,6 @@ from .stree import (
     is_over,
     prune_to_irredundant,
     tighten_rooted,
-    validate_stree,
 )
 
 
@@ -278,9 +279,8 @@ def verify_certificate(
             problems.append("tree belongs to a different system")
         elif (problem := _structure_problem(cert.tree)) is not None:
             problems.append(problem)
-        elif _star_outside(cert.tree, family) is not None:
-            # the full report only to name the problems
-            problems.extend(validate_stree(cert.tree, family).problems)
+        elif (t := _star_outside(cert.tree, family)) is not None:
+            problems.append(f"star at node {t} is outside the family")
     else:
         problems.append(f"unknown certificate kind {cert.kind!r}")
     return (not problems), tuple(problems)
@@ -693,8 +693,8 @@ def weak_duality(system: SeparationSystem, family: StarFamily) -> Certificate:
     transcript = [
         f"restricted family to the system: {len(fam)} of {len(family)} stars kept"
     ]
-    rows = _forced_rows(system, fam.forced_ids(system))
-    kind, payload = _run("weak", _weak(system, fam, *rows), system, transcript)
+    level = _weak(system, fam, *_forced_rows(system, fam), {})
+    kind, payload = _run("weak", level, system, transcript)
     return _certify("weak", kind, payload, system, family, transcript)
 
 
@@ -721,10 +721,11 @@ def _certify(
     return replace(cert, verified=True, transcript=tuple(transcript))
 
 
-def _forced_rows(system: SeparationSystem, forced: frozenset[int]) -> tuple[int, int]:
-    """The bit rows of the forced ids and of their inverses."""
-    inv = system.universe.inv_id
-    return _id_row(forced), _id_row(map(inv, forced))
+def _forced_rows(system: SeparationSystem, fam: StarFamily) -> tuple[int, int]:
+    """The bit rows of the forced ids and of their inverses: a member is
+    forced when its inverse is a singleton star of the family."""
+    inv_forced = fam.singles & system.member_mask
+    return _id_row(map(system.universe.inv_id, _bit_ids(inv_forced))), inv_forced
 
 
 def _run(engine: str, level, system: SeparationSystem, transcript: list[str]):
@@ -765,16 +766,12 @@ def _pair_tree(
 
 
 def _settled(
-    system: SeparationSystem,
-    fam: StarFamily,
-    forced: int,
-    kind: str,
-    trees: Optional[dict] = None,
+    system: SeparationSystem, fam: StarFamily, forced: int, kind: str, trees: dict
 ) -> tuple[str, tuple[str, object]]:
     """Every separation is forced: the transcript line, and the forced and
     degenerate picks as ``kind`` if they avoid the family, else the tree of
-    the least star inside them, built once per star in ``trees`` when
-    that is the dict of a strong call."""
+    the least star inside them, built once per star in ``trees``, the dict
+    of the engine call."""
     picks = forced | system.degenerate_mask
     sigma = _violating_row(picks, fam)
     if sigma is None:
@@ -783,20 +780,19 @@ def _settled(
     if len(sigma) == 1:
         raise InternalInvariant("violating star is a singleton of a forced pick")
     line = f"forced picks contain star {sorted(sigma)}: star tree"
-    if trees is None:
-        return line, ("tree", _star_tree(system, sigma))
     key = ("star", sigma)
     if key not in trees:
         trees[key] = _star_tree(system, sigma)
     return line, ("tree", trees[key])
 
 
-def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: int):
+def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: int, trees):
     """One level on the bit rows of the forced ids and of their inverses,
     run by :func:`_run`.
 
     Each branch forces one orientation of a separation with neither
-    forced, so only the root can force a pair of inverses.
+    forced, so only the root can force a pair of inverses.  ``trees`` is
+    the call's dict of star trees (see :func:`_settled`).
     """
     pair = _pair_tree(system, forced, inv_forced)
     if pair is not None:
@@ -806,18 +802,18 @@ def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: in
     # the least nondegenerate member with neither orientation forced
     free = system.member_mask & ~(system.degenerate_mask | forced | inv_forced)
     if not free:
-        line, answer = _settled(system, fam, forced, "orientation")
+        line, answer = _settled(system, fam, forced, "orientation", trees)
         yield line
         return answer
     s0 = (free & -free).bit_length() - 1
 
     inv_s0 = u.inv_id(s0)
     yield f"splitting on undecided separation {s0}"
-    trees = []
+    branches = []
     # the star {pick} forces its inverse
     for side, pick, other in (("first", s0, inv_s0), ("second", inv_s0, s0)):
         kind, res = yield _weak(
-            system, fam._child(pick), forced | 1 << other, inv_forced | 1 << pick
+            system, fam._child(pick), forced | 1 << other, inv_forced | 1 << pick, trees
         )
         if kind == "orientation":
             return kind, res
@@ -825,8 +821,8 @@ def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: in
         if is_over(t, fam):
             yield f"{side} branch tree is already over the family"
             return "tree", t
-        trees.append(t)
-    t1, t2 = trees
+        branches.append(t)
+    t1, t2 = branches
 
     if inv_s0 in system.trivial_ids:
         host, donor = t1, t2
@@ -892,7 +888,7 @@ def strong_duality(
     cert = held() if held is not None else None
     if cert is not None:
         return cert
-    forced, inv_forced = _forced_rows(system, fam.forced_ids(system))
+    forced, inv_forced = _forced_rows(system, fam)
     # the root checks every forced and degenerate id for a conflict
     new = forced | system.degenerate_mask
     try:

@@ -163,21 +163,19 @@ def _pick_columns(system: SeparationSystem) -> dict[int, int]:
     return cols
 
 
-def _truth_tables(
-    system: SeparationSystem, family: StarFamily, cap: int
-) -> tuple[int, int]:
+def _truth_tables(system: SeparationSystem, family: StarFamily) -> tuple[int, int]:
     """Classify every code: the ``2**n``-bit ints of the consistent codes
     and of the codes avoiding the family.
 
     The consistent codes are built by :func:`_consistent_codes`; every
     star clears the AND of its columns from the avoiding codes.  Raises
-    :class:`TooLarge` when the system has more than ``cap`` nondegenerate
-    underlying separations.
+    :class:`TooLarge` when the system has more than ``_CENSUS_CAP``
+    nondegenerate underlying separations.
     """
     _check_same_universe(family, system)
     n = len(system.nondegenerate_reps)
-    if n > cap:
-        raise TooLarge(n, cap)
+    if n > _CENSUS_CAP:
+        raise TooLarge(n, _CENSUS_CAP)
     full = (1 << (1 << n)) - 1
     cols = _pick_columns(system)
     consistent = _consistent_codes(system)
@@ -266,24 +264,20 @@ def _listing(system: SeparationSystem, flags: int) -> tuple[tuple[int, ...], ...
 
 
 def enumerate_orientations(
-    system: SeparationSystem,
-    family: StarFamily,
-    mode: str = "tangle",
-    *,
-    cap: int = _CENSUS_CAP,
+    system: SeparationSystem, family: StarFamily, mode: str = "tangle"
 ) -> OrientationCensus:
     """Census every orientation, numbered as by :func:`orientation_picks`.
 
     Each code's consistency and avoidance is one bit of a ``2**n``-bit
     truth table (see :func:`_truth_tables`); the census holds the two
-    tables.  Raises :class:`TooLarge` when the system has more than ``cap``
+    tables.  Raises :class:`TooLarge` when the system has more than 20
     nondegenerate underlying separations.  ``mode`` (``"tangle"`` or
     ``"avoiding"``) is only recorded in the census: both modes classify and
     list alike.
     """
     if mode not in ("avoiding", "tangle"):
         raise MalformedInput(f"unknown census mode {mode!r}")
-    return OrientationCensus(system, *_truth_tables(system, family, cap), mode)
+    return OrientationCensus(system, *_truth_tables(system, family), mode)
 
 
 @dataclass(frozen=True)

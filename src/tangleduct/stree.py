@@ -210,10 +210,6 @@ class StarFamily:
             return self
         return StarFamily(self.universe, kept, validate=False)
 
-    def forced_ids(self, system: SeparationSystem) -> frozenset[int]:
-        """All member orientations whose inverse forms a singleton star here."""
-        return frozenset(map(self.universe.inv_id, _bit_ids(self.singles))) & system.member_ids
-
     def missing_standard(self, system: SeparationSystem) -> tuple[int, ...]:
         """Trivial orientations of the system that the family fails to force."""
         u = self.universe

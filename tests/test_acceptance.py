@@ -28,7 +28,6 @@ from tangleduct import (
     essential_core,
     essentialize_stree,
     expand_to_family,
-    find_guided_sink,
     graph_separations,
     is_over,
     prune_to_irredundant,
@@ -41,6 +40,7 @@ from tangleduct import (
     weak_duality,
 )
 from tangleduct.duality import _shift_map
+from tangleduct.stree import find_guided_sink
 
 GRID_3X3 = "\n".join(
     f"{a} {b}"

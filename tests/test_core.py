@@ -15,6 +15,7 @@ from tangleduct import (
     MalformedInput,
     OrientedSep,
     SeparationSystem,
+    TangleductError,
     Universe,
     find_inconsistency,
     graph_separations,
@@ -24,6 +25,7 @@ from tangleduct import (
     system_from_json_dict,
     system_to_json_dict,
 )
+from tangleduct import core
 from tangleduct.core import MaskUniverse
 from test_closure import reference_closure
 from tangleduct.errors import (
@@ -108,6 +110,41 @@ class TestUniverseAxioms:
             Universe(leq, [2, 3, 0, 1])
         assert info.value.witness == (0, 1)
         assert str(info.value) == "0 and 1 have no least upper bound"
+
+    def test_rows_are_built_once_the_laws_hold(self, monkeypatch):
+        built = []
+        bit_rows = core._bit_rows
+        monkeypatch.setattr(core, "_bit_rows", lambda m: built.append(m.shape) or bit_rows(m))
+        reversed_pair = np.eye(4, dtype=bool)
+        reversed_pair[0, 1] = reversed_pair[2, 3] = True
+        for leq, inverse in [
+            (np.ones((2, 2), dtype=bool), [1, 0]),
+            (np.eye(3, dtype=bool), [1, 2, 0]),
+            (reversed_pair, [2, 3, 0, 1]),
+        ]:
+            with pytest.raises(TangleductError):
+                Universe(leq, inverse)
+        assert built == []
+        chain_universe()
+        assert built == [(6, 6), (6, 6)]  # the up-rows, then the down-rows
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Universe(np.zeros((0, 0), dtype=bool), []),
+            chain_universe,
+            lambda: gen.full_cover_system(4).universe,  # 81 ids: 11 bytes a row
+        ],
+        ids=["empty", "chain", "cover4"],
+    )
+    def test_bit_rows_match_the_order(self, make):
+        u = make()
+        leq, inv = u.leq_matrix(), u.inverse_table()
+        for a in range(len(u)):
+            assert u.above_mask(a) == core._bit_row(leq[a])
+            assert u.below_mask(a) == core._bit_row(leq[:, a])
+            f = int(inv[a])
+            assert u.conflict_mask(a) == core._bit_row(leq[f]) & ~(1 << a | 1 << f)
 
     def test_derived_join_matches_mask_join(self, cover3):
         u = cover3.universe

@@ -27,7 +27,6 @@ from tangleduct import (
     Universe,
     emulates_for_family,
     enumerate_orientations,
-    find_guided_sink,
     find_separator,
     is_consistent,
     is_orientation,
@@ -42,6 +41,7 @@ from tangleduct import (
 from tangleduct import duality
 from tangleduct.duality import _emulating_column, _shift_map, _violating_star
 from tangleduct.errors import FNotStandard, ShiftLeftS, TargetNotAboveR
+from tangleduct.stree import find_guided_sink
 from test_tables import GRID4X4
 
 
@@ -679,6 +679,20 @@ class TestCertificates:
     def test_verify_rejects_a_malformed_certificate(self, cover2, cert, problem):
         family = StarFamily(cover2.universe, ())
         assert verify_certificate(cert, cover2, family) == (False, (problem,))
+
+    def test_verify_names_only_the_star_outside_the_family(self):
+        # the strong certificate on C5 at k=3 is not tight; a certificate
+        # need not be, so only the missing node star is reported
+        tk = gen.bench_tk()
+        graph = GraphInput.parse(tk.GRAPHS["C5"])
+        system = graph_separations(graph, 3)
+        family = tk.tk_family(system, graph)
+        cert = strong_duality(system, family)
+        assert verify_certificate(cert, system, family) == (True, ())
+        star = cert.tree.node_star(0)
+        smaller = StarFamily(system.universe, family.stars - {star}, validate=False)
+        problem = "star at node 0 is outside the family"
+        assert verify_certificate(cert, system, smaller) == (False, (problem,))
 
     def test_verify_rejects_wrong_picks(self, std2):
         system, fam = std2

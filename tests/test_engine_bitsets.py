@@ -3,7 +3,7 @@
 ``emulates_for_family``, ``find_inconsistency``, ``is_order_respecting``,
 the strong engine's ``_least_minimal_below`` and the
 ``SeparationSystem`` rows (``trivial_ids``, ``triviality_witness`` and
-``domain_mask``) answer set questions with Python-int bit rows, cached per
+``domain_mask``) answer set questions with Python-int bit rows, kept per
 universe, system and family;
 ``StarFamily.with_star`` makes a child that is its root family plus extra
 singleton stars, and emulation checks scan only the root's stars, once per
@@ -56,8 +56,10 @@ from tangleduct import (
 )
 from tangleduct import duality
 from tangleduct.stree import _bit_ids, _inverse_pair_triple, _lacked_stars, _redundant_triple
+from tangleduct.core import _id_row
 from tangleduct.duality import (
     _emulating_column,
+    _forced_rows,
     _least_minimal_below,
     _root_memo,
     _shift_all,
@@ -375,14 +377,14 @@ def test_with_star_chain_matches_a_rebuilt_family(seed):
         assert fam.sorted_stars == fresh.sorted_stars
         assert fam.star_masks == fresh.star_masks
         assert fam.singles == fresh.singles
-        assert fam.forced_ids(system) == fresh.forced_ids(system)
+        assert _forced_rows(system, fam) == _forced_rows(system, fresh)
 
 
 def assert_same_index(fam, copy, system):
     assert fam.stars == copy.stars
     assert fam.sorted_stars == copy.sorted_stars
     assert fam.singles == copy.singles
-    assert fam.forced_ids(system) == copy.forced_ids(system)
+    assert _forced_rows(system, fam) == _forced_rows(system, copy)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -440,15 +442,17 @@ def test_children_build_their_sets_from_their_root(seed):
             assert (sigma in fam) == (sigma in want)
             if len(sigma) == 1:
                 assert fam.singles >> min(sigma) & 1 == (sigma in want)
-        attrs = ["sorted_stars", "singles", "stars", "forced_ids"]
+        attrs = ["sorted_stars", "singles", "stars", "forced"]
         rng.shuffle(attrs)
         for attr in attrs:
             if attr == "sorted_stars":
                 assert fam.sorted_stars == tuple(sorted(want, key=star_sort_key))
             elif attr == "singles":
                 assert fam.singles == sum(1 << min(sigma) for sigma in want if len(sigma) == 1)
-            elif attr == "forced_ids":
-                assert fam.forced_ids(system) == ref_forced_ids(system, want)
+            elif attr == "forced":
+                forced = ref_forced_ids(system, want)
+                rows = _id_row(forced), _id_row(map(system.universe.inv_id, forced))
+                assert _forced_rows(system, fam) == rows
             else:
                 assert fam.stars == want
         assert len(fam) == len(want)
@@ -462,7 +466,7 @@ def test_tk_family_grown_by_with_star(tk_instance):
         fam = fam.with_star([u.inv_id(m)])
     fresh = StarFamily(u, fam.stars)
     assert fam.sorted_stars == fresh.sorted_stars
-    assert fam.forced_ids(system) == fresh.forced_ids(system)
+    assert _forced_rows(system, fam) == _forced_rows(system, fresh)
 
 
 def random_picks(rng, system, stars):

@@ -99,7 +99,10 @@ def test_added_id_names_the_whole_set_witness(seed, which):
     system = draw_system(rng, which)
     u = system.universe
     forced = consistent_forced(rng, system)
-    row, inv_row = _forced_rows(system, forced)
+    # the family whose singletons {inv(f)} force the set
+    family = StarFamily(u, [[u.inv_id(f)] for f in forced])
+    row, inv_row = _forced_rows(system, family)
+    assert (row, inv_row) == (_id_row(forced), _id_row(map(u.inv_id, forced)))
     for added in system.members:
         if u.is_degenerate_id(added) or added in forced:
             continue
@@ -124,7 +127,8 @@ def test_rules_on_any_pick_set_match_dense_scans(seed, which):
         ids = frozenset(m for m in system.members if rng.random() < rng.random())
         picked = _id_row(ids)
         assert _first_conflict(u, picked, picked) == ref_first_conflict(system, ids)
-        assert pair_label(system, *_forced_rows(system, ids)) == ref_least_pair(system, ids)
+        rows = picked, _id_row(map(u.inv_id, ids))
+        assert pair_label(system, *rows) == ref_least_pair(system, ids)
 
 
 # --- one level frame at a time ----------------------------------------------------------

@@ -85,9 +85,7 @@ def _outcome(check) -> object:
 
 
 def packed_outcome(leq):
-    u = Universe.__new__(Universe)
-    u._leq = leq
-    return _outcome(lambda: u._check_order(_pack_rows(leq)))
+    return _outcome(lambda: Universe._check_order(leq, _pack_rows(leq)))
 
 
 def dense_outcome(leq):
