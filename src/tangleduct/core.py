@@ -100,11 +100,11 @@ which witness that ``r`` is trivial.  All of it lives on the object it
 describes and is dropped with it; what the duality engines derive from a
 system and a family lives on the family (see :mod:`tangleduct.duality`).
 
-:func:`system_from_json_dict` reads a document's ``leq`` pairs one entry
-at a time, checking that each holds two JSON integers inside the element
-range and naming the first entry that does not.  That loop is linear in
-the pairs; on a table document the law checks of :class:`Universe` cost
-far more, and a set-labelled document needs no pairs at all.
+Every id list of a document, here and in the family and certificate
+readers, is read by one rule.  The whole list is checked with builtins:
+types by ``set(map(type, ...))`` (a JSON ``true`` is a ``bool``, not an
+``int``), entry shapes by ``map(len, ...)`` and ranges by ``min``/``max``.
+Only when that fails is it walked entry by entry, to name the first bad one.
 
 All objects are immutable; operations construct new values.  Ties are broken
 by least element id everywhere, so identical inputs give identical outputs.
@@ -113,6 +113,7 @@ by least element id everywhere, so identical inputs give identical outputs.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
@@ -198,15 +199,10 @@ class Universe:
         self._join = self._derive_join()  # the supremum by construction
 
     def _store(self, leq: np.ndarray, inv: np.ndarray) -> None:
-        """Keep the order and the involution, and build every bit row.
-
-        The involution is kept twice: as a numpy table for the vectorized
-        paths, and as a list of Python ints for the scalar lookups of the
-        engines, where indexing a list is several times faster.  The
-        up-rows are packed from the order matrix and the down-rows from its
-        transpose, one ``np.packbits`` each, and the conflict rows are read
-        off the up-rows, so each kind of row is built once, for every id.
-        """
+        """Keep the order and the involution, and build every bit row, as the
+        module docstring says.  The involution is kept twice: as a numpy
+        table for the vectorized paths, and as a list of Python ints for the
+        engines' scalar lookups, where indexing a list is several times faster."""
         self._leq = _readonly(leq)
         self._inv = _readonly(inv)
         self._inv_list: list[int] = self._inv.tolist()
@@ -265,15 +261,12 @@ class Universe:
                 raise InvolutionNotOrderReversing(lo + a, b)
 
     def _derive_join(self) -> np.ndarray:
-        """The join table from the order alone: ``join(r, s)`` is the id
-        whose up-row is the common up-row of ``r`` and ``s``.
-
-        Each id's up-row is mapped to the id, so a join is one lookup of
-        ``above_mask(r) & above_mask(s)``.  The table is symmetric: row
-        ``r`` looks up only the ``s >= r`` and is mirrored into column
-        ``r``.  A pair without a join raises at the first miss, which is
-        the first such pair in row-major order, as that pair has ``r <= s``.
-        """
+        """The join table from the order alone, as the module docstring
+        derives it: each id's up-row is mapped to the id, so a join is one
+        lookup of ``above_mask(r) & above_mask(s)``.  The table is
+        symmetric: row ``r`` looks up only the ``s >= r`` and is mirrored
+        into column ``r``.  A pair without a join raises at the first miss,
+        the first such pair in row-major order, as that pair has ``r <= s``."""
         n, up = len(self._leq), self._above
         of_row = {row: i for i, row in enumerate(up)}
         table = np.empty((n, n), dtype=np.int32)
@@ -374,10 +367,8 @@ class MaskUniverse(Universe):
     """The universe of a sorted, flip-closed pool of side pairs ``(A, B)`` of
     bitmasks, named over the vertices ``ground``.
 
-    Ids are positions in the pool.  The laws hold by construction (the
-    module docstring proves them), so none is checked, and no join table is
-    kept: each join column is looked up in the sorted pair keys on first
-    use and cached per id, with -1 where the join is not in the pool.
+    Ids are positions in the pool.  The laws hold by construction and no
+    join table is kept, as the module docstring shows, so none is checked.
     """
 
     def __init__(self, masks: Sequence[tuple[int, int]], ground: Sequence[str]):
@@ -647,15 +638,8 @@ def is_orientation(picks, system: SeparationSystem) -> bool:
     ids = set(map(_as_id, picks))
     if not ids <= system.member_ids:
         return False
-    u = system.universe
-    for i in system.underlying_reps:
-        j = u.inv_id(i)
-        if i == j:
-            if i not in ids:
-                return False
-        elif (i in ids) == (j in ids):
-            return False
-    return True
+    flips = set(map(system.universe._inv_list.__getitem__, ids))
+    return system.member_ids <= ids | flips and ids & flips <= system.degenerate_ids
 
 
 def is_star(sigma: Iterable[OrientedSep]) -> bool:
@@ -672,29 +656,32 @@ def is_star(sigma: Iterable[OrientedSep]) -> bool:
 
 
 def _is_star_ids(universe: Universe, ids: Collection[int]) -> bool:
-    """:func:`is_star` on element ids, read off bit rows.
-
-    A star holds no degenerate element, and for any two distinct elements
-    ``s`` and ``t`` the bit of ``inv(t)`` is set in ``above_mask(s)``.  An
-    id outside the universe raises ``IndexError``, as ``Universe.sep`` does.
-    The ids are walked in place, with no copy of them or of their inverses.
-    """
+    """:func:`is_star` on element ids by :func:`_all_stars`; an id outside
+    the universe raises ``IndexError``, as ``Universe.sep`` does."""
     n = len(universe)
-    if ids and not (0 <= min(ids) and max(ids) < n):
-        bad = next(i for i in ids if not 0 <= i < n)
+    bad = next((i for i in ids if not 0 <= i < n), None)
+    if bad is not None:
         raise IndexError(f"element id {bad} outside a universe of {n}")
-    inv = universe._inv_list
-    row = 0
-    for i in ids:
-        f = inv[i]
-        if f == i:
-            return False
-        row |= 1 << f
-    if len(ids) > 1:
-        above = universe.above_mask
-        for i in ids:
+    return _all_stars(universe, (ids,))
+
+
+def _all_stars(universe: Universe, stars: Collection[Collection[int]]) -> bool:
+    """Whether every one of ``stars`` lies in the universe (by ``min``/``max``)
+    and is a star: no id is degenerate, and ``s <= inv(t)`` for ``s != t``."""
+    ids = list(chain.from_iterable(stars))
+    if ids and not (0 <= min(ids) and max(ids) < len(universe)):
+        return False
+    inv, above = universe._inv_list, universe._above
+    for sigma in stars:
+        row = 0
+        for i in sigma:
+            f = inv[i]
+            if f == i:
+                return False
+            row |= 1 << f
+        for i in sigma:
             # s <= inv(s) is not required, so the bit of inv(s) is let through
-            if row & ~(above(i) | 1 << inv[i]):
+            if row & ~(above[i] | 1 << inv[i]):
                 return False
     return True
 
@@ -748,6 +735,21 @@ def _is_id(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _ids_within(xs, n: Optional[int] = None) -> bool:
+    """Whether the list ``xs`` holds only JSON integers (in ``range(n)``)."""
+    if not (set(map(type, xs)) <= {int} or all(map(_is_id, xs))):
+        return False
+    return n is None or not xs or (0 <= min(xs) and max(xs) < n)
+
+
+def _flat(items, size: Optional[int] = None) -> list:
+    """The entries of ``items`` joined when each is a list (of ``size``
+    items), else ``[None]``, which no check of ids or names passes."""
+    if set(map(type, items)) <= {list} and (size is None or set(map(len, items)) <= {size}):
+        return list(chain.from_iterable(items))
+    return [None]
+
+
 def _id_entry(item, size: int, what: str, shape: str) -> tuple[int, ...]:
     """One ``[a, b]`` or ``[a, b, value]`` entry, rejecting non-integer ids."""
     if not isinstance(item, (list, tuple)) or len(item) != size:
@@ -760,29 +762,19 @@ def _id_entry(item, size: int, what: str, shape: str) -> tuple[int, ...]:
 
 def _id_entries(n: int, items, what: str, size: int) -> np.ndarray:
     """The ``[a, b]`` pairs or ``[a, b, value]`` triples of ``items`` as
-    the rows of an ``(m, size)`` array.  The first bad entry is named: one
-    of the wrong shape, holding a non-integer id, or holding an id outside
-    ``range(n)``."""
+    the rows of an ``(m, size)`` array, read by the module's rule: the
+    first bad entry is named, one of the wrong shape, holding a non-integer
+    id, or holding an id outside ``range(n)``."""
     kind, shape = ("pair", "[a, b] pairs") if size == 2 else ("triple", "[a, b, value] triples")
     if not isinstance(items, (list, tuple)):
         raise MalformedInput(f"{what} must be a list of {shape}")
-    flat: list[int] = []
-
-    def require_range() -> None:
-        if flat and (min(flat) < 0 or max(flat) >= n):
-            i = next(i for i, x in enumerate(flat) if not 0 <= x < n) // size * size
-            entry = tuple(flat[i : i + size])
-            raise MalformedInput(f"{what} {kind} {entry} outside element range")
-
-    # the ids are range-checked at once, at the end or before naming a
-    # malformed entry, so an earlier entry out of range is named first
-    for item in items:
-        try:
-            flat.extend(_id_entry(item, size, what, shape))
-        except MalformedInput:
-            require_range()
-            raise
-    require_range()
+    flat = _flat(items, size)
+    if not _ids_within(flat, n):
+        for item in items:
+            entry = _id_entry(item, size, what, shape)
+            if not _ids_within(entry, n):
+                raise MalformedInput(f"{what} {kind} {entry} outside element range")
+        flat = list(chain.from_iterable(items))  # tuples, which the check refuses
     return np.array(flat, dtype=np.int64).reshape(-1, size)
 
 
@@ -805,33 +797,35 @@ def _table_from_triples(n: int, triples, what: str) -> np.ndarray:
 
 
 def _set_labels(ground, labels, n: int) -> tuple[list[str], list[tuple[int, int]]]:
-    """Ground names and one ``(A, B)`` bitmask pair per element."""
+    """Ground names and one ``(A, B)`` bitmask pair per element.  A vertex
+    ``v`` names ``str(v)``, so ``11`` names ``"11"``, but ``str`` runs only
+    when some vertex is not a ground name."""
     if not isinstance(ground, list) or len(ground) > GROUND_CAP:
         raise MalformedInput(f"'ground' must be a list of at most {GROUND_CAP} vertex names")
     if not isinstance(labels, list) or len(labels) != n:
         raise MalformedInput("'labels' must list one (A, B) pair per element")
     names = [str(g) for g in ground]
-    index = {g: i for i, g in enumerate(names)}
-    if len(index) != len(names):
+    bit = {g: 1 << i for i, g in enumerate(names)}
+    if len(bit) != len(names):
         raise MalformedInput("ground set has repeated vertex names")
-    masks = []
-    for item in labels:
-        if not (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(side, list) for side in item)
-        ):
-            raise MalformedInput(f"'labels' entry {item!r} is not a pair of vertex lists")
-        pair = []
-        for side in item:
-            mask = 0
-            for v in side:
-                if str(v) not in index:
+    sides = _flat(labels, 2)
+    given = _flat(sides)
+    if not (set(map(type, given)) <= {str} and bit.keys() >= set(given)):
+        for item in labels:
+            if not (isinstance(item, list) and len(item) == 2
+                    and all(isinstance(side, list) for side in item)):
+                raise MalformedInput(f"'labels' entry {item!r} is not a pair of vertex lists")
+            for v in chain.from_iterable(item):
+                if str(v) not in bit:
                     raise MalformedInput(f"'labels' name a vertex outside 'ground': {v!r}")
-                mask |= 1 << index[str(v)]
-            pair.append(mask)
-        masks.append((pair[0], pair[1]))
-    return names, masks
+        sides = [list(map(str, side)) for item in labels for side in item]
+    masks = []
+    for side in sides:
+        mask = 0
+        for v in side:
+            mask |= bit[v]
+        masks.append(mask)
+    return names, list(zip(masks[::2], masks[1::2]))
 
 
 def _check_tables(
@@ -848,6 +842,8 @@ def _check_tables(
     ascending ``s``; the first differing row ``t`` names the pair ``(t, s)``.
     ``source`` names what fixed the universe's tables.
     """
+    if join is None and meet is None:
+        return
     inv = universe.inverse_table()
 
     def require(what: str, given: np.ndarray, want: np.ndarray, s: int) -> None:
@@ -872,7 +868,8 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     ``[a, b, value]`` triples (derived from the order when omitted, as the
     writer omits them; older documents carry them), optional
     ``members`` (defaults to all elements), optional ``ground``/``labels``
-    for set universes.  Every id must be a JSON integer.
+    for set universes.  Every id must be a JSON integer; each id list is
+    checked whole, and walked entry by entry only to name its first bad one.
 
     With ``ground`` and ``labels`` present the side pairs fix the order, the
     flips and the joins, so ``leq`` is optional, and the document loads as
@@ -891,19 +888,19 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad or missing 'elements': {exc}") from exc
     n = len(elements)
-    if not all(_is_id(e) for e in elements) or sorted(elements) != list(range(n)):
+    if not _ids_within(elements) or sorted(elements) != list(range(n)):
         raise MalformedInput("'elements' must be the ids 0..n-1")
 
     inv_map = d.get("inverse")
     if not isinstance(inv_map, dict):
         raise MalformedInput("'inverse' must be an object mapping id -> id")
     try:
-        inverse = [inv_map[str(i)] for i in range(n)]
+        inverse = list(map(inv_map.__getitem__, map(str, range(n))))
     except KeyError as exc:
         raise MalformedInput(f"bad 'inverse' table: {exc}") from exc
-    for i, x in enumerate(inverse):
-        if not (_is_id(x) and 0 <= x < n):
-            raise MalformedInput(f"bad 'inverse' table: {i} maps to {x!r}, not an element id")
+    if not _ids_within(inverse, n):
+        i, x = next((i, x) for i, x in enumerate(inverse) if not (_is_id(x) and 0 <= x < n))
+        raise MalformedInput(f"bad 'inverse' table: {i} maps to {x!r}, not an element id")
 
     leq = _leq_from_pairs(n, d["leq"]) if "leq" in d else None
     join = _table_from_triples(n, d["join"], "join") if "join" in d else None
@@ -927,7 +924,7 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     members = d.get("members")
     if members is None:
         members = range(n)
-    elif not isinstance(members, list) or not all(_is_id(m) for m in members):
+    elif not isinstance(members, list) or not _ids_within(members):
         raise MalformedInput("'members' must be a list of element ids")
     return SeparationSystem(universe, members)
 

@@ -123,6 +123,7 @@ from .core import (
     _as_id,
     _first_conflict,
     _id_row,
+    _ids_within,
     _is_id,
     is_consistent,
     is_orientation,
@@ -244,11 +245,12 @@ class Certificate:
 def _picks_from_json(items, n: int) -> tuple[int, ...]:
     if not isinstance(items, list):
         raise MalformedInput("certificate 'picks' must be a list of element ids")
-    for i in items:
-        if not _is_id(i):
-            raise MalformedInput(f"certificate pick {i!r} is not an integer id")
-        if not 0 <= i < n:
-            raise MalformedInput(f"certificate pick {i} outside a universe of {n}")
+    if not _ids_within(items, n):
+        for i in items:
+            if not _is_id(i):
+                raise MalformedInput(f"certificate pick {i!r} is not an integer id")
+            if not 0 <= i < n:
+                raise MalformedInput(f"certificate pick {i} outside a universe of {n}")
     return tuple(items)
 
 

@@ -12,14 +12,8 @@ The *star at a node* ``t`` is the label set of its incoming edges.  A tree is
 new trees and never mutate.
 
 The public :class:`STree` constructor checks its input from first
-principles.  A tree that surgery derives from a checked tree is built on a
-trusted path that checks nothing again; ``verify_certificate`` checks the
-structure of every tree certificate, so an engine's answer is still checked
-once, in full.  As a tree never changes, it keeps its verdicts (redundant
-and inverse pairs, and which node stars a root family lacks), so a tree
-that the engines pass up their levels is scanned once.  Apart from them
-it keeps the trees that tightening and shifting built from it, so a
-surgery made on it again returns the tree it built the first time.
+principles; a tree that surgery derives from a checked tree is built on a
+trusted path, and a tree keeps its scan verdicts and surgery results.
 
 A :class:`StarFamily` child adds singleton stars to a root family as a bit
 row and derives everything else, its forced inverses included, from the
@@ -33,6 +27,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -40,9 +35,12 @@ import numpy as np
 from .core import (
     SeparationSystem,
     Universe,
+    _all_stars,
     _as_id,
+    _flat,
     _id_entry,
     _id_row,
+    _ids_within,
     _is_id,
     _is_star_ids,
     _readonly,
@@ -105,11 +103,15 @@ class StarFamily:
 
     def __init__(self, universe: Universe, stars: Iterable, *, validate: bool = True):
         self.universe = universe
-        self.stars = frozenset(frozenset(map(_as_id, sigma)) for sigma in stars)
+        sets = [frozenset(sigma) for sigma in stars]
+        if not set(map(type, chain.from_iterable(sets))) <= {int}:
+            sets = [frozenset(map(_as_id, sigma)) for sigma in sets]  # handles, numpy ids
+        self.stars = frozenset(sets)
         self.root: Optional[StarFamily] = None
         self.extra = 0
         self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        if validate:
+        if validate and not _all_stars(universe, sets):
+            # name the canonically least star that fails
             for sigma in self.sorted_stars:
                 if not _is_star_ids(universe, sigma):
                     raise FNotStars(sigma)
@@ -227,18 +229,20 @@ class StarFamily:
 
     @classmethod
     def from_json_dict(cls, universe: Universe, d: dict) -> "StarFamily":
+        """Read a ``stars`` list of id lists by the rule of :mod:`.core`, naming the
+        first bad star or id in document order, then the least non-star."""
         if not isinstance(d, dict) or not isinstance(d.get("stars"), list):
             raise MalformedInput("family JSON needs a 'stars' list")
-        stars = []
-        for sigma in d["stars"]:
-            if not isinstance(sigma, list):
-                raise MalformedInput(f"a star must be a list of element ids, got {sigma!r}")
-            for i in sigma:
-                if not _is_id(i):
-                    raise MalformedInput(f"star {sigma!r} holds a non-integer element {i!r}")
-                if not 0 <= i < len(universe):
-                    raise MalformedInput(f"star element {i} outside the universe")
-            stars.append(sigma)
+        stars, n = d["stars"], len(universe)
+        if not _ids_within(_flat(stars), n):
+            for sigma in stars:
+                if not isinstance(sigma, list):
+                    raise MalformedInput(f"a star must be a list of element ids, got {sigma!r}")
+                for i in sigma:
+                    if not _is_id(i):
+                        raise MalformedInput(f"star {sigma!r} holds a non-integer element {i!r}")
+                    if not 0 <= i < n:
+                        raise MalformedInput(f"star element {i} outside the universe")
         return cls(universe, stars)
 
     def __repr__(self) -> str:
@@ -302,14 +306,12 @@ class STree:
         root_leaf: Optional[int] = None,
     ):
         edge_set = {(int(u), int(v)) for u, v in edges}
-        for u, v in list(edge_set):
-            if u == v:
-                raise MalformedInput(f"self-loop at node {u}")
-            edge_set.discard((max(u, v), min(u, v)))
-            edge_set.add((min(u, v), max(u, v)))
+        loop = next((u for u, v in edge_set if u == v), None)
+        if loop is not None:
+            raise MalformedInput(f"self-loop at node {loop}")
+        edge_set = {(min(e), max(e)) for e in edge_set}
         node_set = {int(n) for n in nodes} if nodes is not None else set()
-        for u, v in edge_set:
-            node_set.update((u, v))
+        node_set.update(chain.from_iterable(edge_set))
         labels = _filled_alpha(system, edge_set, alpha)
         root = int(root_leaf) if root_leaf is not None else None
         self._assemble(system, edge_set, labels, node_set, root, None)
@@ -504,11 +506,12 @@ class STree:
     def from_json_dict(cls, system: SeparationSystem, d: dict) -> "STree":
         """Read a tree document; every node id and label must be a JSON integer."""
         nodes, edges, alpha = d.get("nodes"), d.get("edges", []), d.get("alpha", {})
-        if not isinstance(nodes, list) or not all(_is_id(n) for n in nodes):
+        if not isinstance(nodes, list) or not _ids_within(nodes):
             raise MalformedInput("tree 'nodes' must be a list of integer node ids")
         if not isinstance(edges, list):
             raise MalformedInput("tree 'edges' must be a list of [u, v] pairs")
-        edges = [_id_entry(e, 2, "tree edge", "[u, v] pairs") for e in edges]
+        if not _ids_within(_flat(edges, 2)):
+            edges = [_id_entry(e, 2, "tree edge", "[u, v] pairs") for e in edges]
         if not isinstance(alpha, dict):
             raise MalformedInput("tree 'alpha' must map 'u->v' keys to element ids")
         labels = {}
@@ -642,12 +645,10 @@ def validate_stree(tree: STree, family: Optional[StarFamily] = None) -> STreeRep
     system = tree.system
     u = system.universe
 
-    over_stars = True
-    for t in tree.nodes:
-        if not _is_star_ids(u, tree.node_star(t)):
-            over_stars = False
-            problems.append(f"star at node {t} is not a star")
-            break
+    over_stars = _all_stars(u, [tree.node_star(t) for t in tree.nodes])
+    if not over_stars:
+        t = next(t for t in tree.nodes if not _is_star_ids(u, tree.node_star(t)))
+        problems.append(f"star at node {t} is not a star")
 
     # scanned afresh, not read from the verdicts the tree keeps
     redundant = _redundant_triple.__wrapped__(tree)
