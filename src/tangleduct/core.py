@@ -673,16 +673,16 @@ def _all_stars(universe: Universe, stars: Collection[Collection[int]]) -> bool:
         return False
     inv, above = universe._inv_list, universe._above
     for sigma in stars:
-        row = 0
+        # every inv(t) lies above every s in sigma, except that s <= inv(s) is not required
+        row, up = 0, -1
         for i in sigma:
             f = inv[i]
             if f == i:
                 return False
             row |= 1 << f
-        for i in sigma:
-            # s <= inv(s) is not required, so the bit of inv(s) is let through
-            if row & ~(above[i] | 1 << inv[i]):
-                return False
+            up &= above[i] | 1 << f
+        if row & ~up:
+            return False
     return True
 
 
