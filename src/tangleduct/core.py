@@ -58,9 +58,11 @@ The laws hold by construction, so none is re-checked:
    holds only side pairs.  The meet ``(A&C, B|D)``, the flip of the join
    of the flips, is likewise the greatest lower bound in L when L holds it.
 
-It stores no join table: :meth:`Universe.join_column` looks one column up
-in the sorted pair keys on first use and keeps it, with -1 where the join
-is not in L.  The engines read -1 as "not a member".
+It stores no join table: the first use of a column in
+:meth:`Universe.join_column` looks up the chunk of ``_chunk_rows(n)``
+columns that holds it in the sorted pair keys, with one ``_find_keys``
+call, and keeps each column as a view of its chunk, with -1 where the
+join is not in L.  The engines read -1 as "not a member".
 :meth:`Universe.join_id`, :meth:`Universe.meet_id` and
 :meth:`OrientedSep.join`/``meet`` raise :class:`MalformedInput` for a join
 or meet outside the universe, and a flip missing from the pool raises it
@@ -73,13 +75,13 @@ row alone to name the same witness.
 
 Memory: a universe of n elements keeps n² bytes for the order and
 3·n²/8 bytes of bit rows (below); one built from tables adds 4n² for the
-``int32`` join table, and a mask universe 4n bytes per join column it was
-asked for.  The order of a mask universe and the checks of antisymmetry
-and order reversal work in row chunks of about ``_CHUNK`` cells, so their
-temporaries stay bounded per chunk whatever n is; the transitivity
-check holds the packed order (n²/8 bytes) plus the packed words one row
-of it compares.  Chunked checks scan rows in ascending order and name the
-same least witness as a one-shot check.
+``int32`` join table, and a mask universe 4n bytes per column of each
+chunk of join columns it was asked for.  The order of a mask universe and
+the checks of antisymmetry and order reversal work in row chunks of about
+``_CHUNK`` cells, so their temporaries stay bounded per chunk whatever n
+is; the transitivity check holds the packed order (n²/8 bytes) plus the
+packed words one row of it compares.  Chunked checks scan rows in
+ascending order and name the same least witness as a one-shot check.
 
 The engines' hot path asks set questions ("which picks lie strictly above
 this one's inverse?", "do all elements of this star lie in that domain?").
@@ -161,7 +163,10 @@ def _bit_rows(m: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as a bit row, with one ``np.packbits``."""
     packed = np.packbits(m, axis=1, bitorder="little")
     data, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i * w : i * w + w], "little") for i in range(len(packed))]
+    if not w:
+        return [0] * len(packed)
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i : i + w], "little") for i in range(0, len(data), w)]
 
 
 def _pack_rows(m: np.ndarray) -> np.ndarray:
@@ -291,10 +296,10 @@ class Universe:
         return OrientedSep(self, i)
 
     def leq_ids(self, a: int, b: int) -> bool:
-        return bool(self._leq[a, b])
+        return bool(self._above[a] >> b & 1)
 
     def lt_ids(self, a: int, b: int) -> bool:
-        return a != b and bool(self._leq[a, b])
+        return a != b and bool(self._above[a] >> b & 1)
 
     def inv_id(self, a: int) -> int:
         return self._inv_list[a]
@@ -368,7 +373,8 @@ class MaskUniverse(Universe):
     bitmasks, named over the vertices ``ground``.
 
     Ids are positions in the pool.  The laws hold by construction and no
-    join table is kept, as the module docstring shows, so none is checked.
+    join table is kept, as the module docstring shows, so none is checked;
+    join columns are looked up a chunk of ``_chunk_rows(n)`` at a time.
     """
 
     def __init__(self, masks: Sequence[tuple[int, int]], ground: Sequence[str]):
@@ -383,9 +389,15 @@ class MaskUniverse(Universe):
     def join_column(self, s: int) -> np.ndarray:
         col = self._columns[s]
         if col is None:
+            # the chunk of _chunk_rows(n) columns that holds s; as the join
+            # is symmetric, each column is a row of the block, kept as a view
+            step = _chunk_rows(len(self._keys))
+            lo = s - s % step
             a, b = self._a, self._b
-            col = _find_keys(self._keys, a | a[s], b & b[s]).astype(np.int32)
-            col = self._columns[s] = _readonly(col)
+            block = _find_keys(self._keys, a[lo : lo + step, None] | a, b[lo : lo + step, None] & b)
+            block = _readonly(block.astype(np.int32))
+            self._columns[lo : lo + len(block)] = block
+            col = self._columns[s]
         return col
 
     def element_repr(self, i: int) -> str:

@@ -21,7 +21,6 @@ from .stree import (
     contract_to_tight,
     is_order_respecting,
     prune_to_irredundant,
-    star_sort_key,
 )
 
 
@@ -94,12 +93,9 @@ def expand_to_family(tree: STree, family: StarFamily) -> STree:
     next_id = max(nodes) + 1
     for t in tree.nodes:
         star = tree.node_star(t)
-        candidates = [
-            sigma for sigma in family.sorted_stars if sigma - trivial == star
-        ]
-        if not candidates:
+        chosen = next((sigma for sigma in family.sorted_stars if sigma - trivial == star), None)
+        if chosen is None:
             raise NoMatchingStar(sorted(star))
-        chosen = min(candidates, key=star_sort_key)
         for s in sorted(chosen - star):
             leaf = next_id
             next_id += 1

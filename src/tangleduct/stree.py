@@ -37,6 +37,8 @@ from .core import (
     Universe,
     _all_stars,
     _as_id,
+    _bit_rows,
+    _chunk_rows,
     _flat,
     _id_entry,
     _id_row,
@@ -56,6 +58,11 @@ from .errors import (
 
 # a node id as it appears in the halves of an alpha key "u->v"
 _NODE_ID = re.compile(r"-?[0-9]+")
+
+
+# a family of at most this many stars builds its engine views in Python, a
+# larger one in one numpy pass (see StarFamily)
+_SMALL_FAMILY = 64
 
 
 def star_sort_key(sigma: frozenset[int]) -> tuple:
@@ -79,9 +86,14 @@ class StarFamily:
     canonical order (``sorted_stars``), each star's bit row over element ids
     (``star_masks``), the nonempty stars as rows of ids (``star_rows``), and
     the bit row of the ids of its singleton stars (``singles``).  Each part
-    is built from ``stars`` on first use; ``star_rows`` only when a long
-    root scan of the separator search needs it.  Whether the family holds
-    ``{i}``, and so forces ``i``'s inverse, is one bit of ``singles``.
+    is built from ``stars`` on first use and then read from the instance
+    dict.  A family of at most ``_SMALL_FAMILY`` stars builds each of the
+    first three alone, with a Python sort key per star, and so builds
+    ``star_rows`` only when a long root scan of the separator search needs
+    it; a larger one builds all three at the first read of any of them, in
+    one numpy pass (:meth:`_index`).  The constructor checks the stars
+    before either build.  Whether the family holds ``{i}``, and so forces
+    ``i``'s inverse, is one bit of ``singles``.
 
     A family built by the constructor is a *root*: ``root`` is ``None`` and
     it holds its ``stars``, plus a ``memo`` that the engines fill per
@@ -111,8 +123,9 @@ class StarFamily:
         self.extra = 0
         self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         if validate and not _all_stars(universe, sets):
-            # name the canonically least star that fails
-            for sigma in self.sorted_stars:
+            # name the canonically least star that fails; the index is not
+            # built, as a non-star may hold an id outside the universe
+            for sigma in sorted(self.stars, key=star_sort_key):
                 if not _is_star_ids(universe, sigma):
                     raise FNotStars(sigma)
 
@@ -123,11 +136,15 @@ class StarFamily:
 
     @cached_property
     def sorted_stars(self) -> tuple[frozenset[int], ...]:
+        if len(self.stars) > _SMALL_FAMILY:
+            return self._index()["sorted_stars"]
         return tuple(sorted(self.stars, key=star_sort_key))
 
     @cached_property
     def star_masks(self) -> tuple[int, ...]:
         """Bit row of each star, in ``sorted_stars`` order."""
+        if len(self.stars) > _SMALL_FAMILY:
+            return self._index()["star_masks"]
         return tuple(_id_row(sigma) for sigma in self.sorted_stars)
 
     @cached_property
@@ -135,10 +152,46 @@ class StarFamily:
         """The nonempty stars, in canonical order, as the rows of a
         read-only ``int32`` matrix; a star shorter than the longest repeats
         its least id, which leaves it the same set."""
+        if len(self.stars) > _SMALL_FAMILY:
+            return self._index()["star_rows"]
         stars = [sorted(sigma) for sigma in self.sorted_stars if sigma]
         width = max(map(len, stars), default=0)
         rows = np.array([s + s[:1] * (width - len(s)) for s in stars], dtype=np.int32)
         return _readonly(rows.reshape(len(stars), width))
+
+    def _index(self) -> dict:
+        """Build ``sorted_stars``, ``star_masks`` and ``star_rows`` of a
+        large family at once into the instance dict, and return it.
+
+        The ids of each nonempty star are sorted in a matrix padded with
+        its least id, which is ``star_rows`` once one ``np.lexsort`` by
+        ``(len, sorted ids)`` puts its rows in canonical order; the empty
+        star, if held, leads.  The bit rows come from ``np.packbits`` of
+        the rows' boolean matrix, a chunk of ``_chunk_rows(n)`` rows at a time.
+        """
+        stars = [sigma for sigma in self.stars if sigma]
+        n = len(self.universe)
+        lens = np.fromiter(map(len, stars), dtype=np.intp, count=len(stars))
+        held = np.arange(lens.max(initial=0)) < lens[:, None]
+        rows = np.full(held.shape, n, dtype=np.int32)  # n sorts after every id
+        rows[held] = np.fromiter(chain.from_iterable(stars), dtype=np.int32, count=held.sum())
+        rows.sort(axis=1)
+        rows = np.where(held, rows, rows[:, :1])
+        order = np.lexsort((*rows.T[::-1], lens))  # by length, then by ids
+        rows = _readonly(rows[order])
+        masks = []
+        step = _chunk_rows(n)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo : lo + step]
+            bits = np.zeros((len(chunk), n), dtype=bool)
+            np.put_along_axis(bits, chunk, True, axis=1)
+            masks += _bit_rows(bits)
+        empty = (frozenset(),) if len(stars) < len(self.stars) else ()
+        views = vars(self)
+        views["sorted_stars"] = empty + tuple(map(stars.__getitem__, order.tolist()))
+        views["star_masks"] = (0,) * len(empty) + tuple(masks)
+        views["star_rows"] = rows
+        return views
 
     @cached_property
     def singles(self) -> int:

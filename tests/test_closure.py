@@ -239,6 +239,28 @@ def test_scalar_inverse_on_the_ladder(name, k):
     assert_scalar_inverse(gen.ladder_system(name, k).universe)
 
 
+def assert_scalar_order(u):
+    """``leq_ids`` and ``lt_ids`` answer in Python ``bool``, equal to the
+    order matrix, on every pair of ids."""
+    n, leq = len(u), u.leq_matrix()
+    got = [[u.leq_ids(a, b) for b in range(n)] for a in range(n)]
+    strict = [[u.lt_ids(a, b) for b in range(n)] for a in range(n)]
+    assert {type(x) for row in got + strict for x in row} <= {bool}
+    assert np.array_equal(np.array(got, dtype=bool).reshape(n, n), leq)
+    assert np.array_equal(np.array(strict, dtype=bool).reshape(n, n), leq & ~np.eye(n, dtype=bool))
+
+
+@pytest.mark.parametrize("name,k", sorted(gen.bench_tk().EXPECTED_KIND))
+def test_scalar_order_on_the_ladder(name, k):
+    assert_scalar_order(gen.ladder_system(name, k).universe)
+
+
+def test_scalar_order_on_table_universes():
+    # law-checked universes with a join table: closures of ladder pools
+    for name, k in (("P3", 3), ("C5", 3), ("P5", 3)):
+        assert_scalar_order(closed_universe(gen.ladder_system(name, k).universe.set_labels)[0])
+
+
 @given(pool=pools(), offset=st.integers(0, 27))
 def test_scalar_inverse_on_pools(pool, offset):
     pool = _shifted(pool, offset)

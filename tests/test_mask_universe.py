@@ -1,23 +1,25 @@
 """Mask universes against the law-checked universe of their closure.
 
 A ``MaskUniverse`` takes its laws from construction (the ``core``
-docstring proves them) and looks its joins up one column at a time.  The
+docstring proves them) and looks its joins up a chunk of columns at a time.  The
 set and graph backends build it from a system's members and their flips
 alone.  On every system of the benchmark ladder and on random pools, it
 must be the law-checked universe of the pool's join/meet closure restricted
 to the pool (``test_closure.assert_restricts_closure``).
 """
 
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import gen
 from tangleduct import GraphInput, MalformedInput
-from tangleduct import graph_separations, system_from_json_dict
-from tangleduct.core import MaskUniverse
+from tangleduct import core, graph_separations, system_from_json_dict
+from tangleduct.core import MaskUniverse, _find_keys
 from test_closure import _shifted, assert_restricts_closure, pool_system, pools
 from test_tables import GRID3X3
 
@@ -36,6 +38,42 @@ def test_ladder_universes_match_checked_universe(name, k):
 @given(pool=pools(), offset=st.integers(0, 27))
 def test_random_pools_match_checked_universe(pool, offset):
     assert_restricts_closure(pool_system(_shifted(pool, offset)).universe)
+
+
+def assert_chunked_columns(u, rng) -> int:
+    """Fresh copies of the mask universe ``u``, under chunk budgets of one
+    row, of three rows plus part of one, and the default, answer every
+    join column, asked for in a random order, as one ``_find_keys`` call
+    per column would; each column is a read-only ``int32`` view, the same
+    object on every read.  Returns the count of -1 entries."""
+    n = len(u)
+    a, b, keys = core._mask_keys(u.set_labels)
+    want = [_find_keys(keys, a | a[s], b & b[s]) for s in range(n)]
+    for cells in (1, 3 * n + n // 2, core._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CHUNK", cells)
+            fresh = MaskUniverse(u.set_labels, u.ground)
+            for s in rng.sample(range(n), n):
+                col = fresh.join_column(s)
+                assert col.dtype == np.int32 and not col.flags.writeable
+                assert np.array_equal(col, want[s]) and col is fresh.join_column(s)
+    return sum(int((col < 0).sum()) for col in want)
+
+
+@pytest.mark.parametrize("name,k", LADDER)
+def test_chunked_join_columns_on_the_ladder(name, k):
+    missing = assert_chunked_columns(gen.ladder_system(name, k).universe, random.Random(k))
+    assert missing > 0  # a ladder universe holds members alone, not their joins
+
+
+@given(pool=pools(), offset=st.integers(0, 27), rnd=st.randoms(use_true_random=False))
+def test_chunked_join_columns_on_random_pools(pool, offset, rnd):
+    assert_chunked_columns(pool_system(_shifted(pool, offset)).universe, rnd)
+
+
+def test_chunked_join_columns_with_missing_joins():
+    u = MaskUniverse([(1, 1), (2, 2), (3, 3)], ["x", "y"])
+    assert assert_chunked_columns(u, random.Random(0)) == 6  # every join of two
 
 
 def test_set_and_graph_universes_are_mask_universes(cover3, p3_s2):
