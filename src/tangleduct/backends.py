@@ -46,8 +46,10 @@ def build_set_universe(
     ``pairs`` lists the members of the resulting system by their sides, as
     vertex-name iterables; flips are added automatically.  Every pair must
     cover the ground set.  Raises :class:`ClosureTooLarge` when the members
-    with their flips are more than ``max_closure``.
+    with their flips are more than ``max_closure``, a non-negative cap.
     """
+    if max_closure < 0:
+        raise MalformedInput("max_closure must be non-negative")
     ground = [str(g) for g in ground]
     if len(ground) != len(set(ground)):
         raise MalformedInput("ground set has repeated vertex names")
@@ -218,12 +220,15 @@ def graph_separations(
     The members are exactly the order-``< k`` separations, and the universe
     holds nothing else: the join of two members is looked up among them
     (:class:`~tangleduct.core.MaskUniverse`).  Raises
-    :class:`ClosureTooLarge` when there are more than ``max_closure``.
+    :class:`ClosureTooLarge` when there are more than ``max_closure``, a
+    non-negative cap.
     """
     if k < 0:
         raise MalformedInput("k must be non-negative")
+    if max_closure < 0:
+        raise MalformedInput("max_closure must be non-negative")
     # one past the cap is enough to refuse it, so the listing stops there
-    masks = list(islice(_graph_separation_masks(graph, k), max(max_closure, 0) + 1))
+    masks = list(islice(_graph_separation_masks(graph, k), max_closure + 1))
     if not masks:
         raise MalformedInput(f"the graph has no separations of order < {k}")
     return _universe_from_masks(graph.vertices, masks, max_closure)

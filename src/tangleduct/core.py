@@ -76,10 +76,11 @@ row alone to name the same witness.
 Memory: a universe of n elements keeps n² bytes for the order and
 3·n²/8 bytes of bit rows (below); one built from tables adds 4n² for the
 ``int32`` join table, and a mask universe 4n bytes per column of each
-chunk of join columns it was asked for.  The order of a mask universe and
-the checks of antisymmetry and order reversal work in row chunks of about
-``_CHUNK`` cells, so their temporaries stay bounded per chunk whatever n
-is; the transitivity check holds the packed order (n²/8 bytes) plus the
+chunk of join columns it was asked for.  Every chunked numpy pass, here,
+in a family's index and in the census listings that ``tangles`` writes,
+takes ``_chunk_rows(width)`` rows of ``width`` cells, about ``_CHUNK``
+cells, at a time, so its temporaries stay bounded whatever the size.
+The transitivity check holds the packed order (n²/8 bytes) plus the
 packed words one row of it compares.  Chunked checks scan rows in
 ascending order and name the same least witness as a one-shot check.
 
@@ -129,7 +130,7 @@ from .errors import (
 )
 
 
-_CHUNK = 1 << 16  # table cells per row chunk of the table builders and checks
+_CHUNK = 1 << 16  # cells per row chunk of every chunked numpy pass
 
 # most vertices of a ground set: a mask universe keys a side pair (A, B) as
 # the uint64 A << 32 | B
@@ -875,7 +876,8 @@ def _check_tables(
 def system_from_json_dict(d: dict) -> SeparationSystem:
     """Build a validated universe plus system from the JSON schema.
 
-    Expected keys: ``elements`` (list of ids 0..n-1), ``inverse`` (id map),
+    Expected keys: ``elements`` (list of ids 0..n-1), ``inverse`` (id map
+    keyed by ``str(id)``),
     ``leq`` (list of ``[a, b]`` pairs), optional ``join``/``meet`` tables as
     ``[a, b, value]`` triples (derived from the order when omitted, as the
     writer omits them; older documents carry them), optional
@@ -913,6 +915,10 @@ def system_from_json_dict(d: dict) -> SeparationSystem:
     if not _ids_within(inverse, n):
         i, x = next((i, x) for i, x in enumerate(inverse) if not (_is_id(x) and 0 <= x < n))
         raise MalformedInput(f"bad 'inverse' table: {i} maps to {x!r}, not an element id")
+    if len(inv_map) > n:  # it holds the n keys "0".."n-1" and more
+        known = set(map(str, range(n)))
+        key = next(key for key in inv_map if key not in known)
+        raise MalformedInput(f"bad 'inverse' table: key {key!r} is not an element id")
 
     leq = _leq_from_pairs(n, d["leq"]) if "leq" in d else None
     join = _table_from_triples(n, d["join"], "join") if "join" in d else None

@@ -38,10 +38,10 @@ in its ``memo``: ``None`` when ``s0`` does not emulate ``r``, else
 ``lacking``, the bit row of the ids ``y`` whose singleton image ``{y}``
 the root lacks, or -1 when it lacks a larger image, which no child can
 add.  The same dict keeps, per base ``r``, the indices of the root's
-qualifying stars in its canonical order.  A scan of a few stars shifts
-them one id at a time in Python; a long one shifts every id at once with
-numpy and maps the stars' rows (:attr:`StarFamily.star_rows`) with one
-gather, so the small systems pay no numpy call per pair.  Every family
+qualifying stars in its canonical order.  A small root's scan shifts
+them one by one in Python, with no numpy call; a large root's
+(:attr:`StarFamily._large`) shifts every id with numpy and gathers the
+rows of its stars (:attr:`StarFamily.star_rows`).  Every family
 the engines recurse on is a root plus extra singletons
 (:meth:`StarFamily.with_star`); a child passes iff ``lacking`` lies in its
 ``extra`` row and each qualifying extra ``{x}``, which lies above ``r``,
@@ -174,7 +174,7 @@ def _violating_star(picks, family: StarFamily) -> Optional[frozenset[int]]:
 def _violating_row(picked: int, family: StarFamily) -> Optional[frozenset[int]]:
     """:func:`_violating_star` of the picks with bit row ``picked``."""
     outside = ~picked
-    root = family if family.root is None else family.root
+    root = family._root_family
     extra = family.extra & picked
     least = extra & -extra
     for sigma, mask in zip(root.sorted_stars, root.star_masks):
@@ -384,15 +384,6 @@ def _shift_all(u: Universe, r: int, s0: int) -> np.ndarray:
 # the value a key not yet in a root memo reads
 _UNSEEN = object()
 
-# Root scans of at most this many qualifying stars shift each star in
-# Python; longer ones shift every id with numpy and map the stars with one
-# gather.  Per pass at seed 1 of the benchmark, random-census runs 7,771
-# scans, none of more than 10 stars (median 2), rs-engine 210, 208 of them
-# above 16 (median 167), and graph-build 69, all above (median 224).
-# Shifting rs-engine's long scans in Python made its pass about 30% slower,
-# and the gather on every random-census scan made its pass about 5% slower.
-_SHORT_SCAN = 16
-
 
 def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> bool:
     """Does ``s0`` emulate ``r`` (:func:`_emulating_column`), with every
@@ -408,7 +399,7 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
     """
     _check_same_universe(family, system)
     s0_id, r_id = _as_id(s0), _as_id(r)
-    root = family if family.root is None else family.root
+    root = family._root_family
     memo = _root_memo(root, system)
     lacking = memo.get((s0_id, r_id), _UNSEEN)
     if lacking is _UNSEEN:
@@ -428,11 +419,10 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
         return True
     # each qualifying id lies above r, so its shift is its join with s0
     col = u.join_column(s0_id)
-    singles = extra | root.singles
     while qualifying:
         low = qualifying & -qualifying
         y = int(col[low.bit_length() - 1])
-        if not singles >> y & 1:
+        if not family.singles >> y & 1:
             return False
         qualifying ^= low
     return True
@@ -440,7 +430,7 @@ def emulates_for_family(s0, r, system: SeparationSystem, family: StarFamily) -> 
 
 def _root_memo(family: StarFamily, system: SeparationSystem) -> dict:
     """The dict that the root of ``family`` keeps for the system."""
-    root = family if family.root is None else family.root
+    root = family._root_family
     memo = root.memo.get(system)
     if memo is None:
         memo = root.memo[system] = {}
@@ -453,22 +443,21 @@ def _root_entry(
     """``None`` when ``s0`` does not emulate ``r``, else the bit row of the
     ids ``y`` whose singleton ``{y}`` is the shift image of a qualifying
     star that the root lacks, or -1 when it lacks a larger image, which no
-    child can add.  A short scan shifts star by star (:data:`_SHORT_SCAN`),
-    a long one maps all its stars with one gather."""
+    child can add.  A small root (:attr:`StarFamily._large`) shifts its
+    stars one by one, a large one maps them all with one gather."""
     col = _emulating_column(system, s0, r)
     if col is None:
         return None
     picked = _qualifying(system, root, memo, r)
     u = system.universe
-    if len(picked) <= _SHORT_SCAN:
-        sorted_stars = root.sorted_stars
+    if not root._large:
         images = (
-            frozenset([_shift_id(u, r, s0, col, y) for y in sorted_stars[i]])
+            frozenset([_shift_id(u, r, s0, col, y) for y in root.sorted_stars[i]])
             for i in picked
         )
     else:
         # star_rows skips the empty star, which leads sorted_stars when present
-        rows = root.star_rows[np.asarray(picked) - (not root.star_masks[0])]
+        rows = root.star_rows[np.asarray(picked) - (frozenset() in root.stars)]
         shifted = _shift_all(u, r, s0)[rows]
         # a star that the shift fixes is its own image, which the root holds
         moved = shifted[(shifted != rows).any(axis=1)].tolist()
@@ -489,7 +478,7 @@ def _qualifying(
     """The indices into ``root.sorted_stars`` of the stars that qualify for
     base ``r``, picked by their bit rows and kept in ``memo`` under
     ``("stars", r)`` as a C ``int`` array: four bytes an index, read as
-    Python ints by a short scan and as numpy by a long one."""
+    Python ints by the scan of a small root and as numpy by a large one's."""
     picked = memo.get(("stars", r))
     if picked is None:
         outside = ~(system.domain_mask(r) & ~(1 << system.universe.inv_id(r)))

@@ -32,14 +32,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import SeparationSystem, _bit_row
+from .core import SeparationSystem, _bit_row, _chunk_rows
 from .duality import Certificate, strong_duality
 from .errors import InternalInvariant, MalformedInput, NotFSeparable, TooLarge
 from .stree import StarFamily, STree, _check_same_universe
 
 _CENSUS_CAP = 20
-# codes listed per numpy pass: bounds the temporary picks matrix
-_CHUNK = 4096
 
 
 def orientation_picks(system: SeparationSystem, code: int) -> tuple[int, ...]:
@@ -243,14 +241,15 @@ def _listing_chunks(
     system: SeparationSystem, flags: int
 ) -> Iterator[list[tuple[int, ...]]]:
     """The sorted picks tuples of the codes flagged in ``flags``, in
-    ascending code order, as lists of at most ``_CHUNK`` codes each."""
+    ascending code order, in lists of ``_chunk_rows(picks per code)`` codes."""
     choice = _choices(system)
     n = len(choice)
     deg = np.array(sorted(system.degenerate_ids), dtype=np.int64)
     shifts = np.arange(n)
     codes = _codes(flags, 1 << n)
-    for at in range(0, len(codes), _CHUNK):
-        part = codes[at : at + _CHUNK]
+    step = _chunk_rows(n + len(deg))
+    for at in range(0, len(codes), step):
+        part = codes[at : at + step]
         picks = np.empty((len(part), n + len(deg)), dtype=np.int64)
         picks[:, :n] = choice[shifts, (part[:, None] >> shifts) & 1]
         picks[:, n:] = deg

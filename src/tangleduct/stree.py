@@ -56,12 +56,11 @@ from .errors import (
     RootLabelTrivial,
 )
 
-# a node id as it appears in the halves of an alpha key "u->v"
-_NODE_ID = re.compile(r"-?[0-9]+")
+# a node id in the halves of an alpha key "u->v", spelled as str(int) does
+_NODE_ID = re.compile(r"0|-?[1-9][0-9]*")
 
 
-# a family of at most this many stars builds its engine views in Python, a
-# larger one in one numpy pass (see StarFamily)
+# a family of more than this many stars is large: the one size rule of StarFamily
 _SMALL_FAMILY = 64
 
 
@@ -87,13 +86,13 @@ class StarFamily:
     (``star_masks``), the nonempty stars as rows of ids (``star_rows``), and
     the bit row of the ids of its singleton stars (``singles``).  Each part
     is built from ``stars`` on first use and then read from the instance
-    dict.  A family of at most ``_SMALL_FAMILY`` stars builds each of the
-    first three alone, with a Python sort key per star, and so builds
-    ``star_rows`` only when a long root scan of the separator search needs
-    it; a larger one builds all three at the first read of any of them, in
-    one numpy pass (:meth:`_index`).  The constructor checks the stars
-    before either build.  Whether the family holds ``{i}``, and so forces
-    ``i``'s inverse, is one bit of ``singles``.
+    dict.  Its size is the one rule (:attr:`_large`): a family of more than
+    ``_SMALL_FAMILY`` stars builds the first three at the first read of any
+    of them, in one numpy pass (:meth:`_index`), and the separator search
+    gathers a large root's stars through ``star_rows``; a small one builds
+    the first two alone, with a Python sort key per star.  The constructor
+    checks the stars before either build.  Whether the family holds
+    ``{i}``, and so forces ``i``'s inverse, is one bit of ``singles``.
 
     A family built by the constructor is a *root*: ``root`` is ``None`` and
     it holds its ``stars``, plus a ``memo`` that the engines fill per
@@ -134,16 +133,25 @@ class StarFamily:
         # only a child gets here: ``__init__`` sets a root's stars
         return self.root.stars.union(frozenset((i,)) for i in _bit_ids(self.extra))
 
+    @property
+    def _large(self) -> bool:
+        return len(self.stars) > _SMALL_FAMILY
+
+    @property
+    def _root_family(self) -> "StarFamily":
+        # a root's ``root`` stays None, so that no root refers to itself
+        return self if self.root is None else self.root
+
     @cached_property
     def sorted_stars(self) -> tuple[frozenset[int], ...]:
-        if len(self.stars) > _SMALL_FAMILY:
+        if self._large:
             return self._index()["sorted_stars"]
         return tuple(sorted(self.stars, key=star_sort_key))
 
     @cached_property
     def star_masks(self) -> tuple[int, ...]:
         """Bit row of each star, in ``sorted_stars`` order."""
-        if len(self.stars) > _SMALL_FAMILY:
+        if self._large:
             return self._index()["star_masks"]
         return tuple(_id_row(sigma) for sigma in self.sorted_stars)
 
@@ -152,16 +160,11 @@ class StarFamily:
         """The nonempty stars, in canonical order, as the rows of a
         read-only ``int32`` matrix; a star shorter than the longest repeats
         its least id, which leaves it the same set."""
-        if len(self.stars) > _SMALL_FAMILY:
-            return self._index()["star_rows"]
-        stars = [sorted(sigma) for sigma in self.sorted_stars if sigma]
-        width = max(map(len, stars), default=0)
-        rows = np.array([s + s[:1] * (width - len(s)) for s in stars], dtype=np.int32)
-        return _readonly(rows.reshape(len(stars), width))
+        return self._index()["star_rows"]
 
     def _index(self) -> dict:
-        """Build ``sorted_stars``, ``star_masks`` and ``star_rows`` of a
-        large family at once into the instance dict, and return it.
+        """Build ``sorted_stars``, ``star_masks`` and ``star_rows`` into the
+        instance dict, keeping any view already read, and return it.
 
         The ids of each nonempty star are sorted in a matrix padded with
         its least id, which is ``star_rows`` once one ``np.lexsort`` by
@@ -188,9 +191,9 @@ class StarFamily:
             masks += _bit_rows(bits)
         empty = (frozenset(),) if len(stars) < len(self.stars) else ()
         views = vars(self)
-        views["sorted_stars"] = empty + tuple(map(stars.__getitem__, order.tolist()))
-        views["star_masks"] = (0,) * len(empty) + tuple(masks)
-        views["star_rows"] = rows
+        views.setdefault("sorted_stars", empty + tuple(map(stars.__getitem__, order.tolist())))
+        views.setdefault("star_masks", (0,) * len(empty) + tuple(masks))
+        views.setdefault("star_rows", rows)
         return views
 
     @cached_property
@@ -211,11 +214,9 @@ class StarFamily:
 
     def _has(self, ids: frozenset[int]) -> bool:
         """``ids in self`` for a star already given as a set of element ids."""
-        if self.root is None:
-            return ids in self.stars
-        if len(ids) == 1 and self.extra >> next(iter(ids)) & 1:
+        if len(ids) == 1 and self.extra >> next(iter(ids)) & 1:  # a root's extra is 0
             return True
-        return ids in self.root.stars
+        return ids in self._root_family.stars
 
     def __eq__(self, other) -> bool:
         return (
@@ -248,12 +249,11 @@ class StarFamily:
             raise IndexError(f"element id {i} outside a universe of {n}")
         if u.inv_id(i) == i:
             raise FNotStars((i,))
-        root = self if self.root is None else self.root
-        if self.extra >> i & 1 or root.singles >> i & 1:
+        if self.singles >> i & 1:
             return self
         out = object.__new__(StarFamily)
         out.universe = u
-        out.root = root
+        out.root = self._root_family
         out.extra = self.extra | 1 << i
         return out
 
@@ -761,7 +761,7 @@ def _lacked_stars(
     (the bit of its id for a singleton, -1, which no row covers, for any
     other star), and the OR of those rows.  Kept on the tree for the last
     root asked, which it holds weakly."""
-    root = family if family.root is None else family.root
+    root = family._root_family
     kept = tree._verdicts.get(_lacked_stars)
     if kept is not None and kept[0]() is root:
         return kept[1], kept[2]

@@ -21,7 +21,7 @@ from tangleduct import Certificate, FNotStars, MalformedInput, SeparationSystem,
 from tangleduct.core import GROUND_CAP, MaskUniverse, Universe
 from tangleduct.stree import star_sort_key
 
-NODE_ID = re.compile(r"-?[0-9]+")
+NODE_ID = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def is_id(x) -> bool:
@@ -126,6 +126,9 @@ def read_system(d: dict) -> SeparationSystem:
         if not (is_id(x) and 0 <= x < n):
             raise MalformedInput(f"bad 'inverse' table: {i} maps to {x!r}, not an element id")
         inverse.append(x)
+    for key in inv_map:
+        if key not in [str(i) for i in range(n)]:
+            raise MalformedInput(f"bad 'inverse' table: key {key!r} is not an element id")
 
     leq = None
     if "leq" in d:

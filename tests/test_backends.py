@@ -116,6 +116,11 @@ class TestBuildSetUniverse:
         with pytest.raises(ClosureTooLarge):
             build_set_universe(ground, pairs, max_closure=15)
 
+    def test_negative_cap_rejected(self):
+        # refused up front, before the pool is read
+        with pytest.raises(MalformedInput, match="^max_closure must be non-negative$"):
+            build_set_universe(["x"], [(["x"], ["y"])], max_closure=-5)
+
     def test_ground_cap_enforced(self):
         ground = [str(i) for i in range(33)]
         with pytest.raises(GroundSetTooLarge):
@@ -229,6 +234,15 @@ class TestGraphSeparations:
         graph = GraphInput.parse("1 2\n")
         with pytest.raises(MalformedInput):
             graph_separations(graph, -1)
+
+    def test_negative_cap_rejected(self):
+        graph = GraphInput.parse("1 2\n")
+        for cap in (-1, -5):
+            with pytest.raises(MalformedInput, match="^max_closure must be non-negative$"):
+                graph_separations(graph, 2, max_closure=cap)
+        # a cap of 0 is a cap: the listing is refused as too large
+        with pytest.raises(ClosureTooLarge, match="cap of 0 elements"):
+            graph_separations(graph, 2, max_closure=0)
 
     def test_k_zero_has_no_separations(self):
         graph = GraphInput.parse("1 2\n")

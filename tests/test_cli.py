@@ -87,6 +87,12 @@ class TestGraphSk:
         graph.write_text(P3)
         assert run(RunConfig("graph-sk", str(graph), k=2, max_closure=5)) == 1
 
+    def test_negative_cap_is_one_error_line(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text(P3)
+        assert run(parse_args(["graph-sk", str(graph), "--k", "2", "--max-closure", "-5"])) == 1
+        assert capsys.readouterr().err == "error: max_closure must be non-negative\n"
+
 
 class TestValidate:
     def test_summary_fields(self, p3_setup, capsys):
@@ -164,6 +170,8 @@ MALFORMED = {
     "labels swapped beside a join": (False, _swap_labels_beside_join),
     "inverse off the labels": (False, _recode("inverse", lambda v: True, lambda v: 3)),
     "inverse past the end": (True, _recode("inverse", lambda v: True, lambda v: 10**20)),
+    "inverse key past the end": (False, lambda d: d["inverse"].update({"15": 0})),
+    "inverse key not an id": (True, lambda d: d["inverse"].update(x="junk")),
     "join negative id": (
         True, _recode("join", lambda e: True, lambda e: [e[0] - N2, e[1], e[2]])),
     "join negative value": (
@@ -412,6 +420,9 @@ MALFORMED_TREES = {
     "edge not a pair": _recode("edges", lambda e: True, lambda e: e[:1]),
     "edges not a list": _set("edges", "01"),
     "alpha key float half": _rekey(lambda k: k.replace("->", ".0->", 1)),
+    # the first key is "0->1": each spelling below names the same edge
+    "alpha key leading zero": _rekey(lambda k: "0" + k),
+    "alpha key negative zero": _rekey(lambda k: "-" + k),
     "alpha key padded half": _rekey(lambda k: " " + k),
     "alpha key without arrow": _rekey(lambda k: k.replace("->", "-", 1)),
     "alpha not an object": _set("alpha", [[0, 1, 5]]),
@@ -670,8 +681,9 @@ class TestTangles:
         assert run(RunConfig("tangles", str(path))) == 0
         whole = capsys.readouterr().out
         assert whole.count("\n") == 64
-        # 13 chunks of at most 5 lines, to stdout and to a file
-        monkeypatch.setattr("tangleduct.oracle._CHUNK", 5)
+        # a budget of one cell lists one code a chunk: 64 one-line chunks,
+        # to stdout and to a file
+        monkeypatch.setattr("tangleduct.core._CHUNK", 1)
         assert run(RunConfig("tangles", str(path))) == 0
         assert capsys.readouterr().out == whole
         out = tmp_path / "out.jsonl"

@@ -54,7 +54,7 @@ from tangleduct import (
     verify_certificate,
     weak_duality,
 )
-from tangleduct import duality
+from tangleduct import duality, stree
 from tangleduct.stree import _bit_ids, _inverse_pair_triple, _lacked_stars, _redundant_triple
 from tangleduct.core import _id_row
 from tangleduct.duality import (
@@ -610,7 +610,7 @@ def assert_chain_agrees(system, chain, bases):
         # the root's memo: one entry per pair, None iff s0 does not emulate
         # r, and the qualifying stars of the root as indices into its
         # canonical order
-        root = fam if fam.root is None else fam.root
+        root = fam._root_family
         root_dense = StarFamily(u, root.stars, validate=False)
         memo = _root_memo(fam, system)
         for r in bases:
@@ -704,8 +704,8 @@ def test_shift_map_reads_the_cached_image(name, k):
     """On every ladder system, the root memo's entry for ``(s0, r)`` is
     ``None`` iff ``s0`` does not emulate ``r``; for every emulating pair
     the engine's shift of each id in the domain of ``r``, one at a time
-    from the join column (the short scan) and as the full-width image (the
-    long scan), equals ``_shift_map``."""
+    from the join column (a small root's scan) and as the full-width image
+    (a large root's), equals ``_shift_map``."""
     graph = GraphInput.parse(tk.GRAPHS[name])
     system = graph_separations(graph, k)
     family = tk.tk_family(system, graph)
@@ -731,9 +731,9 @@ def test_shift_map_reads_the_cached_image(name, k):
 
 def scan_entries(monkeypatch, cutoff, make):
     """The root memo entries of every ``(s0, r)`` pair on each system and
-    family that ``make()`` yields, fresh, with root scans above ``cutoff``
-    stars taken by the gather."""
-    monkeypatch.setattr(duality, "_SHORT_SCAN", cutoff)
+    family that ``make()`` yields, fresh, with a family of more than
+    ``cutoff`` stars large, so that its root scans are taken by the gather."""
+    monkeypatch.setattr(stree, "_SMALL_FAMILY", cutoff)
     entries = []
     for system, family in make():
         memo = _root_memo(family, system)
@@ -769,6 +769,49 @@ def assert_scan_paths_agree(monkeypatch, make, answers):
                 if answers:
                     ok = ref_emulates_for_family(s0, r, system, family)
                     assert (want == 0) == ok, (s0, r)
+
+
+def engine_shifts(monkeypatch, name, k):
+    """A fresh system and T_k family of the ladder graph ``name`` at ``k``
+    after a strong and a weak run, and the ``(r, s0)`` of every
+    ``_shift_all`` call that the runs made."""
+    calls = []
+
+    def recorder(u, r, s0, shift_all=duality._shift_all):
+        calls.append((r, s0))
+        return shift_all(u, r, s0)
+
+    monkeypatch.setattr(duality, "_shift_all", recorder)
+    graph = GraphInput.parse(tk.GRAPHS[name])
+    system = graph_separations(graph, k)
+    family = tk.tk_family(system, graph)
+    strong_duality(system, family)
+    weak_duality(system, family)
+    return system, family, calls
+
+
+def test_a_small_root_shifts_its_stars_one_by_one(monkeypatch):
+    """P3's T_k at k=3 holds 64 stars, the most a small family holds, and
+    has two root scans of 25 stars: both shift star by star, so neither
+    engine calls ``_shift_all`` or builds ``star_rows``."""
+    system, family, calls = engine_shifts(monkeypatch, "P3", 3)
+    assert len(family) == stree._SMALL_FAMILY == 64 and not family._large
+    assert any(value is not None for value in family.memo[system].values())
+    assert calls == []
+    assert "star_rows" not in vars(family)
+
+
+def test_a_large_root_shifts_once_per_emulating_entry(monkeypatch):
+    """C5's T_k at k=3 holds 167 stars: each root entry of an emulating
+    pair, and no other, shifts every id with one ``_shift_all`` call."""
+    system, family, calls = engine_shifts(monkeypatch, "C5", 3)
+    assert len(family) == 167 and family._large
+    emulating = [
+        (r, s0)
+        for (s0, r), value in family.memo[system].items()
+        if isinstance(s0, int) and value is not None
+    ]
+    assert emulating and sorted(calls) == sorted(emulating)
 
 
 def test_scan_paths_agree_on_the_ladder(monkeypatch):

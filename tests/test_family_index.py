@@ -1,11 +1,12 @@
 """The engine views of a star family, built in Python or in one numpy pass.
 
-A family of at most ``stree._SMALL_FAMILY`` stars builds ``sorted_stars``,
-``star_masks`` and ``star_rows`` with a Python sort key per star, each view
-on first use; a larger one builds all three at once with numpy
-(``StarFamily._index``).  Both builds must give the views of the reference
-below, the plain Python build, on hypothesis-drawn families on both sides of
-the size rule and on every T_k family of the benchmark ladder.
+A family of at most ``stree._SMALL_FAMILY`` stars builds ``sorted_stars``
+and ``star_masks`` with a Python sort key per star, each view on first use,
+and ``star_rows`` with numpy (``StarFamily._index``), keeping the views
+already read; a larger one builds all three at once with numpy.  Both builds
+must give the views of the reference below, the plain Python build, on
+hypothesis-drawn families on both sides of the size rule and on every T_k
+family of the benchmark ladder.
 """
 
 import random

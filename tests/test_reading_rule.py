@@ -3,8 +3,9 @@
 Every single-point mutation of a document's family stars, set labels,
 ``leq`` pairs, join/meet triples, picks, and tree nodes, edges and
 ``alpha`` (an item replaced, deleted or appended, at any depth of the
-list) is read by the library and by :mod:`reference_reader`, which reads
-one entry at a time from the documented rules.  The library must raise
+list, or a key of ``inverse`` added or of ``alpha`` renamed) is read by
+the library and by :mod:`reference_reader`, which reads one entry at a
+time from the documented rules.  The library must raise
 the same error type, message and witness, or return an object equal to
 the reference's.  The cases after that pin what the whole-list check must
 not lose: document order against canonical order, ``str(v)`` labels and
@@ -92,11 +93,19 @@ def mutants(doc: dict, path: tuple, leaves: list, depth: int, step: int = 1):
 def renamed_keys(doc: dict, path: tuple):
     """Copies of ``doc`` with one key of the dict at ``path`` renamed."""
     for key in _at(doc, path):
-        for new in ("x", "0->", "->1", "1-> 2", "1->2->3", "-1->0", "07->1"):
+        for new in ("x", "0->", "->1", "1-> 2", "1->2->3", "-1->0", "07->1", "00->1", "-0->1"):
             out = copy.deepcopy(doc)
             target = _at(out, path)
             target[new] = target.pop(key)
             yield out
+
+
+def added_keys(doc: dict, path: tuple, keys: tuple):
+    """Copies of ``doc`` with one of ``keys`` added to the dict at ``path``."""
+    for key in keys:
+        out = copy.deepcopy(doc)
+        _at(out, path)[key] = 0
+        yield out
 
 
 def _system_view(system) -> tuple:
@@ -146,6 +155,9 @@ PARTS = {
     "meet triples": (SYSTEM, lambda: mutants(TABLED, ("meet",), IDS, 2, step=7)),
     "elements": (SYSTEM, lambda: mutants(BARE, ("elements",), IDS, 1)),
     "inverse": (SYSTEM, lambda: mutants(LABELLED, ("inverse",), IDS, 1)),
+    "inverse keys": (
+        SYSTEM, lambda: added_keys(LABELLED, ("inverse",), (str(N), "15", "-0", "00", "x"))
+    ),
     "members": (SYSTEM, lambda: mutants(LABELLED, ("members",), IDS, 1)),
     "tangle picks": (CERT, lambda: mutants(TANGLE_DOC, ("picks",), IDS, 1)),
     "orientation picks": (CERT, lambda: mutants(ORIENTATION_DOC, ("picks",), IDS, 1)),
