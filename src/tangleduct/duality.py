@@ -60,10 +60,12 @@ family below the root is the root family plus the singletons
 ``{inv(f)}`` of its forced ids ``f``: the forced ids determine it, and
 their bit row costs one bit per id instead of the whole family.
 
-The engines pass their forced state from parent to child as two bit
-rows, the forced ids and their inverses.  Each check on it is one rule,
+The engines pass their forced state from parent to child as one bit
+row, the forced ids, whose inverses are the family's ``singles``: a root
+family, standardized or not, holds only stars of members, and a child
+adds ``{inv(r)}`` as it forces ``r``.  Each check on it is one rule,
 applied at every level, the root included: a pair of inverses is the
-least bit of the AND of the two rows, and the strong engine's conflict
+least bit of ``forced & singles``, and the strong engine's conflict
 scan runs over the ids not yet checked, at the root all forced and
 degenerate ids, at a child the one id it adds to its parent's, which
 passed both checks.  Either way the least witness of the whole set is
@@ -585,7 +587,7 @@ def _shifted(tree: STree, root: int, s0: int) -> STree:
             raise ShiftLeftS(away, shifted)
         alpha[away] = shifted
         alpha[(away[1], away[0])] = inv(shifted)
-    out = STree._derived(system, tree.edges, alpha, tree.nodes, root, tree.adj)
+    out = STree._derived(system, alpha, tree.nodes, root, tree.adj)
 
     inv_s0 = frozenset((inv(s0),))
     if out.node_star(root) != inv_s0:
@@ -610,8 +612,7 @@ def _star_tree(system: SeparationSystem, sigma: frozenset[int]) -> STree:
     for i, s in enumerate(sorted(sigma), start=1):
         alpha[(i, 0)] = s
         alpha[(0, i)] = inv(s)
-    leaves = range(1, len(sigma) + 1)
-    return STree._derived(system, [(0, i) for i in leaves], alpha, [0, *leaves])
+    return STree._derived(system, alpha, range(len(sigma) + 1))
 
 
 def _splice(
@@ -627,18 +628,12 @@ def _splice(
     donor_nb = donor.adj[donor_leaf][0]
     into_donor_side = donor.alpha[(donor_leaf, donor_nb)]
     dropped = set(host_leaves)
-    relabel: dict[int, int] = {}
-    for n in host.nodes:
-        if n not in dropped:
-            relabel[n] = len(relabel)
-    edges: list[tuple[int, int]] = []
+    host_kept = [n for n in host.nodes if n not in dropped]
+    relabel = {n: i for i, n in enumerate(host_kept)}
     alpha: dict[tuple[int, int], int] = {}
-    for a, b in host.edges:
-        if a in dropped or b in dropped:
-            continue
-        edges.append((relabel[a], relabel[b]))
-        alpha[(relabel[a], relabel[b])] = host.alpha[(a, b)]
-        alpha[(relabel[b], relabel[a])] = host.alpha[(b, a)]
+    for (a, b), label in host.alpha.items():
+        if a not in dropped and b not in dropped:
+            alpha[(relabel[a], relabel[b])] = label
     nodes = list(relabel.values())
     for leaf in sorted(dropped):
         nb = host.adj[leaf][0]
@@ -649,16 +644,12 @@ def _splice(
         kept = [n for n in donor.nodes if n != donor_leaf]
         copy_map = {n: base + i for i, n in enumerate(kept)}
         nodes.extend(copy_map.values())
-        for a, b in donor.edges:
-            if a == donor_leaf or b == donor_leaf:
-                continue
-            edges.append((copy_map[a], copy_map[b]))
-            alpha[(copy_map[a], copy_map[b])] = donor.alpha[(a, b)]
-            alpha[(copy_map[b], copy_map[a])] = donor.alpha[(b, a)]
-        edges.append((relabel[nb], copy_map[donor_nb]))
+        for (a, b), label in donor.alpha.items():
+            if a != donor_leaf and b != donor_leaf:
+                alpha[(copy_map[a], copy_map[b])] = label
         alpha[(copy_map[donor_nb], relabel[nb])] = into_host_side
         alpha[(relabel[nb], copy_map[donor_nb])] = into_donor_side
-    return STree._derived(system, edges, alpha, nodes)
+    return STree._derived(system, alpha, nodes)
 
 
 def _leaves_with_star(tree: STree, star: frozenset[int]) -> list[int]:
@@ -684,7 +675,7 @@ def weak_duality(system: SeparationSystem, family: StarFamily) -> Certificate:
     transcript = [
         f"restricted family to the system: {len(fam)} of {len(family)} stars kept"
     ]
-    level = _weak(system, fam, *_forced_rows(system, fam), {})
+    level = _weak(system, fam, _forced_row(system, fam), {})
     kind, payload = _run("weak", level, system, transcript)
     return _certify("weak", kind, payload, system, family, transcript)
 
@@ -712,11 +703,10 @@ def _certify(
     return replace(cert, verified=True, transcript=tuple(transcript))
 
 
-def _forced_rows(system: SeparationSystem, fam: StarFamily) -> tuple[int, int]:
-    """The bit rows of the forced ids and of their inverses: a member is
-    forced when its inverse is a singleton star of the family."""
-    inv_forced = fam.singles & system.member_mask
-    return _id_row(map(system.universe.inv_id, _bit_ids(inv_forced))), inv_forced
+def _forced_row(system: SeparationSystem, fam: StarFamily) -> int:
+    """The bit row of the forced ids: a member is forced when its inverse
+    is a singleton star of the family, one bit of ``fam.singles``."""
+    return _id_row(map(system.universe.inv_id, _bit_ids(fam.singles & system.member_mask)))
 
 
 def _run(engine: str, level, system: SeparationSystem, transcript: list[str]):
@@ -740,19 +730,20 @@ def _run(engine: str, level, system: SeparationSystem, transcript: list[str]):
 
 
 def _pair_tree(
-    system: SeparationSystem, forced: int, inv_forced: int
+    system: SeparationSystem, forced: int, singles: int
 ) -> Optional[tuple[str, tuple[str, object]]]:
     """The transcript line and the 2-node tree when the family forces both
     orientations of a separation, labelled by the least forced id whose
-    inverse is forced too: the least bit of ``forced & inv_forced``.  Below
-    the root a level forces its parent's ids, which hold no pair, plus one
-    id, so the only possible pair is that id and its inverse."""
-    both = forced & inv_forced
+    inverse is forced too: the least bit of ``forced & singles``, the
+    family's singleton row.  Below the root a level forces its parent's
+    ids, which hold no pair, plus one id, so the only possible pair is that
+    id and its inverse."""
+    both = forced & singles
     if not both:
         return None
     label = (both & -both).bit_length() - 1
     alpha = {(0, 1): label, (1, 0): system.universe.inv_id(label)}
-    tree = STree._derived(system, [(0, 1)], alpha, [0, 1])
+    tree = STree._derived(system, alpha, [0, 1])
     return "family forces both orientations: 2-node tree", ("tree", tree)
 
 
@@ -777,21 +768,21 @@ def _settled(
     return line, ("tree", trees[key])
 
 
-def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: int, trees):
-    """One level on the bit rows of the forced ids and of their inverses,
-    run by :func:`_run`.
+def _weak(system: SeparationSystem, fam: StarFamily, forced: int, trees):
+    """One level on the bit row of the forced ids, run by :func:`_run`;
+    their inverses are the family's ``singles``.
 
     Each branch forces one orientation of a separation with neither
     forced, so only the root can force a pair of inverses.  ``trees`` is
     the call's dict of star trees (see :func:`_settled`).
     """
-    pair = _pair_tree(system, forced, inv_forced)
+    pair = _pair_tree(system, forced, fam.singles)
     if pair is not None:
         yield pair[0]
         return pair[1]
     u = system.universe
     # the least nondegenerate member with neither orientation forced
-    free = system.member_mask & ~(system.degenerate_mask | forced | inv_forced)
+    free = system.member_mask & ~(system.degenerate_mask | forced | fam.singles)
     if not free:
         line, answer = _settled(system, fam, forced, "orientation", trees)
         yield line
@@ -803,9 +794,7 @@ def _weak(system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: in
     branches = []
     # the star {pick} forces its inverse
     for side, pick, other in (("first", s0, inv_s0), ("second", inv_s0, s0)):
-        kind, res = yield _weak(
-            system, fam._child(pick), forced | 1 << other, inv_forced | 1 << pick, trees
-        )
+        kind, res = yield _weak(system, fam._child(pick), forced | 1 << other, trees)
         if kind == "orientation":
             return kind, res
         t = prune_to_irredundant(res)
@@ -879,11 +868,11 @@ def strong_duality(
     cert = held() if held is not None else None
     if cert is not None:
         return cert
-    forced, inv_forced = _forced_rows(system, fam)
+    forced = _forced_row(system, fam)
     # the root checks every forced and degenerate id for a conflict
     new = forced | system.degenerate_mask
     try:
-        level = _strong(system, fam, forced, inv_forced, new, {})
+        level = _strong(system, fam, forced, new, {})
         kind, payload = _run("strong", level, system, transcript)
     except NotFSeparable as exc:
         answers[key] = (exc.witness, exc.detail)
@@ -929,16 +918,14 @@ def _least_minimal_below(system: SeparationSystem, pool: int, bound: int) -> int
     raise InternalInvariant("no minimal element below an undecided separation")
 
 
-def _strong(
-    system: SeparationSystem, fam: StarFamily, forced: int, inv_forced: int, new: int, memo
-):
+def _strong(system: SeparationSystem, fam: StarFamily, forced: int, new: int, memo):
     """One level, run by :func:`_run`: settle the family, or split an
     undecided separation at a separator.
 
-    ``forced`` and ``inv_forced`` are the bit rows of the forced ids and of
-    their inverses, and ``new`` the row of the picks not yet checked for a
-    conflict: at the root every forced and degenerate id, at a child the
-    one id it adds to its parent's.  Each side ``(r_min, s)``, first
+    ``forced`` is the bit row of the forced ids, whose inverses are the
+    family's ``singles``, and ``new`` the row of the picks not yet checked
+    for a conflict: at the root every forced and degenerate id, at a child
+    the one id it adds to its parent's.  Each side ``(r_min, s)``, first
     ``(r1, s0)`` then ``(r2_back, inv(s0))``, unless ``inv(s)`` is forced,
     recurses with ``r_min`` forced, then prunes, tightens at the added leaf
     and shifts across ``s``.  A tangle, a tree already over the family, or
@@ -947,7 +934,8 @@ def _strong(
     dict: the level answers per forced row, the star tree per family star
     and the splice per pair of shifted trees (see the module docstring).
     """
-    pair = _pair_tree(system, forced, inv_forced)
+    singles = fam.singles
+    pair = _pair_tree(system, forced, singles)
     if pair is not None:
         yield pair[0]
         return pair[1]
@@ -955,7 +943,7 @@ def _strong(
     hit = _first_conflict(u, forced | system.degenerate_mask, new)
     if hit is not None:
         _raise_inconsistent(system, fam, *hit)
-    undecided = system.rep_mask & ~(forced | inv_forced)
+    undecided = system.rep_mask & ~(forced | singles)
     if not undecided:
         line, answer = _settled(system, fam, forced, "tangle", memo)
         yield line
@@ -978,7 +966,7 @@ def _strong(
 
     shifted: list[STree] = []
     for side, r_min, s in (("first", r1, s0_id), ("second", r2_back, inv_s0)):
-        if inv_forced >> s & 1:  # inv(s) is forced
+        if singles >> s & 1:  # inv(s) is forced
             continue
         inv_r = u.inv_id(r_min)
         # memoized by the forced ids, as their bit row, which determine the
@@ -986,8 +974,7 @@ def _strong(
         row = forced | 1 << r_min
         result = memo.get(row)
         if result is None:
-            sub, inv_row = fam._child(inv_r), inv_forced | 1 << inv_r
-            result = memo[row] = yield _strong(system, sub, row, inv_row, 1 << r_min, memo)
+            result = memo[row] = yield _strong(system, fam._child(inv_r), row, 1 << r_min, memo)
         kind, payload = result
         if kind == "tangle":
             return kind, payload
@@ -1000,7 +987,7 @@ def _strong(
             raise InternalInvariant("branch tree lost the leaf of its added star")
         tight = tighten_rooted(t, leaves[0])
         out = shift_stree(tight, leaves[0], s, fam)
-        if fam.singles >> u.inv_id(s) & 1:
+        if singles >> u.inv_id(s) & 1:
             yield f"shifted {side} branch is over the family"
             return "tree", out
         shifted.append(out)

@@ -307,6 +307,16 @@ def _check_same_universe(family: StarFamily, system: SeparationSystem) -> None:
         raise MalformedInput("family and system live in different universes")
 
 
+def _listed_once(items: Iterable, what: str) -> set:
+    """The set of ``items``, refusing the first one listed twice."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            raise MalformedInput(f"tree {what} {x} is listed twice")
+        seen.add(x)
+    return seen
+
+
 def _filled_alpha(
     system: SeparationSystem, edges: Iterable[tuple[int, int]], alpha: dict
 ) -> dict[tuple[int, int], int]:
@@ -327,11 +337,13 @@ def _filled_alpha(
 class STree:
     """An immutable tree with separation-labeled oriented edges.
 
-    The constructor normalizes its input (edges as ``(min, max)`` pairs,
-    the missing orientation of an edge labelled by its inverse) and runs
-    :meth:`_check`.  Trees the engines derive from checked trees are built
-    by :meth:`_derived`, which trusts its parts; ``verify_certificate``
-    runs :meth:`_check` on every tree certificate, which covers them.
+    The constructor refuses a node or edge listed twice, or an edge ending
+    outside the ``nodes`` given, normalizes its input (edges as ``(min,
+    max)`` pairs, the missing orientation of an edge labelled by its
+    inverse) and runs :meth:`_check`.  Trees the engines derive from
+    checked trees are built by :meth:`_derived`, which takes their edges
+    from their labels and trusts them; ``verify_certificate`` runs
+    :meth:`_check` on every tree certificate, which covers them.
 
     A tree is never mutated, so it keeps what is read off it in two
     dicts, each with one rule.  ``_verdicts`` holds scan answers only,
@@ -358,12 +370,16 @@ class STree:
         nodes: Optional[Iterable[int]] = None,
         root_leaf: Optional[int] = None,
     ):
-        edge_set = {(int(u), int(v)) for u, v in edges}
-        loop = next((u for u, v in edge_set if u == v), None)
+        edge_list = [(int(u), int(v)) for u, v in edges]
+        loop = next((u for u, v in edge_list if u == v), None)
         if loop is not None:
             raise MalformedInput(f"self-loop at node {loop}")
-        edge_set = {(min(e), max(e)) for e in edge_set}
-        node_set = {int(n) for n in nodes} if nodes is not None else set()
+        node_set = _listed_once(() if nodes is None else map(int, nodes), "node")
+        edge_list = [(min(e), max(e)) for e in edge_list]
+        edge_set = _listed_once(edge_list, "edge")
+        if nodes is not None and not node_set.issuperset(chain.from_iterable(edge_list)):
+            e, n = next((e, n) for e in edge_list for n in e if n not in node_set)
+            raise MalformedInput(f"edge {e} ends at node {n}, which is not among the nodes")
         node_set.update(chain.from_iterable(edge_set))
         labels = _filled_alpha(system, edge_set, alpha)
         root = int(root_leaf) if root_leaf is not None else None
@@ -374,18 +390,17 @@ class STree:
     def _derived(
         cls,
         system: SeparationSystem,
-        edges: Iterable[tuple[int, int]],
         alpha: dict[tuple[int, int], int],
         nodes: Iterable[int],
         root_leaf: Optional[int] = None,
         adj: Optional[dict[int, tuple[int, ...]]] = None,
     ) -> "STree":
-        """A tree from trusted parts: distinct ``(min, max)`` edges forming a
-        tree on ``nodes``, and both orientations of every edge labelled by
-        members, each the other's inverse.  Nothing is checked; ``adj``, when
-        given, is the adjacency of the same nodes and edges."""
+        """A tree from trusted parts: members labelling both orientations
+        of the edges of a tree on ``nodes``, each the other's inverse; the
+        edges are the keys ``(u, v)`` with ``u < v``.  Nothing is checked;
+        ``adj``, when given, is the adjacency of the same nodes and edges."""
         out = cls.__new__(cls)
-        out._assemble(system, edges, alpha, nodes, root_leaf, adj)
+        out._assemble(system, [e for e in alpha if e[0] < e[1]], alpha, nodes, root_leaf, adj)
         return out
 
     def _assemble(self, system, edges, alpha, nodes, root_leaf, adj) -> None:
@@ -516,14 +531,13 @@ class STree:
         """This tree minus nodes whose deletion leaves a tree, such as a
         branch or a leaf, on the trusted path."""
         kept = [n for n in self.nodes if n not in dropped]
-        edges = [(u, v) for u, v in self.edges if u not in dropped and v not in dropped]
         alpha = {
             (u, v): lab
             for (u, v), lab in self.alpha.items()
             if u not in dropped and v not in dropped
         }
         keep_root = None if self.root_leaf in dropped else self.root_leaf
-        return STree._derived(self.system, edges, alpha, kept, keep_root)
+        return STree._derived(self.system, alpha, kept, keep_root)
 
     def _key(self) -> tuple:
         return (
@@ -826,9 +840,6 @@ def contract_to_tight(tree: STree) -> STree:
         node, n1, n2 = hit
         mid = t.component_nodes(node, cut=[(n1, node), (node, n2)])
         fwd = t.alpha[(n1, node)]
-        edges = [
-            (u, v) for u, v in t.edges if u not in mid and v not in mid
-        ] + [(min(n1, n2), max(n1, n2))]
         alpha = {
             k: v
             for k, v in t.alpha.items()
@@ -841,7 +852,7 @@ def contract_to_tight(tree: STree) -> STree:
         # every surviving node keeps the labels of its incoming edges, so
         # a tree known to be irredundant stays irredundant
         irredundant = t._verdicts.get(_redundant_triple, ()) is None
-        t = STree._derived(t.system, edges, alpha, kept, keep_root)
+        t = STree._derived(t.system, alpha, kept, keep_root)
         if irredundant:
             t._verdicts[_redundant_triple] = None
 

@@ -429,6 +429,11 @@ MALFORMED_TREES = {
     "root_leaf float": _set("root_leaf", 1.0),
     "root_leaf bool": _set("root_leaf", True),
     "root_leaf string": _set("root_leaf", "1"),
+    # a node or edge named twice, or an edge ending off the listed nodes
+    "node listed twice": lambda cert: cert["nodes"].append(cert["nodes"][0]),
+    "edge listed twice": lambda cert: cert["edges"].append(list(cert["edges"][0])),
+    "edge listed both ways": lambda cert: cert["edges"].append(cert["edges"][0][::-1]),
+    "edge endpoint not a node": lambda cert: cert["nodes"].pop(),
 }
 
 
@@ -448,6 +453,24 @@ def test_well_formed_tree_envelope_checks(tmp_path, capsys):
     path.write_text(json.dumps(_tree_envelope()))
     assert run(RunConfig("check-tree", str(path))) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_picks_outside_the_system_fail_check_tree(tmp_path, capsys):
+    """A tangle of the subsystem {1, 3} of cover2 plus the universe id 7,
+    which is no member: read as ids, refused as an orientation."""
+    from tangleduct import strong_duality
+
+    system = gen.subsystem(gen.full_cover_system(2), [1])
+    fam = standardize(StarFamily(system.universe, ()), system)
+    cert = strong_duality(system, fam).to_json_dict()
+    cert["picks"].append(7)
+    doc = {"system": system_to_json_dict(system), "family": fam.to_json_dict(),
+           "certificate": cert}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig("check-tree", str(path))) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["problems"] == ["picks are not a full orientation of the system"]
 
 
 MALFORMED_ENVELOPES = {

@@ -96,6 +96,13 @@ class TestShiftMap:
         with pytest.raises(MalformedInput):
             _shift_map(1, 6, 1, cover2)  # s0 not above r
 
+    def test_non_members_refused(self, cover2):
+        # 1 is a usable base of both subsystems; 7 lies above it
+        with pytest.raises(MalformedInput, match="^s0 is not a member of the system$"):
+            _shift_map(1, 7, 1, gen.subsystem(cover2, [1]))
+        with pytest.raises(MalformedInput, match="^shift target is not a member of the system$"):
+            _shift_map(1, 7, 5, gen.subsystem(cover2, [1, 7]))
+
 
 class TestEmulation:
     def test_full_cover_joins_never_leave(self, cover2):
@@ -167,6 +174,13 @@ class TestEmulation:
         # if their shifts appear too
         grown = fam.with_star([1, 3])  # contains inv(r)=3: never qualifies
         assert emulates_for_family(1, 1, system, grown)
+
+    def test_family_emulation_refuses_a_non_member_s0(self, cover2):
+        # the base 1 is usable in the subsystem {1, 3}; 7 lies above it
+        system = gen.subsystem(cover2, [1])
+        fam = StarFamily(cover2.universe, ())
+        with pytest.raises(MalformedInput, match="^s0 is not a member of the system$"):
+            emulates_for_family(7, 1, system, fam)
 
     def test_family_emulation_detects_escaping_image(self):
         system = gen.full_cover_system(3)
@@ -700,6 +714,15 @@ class TestCertificates:
         ok, problems = verify_certificate(bad, system, fam)
         assert not ok
         assert any("orientation" in p for p in problems)
+
+    def test_verify_rejects_picks_outside_the_system(self, cover2):
+        system = gen.subsystem(cover2, [1])
+        fam = standardize(StarFamily(cover2.universe, ()), system)
+        cert = strong_duality(system, fam)
+        assert cert.kind == "tangle" and 7 not in system.member_ids
+        bad = Certificate(kind="tangle", picks=(*cert.picks, 7))
+        problem = "picks are not a full orientation of the system"
+        assert verify_certificate(bad, system, fam) == (False, (problem,))
 
     def test_verify_rejects_family_violation(self, std2):
         system, fam = std2

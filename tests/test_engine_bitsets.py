@@ -59,7 +59,7 @@ from tangleduct.stree import _bit_ids, _inverse_pair_triple, _lacked_stars, _red
 from tangleduct.core import _id_row
 from tangleduct.duality import (
     _emulating_column,
-    _forced_rows,
+    _forced_row,
     _least_minimal_below,
     _root_memo,
     _shift_all,
@@ -377,14 +377,14 @@ def test_with_star_chain_matches_a_rebuilt_family(seed):
         assert fam.sorted_stars == fresh.sorted_stars
         assert fam.star_masks == fresh.star_masks
         assert fam.singles == fresh.singles
-        assert _forced_rows(system, fam) == _forced_rows(system, fresh)
+        assert _forced_row(system, fam) == _forced_row(system, fresh)
 
 
 def assert_same_index(fam, copy, system):
     assert fam.stars == copy.stars
     assert fam.sorted_stars == copy.sorted_stars
     assert fam.singles == copy.singles
-    assert _forced_rows(system, fam) == _forced_rows(system, copy)
+    assert _forced_row(system, fam) == _forced_row(system, copy)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -451,8 +451,9 @@ def test_children_build_their_sets_from_their_root(seed):
                 assert fam.singles == sum(1 << min(sigma) for sigma in want if len(sigma) == 1)
             elif attr == "forced":
                 forced = ref_forced_ids(system, want)
-                rows = _id_row(forced), _id_row(map(system.universe.inv_id, forced))
-                assert _forced_rows(system, fam) == rows
+                assert _forced_row(system, fam) == _id_row(forced)
+                inverses = _id_row(map(system.universe.inv_id, forced))
+                assert fam.singles & system.member_mask == inverses
             else:
                 assert fam.stars == want
         assert len(fam) == len(want)
@@ -466,7 +467,7 @@ def test_tk_family_grown_by_with_star(tk_instance):
         fam = fam.with_star([u.inv_id(m)])
     fresh = StarFamily(u, fam.stars)
     assert fam.sorted_stars == fresh.sorted_stars
-    assert _forced_rows(system, fam) == _forced_rows(system, fresh)
+    assert _forced_row(system, fam) == _forced_row(system, fresh)
 
 
 def random_picks(rng, system, stars):
@@ -1212,7 +1213,7 @@ def test_kept_tree_verdicts_on_random_tk_systems(seed):
 
 def fresh_copy(tree):
     """``tree`` rebuilt on the trusted path, with no verdicts kept."""
-    return STree._derived(tree.system, tree.edges, dict(tree.alpha), tree.nodes, tree.root_leaf)
+    return STree._derived(tree.system, dict(tree.alpha), tree.nodes, tree.root_leaf)
 
 
 def test_kept_surgery_equals_fresh_surgery(monkeypatch):
@@ -1307,7 +1308,7 @@ def test_a_doctored_shift_fails_the_certificate_check(monkeypatch):
         alpha = dict(out.alpha)
         a, b = out.edges[-1]
         alpha[(a, b)] = out.system.universe.inv_id(alpha[(a, b)])
-        return STree._derived(out.system, out.edges, alpha, out.nodes, out.root_leaf)
+        return STree._derived(out.system, alpha, out.nodes, out.root_leaf)
 
     monkeypatch.setattr(duality, "shift_stree", flipped)
     graph = GraphInput.parse(tk.GRAPHS["P3"])

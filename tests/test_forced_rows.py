@@ -5,8 +5,10 @@ included: ``_pair_tree`` names the least forced id whose inverse is forced
 too, and ``core._first_conflict`` scans the ids not yet checked for a
 conflict, all forced and degenerate ids at the root and the one added id
 at a child.  Both must name what a dense scan of the whole set names,
-and a level of either engine must never hold a Python frame while a
-child level runs.  Also here:
+a level of either engine must never hold a Python frame while a child
+level runs, and at every level the family's ``singles`` must be the row
+of the forced ids' inverses, which the levels read in its place.  Also
+here:
 ``SeparationSystem.trivial_ids`` against its per-member definition, and
 the caller's family as the engines' root (``restricted_to`` returns it
 unchanged, and its root-scan memo holds systems only weakly).
@@ -35,7 +37,8 @@ from tangleduct import (
     weak_duality,
 )
 from tangleduct.core import _first_conflict, _id_row
-from tangleduct.duality import _forced_rows, _pair_tree
+from tangleduct.duality import _forced_row, _pair_tree
+from tangleduct.stree import _bit_ids
 
 
 tk = gen.bench_tk()
@@ -68,9 +71,9 @@ def consistent_forced(rng, system):
     return forced
 
 
-def pair_label(system, forced, inv_forced):
+def pair_label(system, forced, singles):
     """The label of ``_pair_tree``'s 2-node tree on the rows, or None."""
-    pair = _pair_tree(system, forced, inv_forced)
+    pair = _pair_tree(system, forced, singles)
     return None if pair is None else pair[1][1].alpha[(0, 1)]
 
 
@@ -101,7 +104,7 @@ def test_added_id_names_the_whole_set_witness(seed, which):
     forced = consistent_forced(rng, system)
     # the family whose singletons {inv(f)} force the set
     family = StarFamily(u, [[u.inv_id(f)] for f in forced])
-    row, inv_row = _forced_rows(system, family)
+    row, inv_row = _forced_row(system, family), family.singles & system.member_mask
     assert (row, inv_row) == (_id_row(forced), _id_row(map(u.inv_id, forced)))
     for added in system.members:
         if u.is_degenerate_id(added) or added in forced:
@@ -162,6 +165,47 @@ def test_engine_levels_hold_no_frame_below_the_running_one(engine, name, monkeyp
     assert all(names == [level, "_run", engine.__name__] for names in stacks)
     depths = [int(line[1 : line.index("]")]) for line in cert.transcript if line[0] == "["]
     assert max(depths) > 2
+
+
+# --- the family as the one owner of the forced inverses ---------------------------------
+
+
+def levels_read_inverse_rows(system, family, monkeypatch):
+    """Run both engines, recording at each level, through ``_pair_tree``,
+    which every level calls on its forced row and its family's
+    ``singles``, whether ``singles`` is the row of the forced ids' inverses."""
+    pair_tree, seen = duality._pair_tree, []
+
+    def recorder(system, forced, singles):
+        inverses = _id_row(map(system.universe.inv_id, _bit_ids(forced)))
+        seen.append(singles == inverses)
+        return pair_tree(system, forced, singles)
+
+    monkeypatch.setattr(duality, "_pair_tree", recorder)
+    weak_duality(system, family)
+    try:
+        strong_duality(system, family, auto_standardize=True)
+    except NotFSeparable:
+        pass
+    return seen
+
+
+@pytest.mark.parametrize("name, k", LADDER)
+def test_levels_forced_inverses_are_the_family_singles(name, k, monkeypatch):
+    graph = GraphInput.parse(tk.GRAPHS[name])
+    system = ladder_system(name, k)
+    seen = levels_read_inverse_rows(system, tk.tk_family(system, graph), monkeypatch)
+    assert seen and all(seen)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_levels_forced_inverses_are_the_family_singles_on_random_systems(seed):
+    rng = random.Random(seed)
+    system = gen.random_system(rng, max_pairs=5)
+    family = gen.random_family(rng, system, max_stars=6, standard=rng.random() < 0.5)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = levels_read_inverse_rows(system, family, monkeypatch)
+    assert seen and all(seen)
 
 
 # --- trivial ids ------------------------------------------------------------------------

@@ -10,15 +10,18 @@ import gen
 from tangleduct import (
     Certificate,
     FNotStars,
+    GraphInput,
     MalformedInput,
     STree,
     StarFamily,
     contract_to_tight,
+    graph_separations,
     is_order_respecting,
     is_over,
     is_star,
     prune_to_irredundant,
     star_sort_key,
+    strong_duality,
     tighten_rooted,
     validate_stree,
     verify_certificate,
@@ -29,7 +32,7 @@ from tangleduct.errors import (
     RootLabelTrivial,
 )
 from tangleduct.core import _is_star_ids
-from tangleduct.duality import _forced_rows
+from tangleduct.duality import _forced_row
 from tangleduct.stree import _redundant_triple, find_guided_sink
 
 
@@ -109,13 +112,15 @@ class TestStarFamily:
         fam = StarFamily(u, [[5], [1, 3]])
         assert fam.singles >> u.inv_id(0) & 1  # inv(0) = 5 is a singleton star
         assert not fam.singles >> u.inv_id(1) & 1
-        assert _forced_rows(cover2, fam) == (1 << 0, 1 << 5)
+        assert _forced_row(cover2, fam) == 1 << 0
+        assert fam.singles & cover2.member_mask == 1 << 5
 
     def test_forced_ids_respect_membership(self, cover2):
         u = cover2.universe
         fam = StarFamily(u, [[5]])
         sub = gen.subsystem(cover2, [1])  # 0 is not a member there
-        assert _forced_rows(sub, fam) == (0, 0)
+        assert _forced_row(sub, fam) == 0
+        assert fam.singles & sub.member_mask == 0
 
     def test_standardness(self, cover2):
         u = cover2.universe
@@ -275,7 +280,13 @@ class TestValidation:
 def doctored_trees(cover2):
     """Trees the trusted path builds without a check, each with one fault,
     and the message the structural check names it by."""
-    derived = STree._derived
+    def derived(system, edges, alpha, nodes, root_leaf=None):
+        # the trusted path takes its edges from the labels, so a label and
+        # an edge that disagree are assembled by hand
+        out = STree.__new__(STree)
+        out._assemble(system, edges, alpha, nodes, root_leaf, None)
+        return out
+
     path = {(0, 1): 1, (1, 0): 3, (1, 2): 0, (2, 1): 5}
     triangle = {**path, (0, 2): 2, (2, 0): 6}
     return [
@@ -322,6 +333,45 @@ class TestStructureCheck:
                 STree(tree.system, tree.edges, tree.alpha, nodes=tree.nodes,
                       root_leaf=tree.root_leaf)
             assert str(exc.value) == message
+
+
+class TestListedOnce:
+    """A tree names each node and edge once, and its edges end at its
+    nodes; the P3 certificate below passed ``verify_certificate`` with
+    each fault when the constructor folded its lists into sets."""
+
+    def test_constructor_names_the_first_repeat(self, cover2):
+        cases = [
+            ({"edges": [(0, 1)], "nodes": [0, 1, 0]}, "tree node 0 is listed twice"),
+            ({"edges": [(0, 1), (0, 1)]}, "tree edge (0, 1) is listed twice"),
+            ({"edges": [(0, 1), (1, 0)]}, "tree edge (0, 1) is listed twice"),
+            ({"edges": [(0, 1)], "nodes": [0]},
+             "edge (0, 1) ends at node 1, which is not among the nodes"),
+        ]
+        for parts, message in cases:
+            with pytest.raises(MalformedInput) as exc:
+                STree(cover2, parts.pop("edges"), {(0, 1): 1}, **parts)
+            assert str(exc.value) == message
+        assert STree(cover2, [(0, 1)], {(0, 1): 1}).nodes == (0, 1)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["nodes"].append(d["nodes"][0]), "tree node 0 is listed twice"),
+        (lambda d: d["edges"].append(list(d["edges"][0])), "tree edge (0, 1) is listed twice"),
+        (lambda d: d["edges"].append(d["edges"][0][::-1]), "tree edge (0, 1) is listed twice"),
+        (lambda d: d["nodes"].remove(3), "edge (2, 3) ends at node 3, which is not among the nodes"),
+    ], ids=["node twice", "edge twice", "edge both ways", "endpoint not a node"])
+    def test_p3_certificate_document(self, edit, message):
+        tk = gen.bench_tk()
+        graph = GraphInput.parse(tk.GRAPHS["P3"])
+        system = graph_separations(graph, 3)
+        family = tk.tk_family(system, graph)
+        doc = strong_duality(system, family).to_json_dict()
+        assert (doc["nodes"], doc["edges"]) == ([0, 1, 2, 3], [[0, 1], [0, 2], [2, 3]])
+        assert verify_certificate(Certificate.from_json_dict(system, doc), system, family)[0]
+        edit(doc)
+        with pytest.raises(MalformedInput) as exc:
+            Certificate.from_json_dict(system, doc)
+        assert str(exc.value) == message
 
 
 class TestSurgery:
